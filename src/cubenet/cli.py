@@ -281,7 +281,6 @@ def cmd_analyze(args) -> int:
         budget=args.budget,
         seed=args.seed,
         enum_cap=args.enum_cap,
-        workers=args.workers,
     )
     header = [
         "topology_id", "N", "L", "k", "lambda", "mu", "i",
@@ -317,7 +316,7 @@ def cmd_analyze(args) -> int:
             args.out,
             f"analyze {args.action}",
             {"topology": args.topology, "k": args.k, "budget": args.budget,
-             "enum_cap": args.enum_cap, "workers": args.workers},
+             "enum_cap": args.enum_cap},
             args.seed,
             time.perf_counter() - start,
         )
@@ -439,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--k", type=int, default=None)
     p_analyze.add_argument("--budget", type=int, default=20000)
     p_analyze.add_argument("--enum-cap", type=int, default=2_000_000)
-    p_analyze.add_argument("--workers", type=int, default=1)
     common(p_analyze)
     p_analyze.set_defaults(func=cmd_analyze)
 

@@ -1,10 +1,12 @@
 """Partition tolerance analysis.
 
 Implements the discrete-time count chain over the number of invalid
-links, its steady state (GTH state-elimination), hybrid exact/sampled
-estimation of the partition tolerance probability, the minimum-repair
-strategy (repair everything up to a class MTTR threshold), and the
-hierarchical aggregation over recursion paths.
+links and its closed-form steady state (the dense transition matrix and
+GTH state-elimination are kept as a test oracle), hybrid exact/sampled
+estimation of the partition tolerance probability (sampled states share
+one batch of random link orders), the minimum-repair strategy (repair
+everything up to a class MTTR threshold), and the hierarchical
+aggregation over recursion paths.
 """
 from __future__ import annotations
 
@@ -235,21 +237,15 @@ def _single_class_id(topology: Topology) -> int | None:
 
 
 def _edge_connectivity(topology: Topology) -> int:
-    """Exact edge connectivity, cached on the topology (small graphs only)."""
-    cached = topology.meta.get("_edge_connectivity")
-    if cached is not None:
-        return cached
+    """Exact edge connectivity; 0 (no certified bound) above 2048 nodes."""
     if topology.n_nodes > 2048:
-        value = 0  # unknown; callers treat 0 as "no certified bound"
-    else:
-        import networkx as nx
+        return 0
+    import networkx as nx
 
-        g = nx.Graph()
-        g.add_nodes_from(range(topology.n_nodes))
-        g.add_edges_from((lk.u, lk.v) for lk in topology.links)
-        value = nx.edge_connectivity(g)
-    topology.meta["_edge_connectivity"] = value
-    return value
+    g = nx.Graph()
+    g.add_nodes_from(range(topology.n_nodes))
+    g.add_edges_from((lk.u, lk.v) for lk in topology.links)
+    return nx.edge_connectivity(g)
 
 
 def min_repair_time(topology: Topology, failed_links, k: int | None = None) -> float:
@@ -289,6 +285,78 @@ def _repair_time_enum(topology: Topology, failed: set[int], k: int, mttr_of: lis
     raise NumericError("repair threshold search failed")
 
 
+def _class_mttr(topology: Topology, class_id: int, k: int) -> float:
+    """Least repair time of every wrong state of a single-class topology.
+
+    The threshold search has one threshold, the class MTTR, and
+    repairing every link restores the intact graph, so the answer is
+    the MTTR whenever the intact graph has a component of k nodes.
+    """
+    if _max_comp(topology, set()) < k:
+        raise NumericError("repairing all failed links did not restore a good partition")
+    return topology.classes[class_id].mttr_h
+
+
+def _exact_state(
+    topology: Topology, i: int, k: int, kappa: int, enum_cap: int, pi_i: float, repair
+) -> StateEstimate | None:
+    """Exact P{wrong | i} for 1 <= i <= L, or None when C(L, i) > enum_cap.
+
+    `kappa` is the edge connectivity (0 when unknown); `repair` maps a
+    wrong failed-link set to its least repair time.
+    """
+    if i < kappa and topology.n_nodes >= k:
+        # Removing fewer links than the edge connectivity cannot
+        # disconnect the graph, so the full node set survives.
+        return StateEstimate(i, pi_i, 0.0, 0.0, 0, "exact", None)
+    n_subsets = math.comb(topology.n_links, i)
+    if n_subsets > enum_cap:
+        return None
+    wrong = 0
+    t_sum = 0.0
+    for combo in itertools.combinations(range(topology.n_links), i):
+        failed = set(combo)
+        if _max_comp(topology, failed) < k:
+            wrong += 1
+            t_sum += repair(failed)
+    t_mean = (t_sum / wrong) if wrong else None
+    return StateEstimate(i, pi_i, wrong / n_subsets, 0.0, n_subsets, "exact", t_mean)
+
+
+def _link_orders(n_links: int, budget: int, seed):
+    """`budget` uniform random orders of the link indices; one stream per seed."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return (rng.permutation(n_links) for _ in range(budget))
+
+
+def _critical_counts(topology: Topology, k: int, budget: int, seed) -> np.ndarray:
+    """Critical failure count c* of each of `budget` random link orders.
+
+    One order is one graph-evolution pass (Elperin, Gertsbakh &
+    Lomonosov 1991): links join an empty union-find in order until some
+    component reaches k nodes, after `added` links.  Failing the last i
+    links of the order leaves a wrong partition exactly when
+    i >= c* = L - added + 1 (c* = 0 when the intact graph has no such
+    component, L + 1 when k = 1).  The last i links of a uniform order
+    form a uniform i-subset, so 1[c* <= i] is one draw of P{wrong | i}
+    for every i at once.
+    """
+    L, n = topology.n_links, topology.n_nodes
+    ends = [(lk.u, lk.v) for lk in topology.links]
+    out = np.empty(budget, dtype=np.int64)
+    for b, order in enumerate(_link_orders(L, budget, seed)):
+        added = 0
+        if k > 1:
+            uf = UnionFind(n)
+            for added, idx in enumerate(order.tolist(), start=1):
+                if uf.union(*ends[idx]) >= k:
+                    break
+            else:
+                added = L + 1
+        out[b] = L + 1 - added
+    return out
+
+
 def conditional_wrong_prob(
     topology: Topology,
     i: int,
@@ -297,10 +365,9 @@ def conditional_wrong_prob(
     seed: int = 0,
     enum_cap: int = ENUM_CAP_DEFAULT,
     pi_i: float = float("nan"),
-    workers: int = 1,
 ) -> StateEstimate:
     """P{wrong partition | i invalid links}: exact enumeration below the
-    cap, Monte Carlo over uniform i-subsets above it.
+    cap, Monte Carlo over `budget` random link orders above it.
 
     A wrong partition is a state whose largest component has fewer than
     k nodes.  Also records the mean minimum repair time over the wrong
@@ -312,44 +379,35 @@ def conditional_wrong_prob(
         raise SpecError(f"state {i} out of range for L={L}")
     if k is None:
         k = default_quorum(N)
-    mttr_of = [topology.classes[lk.class_id].mttr_h for lk in topology.links]
-
     if i == 0:
         p0 = 0.0 if N >= k else 1.0
         return StateEstimate(i, pi_i, p0, 0.0, 1, "exact", None)
-    if i < _edge_connectivity(topology) and N >= k:
-        # Removing fewer links than the edge connectivity cannot
-        # disconnect the graph, so the full node set survives.
-        return StateEstimate(i, pi_i, 0.0, 0.0, 0, "exact", None)
 
-    n_subsets = math.comb(L, i)
-    if n_subsets <= enum_cap:
-        wrong = 0
-        t_sum = 0.0
-        for combo in itertools.combinations(range(L), i):
-            failed = set(combo)
-            if _max_comp(topology, failed) < k:
-                wrong += 1
-                t_sum += _repair_time_enum(topology, failed, k, mttr_of)
-        p = wrong / n_subsets
-        t_mean = (t_sum / wrong) if wrong else None
-        return StateEstimate(i, pi_i, p, 0.0, n_subsets, "exact", t_mean)
+    cid = _single_class_id(topology)
+    if cid is None:
+        mttr_of = [topology.classes[lk.class_id].mttr_h for lk in topology.links]
 
-    rng_streams = [
-        np.random.default_rng(np.random.SeedSequence((seed, i, w))) for w in range(workers)
-    ]
-    shares = [budget // workers + (1 if w < budget % workers else 0) for w in range(workers)]
-    wrong = 0
-    t_sum = 0.0
-    for rng, share in zip(rng_streams, shares):
-        for _ in range(share):
-            failed = set(rng.choice(L, size=i, replace=False).tolist())
-            if _max_comp(topology, failed) < k:
-                wrong += 1
-                t_sum += _repair_time_enum(topology, failed, k, mttr_of)
-    p = wrong / budget
+        def repair(failed):
+            return _repair_time_enum(topology, failed, k, mttr_of)
+    else:
+        mttr = _class_mttr(topology, cid, k)
+
+        def repair(failed):
+            return mttr
+
+    est = _exact_state(topology, i, k, _edge_connectivity(topology), enum_cap, pi_i, repair)
+    if est is not None:
+        return est
+    if budget < 1:
+        raise SpecError(f"state {i} needs sampling but the budget is {budget}")
+    wrong = _critical_counts(topology, k, budget, (seed, i)) <= i
+    # Replay the same orders: a wrong order's failed set is its last i links.
+    orders = _link_orders(L, budget, (seed, i))
+    t_sum = sum(repair(set(o[L - i:].tolist())) for o, w in zip(orders, wrong) if w)
+    n_wrong = int(np.count_nonzero(wrong))
+    p = n_wrong / budget
     se = math.sqrt(p * (1.0 - p) / budget)
-    t_mean = (t_sum / wrong) if wrong else None
+    t_mean = (t_sum / n_wrong) if n_wrong else None
     return StateEstimate(i, pi_i, p, se, budget, "sampled", t_mean)
 
 
@@ -371,51 +429,66 @@ def partition_tolerance(
     enum_cap: int = ENUM_CAP_DEFAULT,
     tail_eps: float = TAIL_EPS_DEFAULT,
     force_sampling: bool = False,
-    workers: int = 1,
 ) -> PartitionReport:
     """Overall partition tolerance probability and average minimum repair time.
 
-    Single-class topologies combine the count chain's steady state with
-    per-state conditional estimates (p = 1 - sum_i pi_i * P{wrong|i}).
-    Mixed-class topologies sample link states directly, each link down
-    with its steady-state probability lambda/(lambda+mu).
+    Single-class topologies weight per-state conditional estimates by
+    the count chain's closed-form steady state Binomial(L, q),
+    q = lambda/(lambda+mu): p = 1 - sum_i pi_i * P{wrong|i}.  A state is
+    exact below the edge connectivity or when its C(L, i) subsets fit
+    `enum_cap`; every other state reads the same `budget` random link
+    orders.  Mixed-class topologies sample link states directly, each
+    link down with its steady-state probability q.
     """
     params = params or FailureParams()
     k = params.quorum(topology)
-    if topology.n_links == 0:
+    L = topology.n_links
+    if L == 0:
         p = 1.0 if topology.n_nodes >= k else 0.0
         return PartitionReport(p, 0.0, None if p == 1.0 else 0.0, [], "exact", k)
 
     cid = _single_class_id(topology)
     if cid is None:
-        return _partition_tolerance_multiclass(topology, params, k, budget, seed, workers)
+        return _partition_tolerance_multiclass(topology, params, k, budget, seed)
 
     lam, mu = params.rate_of(topology, cid)
-    chain = CountChain(topology.n_links, lam, mu)
-    pi = stationary(chain).pi
-    per_state: list[StateEstimate] = []
+    pi = binomial_stationary(CountChain(L, lam, mu))
+    mttr = _class_mttr(topology, cid, k)
+    kappa = _edge_connectivity(topology)
     cap = 0 if force_sampling else enum_cap
+    per_state: list[StateEstimate | None] = []
     underflow = False
-    for i in range(1, topology.n_links + 1):
-        if pi[i] < tail_eps:
-            if pi[i] > 0:
-                underflow = True
-            per_state.append(StateEstimate(i, float(pi[i]), 0.0, 0.0, 0, "skipped", None))
-            continue
-        est = conditional_wrong_prob(
-            topology, i, k, budget=budget, seed=seed, enum_cap=cap, pi_i=float(pi[i]),
-            workers=workers,
-        )
-        per_state.append(est)
+    for i in range(1, L + 1):
+        pi_i = float(pi[i])
+        if pi_i < tail_eps:
+            underflow = underflow or pi_i > 0
+            per_state.append(StateEstimate(i, pi_i, 0.0, 0.0, 0, "skipped", None))
+        else:
+            per_state.append(_exact_state(topology, i, k, kappa, cap, pi_i, lambda f: mttr))
+
+    var = 0.0
+    sampled = [i for i, e in enumerate(per_state, start=1) if e is None]
+    if sampled:
+        if budget < 1:
+            raise SpecError(f"{len(sampled)} states need sampling but the budget is {budget}")
+        c_star = _critical_counts(topology, k, budget, seed)
+        n_wrong = np.cumsum(np.bincount(c_star, minlength=L + 2))  # orders with c* <= i
+        sampled_pi = np.zeros(L + 2)
+        for i in sampled:
+            p_i = int(n_wrong[i]) / budget
+            se = math.sqrt(p_i * (1.0 - p_i) / budget)
+            per_state[i - 1] = StateEstimate(
+                i, float(pi[i]), p_i, se, budget, "sampled", mttr if p_i > 0 else None
+            )
+            sampled_pi[i] = pi[i]
+        # The states share their orders, so their errors are correlated:
+        # the variance is that of W_b = sum of pi_i over sampled i >= c*_b.
+        w = np.cumsum(sampled_pi[::-1])[::-1][c_star]
+        var = float(np.var(w)) / budget
+
     wrong_mass = sum(e.pi_i * e.p_wrong for e in per_state if e.method != "skipped")
-    var = sum((e.pi_i * e.stderr) ** 2 for e in per_state)
     p = min(max(1.0 - wrong_mass, 0.0), 1.0)
-    t_num = sum(
-        e.pi_i * e.p_wrong * e.mean_repair_h
-        for e in per_state
-        if e.mean_repair_h is not None and e.p_wrong > 0
-    )
-    t = (t_num / wrong_mass) if wrong_mass > 0 else None
+    t = mttr if wrong_mass > 0 else None
     methods = {e.method for e in per_state if e.method != "skipped"}
     method = methods.pop() if len(methods) == 1 else "hybrid"
     return PartitionReport(p, math.sqrt(var), t, per_state, method, k, underflow)
@@ -427,7 +500,6 @@ def _partition_tolerance_multiclass(
     k: int,
     budget: int,
     seed: int,
-    workers: int,
 ) -> PartitionReport:
     L = topology.n_links
     q = np.empty(L)
@@ -437,23 +509,21 @@ def _partition_tolerance_multiclass(
     mttr_of = [topology.classes[lk.class_id].mttr_h for lk in topology.links]
 
     counts: dict[int, list] = {}  # i -> [n, wrong, t_sum]
-    rngs = [np.random.default_rng(np.random.SeedSequence((seed, w))) for w in range(workers)]
-    shares = [budget // workers + (1 if w < budget % workers else 0) for w in range(workers)]
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     wrong_total = 0
     t_sum_total = 0.0
-    for rng, share in zip(rngs, shares):
-        for _ in range(share):
-            down = rng.random(L) < q
-            failed = set(np.flatnonzero(down).tolist())
-            i = len(failed)
-            rec = counts.setdefault(i, [0, 0, 0.0])
-            rec[0] += 1
-            if _max_comp(topology, failed) < k:
-                rec[1] += 1
-                wrong_total += 1
-                t = _repair_time_enum(topology, failed, k, mttr_of)
-                rec[2] += t
-                t_sum_total += t
+    for _ in range(budget):
+        down = rng.random(L) < q
+        failed = set(np.flatnonzero(down).tolist())
+        i = len(failed)
+        rec = counts.setdefault(i, [0, 0, 0.0])
+        rec[0] += 1
+        if _max_comp(topology, failed) < k:
+            rec[1] += 1
+            wrong_total += 1
+            t = _repair_time_enum(topology, failed, k, mttr_of)
+            rec[2] += t
+            t_sum_total += t
     p_wrong = wrong_total / budget
     p = 1.0 - p_wrong
     se = math.sqrt(p_wrong * (1.0 - p_wrong) / budget)

@@ -15,14 +15,16 @@ class UnionFind:
             x = parent[x]
         return x
 
-    def union(self, a: int, b: int) -> None:
+    def union(self, a: int, b: int) -> int:
+        """Merge the components of a and b; returns the merged size."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
-            return
+            return self.size[ra]
         if self.size[ra] < self.size[rb]:
             ra, rb = rb, ra
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
+        return self.size[ra]
 
     def max_component_size(self) -> int:
         return max(self.size[i] for i in range(len(self.parent)) if self.find(i) == i)

@@ -211,7 +211,10 @@ def test_criterion_8c_recursive_overhead_band():
       2 * sum(min(fanout, deg)) * cycles, computed here from the degrees;
       the overhead is exactly 0 %.
     * At delay 0.5 each total is 2 * Binomial(trials, 1/2), so the ratio
-      must lie within three binomial standard errors of 1.
+      must lie within three binomial standard errors of 1.  `run_gossip`
+      seeds from (seed, n, cycles), so two 64-node graphs with equal
+      degree sequences would draw the same series at one seed; the two
+      delayed runs use seeds 0 and 1 to make their totals independent.
     """
     import networkx as nx
 
@@ -235,9 +238,11 @@ def test_criterion_8c_recursive_overhead_band():
     ratio = recursive / cube
 
     delay = 0.5
-    delayed_cfg = GossipConfig(cycles=cycles, fanout=fanout, delay_prob=delay, seed=0)
-    cube_d = run_gossip(cube_topo, delayed_cfg).total_forwarded
-    rec_d = run_gossip(rec_topo, delayed_cfg).total_forwarded
+    cube_d, rec_d = (
+        run_gossip(topo, GossipConfig(cycles=cycles, fanout=fanout, delay_prob=delay,
+                                      seed=seed)).total_forwarded
+        for topo, seed in ((cube_topo, 0), (rec_topo, 1))
+    )
     ratio_d = rec_d / cube_d
     # Each total is 2*Binomial(trials, 1-delay); the ratio of two such totals
     # has relative standard error sqrt(2 * delay / (trials * (1 - delay))).

@@ -125,6 +125,16 @@ class TestAnalyze:
         assert summary[6] == "summary"
         assert 0.0 <= float(summary[7]) <= 1.0
 
+    def test_sampled_rows_are_plain_floats(self, tmp_path, cube_topology):
+        out = tmp_path / "sampled.csv"
+        assert run_cli(["analyze", "partition", "--topology", cube_topology,
+                        "--budget", "200", "--enum-cap", "0", "--out", str(out)]) == 0
+        rows = read_csv(str(out))
+        assert any(row[10] == "sampled" for row in rows[1:-1])
+        for row in rows[1:]:
+            for value in row[7:10]:
+                float(value)  # a numpy scalar would print as "np.float64(...)"
+
     def test_repair_prints_summary(self, tmp_path, cube_topology, capsys):
         out = tmp_path / "repair.csv"
         code = run_cli(
@@ -150,6 +160,7 @@ class TestAnalyze:
         manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
         assert manifest["seed"] == 3
         assert manifest["params"]["budget"] == 1000
+        assert "workers" not in manifest["params"]
 
 
 class TestGossipCli:

@@ -110,6 +110,13 @@ class TestConditionalWrongProb:
         est = conditional_wrong_prob(t, 4, k=3)
         assert est.p_wrong == 1.0
 
+    def test_multiclass_sampled_repair_time(self):
+        """The sampled branch replays its orders to find each wrong set's
+        repair threshold: both path links down, the fast one suffices."""
+        est = conditional_wrong_prob(_mixed_path(), 2, k=2, enum_cap=0, budget=50)
+        assert est.method == "sampled" and est.p_wrong == 1.0
+        assert math.isclose(est.mean_repair_h, 2.016, rel_tol=1e-12)
+
     def test_sampling_agrees_with_enum(self):
         t = build_ring_lattice(8, 4)
         for i in [4, 6]:  # below edge connectivity the answer is exactly 0
@@ -206,6 +213,56 @@ class TestPartitionTolerance:
         a = partition_tolerance(t, budget=2000, seed=7, enum_cap=0)
         b = partition_tolerance(t, budget=2000, seed=7, enum_cap=0)
         assert a.p == b.p and a.t == b.t
+
+    def test_sampled_states_nondecreasing(self):
+        """Shared link orders: a wrong order at i stays wrong at every
+        larger i, so the sampled P{wrong | i} never falls with i."""
+        report = partition_tolerance(build_rooted_tree(64, 6), budget=300, seed=2, enum_cap=0)
+        sampled = [e.p_wrong for e in report.per_state if e.method == "sampled"]
+        assert len(sampled) > 10
+        assert all(a <= b for a, b in zip(sampled, sampled[1:]))
+
+    def test_single_sampled_state_stderr(self):
+        """With one sampled state the summary stderr is pi_i * stderr_i."""
+        t = build_ring_lattice(8, 4)
+        report = partition_tolerance(t, FailureParams(k=8), budget=2000, seed=1, enum_cap=0,
+                                     tail_eps=1e-5)
+        sampled = [e for e in report.per_state if e.method == "sampled"]
+        assert len(sampled) == 1 and sampled[0].p_wrong > 0
+        assert math.isclose(report.stderr, sampled[0].pi_i * sampled[0].stderr, rel_tol=1e-12)
+
+    def test_cube12_analysable(self):
+        """L = 24576: the closed-form steady state has no dense-matrix limit."""
+        from scipy.stats import binom
+
+        t = build_complete_hypercube(12)
+        report = partition_tolerance(t, budget=20, seed=0)
+        assert len(report.per_state) == t.n_links
+        i = np.array([e.i for e in report.per_state])
+        pi = np.array([e.pi_i for e in report.per_state])
+        np.testing.assert_allclose(pi, binom.pmf(i, t.n_links, Q5000), rtol=1e-9, atol=1e-300)
+        assert any(e.method == "sampled" for e in report.per_state)
+
+    def test_tree64_sampled_repair_is_class_mttr(self):
+        report = partition_tolerance(build_rooted_tree(64, 6), budget=300, seed=0, enum_cap=0)
+        assert any(e.method == "sampled" and e.p_wrong > 0 for e in report.per_state)
+        assert report.t == 24.0
+
+    def test_disconnected_graph_raises(self):
+        from cubenet.topology import Link, NodeId, Topology
+
+        nodes = tuple(NodeId((i,), i) for i in range(4))
+        t = Topology("custom", nodes, (Link(0, 1, 0), Link(2, 3, 0)),
+                     {0: LinkClass.standard(5000)}, {})
+        with pytest.raises(NumericError):
+            partition_tolerance(t, budget=10)
+
+    def test_analysis_leaves_topology_unchanged(self):
+        t = build_complete_hypercube(4)
+        before = t.to_json()
+        partition_tolerance(t, budget=200, seed=0)
+        conditional_wrong_prob(t, 3, budget=50)
+        assert t.to_json() == before
 
     def test_avg_min_repair_time_alias(self):
         t = build_star(4)
