@@ -8,8 +8,7 @@ the reverse tree.  No cryptography, no Byzantine behavior.
 """
 from __future__ import annotations
 
-import math
-from collections import deque
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +45,10 @@ class ConsensusConfig:
             raise SpecError("rotation period must be >= 1")
 
 
+# one BFS level: (nodes in queue order, their parents, their child ranks)
+Level = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 @dataclass
 class ThroughputReport:
     tx_per_second: float  # overall committed / elapsed
@@ -56,25 +59,89 @@ class ThroughputReport:
     elapsed_s: float
 
 
-def _bfs_children(topology: Topology, source: int) -> list[list[int]]:
+def _csr(topology: Topology) -> tuple[np.ndarray, np.ndarray]:
+    """Compressed adjacency: node u's sorted neighbors are
+    indices[indptr[u]:indptr[u + 1]]."""
     adj = topology.adjacency()
-    n = topology.n_nodes
-    children: list[list[int]] = [[] for _ in range(n)]
-    seen = [False] * n
+    indptr = np.zeros(topology.n_nodes + 1, dtype=np.int64)
+    np.cumsum([len(a) for a in adj], out=indptr[1:])
+    indices = np.fromiter(itertools.chain.from_iterable(adj), dtype=np.int64, count=int(indptr[-1]))
+    return indptr, indices
+
+
+def _bfs_levels(indptr: np.ndarray, indices: np.ndarray, source: int) -> list[Level]:
+    """The queue-order BFS tree from `source`, one level at a time.
+
+    Each level lists its nodes in queue order with their parents and
+    their 1-based rank among the parent's children.  A FIFO queue over
+    sorted adjacency lists dequeues a whole level before the next, so a
+    node's parent is the first node of the level above, in queue order,
+    to list it.  Concatenating the frontier's neighbor slices in queue
+    order and keeping each unseen node's first occurrence therefore
+    gives exactly that tree.
+    """
+    n = len(indptr) - 1
+    degree = np.diff(indptr)
+    seen = np.zeros(n, dtype=bool)
     seen[source] = True
-    queue = deque([source])
+    # A node is a candidate in one level and a parent in the next, so these
+    # need no reset: its first position among the level's candidates, and
+    # the position of its first child in the level below.
+    unset = np.iinfo(np.int64).max
+    first = np.full(n, unset)
+    head = np.full(n, unset)
+    frontier = np.array([source], dtype=np.int64)
+    levels: list[Level] = []
     reached = 1
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:  # adjacency lists are sorted: deterministic tree
-            if not seen[v]:
-                seen[v] = True
-                children[u].append(v)
-                queue.append(v)
-                reached += 1
+    while True:
+        counts = degree[frontier]
+        ends = np.cumsum(counts)
+        slots = np.repeat(indptr[frontier] - ends + counts, counts) + np.arange(ends[-1])
+        cand = indices[slots]
+        fresh = ~seen[cand]
+        cand = cand[fresh]
+        if not cand.size:
+            break
+        parents = np.repeat(frontier, counts)[fresh]
+        pos = np.arange(cand.size)
+        np.minimum.at(first, cand, pos)
+        keep = first[cand] == pos
+        nodes, parents = cand[keep], parents[keep]
+        seen[nodes] = True
+        pos = pos[: nodes.size]
+        np.minimum.at(head, parents, pos)
+        levels.append((nodes, parents, pos - head[parents] + 1))
+        reached += nodes.size
+        frontier = nodes
     if reached != n:
         raise ConstructionError("broadcast source cannot reach every node")
-    return children
+    return levels
+
+
+def _broadcast(levels: list[Level], n: int, payload_bytes: float, config: ConsensusConfig) -> float:
+    transfer = payload_bytes * 8.0 / config.link_bandwidth + config.link_latency
+    arrival = np.zeros(n)
+    for nodes, parents, ranks in levels:
+        arrival[nodes] = arrival[parents] + ranks * transfer
+    return float(arrival.max())
+
+
+def _gather(levels: list[Level], n: int, root: int, config: ConsensusConfig) -> float:
+    size = np.ones(n, dtype=np.int64)
+    done = np.zeros(n)
+    for nodes, parents, ranks in reversed(levels):
+        # every node of this level has its subtree size and finish time
+        transfer = config.vote_bytes * size[nodes] * 8.0 / config.link_bandwidth
+        transfer += config.link_latency
+        # fold each parent's children in rank order; a parent has one child per rank
+        by_rank = np.argsort(ranks, kind="stable")
+        bounds = np.cumsum(np.bincount(ranks)).tolist()  # no rank 0: bounds[0] == 0
+        for lo, hi in zip(bounds, bounds[1:]):
+            sel = by_rank[lo:hi]
+            p = parents[sel]
+            done[p] = np.maximum(done[p], done[nodes[sel]]) + transfer[sel]
+        np.add.at(size, parents, size[nodes])
+    return float(done[root])
 
 
 def broadcast_time(topology: Topology, source: int, payload_bytes: float, config: ConsensusConfig) -> float:
@@ -84,18 +151,8 @@ def broadcast_time(topology: Topology, source: int, payload_bytes: float, config
     serializes its outgoing transfers, so its i-th child receives i
     transfer times after the node itself finished receiving.
     """
-    children = _bfs_children(topology, source)
-    transfer = payload_bytes * 8.0 / config.link_bandwidth + config.link_latency
-    arrival = [0.0] * topology.n_nodes
-    order = deque([source])
-    latest = 0.0
-    while order:
-        u = order.popleft()
-        for idx, c in enumerate(children[u], start=1):
-            arrival[c] = arrival[u] + idx * transfer
-            latest = max(latest, arrival[c])
-            order.append(c)
-    return latest
+    levels = _bfs_levels(*_csr(topology), source)
+    return _broadcast(levels, topology.n_nodes, payload_bytes, config)
 
 
 def gather_time(topology: Topology, root: int, config: ConsensusConfig) -> float:
@@ -105,29 +162,7 @@ def gather_time(topology: Topology, root: int, config: ConsensusConfig) -> float
     aggregate (vote_bytes * subtree size) and receives from its
     children one at a time.
     """
-    children = _bfs_children(topology, root)
-
-    def finish(u: int) -> tuple[float, int]:
-        t = 0.0
-        size = 1
-        for c in children[u]:
-            child_done, child_size = finish(c)
-            transfer = config.vote_bytes * child_size * 8.0 / config.link_bandwidth
-            transfer += config.link_latency
-            t = max(t, child_done) + transfer
-            size += child_size
-        return t, size
-
-    import sys
-
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, topology.n_nodes + 100))
-    try:
-        done, size = finish(root)
-    finally:
-        sys.setrecursionlimit(old)
-    assert size == topology.n_nodes
-    return done
+    return _gather(_bfs_levels(*_csr(topology), root), topology.n_nodes, root, config)
 
 
 def _leader_sequence(config: ConsensusConfig, n: int):
@@ -153,6 +188,8 @@ def run_consensus(topology: Topology, config: ConsensusConfig) -> ThroughputRepo
         raise SpecError("consensus simulation needs at least 4 nodes")
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, n)))
     pick = _leader_sequence(config, n)
+    indptr, indices = _csr(topology)
+    tree_root = -1
 
     elapsed = 0.0
     committed = 0
@@ -165,8 +202,13 @@ def run_consensus(topology: Topology, config: ConsensusConfig) -> ThroughputRepo
         pool = config.tx_rate * elapsed - committed
         block_tx = min(config.block_cap, int(pool))
         block_bytes = config.header_bytes + block_tx * config.tx_size
-        round_time = broadcast_time(topology, leader, block_bytes, config)
-        round_time += gather_time(topology, leader, config)
+        if leader != tree_root:
+            # the tree and its gather time depend only on the leader
+            levels = _bfs_levels(indptr, indices, leader)
+            gather = _gather(levels, n, leader, config)
+            tree_root = leader
+        round_time = _broadcast(levels, n, block_bytes, config)
+        round_time += gather
         elapsed += round_time
         committed += block_tx
         per_round_time.append(round_time)

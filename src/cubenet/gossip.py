@@ -15,7 +15,7 @@ total at delay 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .topology import Topology
 @dataclass(frozen=True)
 class GossipConfig:
     cycles: int = 5000
-    cycle_len: int = 100  # time units per cycle; bookkeeping only
     fanout: int = 4
     delay_prob: float = 0.0
     seed: int = 0
@@ -53,19 +52,25 @@ class GossipMetrics:
 
 
 def run_gossip(topology: Topology, config: GossipConfig) -> GossipMetrics:
-    """Deterministic (given seed) cycle loop.
+    """Deterministic (given seed) cycle loop, one array step per cycle.
 
     Nodes with degree below the fanout use their whole neighbor set.
     Suppression is applied per exchange; the surviving partners of a
     node's cycle are a uniform subset of its neighbors, so suppression
-    is drawn first and partners second.
+    is drawn first and partners second: each node ranks its neighbors by
+    fresh uniform keys and takes the first `successes` of them.
     """
     n = topology.n_nodes
-    adj = [np.array(a, dtype=np.int64) for a in topology.adjacency()]
-    degrees = np.array([len(a) for a in adj])
+    adj = topology.adjacency()
+    degrees = np.array([len(a) for a in adj], dtype=np.int64)
     if degrees.min() < 1:
         raise SpecError("gossip requires every node to have at least one neighbor")
     attempts = np.minimum(config.fanout, degrees)
+    # padded neighbor table; padding slots get keys past every valid key
+    slots = np.arange(degrees.max())
+    padding = slots >= degrees[:, None]
+    neighbors = np.zeros(padding.shape, dtype=np.int64)
+    neighbors[~padding] = np.concatenate(adj)
 
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, n, config.cycles)))
     forwarded_per_cycle = np.zeros(config.cycles, dtype=np.int64)
@@ -78,23 +83,12 @@ def run_gossip(topology: Topology, config: GossipConfig) -> GossipMetrics:
         else:
             successes = attempts
         forwarded_per_cycle[cycle] = 2 * int(successes.sum())
-        for u in range(n):
-            s = int(successes[u])
-            if s == 0:
-                continue
-            neigh = adj[u]
-            deg = len(neigh)
-            if s == deg:
-                partners = neigh
-            else:
-                # partial Fisher-Yates: uniform s-subset, deterministic order
-                for j in range(s):
-                    r = int(rng.integers(j, deg))
-                    neigh[j], neigh[r] = neigh[r], neigh[j]
-                partners = neigh[:s]
-            per_node[u] += s  # pushes
-            np.add.at(per_node, partners, 1)  # pull replies
-            np.add.at(in_degree, partners, 1)
+        keys = rng.random(padding.shape)
+        keys[padding] = 2.0
+        ranked = np.take_along_axis(neighbors, np.argsort(keys, axis=1), axis=1)
+        hits = np.bincount(ranked[slots < successes[:, None]], minlength=n)
+        in_degree += hits  # one pull reply per exchange a node receives
+        per_node += successes + hits  # pushes plus replies
 
     return GossipMetrics(
         forwarded_per_cycle=forwarded_per_cycle,
@@ -122,14 +116,7 @@ def sweep_sizes(
     for label, topo in topologies:
         totals = []
         for seed in seeds:
-            cfg = GossipConfig(
-                cycles=config.cycles,
-                cycle_len=config.cycle_len,
-                fanout=config.fanout,
-                delay_prob=config.delay_prob,
-                seed=seed,
-            )
-            totals.append(run_gossip(topo, cfg).total_forwarded)
+            totals.append(run_gossip(topo, replace(config, seed=seed)).total_forwarded)
         rows.append(SweepRow(label, topo.n_nodes, float(np.mean(totals)), tuple(totals)))
     return rows
 

@@ -380,7 +380,7 @@ def conditional_wrong_prob(
     if k is None:
         k = default_quorum(N)
     if i == 0:
-        p0 = 0.0 if N >= k else 1.0
+        p0 = 0.0 if _max_comp(topology, set()) >= k else 1.0
         return StateEstimate(i, pi_i, p0, 0.0, 1, "exact", None)
 
     cid = _single_class_id(topology)

@@ -1,12 +1,16 @@
 import math
+import sys
+from collections import deque
 
 import numpy as np
 import pytest
 
 from cubenet import (
     ConsensusConfig,
+    RecursionSpec,
     broadcast_time,
     build_complete_hypercube,
+    build_recursive,
     build_ring_lattice,
     build_star,
     build_rooted_tree,
@@ -154,3 +158,134 @@ class TestSweep:
             ns.append(2**d)
             times.append(float(np.mean(report.per_round_time[5:])))
         assert linear_fit_r2(ns, times) > 0.99
+
+
+# -- oracle: the per-edge queue BFS and the recursive gather, kept as the
+# reference the array implementation must reproduce bit for bit ----------
+
+
+def _oracle_children(topology, source):
+    adj = topology.adjacency()
+    children = [[] for _ in range(topology.n_nodes)]
+    seen = [False] * topology.n_nodes
+    seen[source] = True
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                children[u].append(v)
+                queue.append(v)
+    assert all(seen)
+    return children
+
+
+def _oracle_broadcast(topology, source, payload_bytes, config):
+    children = _oracle_children(topology, source)
+    transfer = payload_bytes * 8.0 / config.link_bandwidth + config.link_latency
+    arrival = [0.0] * topology.n_nodes
+    order = deque([source])
+    latest = 0.0
+    while order:
+        u = order.popleft()
+        for idx, c in enumerate(children[u], start=1):
+            arrival[c] = arrival[u] + idx * transfer
+            latest = max(latest, arrival[c])
+            order.append(c)
+    return latest
+
+
+def _oracle_gather(topology, root, config):
+    children = _oracle_children(topology, root)
+
+    def finish(u):
+        t = 0.0
+        size = 1
+        for c in children[u]:
+            child_done, child_size = finish(c)
+            transfer = config.vote_bytes * child_size * 8.0 / config.link_bandwidth
+            transfer += config.link_latency
+            t = max(t, child_done) + transfer
+            size += child_size
+        return t, size
+
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, topology.n_nodes + 100))
+    try:
+        return finish(root)[0]
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def _oracle_rounds(topology, config):
+    n = topology.n_nodes
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, n)))
+    elapsed, committed = 0.0, 0
+    times, blocks, leaders = [], [], []
+    for r in range(config.rounds):
+        if config.leader_policy == "hub":
+            leader = 0
+        elif config.leader_policy == "random":
+            leader = int(rng.integers(n))
+        else:
+            leader = (r // int(config.leader_policy.split(":", 1)[1])) % n
+        block_tx = min(config.block_cap, int(config.tx_rate * elapsed - committed))
+        block_bytes = config.header_bytes + block_tx * config.tx_size
+        round_time = _oracle_broadcast(topology, leader, block_bytes, config)
+        round_time += _oracle_gather(topology, leader, config)
+        elapsed += round_time
+        committed += block_tx
+        times.append(round_time)
+        blocks.append(block_tx)
+        leaders.append(leader)
+    return times, leaders, blocks
+
+
+ORACLE_GRAPHS = {
+    "star9": lambda: build_star(9),
+    "tree40": lambda: build_rooted_tree(40, 3),
+    "ring32": lambda: build_ring_lattice(32, 4),
+    "cube5": lambda: build_complete_hypercube(5),
+    "rec222": lambda: build_recursive(RecursionSpec.symmetric(2, 3)),
+}
+ORACLE_CONFIGS = {
+    "no-latency": ConsensusConfig(link_bandwidth=1e8),
+    "latency": ConsensusConfig(link_bandwidth=1e8, link_latency=3.7e-4),
+}
+
+
+class TestOracle:
+    @pytest.mark.parametrize("latency", sorted(ORACLE_CONFIGS))
+    @pytest.mark.parametrize("graph", sorted(ORACLE_GRAPHS))
+    def test_every_source_matches(self, graph, latency):
+        t = ORACLE_GRAPHS[graph]()
+        cfg = ORACLE_CONFIGS[latency]
+        for source in range(t.n_nodes):
+            assert broadcast_time(t, source, 240_536, cfg) == _oracle_broadcast(t, source, 240_536, cfg)
+            assert gather_time(t, source, cfg) == _oracle_gather(t, source, cfg)
+
+    @pytest.mark.parametrize("policy", ["random", "hub", "rotate:3"])
+    def test_rounds_match(self, policy):
+        t = build_rooted_tree(40, 3)  # not vertex-transitive: each leader has its own times
+        cfg = ConsensusConfig(rounds=40, seed=7, link_bandwidth=1e8, link_latency=3.7e-4,
+                              leader_policy=policy)
+        report = run_consensus(t, cfg)
+        times, leaders, blocks = _oracle_rounds(t, cfg)
+        assert report.per_round_time == times
+        assert report.leader_history == leaders
+        assert report.per_round_committed == blocks
+
+    def test_deep_gather_is_iterative(self, monkeypatch):
+        """A 2500-level tree: same value, and the recursion limit is never touched."""
+        t = build_ring_lattice(5000, 2)
+        cfg = ConsensusConfig(link_bandwidth=1e8, link_latency=3.7e-4)
+        expected = _oracle_gather(t, 0, cfg)
+        limit = sys.getrecursionlimit()
+
+        def refuse(_):
+            raise AssertionError("gather_time changed the recursion limit")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        assert gather_time(t, 0, cfg) == expected
+        assert sys.getrecursionlimit() == limit

@@ -7,6 +7,7 @@ from cubenet import (
     GossipConfig,
     build_complete_hypercube,
     build_ring_lattice,
+    build_rooted_tree,
     build_star,
     run_gossip,
     sweep_sizes,
@@ -86,6 +87,28 @@ class TestRunGossip:
         assert m.total_forwarded == 2 * (leaf_exchanges + hub_exchanges)
         # every leaf-initiated exchange targets the hub
         assert m.in_degree_histogram[0] == leaf_exchanges
+
+    def test_hub_partners_uniform_star(self):
+        """The hub picks 2 of its 7 leaves per cycle, so each leaf's count is
+        Binomial(7000, 2/7); padding slots and biased picks would show here."""
+        t = build_star(8)
+        cycles, p = 7000, 2 / 7
+        m = run_gossip(t, GossipConfig(cycles=cycles, fanout=2, seed=0))
+        sd = (cycles * p * (1 - p)) ** 0.5
+        assert m.in_degree_histogram[0] == 7 * cycles
+        assert (abs(m.in_degree_histogram[1:] - cycles * p) <= 5 * sd).all()
+
+    def test_in_degree_uniform_mixed_degrees(self):
+        """On a tree (degrees 1 and 3, fanout 2) node v is picked by neighbor
+        u with probability min(2, deg u) / deg u per cycle, independently."""
+        t = build_rooted_tree(40, 3)
+        cycles = 3000
+        m = run_gossip(t, GossipConfig(cycles=cycles, fanout=2, seed=0))
+        adj = t.adjacency()
+        p = [[min(2, len(adj[u])) / len(adj[u]) for u in adj[v]] for v in range(t.n_nodes)]
+        mean = np.array([cycles * sum(pv) for pv in p])
+        sd = np.sqrt([cycles * sum(q * (1 - q) for q in pv) for pv in p])
+        assert (np.abs(m.in_degree_histogram - mean) <= 5 * sd + 1e-9).all()
 
     @settings(max_examples=15, deadline=None)
     @given(

@@ -90,6 +90,15 @@ class TestConditionalWrongProb:
         est = conditional_wrong_prob(t, 0, k=5)
         assert est.p_wrong == 0.0 and est.method == "exact"
 
+    def test_zero_failures_disconnected(self):
+        """Two disjoint links on 4 nodes have no 3-node component even intact."""
+        est = conditional_wrong_prob(_two_links(), 0, k=3)
+        assert est.p_wrong == 1.0 and est.method == "exact"
+
+    def test_zero_failures_connected_path(self):
+        est = conditional_wrong_prob(_mixed_path(), 0, k=3)
+        assert est.p_wrong == 0.0 and est.method == "exact"
+
     def test_cube_small_counts_exact(self):
         """Enumeration over C(12, i) failed-link subsets of the 3-cube, k=5."""
         t = build_complete_hypercube(3)
@@ -153,6 +162,14 @@ def _mixed_path():
     nodes = tuple(NodeId((i,), i) for i in range(3))
     links = (Link(0, 1, 0), Link(1, 2, 1))
     return Topology("custom", nodes, links, classes, {})
+
+
+def _two_links():
+    from cubenet.topology import Link, NodeId, Topology
+
+    nodes = tuple(NodeId((i,), i) for i in range(4))
+    links = (Link(0, 1, 0), Link(2, 3, 0))
+    return Topology("custom", nodes, links, {0: LinkClass.standard(5000)}, {})
 
 
 class TestPartitionTolerance:
