@@ -30,7 +30,6 @@ from .reliability import (  # noqa: F401
     FailureParams,
     PartitionReport,
     StationaryDist,
-    avg_min_repair_time,
     analyze_hierarchical,
     binomial_stationary,
     conditional_wrong_prob,
@@ -39,7 +38,6 @@ from .reliability import (  # noqa: F401
     partition_tolerance,
     recursive_aggregate,
     stationary,
-    transition_prob,
 )
 from .gossip import GossipConfig, GossipMetrics, run_gossip, sweep_sizes  # noqa: F401
 from .consensus import (  # noqa: F401

@@ -33,6 +33,7 @@ from .topology import (
     build_ring_lattice,
     build_rooted_tree,
     build_star,
+    closed_form_link_count,
 )
 from .errors import SpecError
 
@@ -190,9 +191,7 @@ def table1_rows() -> list[list]:
     rows = []
     for recursions in (0, 1, 2):
         for dim in TABLE1_DIMS:
-            spec = RecursionSpec.symmetric(dim, recursions + 1)
-            n = 2 ** (dim * (recursions + 1))
-            links = 2 ** (dim * (recursions + 1) - 1) * dim * (recursions + 1)
+            n, links = closed_form_link_count(RecursionSpec.symmetric(dim, recursions + 1))
             rows.append([recursions, dim, n, links])
     return rows
 
@@ -200,8 +199,8 @@ def table1_rows() -> list[list]:
 def table2_rows() -> list[list]:
     rows = []
     for recursions, dims in ((0, (4,)), (1, (4, 3)), (2, (4, 3, 2))):
-        total = sum(dims)
-        rows.append([recursions, "-".join(map(str, dims)), 2**total, 2 ** (total - 1) * total])
+        n, links = closed_form_link_count(RecursionSpec.semi(dims))
+        rows.append([recursions, "-".join(map(str, dims)), n, links])
     return rows
 
 

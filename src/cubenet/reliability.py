@@ -6,7 +6,8 @@ GTH state-elimination are kept as a test oracle), hybrid exact/sampled
 estimation of the partition tolerance probability (sampled states share
 one batch of random link orders), the minimum-repair strategy (repair
 everything up to a class MTTR threshold), and the hierarchical
-aggregation over recursion paths.
+aggregation over recursion paths.  Queries over many failed-link sets
+of one graph go through one batched numpy connectivity kernel.
 """
 from __future__ import annotations
 
@@ -15,16 +16,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import NumericError, ResourceLimitError, SpecError
 from .topology import LinkClass, RecursionSpec, Topology, build_complete_hypercube
+from .topology import max_component_size, resolve_failed_links
 from .unionfind import UnionFind
 
 ENUM_CAP_DEFAULT = 2_000_000
 TAIL_EPS_DEFAULT = 1e-12
 BRUTEFORCE_MAX_LINKS = 22
 UNDERFLOW_FLOOR = 1e-300
+KERNEL_SLOTS = 2**15  # link slots per kernel batch: a few MB of arrays at any B
 
 
 def default_quorum(n_nodes: int) -> int:
@@ -149,31 +152,6 @@ def binom_pmf_vector(n: int, p: float) -> np.ndarray:
     return out
 
 
-def transition_prob(i: int, j: int, L: int, lam: float, mu: float) -> float:
-    """P(count i -> count j) in one time unit, log-space sum over the
-    number m of invalid links left unrepaired during the step."""
-    if not (0 <= i <= L and 0 <= j <= L):
-        raise SpecError(f"states ({i},{j}) out of range for L={L}")
-    m_lo = max(i + j - L, 0)
-    m_hi = min(i, j)
-    if m_hi < m_lo:
-        return 0.0
-    m = np.arange(m_lo, m_hi + 1, dtype=float)
-    terms = np.full(m.shape, -np.inf)
-    # repairs: i-m of i invalid links repaired (prob mu each)
-    lg = gammaln(i + 1) - gammaln(m + 1) - gammaln(i - m + 1)
-    if mu < 1.0:
-        terms = lg + (i - m) * math.log(mu) + m * math.log1p(-mu)
-    else:
-        terms = np.where(m == 0, lg, -np.inf)
-    # failures: j-m of L-i working links fail (prob lam each)
-    f = j - m
-    lg2 = gammaln(L - i + 1) - gammaln(f + 1) - gammaln(L - i - f + 1)
-    terms = terms + lg2 + f * math.log(lam) + (L - i - f) * math.log1p(-lam)
-    value = float(np.exp(logsumexp(terms)))
-    return 0.0 if value < UNDERFLOW_FLOOR else value
-
-
 def transition_matrix(chain: CountChain) -> np.ndarray:
     """Full row-stochastic transition matrix of the count chain.
 
@@ -248,6 +226,68 @@ def _edge_connectivity(topology: Topology) -> int:
     return nx.edge_connectivity(g)
 
 
+def _link_ends(topology: Topology) -> np.ndarray:
+    """(L, 2) array of link endpoints."""
+    return np.array([(lk.u, lk.v) for lk in topology.links], dtype=np.intp).reshape(-1, 2)
+
+
+def _chunk_rows(n_nodes: int, n_links: int) -> int:
+    """Rows per kernel batch: at most KERNEL_SLOTS link slots and node slots."""
+    return max(1, KERNEL_SLOTS // max(n_nodes, n_links))
+
+
+def _max_comp_rows(ends: np.ndarray, n: int, present: np.ndarray) -> np.ndarray:
+    """Largest component size for each row of a (B, L) present-link mask.
+
+    Rows go through in batches of `_chunk_rows` rows.  Node x of row b
+    is b*n + x, so one label array holds every row's graph, and an
+    absent link is a self-loop.  Each round hooks the larger root of
+    every edge joining two roots to the smaller one, then pointer-jumps
+    until every label is a root (min-label hooking, Shiloach & Vishkin
+    1982); an edge inside one component stays inside it and is dropped.
+    """
+    B = present.shape[0]
+    out = np.empty(B, dtype=np.int64)
+    step = _chunk_rows(n, present.shape[1])
+    for lo in range(0, B, step):
+        mask = present[lo:lo + step]
+        base = np.arange(0, len(mask) * n, n)[:, None]
+        a = base + ends[:, 0]
+        a, b = a.ravel(), np.where(mask, base + ends[:, 1], a).ravel()
+        label = np.arange(len(mask) * n)
+        while a.size:
+            la, lb = label[a], label[b]
+            cross = la != lb
+            a, b, la, lb = a[cross], b[cross], la[cross], lb[cross]
+            np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+            while True:
+                jumped = label[label]
+                if np.array_equal(jumped, label):
+                    break
+                label = jumped
+        out[lo:lo + step] = np.bincount(label, minlength=len(label)).reshape(-1, n).max(1)
+    return out
+
+
+def _repair_times(ends: np.ndarray, n: int, k: int, mttr_of: np.ndarray, failed: np.ndarray):
+    """Least repair time of each row of a (B, L) mask of wrong failed-link sets.
+
+    The plan repairs every failed link whose class MTTR is at most a
+    threshold T; each row gets the smallest class MTTR T that restores a
+    component of k nodes.  A T between two of a row's own failed-link
+    MTTRs leaves the same links failed as the lower one, so searching
+    all class MTTRs in ascending order finds each row's threshold, given
+    that the intact graph has a component of k nodes.
+    """
+    times = np.empty(len(failed))
+    todo = np.arange(len(failed))
+    for T in np.unique(mttr_of):
+        ok = _max_comp_rows(ends, n, ~(failed[todo] & (mttr_of > T))) >= k
+        times[todo[ok]] = T
+        todo = todo[~ok]
+    return times
+
+
 def min_repair_time(topology: Topology, failed_links, k: int | None = None) -> float:
     """Least parallel-repair time restoring a component of size >= k.
 
@@ -256,45 +296,32 @@ def min_repair_time(topology: Topology, failed_links, k: int | None = None) -> f
     class MTTR lies below a threshold, so the answer is the smallest
     class-MTTR threshold that restores a good partition.
     """
-    from .topology import max_component_size, resolve_failed_links
-
     if k is None:
         k = default_quorum(topology.n_nodes)
     failed = resolve_failed_links(topology, failed_links)
     if max_component_size(topology, failed) >= k:
         return 0.0
-    thresholds = sorted({topology.classes[topology.links[i].class_id].mttr_h for i in failed})
-    for T in thresholds:
-        still_failed = {
-            i for i in failed if topology.classes[topology.links[i].class_id].mttr_h > T
-        }
-        if max_component_size(topology, still_failed) >= k:
-            return T
-    raise NumericError("repairing all failed links did not restore a good partition")
+    row = np.isin(np.arange(topology.n_links), list(failed))[None]
+    return float(_repair_fn(topology, k)(row)[0])
 
 
-def _repair_time_enum(topology: Topology, failed: set[int], k: int, mttr_of: list[float]) -> float:
-    # Same threshold rule, but on a pre-resolved index set (hot path).
-    thresholds = sorted({mttr_of[i] for i in failed})
-    from .topology import max_component_size
+def _repair_fn(topology: Topology, k: int):
+    """Map a (W, L) mask of wrong failed-link sets to their least repair times.
 
-    for T in thresholds:
-        still = {i for i in failed if mttr_of[i] > T}
-        if max_component_size(topology, still) >= k:
-            return T
-    raise NumericError("repair threshold search failed")
-
-
-def _class_mttr(topology: Topology, class_id: int, k: int) -> float:
-    """Least repair time of every wrong state of a single-class topology.
-
-    The threshold search has one threshold, the class MTTR, and
-    repairing every link restores the intact graph, so the answer is
-    the MTTR whenever the intact graph has a component of k nodes.
+    Raises `NumericError` unless the intact graph has a component of k
+    nodes.  With one link class the threshold search has one threshold,
+    the class MTTR, and repairing every link restores the intact graph,
+    so every wrong set takes the MTTR.
     """
-    if _max_comp(topology, set()) < k:
+    if max_component_size(topology, set()) < k:
         raise NumericError("repairing all failed links did not restore a good partition")
-    return topology.classes[class_id].mttr_h
+    cid = _single_class_id(topology)
+    if cid is not None:
+        mttr = topology.classes[cid].mttr_h
+        return lambda failed: np.full(len(failed), mttr)
+    ends = _link_ends(topology)
+    mttr_of = np.array([topology.classes[lk.class_id].mttr_h for lk in topology.links])
+    return lambda failed: _repair_times(ends, topology.n_nodes, k, mttr_of, failed)
 
 
 def _exact_state(
@@ -303,22 +330,30 @@ def _exact_state(
     """Exact P{wrong | i} for 1 <= i <= L, or None when C(L, i) > enum_cap.
 
     `kappa` is the edge connectivity (0 when unknown); `repair` maps a
-    wrong failed-link set to its least repair time.
+    (W, L) mask of wrong failed-link sets to their least repair times.
     """
     if i < kappa and topology.n_nodes >= k:
         # Removing fewer links than the edge connectivity cannot
         # disconnect the graph, so the full node set survives.
         return StateEstimate(i, pi_i, 0.0, 0.0, 0, "exact", None)
-    n_subsets = math.comb(topology.n_links, i)
+    L = topology.n_links
+    n_subsets = math.comb(L, i)
     if n_subsets > enum_cap:
         return None
+    ends = _link_ends(topology)
+    combos = itertools.combinations(range(L), i)
+    step = _chunk_rows(topology.n_nodes, L)
     wrong = 0
     t_sum = 0.0
-    for combo in itertools.combinations(range(topology.n_links), i):
-        failed = set(combo)
-        if _max_comp(topology, failed) < k:
-            wrong += 1
-            t_sum += repair(failed)
+    for _ in range(0, n_subsets, step):
+        chunk = itertools.chain.from_iterable(itertools.islice(combos, step))
+        idx = np.fromiter(chunk, dtype=np.intp).reshape(-1, i)
+        failed = np.zeros((len(idx), L), dtype=bool)
+        np.put_along_axis(failed, idx, True, axis=1)
+        bad = failed[_max_comp_rows(ends, topology.n_nodes, ~failed) < k]
+        wrong += len(bad)
+        for t in repair(bad).tolist():
+            t_sum += t
     t_mean = (t_sum / wrong) if wrong else None
     return StateEstimate(i, pi_i, wrong / n_subsets, 0.0, n_subsets, "exact", t_mean)
 
@@ -380,21 +415,10 @@ def conditional_wrong_prob(
     if k is None:
         k = default_quorum(N)
     if i == 0:
-        p0 = 0.0 if _max_comp(topology, set()) >= k else 1.0
+        p0 = 0.0 if max_component_size(topology, set()) >= k else 1.0
         return StateEstimate(i, pi_i, p0, 0.0, 1, "exact", None)
 
-    cid = _single_class_id(topology)
-    if cid is None:
-        mttr_of = [topology.classes[lk.class_id].mttr_h for lk in topology.links]
-
-        def repair(failed):
-            return _repair_time_enum(topology, failed, k, mttr_of)
-    else:
-        mttr = _class_mttr(topology, cid, k)
-
-        def repair(failed):
-            return mttr
-
+    repair = _repair_fn(topology, k)
     est = _exact_state(topology, i, k, _edge_connectivity(topology), enum_cap, pi_i, repair)
     if est is not None:
         return est
@@ -402,23 +426,14 @@ def conditional_wrong_prob(
         raise SpecError(f"state {i} needs sampling but the budget is {budget}")
     wrong = _critical_counts(topology, k, budget, (seed, i)) <= i
     # Replay the same orders: a wrong order's failed set is its last i links.
-    orders = _link_orders(L, budget, (seed, i))
-    t_sum = sum(repair(set(o[L - i:].tolist())) for o, w in zip(orders, wrong) if w)
-    n_wrong = int(np.count_nonzero(wrong))
-    p = n_wrong / budget
+    tails = [o[L - i:] for o, w in zip(_link_orders(L, budget, (seed, i)), wrong) if w]
+    failed = np.zeros((len(tails), L), dtype=bool)
+    np.put_along_axis(failed, np.array(tails, dtype=np.intp).reshape(-1, i), True, axis=1)
+    t_sum = sum(repair(failed).tolist())
+    p = len(tails) / budget
     se = math.sqrt(p * (1.0 - p) / budget)
-    t_mean = (t_sum / n_wrong) if n_wrong else None
+    t_mean = (t_sum / len(tails)) if tails else None
     return StateEstimate(i, pi_i, p, se, budget, "sampled", t_mean)
-
-
-def _max_comp(topology: Topology, failed: set[int]) -> int:
-    uf = UnionFind(topology.n_nodes)
-    links = topology.links
-    for idx in range(len(links)):
-        if idx not in failed:
-            lk = links[idx]
-            uf.union(lk.u, lk.v)
-    return uf.max_component_size()
 
 
 def partition_tolerance(
@@ -453,7 +468,8 @@ def partition_tolerance(
 
     lam, mu = params.rate_of(topology, cid)
     pi = binomial_stationary(CountChain(L, lam, mu))
-    mttr = _class_mttr(topology, cid, k)
+    repair = _repair_fn(topology, k)
+    mttr = topology.classes[cid].mttr_h
     kappa = _edge_connectivity(topology)
     cap = 0 if force_sampling else enum_cap
     per_state: list[StateEstimate | None] = []
@@ -464,7 +480,7 @@ def partition_tolerance(
             underflow = underflow or pi_i > 0
             per_state.append(StateEstimate(i, pi_i, 0.0, 0.0, 0, "skipped", None))
         else:
-            per_state.append(_exact_state(topology, i, k, kappa, cap, pi_i, lambda f: mttr))
+            per_state.append(_exact_state(topology, i, k, kappa, cap, pi_i, repair))
 
     var = 0.0
     sampled = [i for i, e in enumerate(per_state, start=1) if e is None]
@@ -494,6 +510,12 @@ def partition_tolerance(
     return PartitionReport(p, math.sqrt(var), t, per_state, method, k, underflow)
 
 
+def _down_probs(topology: Topology, params: FailureParams) -> np.ndarray:
+    """Steady-state down probability lambda/(lambda+mu) of each link."""
+    rates = [params.rate_of(topology, lk.class_id) for lk in topology.links]
+    return np.array([lam / (lam + mu) for lam, mu in rates])
+
+
 def _partition_tolerance_multiclass(
     topology: Topology,
     params: FailureParams,
@@ -502,34 +524,33 @@ def _partition_tolerance_multiclass(
     seed: int,
 ) -> PartitionReport:
     L = topology.n_links
-    q = np.empty(L)
-    for idx, lk in enumerate(topology.links):
-        lam, mu = params.rate_of(topology, lk.class_id)
-        q[idx] = lam / (lam + mu)
-    mttr_of = [topology.classes[lk.class_id].mttr_h for lk in topology.links]
+    q = _down_probs(topology, params)
+    N = topology.n_nodes
+    ends, repair = _link_ends(topology), _repair_fn(topology, k)
+    step = _chunk_rows(N, L)
 
-    counts: dict[int, list] = {}  # i -> [n, wrong, t_sum]
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-    wrong_total = 0
+    n_of = np.zeros(L + 1, dtype=np.int64)
+    wrong_of = np.zeros(L + 1, dtype=np.int64)
+    t_of = [0.0] * (L + 1)
     t_sum_total = 0.0
-    for _ in range(budget):
-        down = rng.random(L) < q
-        failed = set(np.flatnonzero(down).tolist())
-        i = len(failed)
-        rec = counts.setdefault(i, [0, 0, 0.0])
-        rec[0] += 1
-        if _max_comp(topology, failed) < k:
-            rec[1] += 1
-            wrong_total += 1
-            t = _repair_time_enum(topology, failed, k, mttr_of)
-            rec[2] += t
+    # One (rows, L) draw reads the same stream as `rows` draws of L.
+    for lo in range(0, budget, step):
+        down = rng.random((min(step, budget - lo), L)) < q
+        n_failed = down.sum(axis=1)
+        bad = _max_comp_rows(ends, N, ~down) < k
+        n_of += np.bincount(n_failed, minlength=L + 1)
+        wrong_of += np.bincount(n_failed[bad], minlength=L + 1)
+        for i, t in zip(n_failed[bad].tolist(), repair(down[bad]).tolist()):
+            t_of[i] += t
             t_sum_total += t
+    wrong_total = int(wrong_of.sum())
     p_wrong = wrong_total / budget
     p = 1.0 - p_wrong
     se = math.sqrt(p_wrong * (1.0 - p_wrong) / budget)
     per_state = []
-    for i in sorted(counts):
-        n, wrong, t_sum = counts[i]
+    for i in np.flatnonzero(n_of).tolist():
+        n, wrong, t_sum = int(n_of[i]), int(wrong_of[i]), t_of[i]
         pw = wrong / n
         per_state.append(
             StateEstimate(
@@ -539,19 +560,6 @@ def _partition_tolerance_multiclass(
         )
     t = (t_sum_total / wrong_total) if wrong_total else None
     return PartitionReport(p, se, t, per_state, "sampled", k)
-
-
-def avg_min_repair_time(
-    topology: Topology,
-    params: FailureParams | None = None,
-    budget: int = 20000,
-    seed: int = 0,
-    enum_cap: int = ENUM_CAP_DEFAULT,
-) -> float | None:
-    """Expected minimum repair time over wrong-partition states; None if
-    no wrong-partition mass was found within the budget."""
-    report = partition_tolerance(topology, params, budget=budget, seed=seed, enum_cap=enum_cap)
-    return report.t
 
 
 def exact_partition_tolerance_bruteforce(
@@ -567,27 +575,23 @@ def exact_partition_tolerance_bruteforce(
     if L > BRUTEFORCE_MAX_LINKS:
         raise ResourceLimitError(f"brute force refused for L={L} > {BRUTEFORCE_MAX_LINKS}")
     k = params.quorum(topology)
-    q = []
-    for lk in topology.links:
-        lam, mu = params.rate_of(topology, lk.class_id)
-        q.append(lam / (lam + mu))
-    mttr_of = [topology.classes[lk.class_id].mttr_h for lk in topology.links]
+    q = _down_probs(topology, params)
+    N = topology.n_nodes
+    ends, repair = _link_ends(topology), _repair_fn(topology, k)
+    bits = 1 << np.arange(L)
+    step = _chunk_rows(N, L)
     wrong_mass = 0.0
     t_mass = 0.0
-    for mask in range(2**L):
-        weight = 1.0
-        failed = set()
+    for lo in range(0, 2**L, step):
+        failed = (np.arange(lo, min(lo + step, 2**L))[:, None] & bits) != 0
+        weight = np.ones(len(failed))
         for idx in range(L):
-            if mask >> idx & 1:
-                weight *= q[idx]
-                failed.add(idx)
-            else:
-                weight *= 1.0 - q[idx]
-        if weight == 0.0:
-            continue
-        if _max_comp(topology, failed) < k:
-            wrong_mass += weight
-            t_mass += weight * _repair_time_enum(topology, failed, k, mttr_of)
+            weight *= np.where(failed[:, idx], q[idx], 1.0 - q[idx])
+        bad = (weight != 0.0) & (_max_comp_rows(ends, N, ~failed) < k)
+        times = repair(failed[bad])
+        for w, t in zip(weight[bad].tolist(), times.tolist()):
+            wrong_mass += w
+            t_mass += w * t
     p = 1.0 - wrong_mass
     t = (t_mass / wrong_mass) if wrong_mass > 0 else None
     return p, t

@@ -105,7 +105,6 @@ class Link:
     v: int
     class_id: int
     level: int = 1
-    working: bool = True
 
     def key(self) -> tuple[int, int]:
         return (self.u, self.v) if self.u < self.v else (self.v, self.u)
@@ -581,7 +580,7 @@ def connected_components(topology: Topology, failed_links=()) -> list[list[int]]
     failed = resolve_failed_links(topology, failed_links)
     uf = UnionFind(topology.n_nodes)
     for i, link in enumerate(topology.links):
-        if i not in failed and link.working:
+        if i not in failed:
             uf.union(link.u, link.v)
     comps = [sorted(c) for c in uf.components()]
     comps.sort(key=lambda c: (-len(c), c[0]))

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln, logsumexp
 
 from cubenet import (
     CountChain,
@@ -11,7 +12,6 @@ from cubenet import (
     LinkClass,
     RecursionSpec,
     analyze_hierarchical,
-    avg_min_repair_time,
     binomial_stationary,
     build_complete_hypercube,
     build_ring_lattice,
@@ -23,17 +23,42 @@ from cubenet import (
     partition_tolerance,
     recursive_aggregate,
     stationary,
-    transition_prob,
 )
 from cubenet.errors import NumericError, ResourceLimitError, SpecError
 from cubenet.reliability import (
     DomainEstimate,
+    _exact_state,
+    _link_ends,
+    _max_comp_rows,
+    _repair_fn,
     default_quorum,
     transition_matrix,
     uniform_domain_tree,
 )
+from cubenet.topology import Link, NodeId, Topology, max_component_size
 
 Q5000 = (1 / 2190) / (1 / 2190 + 1 / 24)  # steady-state down probability, 5000 km
+
+
+def transition_prob(i: int, j: int, L: int, lam: float, mu: float) -> float:
+    """Oracle for one entry of the count chain's transition matrix:
+    P(count i -> count j) in one time unit, a log-space sum over the
+    number m of invalid links left unrepaired during the step."""
+    m = np.arange(max(i + j - L, 0), min(i, j) + 1, dtype=float)
+    if m.size == 0:
+        return 0.0
+    # repairs: i-m of i invalid links repaired (prob mu each)
+    lg = gammaln(i + 1) - gammaln(m + 1) - gammaln(i - m + 1)
+    if mu < 1.0:
+        terms = lg + (i - m) * math.log(mu) + m * math.log1p(-mu)
+    else:
+        terms = np.where(m == 0, lg, -np.inf)
+    # failures: j-m of L-i working links fail (prob lam each)
+    f = j - m
+    lg2 = gammaln(L - i + 1) - gammaln(f + 1) - gammaln(L - i - f + 1)
+    terms = terms + lg2 + f * math.log(lam) + (L - i - f) * math.log1p(-lam)
+    value = float(np.exp(logsumexp(terms)))
+    return 0.0 if value < 1e-300 else value
 
 
 class TestCountChain:
@@ -164,6 +189,14 @@ def _mixed_path():
     return Topology("custom", nodes, links, classes, {})
 
 
+def _three_class_ring():
+    """14-cycle plus chords 0-7 and 3-10, link classes 5000/3000/420 km mixed."""
+    classes = {c: LinkClass.standard(d, c) for c, d in enumerate((5000, 3000, 420))}
+    ends = sorted({(min(x, (x + 1) % 14), max(x, (x + 1) % 14)) for x in range(14)} | {(0, 7), (3, 10)})
+    links = [Link(u, v, (7 * u + v) % 3) for u, v in ends]
+    return Topology("custom", [NodeId((x,), x) for x in range(14)], links, classes, {})
+
+
 def _two_links():
     from cubenet.topology import Link, NodeId, Topology
 
@@ -278,9 +311,69 @@ class TestPartitionTolerance:
         conditional_wrong_prob(t, 3, budget=50)
         assert t.to_json() == before
 
-    def test_avg_min_repair_time_alias(self):
-        t = build_star(4)
-        assert avg_min_repair_time(t, budget=0) == partition_tolerance(t, budget=0).t
+
+class TestConnectivityKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_core=st.integers(1, 40),
+        n_pairs=st.integers(0, 80),
+        n_isolated=st.sampled_from([0, 3, 4000]),
+        rows=st.integers(1, 40),
+        keep=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_core=1, n_pairs=0, n_isolated=4000, rows=37, keep=0.5, seed=0)  # no links
+    @example(n_core=40, n_pairs=60, n_isolated=4000, rows=40, keep=0.6, seed=1)  # many batches
+    @example(n_core=40, n_pairs=60, n_isolated=3, rows=8, keep=0.7, seed=12)  # needs full jumps
+    def test_matches_scalar_path(self, n_core, n_pairs, n_isolated, rows, keep, seed):
+        """Row by row equal to `max_component_size` on random graphs whose
+        isolated nodes are spread among the others, across batch edges
+        (4000 isolated nodes make a batch at most 16 rows) and all-failed
+        rows."""
+        rng = np.random.default_rng(seed)
+        n = n_core + n_isolated
+        label = rng.permutation(n)
+        pairs = {(min(a, b), max(a, b)) for a, b in rng.integers(0, n_core, (n_pairs, 2)).tolist()}
+        links = [Link(int(label[a]), int(label[b]), 0) for a, b in sorted(pairs) if a != b]
+        t = Topology("custom", [NodeId((x,), x) for x in range(n)], links,
+                     {0: LinkClass.standard(5000)}, {})
+        present = rng.random((rows, len(links))) < keep
+        present[0] = False
+        got = _max_comp_rows(_link_ends(t), n, present)
+        want = [max_component_size(t, set(np.flatnonzero(~row).tolist())) for row in present]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize(
+        "topo,i,wrong,subsets",
+        [
+            (build_rooted_tree(64, 6), 2, 32, 1953),
+            (build_rooted_tree(64, 6), 3, 1456, 39711),
+            (build_complete_hypercube(4), 4, 0, 35960),
+            (build_ring_lattice(64, 2), 2, 32, 2016),
+            (build_ring_lattice(64, 2), 3, 11904, 41664),
+        ],
+        ids=["tree-2", "tree-3", "Q4-4", "cycle-2", "cycle-3"],
+    )
+    def test_exact_wrong_counts(self, topo, i, wrong, subsets):
+        est = _exact_state(topo, i, default_quorum(topo.n_nodes), 0, 10**6, float("nan"),
+                           lambda failed: np.full(len(failed), 24.0))
+        assert (est.n_samples, est.p_wrong) == (subsets, wrong / subsets)
+
+    @pytest.mark.parametrize("three_classes,k", [(False, 2), (False, 3), (True, 11)])
+    def test_batched_repair_matches_min_repair_time(self, three_classes, k):
+        """The batched threshold search gives every wrong row the time
+        `min_repair_time` gives it alone: all failure sets of the
+        two-class path, random ones of a three-class 14-node ring."""
+        if three_classes:
+            t = _three_class_ring()
+            failed = np.random.default_rng(1).random((300, t.n_links)) < 0.4
+        else:
+            t = _mixed_path()
+            failed = np.array([[a, b] for a in (False, True) for b in (False, True)])
+        wrong = [row for row in failed if max_component_size(t, set(np.flatnonzero(row))) < k]
+        times = _repair_fn(t, k)(np.array(wrong)).tolist()
+        assert len(set(times)) == {2: 1, 3: 2, 11: 3}[k]  # every class MTTR is some row's
+        assert times == [min_repair_time(t, np.flatnonzero(row).tolist(), k=k) for row in wrong]
 
 
 class TestAggregation:
