@@ -7,7 +7,8 @@ estimation of the partition tolerance probability (sampled states share
 one batch of random link orders), the minimum-repair strategy (repair
 everything up to a class MTTR threshold), and the hierarchical
 aggregation over recursion paths.  Queries over many failed-link sets
-of one graph go through one batched numpy connectivity kernel.
+of one graph go through one batched numpy connectivity kernel, and the
+random link orders evolve in lockstep batches.
 """
 from __future__ import annotations
 
@@ -21,13 +22,14 @@ from scipy.special import gammaln
 from .errors import NumericError, ResourceLimitError, SpecError
 from .topology import LinkClass, RecursionSpec, Topology, build_complete_hypercube
 from .topology import max_component_size, resolve_failed_links
-from .unionfind import UnionFind
+from .unionfind import UnionFind  # noqa: F401  unused; perfbench/tracer.py patches this name
 
 ENUM_CAP_DEFAULT = 2_000_000
 TAIL_EPS_DEFAULT = 1e-12
 BRUTEFORCE_MAX_LINKS = 22
 UNDERFLOW_FLOOR = 1e-300
 KERNEL_SLOTS = 2**15  # link slots per kernel batch: a few MB of arrays at any B
+ORDER_SLOTS = 2**20  # order (and node) slots per lockstep batch: 4 MB per int32 array
 
 
 def default_quorum(n_nodes: int) -> int:
@@ -215,15 +217,81 @@ def _single_class_id(topology: Topology) -> int | None:
 
 
 def _edge_connectivity(topology: Topology) -> int:
-    """Exact edge connectivity; 0 (no certified bound) above 2048 nodes."""
-    if topology.n_nodes > 2048:
-        return 0
-    import networkx as nx
+    """Exact edge connectivity; 0 (no certified bound) above 2048 nodes.
 
-    g = nx.Graph()
-    g.add_nodes_from(range(topology.n_nodes))
-    g.add_edges_from((lk.u, lk.v) for lk in topology.links)
-    return nx.edge_connectivity(g)
+    kappa = min(delta, min over t in D of the max s-t flow), where s has
+    minimum degree delta and D is a dominating set containing s: when
+    kappa < delta both sides of a minimum cut hold a node of D (Matula
+    1987; Esfahanian & Hakimi 1984).  Each flow stops once it reaches
+    the least cut found so far.
+    """
+    n = topology.n_nodes
+    if n > 2048:
+        return 0
+    arcs, head = _arc_lists(topology)
+    s = min(range(n), key=lambda x: len(arcs[x]))
+    best = len(arcs[s])
+    dominated = [False] * n
+    targets = []
+    for x in itertools.chain([s], range(n)):
+        if not dominated[x]:
+            targets.append(x)
+            dominated[x] = True
+            for a in arcs[x]:
+                dominated[head[a]] = True
+    for t in targets[1:]:
+        if best == 0:
+            break
+        best = _max_flow(s, t, arcs, head, best)
+    return best
+
+
+def _arc_lists(topology: Topology) -> tuple[list[list[int]], list[int]]:
+    """Outgoing arcs of each node and the head of each arc.
+
+    Arc 2j runs u -> v along link j and arc 2j + 1 runs v -> u, so arc
+    a ^ 1 is the reverse of arc a.
+    """
+    head: list[int] = []
+    arcs: list[list[int]] = [[] for _ in range(topology.n_nodes)]
+    for j, lk in enumerate(topology.links):
+        arcs[lk.u].append(2 * j)
+        arcs[lk.v].append(2 * j + 1)
+        head += (lk.v, lk.u)
+    return arcs, head
+
+
+def _max_flow(s: int, t: int, arcs, head, cap: int) -> int:
+    """Number of link-disjoint s-t paths, counted up to `cap`.
+
+    Each link carries one unit either way.  Each path is a BFS
+    augmenting path: an arc can take a unit unless it carries one, and
+    sending a unit along an arc whose reverse carries one cancels it.
+    """
+    flow = bytearray(len(head))
+    for paths in range(cap):
+        pred = [-1] * len(arcs)
+        pred[s] = -2
+        queue = [s]
+        for x in queue:
+            for a in arcs[x]:
+                y = head[a]
+                if pred[y] == -1 and not flow[a]:
+                    pred[y] = a
+                    queue.append(y)
+            if pred[t] != -1:
+                break
+        else:
+            return paths
+        y = t
+        while y != s:
+            a = pred[y]
+            if flow[a ^ 1]:
+                flow[a ^ 1] = 0
+            else:
+                flow[a] = 1
+            y = head[a ^ 1]
+    return cap
 
 
 def _link_ends(topology: Topology) -> np.ndarray:
@@ -374,22 +442,62 @@ def _critical_counts(topology: Topology, k: int, budget: int, seed) -> np.ndarra
     i >= c* = L - added + 1 (c* = 0 when the intact graph has no such
     component, L + 1 when k = 1).  The last i links of a uniform order
     form a uniform i-subset, so 1[c* <= i] is one draw of P{wrong | i}
-    for every i at once.
+    for every i at once.  The orders go through in batches of at most
+    ORDER_SLOTS order (and node) slots, every order of a batch adding
+    its next link at the same step.
     """
     L, n = topology.n_links, topology.n_nodes
-    ends = [(lk.u, lk.v) for lk in topology.links]
-    out = np.empty(budget, dtype=np.int64)
-    for b, order in enumerate(_link_orders(L, budget, seed)):
-        added = 0
-        if k > 1:
-            uf = UnionFind(n)
-            for added, idx in enumerate(order.tolist(), start=1):
-                if uf.union(*ends[idx]) >= k:
-                    break
-            else:
-                added = L + 1
-        out[b] = L + 1 - added
+    out = np.full(budget, L + 1, dtype=np.int64)
+    if k == 1:
+        return out
+    ends = _link_ends(topology)
+    orders = _link_orders(L, budget, seed)
+    step = max(1, ORDER_SLOTS // max(n, L))
+    for lo in range(0, budget, step):
+        batch = np.empty((L, min(step, budget - lo)), dtype=np.int32)
+        for b in range(batch.shape[1]):
+            batch[:, b] = next(orders)
+        out[lo:lo + batch.shape[1]] -= _links_added(ends, n, k, batch)
     return out
+
+
+def _links_added(ends: np.ndarray, n: int, k: int, batch: np.ndarray) -> np.ndarray:
+    """Links each column of an (L, B) batch of link orders adds to an empty
+    graph, up to the one that makes a k-node component (L + 1 if none does).
+
+    Node x of order b is b*n + x in one parent array.  At step j every
+    unfinished order adds link batch[j, b]: both roots are found by
+    pointer chasing, and union by size keeps every tree at most
+    log2(n) deep.
+    """
+    L, B = batch.shape
+    ends = np.ascontiguousarray(ends.T)
+    added = np.full(B, L + 1, dtype=np.int64)
+    parent = np.arange(B * n, dtype=np.int32)
+    size = np.ones(B * n, dtype=np.int32)
+    live = np.arange(B)
+    base = live * n
+    for j in range(L):
+        x = ends[:, batch[j, live]] + base
+        while True:
+            up = parent[x]
+            if np.array_equal(up, x):
+                break
+            x = up
+        a, b = x
+        join = np.flatnonzero(a != b)
+        a, b = a[join], b[join]
+        big = np.where(size[a] >= size[b], a, b)
+        small = a + b - big
+        parent[small] = big
+        size[big] += size[small]
+        done = join[size[big] >= k]
+        if done.size:
+            added[live[done]] = j + 1
+            live, base = np.delete(live, done), np.delete(base, done)
+            if not live.size:
+                break
+    return added
 
 
 def conditional_wrong_prob(
@@ -523,6 +631,8 @@ def _partition_tolerance_multiclass(
     budget: int,
     seed: int,
 ) -> PartitionReport:
+    if budget < 1:
+        raise SpecError(f"a graph with several link classes is sampled but the budget is {budget}")
     L = topology.n_links
     q = _down_probs(topology, params)
     N = topology.n_nodes

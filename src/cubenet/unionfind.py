@@ -15,16 +15,14 @@ class UnionFind:
             x = parent[x]
         return x
 
-    def union(self, a: int, b: int) -> int:
-        """Merge the components of a and b; returns the merged size."""
+    def union(self, a: int, b: int) -> None:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
-            return self.size[ra]
+            return
         if self.size[ra] < self.size[rb]:
             ra, rb = rb, ra
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
-        return self.size[ra]
 
     def max_component_size(self) -> int:
         return max(self.size[i] for i in range(len(self.parent)) if self.find(i) == i)

@@ -221,6 +221,16 @@ class TestExitCodes:
     def test_bad_sweep_size(self, capsys):
         assert run_cli(["gossip", "sweep", "--sizes", "12", "--cycles", "5"]) == 2
 
+    def test_multiclass_zero_budget(self, tmp_path, capsys):
+        spec = tmp_path / "rec.json"
+        spec.write_text(json.dumps({"kind": "recursive", "mode": "symmetric", "dims": [2, 2]}))
+        topo = tmp_path / "rec.topology.json"
+        assert run_cli(["topo", "build", "--spec", str(spec), "--out", str(topo)]) == 0
+        capsys.readouterr()
+        code = run_cli(["analyze", "partition", "--topology", str(topo), "--budget", "0"])
+        assert code == 2
+        assert "budget is 0" in capsys.readouterr().err
+
     def test_numeric_failure(self, tmp_path, monkeypatch, cube_topology, capsys):
         from cubenet import cli
         from cubenet.errors import NumericError

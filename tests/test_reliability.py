@@ -1,6 +1,16 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
 
+import networkx as nx
 import numpy as np
+from networkx.algorithms.connectivity import (
+    build_auxiliary_edge_connectivity,
+    local_edge_connectivity,
+)
+from networkx.algorithms.flow import build_residual_network
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,6 +24,7 @@ from cubenet import (
     analyze_hierarchical,
     binomial_stationary,
     build_complete_hypercube,
+    build_recursive,
     build_ring_lattice,
     build_rooted_tree,
     build_star,
@@ -24,18 +35,26 @@ from cubenet import (
     recursive_aggregate,
     stationary,
 )
+import cubenet
 from cubenet.errors import NumericError, ResourceLimitError, SpecError
 from cubenet.reliability import (
+    ORDER_SLOTS,
     DomainEstimate,
+    _arc_lists,
+    _critical_counts,
+    _edge_connectivity,
     _exact_state,
     _link_ends,
+    _link_orders,
     _max_comp_rows,
+    _max_flow,
     _repair_fn,
     default_quorum,
     transition_matrix,
     uniform_domain_tree,
 )
 from cubenet.topology import Link, NodeId, Topology, max_component_size
+from cubenet.unionfind import UnionFind
 
 Q5000 = (1 / 2190) / (1 / 2190 + 1 / 24)  # steady-state down probability, 5000 km
 
@@ -376,6 +395,157 @@ class TestConnectivityKernel:
         assert times == [min_repair_time(t, np.flatnonzero(row).tolist(), k=k) for row in wrong]
 
 
+def _graph(n, pairs):
+    return Topology("custom", [NodeId((x,), x) for x in range(n)],
+                    [Link(a, b, 0) for a, b in pairs], {0: LinkClass.standard(5000)}, {})
+
+
+class TestEdgeConnectivity:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 14),
+        shape=st.sampled_from(["random", "tree", "complete", "barbell"]),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1, shape="random", density=0.5, seed=0)
+    @example(n=2, shape="random", density=0.0, seed=0)  # two isolated nodes
+    @example(n=2, shape="complete", density=0.0, seed=0)
+    @example(n=14, shape="tree", density=0.0, seed=3)
+    @example(n=14, shape="complete", density=0.0, seed=0)
+    @example(n=12, shape="random", density=0.15, seed=5)  # several components
+    @example(n=10, shape="barbell", density=0.0, seed=0)  # kappa 1 below delta 4
+    def test_matches_networkx(self, n, shape, density, seed):
+        """Equal to networkx on random, tree, complete and barbell graphs
+        (two cliques joined by one link), relabelled at random; sparse
+        random graphs are disconnected or have isolated nodes."""
+        rng = np.random.default_rng(seed)
+        label = rng.permutation(n).tolist()
+        if shape == "tree":
+            pairs = [(int(rng.integers(x)), x) for x in range(1, n)]
+        elif shape == "barbell":
+            pairs = [(a, b) for a, b in itertools.combinations(range(n), 2)
+                     if (a < n // 2) == (b < n // 2) or (a, b) == (0, n - 1)]
+        else:
+            pairs = [p for p in itertools.combinations(range(n), 2)
+                     if shape == "complete" or rng.random() < density]
+        pairs = [tuple(sorted((label[a], label[b]))) for a, b in pairs]
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(pairs)
+        assert _edge_connectivity(_graph(n, pairs)) == nx.edge_connectivity(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=1710)  # needs a unit sent back along a used link to be cancelled
+    def test_max_flow_matches_networkx(self, seed):
+        """Uncapped, the flow between every pair of nodes equals networkx's
+        local edge connectivity; links are listed in random order."""
+        rng = np.random.default_rng(seed)
+        n, density = int(rng.integers(5, 13)), 0.3 + 0.6 * rng.random()
+        pairs = [p for p in itertools.combinations(range(n), 2) if rng.random() < density]
+        pairs = [pairs[j] for j in rng.permutation(len(pairs))]
+        arcs, head = _arc_lists(_graph(n, pairs))
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(pairs)
+        aux = build_auxiliary_edge_connectivity(g)
+        residual = build_residual_network(aux, "capacity")
+        for s, u in itertools.combinations(range(n), 2):
+            want = local_edge_connectivity(g, s, u, auxiliary=aux, residual=residual)
+            assert _max_flow(s, u, arcs, head, len(pairs) + 1) == want
+
+    @pytest.mark.parametrize(
+        "build,kappa",
+        [
+            (lambda: build_ring_lattice(768, 4), 4),
+            (lambda: build_recursive(RecursionSpec.symmetric(4, 2)), 8),
+            (lambda: build_ring_lattice(64, 6), 6),
+            (lambda: build_complete_hypercube(6), 6),
+            (lambda: build_rooted_tree(64, 6), 1),
+            (lambda: build_ring_lattice(64, 2), 2),
+        ],
+        ids=["ring768-4", "4-4", "ring64-6", "Q6", "tree64-6", "cycle64"],
+    )
+    def test_pinned_values(self, build, kappa):
+        assert _edge_connectivity(build()) == kappa
+
+    def test_no_bound_above_2048_nodes(self):
+        assert _edge_connectivity(build_ring_lattice(2048, 2)) == 2
+        assert _edge_connectivity(build_ring_lattice(2049, 2)) == 0
+
+
+def critical_counts_oracle(topology, k, budget, seed):
+    """One union-find pass per link order, stopping at the first k-component."""
+    L, n = topology.n_links, topology.n_nodes
+    out = np.empty(budget, dtype=np.int64)
+    for b, order in enumerate(_link_orders(L, budget, seed)):
+        added = 0
+        if k > 1:
+            uf = UnionFind(n)
+            for added, idx in enumerate(order.tolist(), start=1):
+                lk = topology.links[idx]
+                uf.union(lk.u, lk.v)
+                if uf.size[uf.find(lk.u)] >= k:
+                    break
+            else:
+                added = L + 1
+        out[b] = L + 1 - added
+    return out
+
+
+class TestCriticalCounts:
+    @pytest.mark.parametrize(
+        "topo",
+        [build_rooted_tree(64, 6), build_complete_hypercube(6), build_ring_lattice(64, 6),
+         build_ring_lattice(64, 2)],
+        ids=["tree64-6", "Q6", "ring64-6", "cycle64"],
+    )
+    @pytest.mark.parametrize("quorum", ["default", "all"])
+    def test_matches_oracle(self, topo, quorum):
+        k = default_quorum(topo.n_nodes) if quorum == "default" else topo.n_nodes
+        got = _critical_counts(topo, k, 400, (7, 3))
+        assert np.array_equal(got, critical_counts_oracle(topo, k, 400, (7, 3)))
+
+    def test_across_batches(self):
+        """A budget over two lockstep batches reads the orders in sequence:
+        a 64-cycle spread at random among 2**14 isolated nodes."""
+        label = np.random.default_rng(4).permutation(64 + 2**14).tolist()
+        t = _graph(64 + 2**14, [tuple(sorted((label[x], label[(x + 1) % 64]))) for x in range(64)])
+        rows = ORDER_SLOTS // max(t.n_nodes, t.n_links)
+        budget = 2 * rows + 5
+        assert 1 < rows < budget // 2
+        got = _critical_counts(t, 20, budget, 11)
+        assert np.array_equal(got, critical_counts_oracle(t, 20, budget, 11))
+        assert len(set(got.tolist())) > 1
+
+    def test_no_k_component(self):
+        assert _critical_counts(_two_links(), 3, 50, 0).tolist() == [0] * 50
+
+    def test_quorum_one(self):
+        t = build_ring_lattice(16, 4)
+        got = _critical_counts(t, 1, 50, 0)
+        assert got.tolist() == [t.n_links + 1] * 50
+        assert np.array_equal(got, critical_counts_oracle(t, 1, 50, 0))
+
+
+def test_analysis_runs_without_networkx():
+    """Single-class analysis, κ included, never imports networkx."""
+    code = (
+        "import sys\n"
+        "sys.modules['networkx'] = None\n"
+        "from cubenet import build_ring_lattice, conditional_wrong_prob, partition_tolerance\n"
+        "t = build_ring_lattice(16, 4)\n"
+        "partition_tolerance(t, budget=50, seed=0, enum_cap=100)\n"
+        "conditional_wrong_prob(t, 5, budget=50, enum_cap=0)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cubenet.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 class TestAggregation:
     def test_two_level_formula(self):
         """1 - p = (1 - p1) + p1 * sum(1 - p2)/branch contributions."""
@@ -422,6 +592,12 @@ class TestErrors:
             partition_tolerance(t, FailureParams(k=0), budget=0)
         with pytest.raises(SpecError):
             partition_tolerance(t, FailureParams(k=5), budget=0)
+
+    def test_multiclass_zero_budget(self):
+        t = build_recursive(RecursionSpec.symmetric(2, 2))
+        assert len({lk.class_id for lk in t.links}) == 2
+        with pytest.raises(SpecError):
+            partition_tolerance(t, budget=0)
 
     def test_bruteforce_size_guard(self):
         t = build_complete_hypercube(5)  # 80 links
