@@ -26,7 +26,6 @@ from .topology import (  # noqa: F401
 )
 from .reliability import (  # noqa: F401
     CountChain,
-    DomainEstimate,
     FailureParams,
     PartitionReport,
     StationaryDist,
@@ -36,7 +35,6 @@ from .reliability import (  # noqa: F401
     exact_partition_tolerance_bruteforce,
     min_repair_time,
     partition_tolerance,
-    recursive_aggregate,
     stationary,
 )
 from .gossip import GossipConfig, GossipMetrics, run_gossip, sweep_sizes  # noqa: F401

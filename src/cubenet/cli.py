@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 
@@ -20,11 +21,7 @@ from . import __version__
 from .consensus import ConsensusConfig, cross_size_std, run_consensus, sweep_consensus
 from .errors import CubenetError, NumericError
 from .gossip import GossipConfig, linear_fit_r2, run_gossip, sweep_sizes
-from .reliability import (
-    FailureParams,
-    analyze_hierarchical,
-    partition_tolerance,
-)
+from .reliability import FailureParams, _single_class_id, analyze_hierarchical, partition_tolerance
 from .topology import (
     RecursionSpec,
     Topology,
@@ -60,16 +57,19 @@ def read_spec_file(path: str) -> dict:
     return spec
 
 
-def _parse_int_list(value) -> list[int]:
+def _parse_list(value, kind) -> list:
+    """A JSON list or a comma-separated string, each element converted by `kind`."""
     if isinstance(value, list):
-        return [int(v) for v in value]
-    return [int(v) for v in str(value).split(",") if v != ""]
+        return [kind(v) for v in value]
+    return [kind(v) for v in str(value).split(",") if v != ""]
 
 
-def _parse_float_list(value) -> list[float]:
-    if isinstance(value, list):
-        return [float(v) for v in value]
-    return [float(v) for v in str(value).split(",") if v != ""]
+def _cube_dim(n: int) -> int:
+    """Dimension of the n-node hypercube of a sweep; n must be a power of two."""
+    dim = n.bit_length() - 1
+    if 2**dim != n:
+        raise SpecError(f"sweep sizes must be powers of two, got {n}")
+    return dim
 
 
 def topology_from_spec(spec: dict) -> Topology:
@@ -91,8 +91,8 @@ def topology_from_spec(spec: dict) -> Topology:
 
 def recursion_spec_from_dict(spec: dict) -> RecursionSpec:
     mode = str(spec.get("mode", "symmetric"))
-    dims = _parse_int_list(spec["dims"])
-    distances = _parse_float_list(spec["classes"]) if "classes" in spec else None
+    dims = _parse_list(spec["dims"], int)
+    distances = _parse_list(spec["classes"], float) if "classes" in spec else None
     if mode in ("symmetric", "sym", "completely-symmetric"):
         if len(set(dims)) != 1:
             raise SpecError("symmetric mode needs one repeated dimension")
@@ -233,8 +233,6 @@ def table3_rows(n_values=(64, 4096), with_reliability=False, budget=4000, seed=0
 
 
 def _reliability_columns(topo, spec, budget, seed):
-    import math
-
     if spec is not None and spec.r > 1:
         agg = analyze_hierarchical(spec, budget=budget, seed=seed, enum_cap=100_000)
         p, t, method = agg.p, agg.t, "aggregated"
@@ -263,7 +261,7 @@ def cmd_tables(args) -> int:
         write_manifest(
             args.out,
             f"tables {args.table}",
-            {"reliability": getattr(args, "reliability", False)},
+            {"reliability": args.reliability, "budget": args.budget},
             args.seed,
             time.perf_counter() - start,
         )
@@ -286,10 +284,9 @@ def cmd_analyze(args) -> int:
         "pi_i", "p_wrong_i", "stderr", "method",
     ]
     topo_id = topo.kind
-    single = {lk.class_id for lk in topo.links}
-    if len(single) == 1:
-        cls = topo.classes[single.pop()]
-        lam, mu = cls.lam, cls.mu
+    cid = _single_class_id(topo)
+    if cid is not None:
+        lam, mu = topo.classes[cid].lam, topo.classes[cid].mu
     else:
         lam = mu = float("nan")
     rows = [
@@ -335,13 +332,8 @@ def cmd_gossip(args) -> int:
         rows.append(["total", metrics.total_forwarded])
         params = {"topology": args.topology}
     else:  # sweep
-        sizes = _parse_int_list(args.sizes)
-        topos = []
-        for n in sizes:
-            dim = n.bit_length() - 1
-            if 2**dim != n:
-                raise SpecError(f"sweep sizes must be powers of two, got {n}")
-            topos.append((f"hypercube-{n}", build_complete_hypercube(dim)))
+        sizes = _parse_list(args.sizes, int)
+        topos = [(f"hypercube-{n}", build_complete_hypercube(_cube_dim(n))) for n in sizes]
         rows_out = sweep_sizes(topos, config, seeds=tuple(range(args.seed, args.seed + 3)))
         header = ["label", "N", "mean_total"]
         rows = [[r.label, r.n_nodes, _fmt(r.mean_total)] for r in rows_out]
@@ -378,13 +370,10 @@ def cmd_consensus(args) -> int:
                      _fmt(report.tx_per_second)])
         params = {"topology": args.topology}
     else:  # sweep
-        sizes = _parse_int_list(args.sizes)
+        sizes = _parse_list(args.sizes, int)
         topos = []
         for n in sizes:
-            dim = n.bit_length() - 1
-            if 2**dim != n:
-                raise SpecError(f"sweep sizes must be powers of two, got {n}")
-            topos.append(("hypercube", build_complete_hypercube(dim)))
+            topos.append(("hypercube", build_complete_hypercube(_cube_dim(n))))
             topos.append(("star", build_star(n)))
         rows_out = sweep_consensus(topos, config)
         header = ["kind", "N", "throughput_tps"]

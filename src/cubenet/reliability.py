@@ -6,15 +6,15 @@ GTH state-elimination are kept as a test oracle), hybrid exact/sampled
 estimation of the partition tolerance probability (sampled states share
 one batch of random link orders), the minimum-repair strategy (repair
 everything up to a class MTTR threshold), and the hierarchical
-aggregation over recursion paths.  Queries over many failed-link sets
-of one graph go through one batched numpy connectivity kernel, and the
-random link orders evolve in lockstep batches.
+aggregation as a sum over recursion levels.  Queries over many
+failed-link sets of one graph go through one batched numpy connectivity
+kernel, and the random link orders evolve in lockstep batches.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -111,7 +111,6 @@ class StateEstimate:
     stderr: float
     n_samples: int
     method: str  # "exact" | "sampled" | "skipped"
-    mean_repair_h: float | None = None
 
 
 @dataclass
@@ -377,33 +376,26 @@ def _repair_fn(topology: Topology, k: int):
     """Map a (W, L) mask of wrong failed-link sets to their least repair times.
 
     Raises `NumericError` unless the intact graph has a component of k
-    nodes.  With one link class the threshold search has one threshold,
-    the class MTTR, and repairing every link restores the intact graph,
-    so every wrong set takes the MTTR.
+    nodes.
     """
     if max_component_size(topology, set()) < k:
         raise NumericError("repairing all failed links did not restore a good partition")
-    cid = _single_class_id(topology)
-    if cid is not None:
-        mttr = topology.classes[cid].mttr_h
-        return lambda failed: np.full(len(failed), mttr)
     ends = _link_ends(topology)
     mttr_of = np.array([topology.classes[lk.class_id].mttr_h for lk in topology.links])
     return lambda failed: _repair_times(ends, topology.n_nodes, k, mttr_of, failed)
 
 
 def _exact_state(
-    topology: Topology, i: int, k: int, kappa: int, enum_cap: int, pi_i: float, repair
+    topology: Topology, i: int, k: int, kappa: int, enum_cap: int, pi_i: float
 ) -> StateEstimate | None:
     """Exact P{wrong | i} for 1 <= i <= L, or None when C(L, i) > enum_cap.
 
-    `kappa` is the edge connectivity (0 when unknown); `repair` maps a
-    (W, L) mask of wrong failed-link sets to their least repair times.
+    `kappa` is the edge connectivity (0 when unknown).
     """
     if i < kappa and topology.n_nodes >= k:
         # Removing fewer links than the edge connectivity cannot
         # disconnect the graph, so the full node set survives.
-        return StateEstimate(i, pi_i, 0.0, 0.0, 0, "exact", None)
+        return StateEstimate(i, pi_i, 0.0, 0.0, 0, "exact")
     L = topology.n_links
     n_subsets = math.comb(L, i)
     if n_subsets > enum_cap:
@@ -412,18 +404,46 @@ def _exact_state(
     combos = itertools.combinations(range(L), i)
     step = _chunk_rows(topology.n_nodes, L)
     wrong = 0
-    t_sum = 0.0
     for _ in range(0, n_subsets, step):
         chunk = itertools.chain.from_iterable(itertools.islice(combos, step))
         idx = np.fromiter(chunk, dtype=np.intp).reshape(-1, i)
         failed = np.zeros((len(idx), L), dtype=bool)
         np.put_along_axis(failed, idx, True, axis=1)
-        bad = failed[_max_comp_rows(ends, topology.n_nodes, ~failed) < k]
-        wrong += len(bad)
-        for t in repair(bad).tolist():
-            t_sum += t
-    t_mean = (t_sum / wrong) if wrong else None
-    return StateEstimate(i, pi_i, wrong / n_subsets, 0.0, n_subsets, "exact", t_mean)
+        wrong += int(np.count_nonzero(_max_comp_rows(ends, topology.n_nodes, ~failed) < k))
+    return StateEstimate(i, pi_i, wrong / n_subsets, 0.0, n_subsets, "exact")
+
+
+def _estimate_states(
+    topology: Topology, k: int, states: list[tuple[int, float]], budget: int, seed, enum_cap: int
+) -> tuple[list[StateEstimate], float]:
+    """Estimates of P{wrong | i} for the (i, pi_i) pairs of `states`, all i >= 1,
+    and the variance of their sum of pi_i * P{wrong | i}.
+
+    A state is exact below the edge connectivity or when its C(L, i)
+    subsets fit `enum_cap`; every other state reads the same `budget`
+    random link orders.
+    """
+    kappa = _edge_connectivity(topology)
+    est = [_exact_state(topology, i, k, kappa, enum_cap, pi_i) for i, pi_i in states]
+    sampled = [j for j, e in enumerate(est) if e is None]
+    if not sampled:
+        return est, 0.0
+    if budget < 1:
+        raise SpecError(f"{len(sampled)} states need sampling but the budget is {budget}")
+    L = topology.n_links
+    c_star = _critical_counts(topology, k, budget, seed)
+    n_wrong = np.cumsum(np.bincount(c_star, minlength=L + 2))  # orders with c* <= i
+    sampled_pi = np.zeros(L + 2)
+    for j in sampled:
+        i, pi_i = states[j]
+        p_i = int(n_wrong[i]) / budget
+        se = math.sqrt(p_i * (1.0 - p_i) / budget)
+        est[j] = StateEstimate(i, pi_i, p_i, se, budget, "sampled")
+        sampled_pi[i] = pi_i
+    # The states share their orders, so their errors are correlated:
+    # the variance is that of W_b = sum of pi_i over sampled i >= c*_b.
+    w = np.cumsum(sampled_pi[::-1])[::-1][c_star]
+    return est, float(np.var(w)) / budget
 
 
 def _link_orders(n_links: int, budget: int, seed):
@@ -513,8 +533,7 @@ def conditional_wrong_prob(
     cap, Monte Carlo over `budget` random link orders above it.
 
     A wrong partition is a state whose largest component has fewer than
-    k nodes.  Also records the mean minimum repair time over the wrong
-    states encountered.
+    k nodes.
     """
     L = topology.n_links
     N = topology.n_nodes
@@ -524,24 +543,9 @@ def conditional_wrong_prob(
         k = default_quorum(N)
     if i == 0:
         p0 = 0.0 if max_component_size(topology, set()) >= k else 1.0
-        return StateEstimate(i, pi_i, p0, 0.0, 1, "exact", None)
-
-    repair = _repair_fn(topology, k)
-    est = _exact_state(topology, i, k, _edge_connectivity(topology), enum_cap, pi_i, repair)
-    if est is not None:
-        return est
-    if budget < 1:
-        raise SpecError(f"state {i} needs sampling but the budget is {budget}")
-    wrong = _critical_counts(topology, k, budget, (seed, i)) <= i
-    # Replay the same orders: a wrong order's failed set is its last i links.
-    tails = [o[L - i:] for o, w in zip(_link_orders(L, budget, (seed, i)), wrong) if w]
-    failed = np.zeros((len(tails), L), dtype=bool)
-    np.put_along_axis(failed, np.array(tails, dtype=np.intp).reshape(-1, i), True, axis=1)
-    t_sum = sum(repair(failed).tolist())
-    p = len(tails) / budget
-    se = math.sqrt(p * (1.0 - p) / budget)
-    t_mean = (t_sum / len(tails)) if tails else None
-    return StateEstimate(i, pi_i, p, se, budget, "sampled", t_mean)
+        return StateEstimate(i, pi_i, p0, 0.0, 1, "exact")
+    (est,), _ = _estimate_states(topology, k, [(i, pi_i)], budget, (seed, i), enum_cap)
+    return est
 
 
 def partition_tolerance(
@@ -551,7 +555,6 @@ def partition_tolerance(
     seed: int = 0,
     enum_cap: int = ENUM_CAP_DEFAULT,
     tail_eps: float = TAIL_EPS_DEFAULT,
-    force_sampling: bool = False,
 ) -> PartitionReport:
     """Overall partition tolerance probability and average minimum repair time.
 
@@ -575,46 +578,21 @@ def partition_tolerance(
         return _partition_tolerance_multiclass(topology, params, k, budget, seed)
 
     lam, mu = params.rate_of(topology, cid)
-    pi = binomial_stationary(CountChain(L, lam, mu))
-    repair = _repair_fn(topology, k)
-    mttr = topology.classes[cid].mttr_h
-    kappa = _edge_connectivity(topology)
-    cap = 0 if force_sampling else enum_cap
-    per_state: list[StateEstimate | None] = []
-    underflow = False
-    for i in range(1, L + 1):
-        pi_i = float(pi[i])
-        if pi_i < tail_eps:
-            underflow = underflow or pi_i > 0
-            per_state.append(StateEstimate(i, pi_i, 0.0, 0.0, 0, "skipped", None))
-        else:
-            per_state.append(_exact_state(topology, i, k, kappa, cap, pi_i, repair))
+    pi = binomial_stationary(CountChain(L, lam, mu)).tolist()
+    if max_component_size(topology, set()) < k:
+        raise NumericError("repairing all failed links did not restore a good partition")
+    kept = [(i, pi[i]) for i in range(1, L + 1) if pi[i] >= tail_eps]
+    skipped = [StateEstimate(i, pi[i], 0.0, 0.0, 0, "skipped") for i in range(1, L + 1)
+               if pi[i] < tail_eps]
+    estimated, var = _estimate_states(topology, k, kept, budget, seed, enum_cap)
+    per_state = sorted(estimated + skipped, key=lambda e: e.i)
 
-    var = 0.0
-    sampled = [i for i, e in enumerate(per_state, start=1) if e is None]
-    if sampled:
-        if budget < 1:
-            raise SpecError(f"{len(sampled)} states need sampling but the budget is {budget}")
-        c_star = _critical_counts(topology, k, budget, seed)
-        n_wrong = np.cumsum(np.bincount(c_star, minlength=L + 2))  # orders with c* <= i
-        sampled_pi = np.zeros(L + 2)
-        for i in sampled:
-            p_i = int(n_wrong[i]) / budget
-            se = math.sqrt(p_i * (1.0 - p_i) / budget)
-            per_state[i - 1] = StateEstimate(
-                i, float(pi[i]), p_i, se, budget, "sampled", mttr if p_i > 0 else None
-            )
-            sampled_pi[i] = pi[i]
-        # The states share their orders, so their errors are correlated:
-        # the variance is that of W_b = sum of pi_i over sampled i >= c*_b.
-        w = np.cumsum(sampled_pi[::-1])[::-1][c_star]
-        var = float(np.var(w)) / budget
-
-    wrong_mass = sum(e.pi_i * e.p_wrong for e in per_state if e.method != "skipped")
+    wrong_mass = sum(e.pi_i * e.p_wrong for e in estimated)
     p = min(max(1.0 - wrong_mass, 0.0), 1.0)
-    t = mttr if wrong_mass > 0 else None
-    methods = {e.method for e in per_state if e.method != "skipped"}
+    t = topology.classes[cid].mttr_h if wrong_mass > 0 else None
+    methods = {e.method for e in estimated}
     method = methods.pop() if len(methods) == 1 else "hybrid"
+    underflow = any(e.pi_i > 0 for e in skipped)
     return PartitionReport(p, math.sqrt(var), t, per_state, method, k, underflow)
 
 
@@ -642,7 +620,6 @@ def _partition_tolerance_multiclass(
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     n_of = np.zeros(L + 1, dtype=np.int64)
     wrong_of = np.zeros(L + 1, dtype=np.int64)
-    t_of = [0.0] * (L + 1)
     t_sum_total = 0.0
     # One (rows, L) draw reads the same stream as `rows` draws of L.
     for lo in range(0, budget, step):
@@ -651,8 +628,7 @@ def _partition_tolerance_multiclass(
         bad = _max_comp_rows(ends, N, ~down) < k
         n_of += np.bincount(n_failed, minlength=L + 1)
         wrong_of += np.bincount(n_failed[bad], minlength=L + 1)
-        for i, t in zip(n_failed[bad].tolist(), repair(down[bad]).tolist()):
-            t_of[i] += t
+        for t in repair(down[bad]).tolist():
             t_sum_total += t
     wrong_total = int(wrong_of.sum())
     p_wrong = wrong_total / budget
@@ -660,13 +636,10 @@ def _partition_tolerance_multiclass(
     se = math.sqrt(p_wrong * (1.0 - p_wrong) / budget)
     per_state = []
     for i in np.flatnonzero(n_of).tolist():
-        n, wrong, t_sum = int(n_of[i]), int(wrong_of[i]), t_of[i]
-        pw = wrong / n
+        n = int(n_of[i])
+        pw = int(wrong_of[i]) / n
         per_state.append(
-            StateEstimate(
-                i, n / budget, pw, math.sqrt(pw * (1 - pw) / n), n, "sampled",
-                (t_sum / wrong) if wrong else None,
-            )
+            StateEstimate(i, n / budget, pw, math.sqrt(pw * (1 - pw) / n), n, "sampled")
         )
     t = (t_sum_total / wrong_total) if wrong_total else None
     return PartitionReport(p, se, t, per_state, "sampled", k)
@@ -710,72 +683,11 @@ def exact_partition_tolerance_bruteforce(
 # -- hierarchical aggregation ------------------------------------------
 
 
-@dataclass
-class DomainEstimate:
-    """Per-domain (p, t) values arranged as the recursion tree.
-
-    The root is the single level-1 domain; each node's children are the
-    domains it expands into at the next level.
-    """
-
-    p: float
-    t: float | None
-    children: list["DomainEstimate"] = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class AggregateResult:
     p: float
     t: float | None
     clamped: bool
-
-
-def recursive_aggregate(tree: DomainEstimate) -> AggregateResult:
-    """Combine per-domain values along recursion paths.
-
-    1 - p = sum over every domain of (product of ancestor p) * (1 - p_domain);
-    t is the repair-time average weighted by those same terms.  The raw
-    sum is a union-style first-order expansion and may exceed 1; it is
-    clamped with a flag.
-    """
-    terms: list[tuple[float, float | None]] = []
-
-    def walk(node: DomainEstimate, ancestor_prod: float) -> None:
-        if not 0.0 <= node.p <= 1.0:
-            raise SpecError(f"domain p={node.p} outside [0,1]")
-        weight = ancestor_prod * (1.0 - node.p)
-        if weight > 0.0 and node.t is None:
-            raise SpecError("domain with failure mass is missing a repair time")
-        terms.append((weight, node.t))
-        for child in node.children:
-            walk(child, ancestor_prod * node.p)
-
-    walk(tree, 1.0)
-    raw = sum(w for w, _ in terms)
-    clamped = raw > 1.0
-    one_minus_p = min(raw, 1.0)
-    p = 1.0 - one_minus_p
-    if raw > 0.0:
-        t = sum(w * t for w, t in terms if w > 0.0) / raw
-    else:
-        t = None
-    return AggregateResult(p, t, clamped)
-
-
-def uniform_domain_tree(level_values: list[tuple[float, float | None]], branching: list[int]) -> DomainEstimate:
-    """Symmetric recursion tree: every domain at level m shares the same
-    (p, t) and expands into branching[m] children."""
-    if len(branching) != len(level_values) - 1:
-        raise SpecError("need one branching factor per non-leaf level")
-
-    def make(level: int) -> DomainEstimate:
-        p, t = level_values[level]
-        children = []
-        if level < len(level_values) - 1:
-            children = [make(level + 1) for _ in range(branching[level])]
-        return DomainEstimate(p, t, children)
-
-    return make(0)
 
 
 def analyze_hierarchical(
@@ -788,11 +700,17 @@ def analyze_hierarchical(
     per-level analysis of each level's hypercube plus path aggregation.
 
     Every level-m domain is the level's hypercube with that level's
-    link class and its own quorum floor(2^dim / 2) + 1.
+    link class and its own quorum floor(2^dim / 2) + 1.  Level m has
+    prod_{j<m} 2^{d_j} domains, each reached when every ancestor holds,
+    so it adds prod_{j<m} 2^{d_j} p_j * (1 - p_m) to 1 - p; t is the
+    repair-time average weighted by those terms.  The sum is a
+    union-style first-order expansion and may exceed 1; it is clamped
+    with a flag.
     """
     if spec.mode == "asymmetric":
         raise SpecError("hierarchical aggregation needs a symmetric or semi-symmetric spec")
-    level_values: list[tuple[float, float | None]] = []
+    raw = t_mass = 0.0
+    reach = 1.0  # prod_{j<m} 2^{d_j} p_j
     for m, dim in enumerate(spec.dims, start=1):
         cls = spec.classes[spec.class_by_level[m]]
         cube = build_complete_hypercube(dim, distance_km=cls.distance_km)
@@ -800,7 +718,10 @@ def analyze_hierarchical(
         report = partition_tolerance(
             cube, FailureParams(), budget=budget, seed=seed + m, enum_cap=enum_cap
         )
-        level_values.append((report.p, report.t))
-    branching = [2**d for d in spec.dims[:-1]]
-    tree = uniform_domain_tree(level_values, branching)
-    return recursive_aggregate(tree)
+        weight = reach * (1.0 - report.p)
+        if weight > 0.0:
+            raw += weight
+            t_mass += weight * report.t
+        reach *= 2**dim * report.p
+    t = t_mass / raw if raw > 0.0 else None
+    return AggregateResult(1.0 - min(raw, 1.0), t, raw > 1.0)

@@ -134,7 +134,7 @@ def test_criterion_5_oracle_equivalence():
     for label, topo in cases:
         p_exact, _ = exact_partition_tolerance_bruteforce(topo)
         for seed in range(5):
-            report = partition_tolerance(topo, budget=8000, seed=seed, force_sampling=True)
+            report = partition_tolerance(topo, budget=8000, seed=seed, enum_cap=0)
             gap = abs(report.p - p_exact)
             if gap > 3 * max(report.stderr, 1e-12):
                 ok = False

@@ -110,6 +110,14 @@ class TestTables:
         run_cli(["tables", "3", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_manifest_records_params(self, tmp_path):
+        out = tmp_path / "t3.csv"
+        assert run_cli(["tables", "3", "--reliability", "--budget", "50", "--seed", "2",
+                        "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "t3.csv.manifest.json").read_text())
+        assert manifest["seed"] == 2
+        assert manifest["params"] == {"reliability": True, "budget": 50}
+
 
 class TestAnalyze:
     def test_partition_csv(self, tmp_path, cube_topology):

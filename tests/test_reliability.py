@@ -32,14 +32,12 @@ from cubenet import (
     exact_partition_tolerance_bruteforce,
     min_repair_time,
     partition_tolerance,
-    recursive_aggregate,
     stationary,
 )
 import cubenet
 from cubenet.errors import NumericError, ResourceLimitError, SpecError
 from cubenet.reliability import (
     ORDER_SLOTS,
-    DomainEstimate,
     _arc_lists,
     _critical_counts,
     _edge_connectivity,
@@ -51,7 +49,6 @@ from cubenet.reliability import (
     _repair_fn,
     default_quorum,
     transition_matrix,
-    uniform_domain_tree,
 )
 from cubenet.topology import Link, NodeId, Topology, max_component_size
 from cubenet.unionfind import UnionFind
@@ -139,6 +136,13 @@ class TestConditionalWrongProb:
         est = conditional_wrong_prob(_two_links(), 0, k=3)
         assert est.p_wrong == 1.0 and est.method == "exact"
 
+    @pytest.mark.parametrize("enum_cap,budget,method", [(10**6, 0, "exact"), (0, 50, "sampled")])
+    def test_disconnected_every_state_wrong(self, enum_cap, budget, method):
+        """Without a 3-node component even intact, every state is wrong."""
+        for i in (1, 2):
+            est = conditional_wrong_prob(_two_links(), i, k=3, budget=budget, enum_cap=enum_cap)
+            assert est.p_wrong == 1.0 and est.method == method
+
     def test_zero_failures_connected_path(self):
         est = conditional_wrong_prob(_mixed_path(), 0, k=3)
         assert est.p_wrong == 0.0 and est.method == "exact"
@@ -162,13 +166,6 @@ class TestConditionalWrongProb:
         t = build_ring_lattice(4, 2)
         est = conditional_wrong_prob(t, 4, k=3)
         assert est.p_wrong == 1.0
-
-    def test_multiclass_sampled_repair_time(self):
-        """The sampled branch replays its orders to find each wrong set's
-        repair threshold: both path links down, the fast one suffices."""
-        est = conditional_wrong_prob(_mixed_path(), 2, k=2, enum_cap=0, budget=50)
-        assert est.method == "sampled" and est.p_wrong == 1.0
-        assert math.isclose(est.mean_repair_h, 2.016, rel_tol=1e-12)
 
     def test_sampling_agrees_with_enum(self):
         t = build_ring_lattice(8, 4)
@@ -253,7 +250,7 @@ class TestPartitionTolerance:
     def test_sampled_matches_bruteforce(self, builder, kw):
         t = builder(kw)
         p_exact, _ = exact_partition_tolerance_bruteforce(t)
-        report = partition_tolerance(t, budget=6000, seed=3, force_sampling=True)
+        report = partition_tolerance(t, budget=6000, seed=3, enum_cap=0)
         assert report.method in ("sampled", "hybrid")  # i=0 stays exact
         assert abs(report.p - p_exact) <= 3 * max(report.stderr, 1e-12)
 
@@ -374,8 +371,7 @@ class TestConnectivityKernel:
         ids=["tree-2", "tree-3", "Q4-4", "cycle-2", "cycle-3"],
     )
     def test_exact_wrong_counts(self, topo, i, wrong, subsets):
-        est = _exact_state(topo, i, default_quorum(topo.n_nodes), 0, 10**6, float("nan"),
-                           lambda failed: np.full(len(failed), 24.0))
+        est = _exact_state(topo, i, default_quorum(topo.n_nodes), 0, 10**6, float("nan"))
         assert (est.n_samples, est.p_wrong) == (subsets, wrong / subsets)
 
     @pytest.mark.parametrize("three_classes,k", [(False, 2), (False, 3), (True, 11)])
@@ -546,30 +542,49 @@ def test_analysis_runs_without_networkx():
     assert done.returncode == 0, done.stderr
 
 
+def _level_reports(spec, budget, seed, enum_cap):
+    """`partition_tolerance` of each level's hypercube, as `analyze_hierarchical`
+    runs it: the level's link class, default quorum, seed + level."""
+    reports = []
+    for m, dim in enumerate(spec.dims, start=1):
+        cls = spec.classes[spec.class_by_level[m]]
+        cube = build_complete_hypercube(dim, distance_km=cls.distance_km)
+        cube.classes = {0: LinkClass(0, cls.distance_km, cls.mtbf_h, cls.mttr_h)}
+        reports.append(partition_tolerance(cube, budget=budget, seed=seed + m, enum_cap=enum_cap))
+    return reports
+
+
 class TestAggregation:
     def test_two_level_formula(self):
-        """1 - p = (1 - p1) + p1 * sum(1 - p2)/branch contributions."""
-        tree = DomainEstimate(
-            p=0.99,
-            t=10.0,
-            children=(DomainEstimate(0.9, 2.0, ()), DomainEstimate(0.8, 4.0, ())),
-        )
-        agg = recursive_aggregate(tree)
-        wrong = (1 - 0.99) + 0.99 * ((1 - 0.9) + (1 - 0.8))
-        assert math.isclose(1 - agg.p, wrong)
-        t_expected = ((1 - 0.99) * 10.0 + 0.99 * (0.1 * 2.0 + 0.2 * 4.0)) / wrong
-        assert math.isclose(agg.t, t_expected)
+        """4-2: one level-1 domain and 16 level-2 domains, each reached
+        when the level-1 domain holds."""
+        spec = RecursionSpec.semi((4, 2))
+        agg = analyze_hierarchical(spec, budget=20000, seed=0, enum_cap=50000)
+        r1, r2 = _level_reports(spec, 20000, 0, 50000)
+        w1, w2 = 1 - r1.p, 16 * r1.p * (1 - r2.p)
+        assert w1 > 0 and w2 > 0
+        assert math.isclose(1 - agg.p, w1 + w2, rel_tol=1e-12)
+        assert math.isclose(agg.t, (w1 * r1.t + w2 * r2.t) / (w1 + w2), rel_tol=1e-12)
         assert not agg.clamped
 
-    def test_clamp_flag(self):
-        kids = tuple(DomainEstimate(0.2, 1.0, ()) for _ in range(4))
-        agg = recursive_aggregate(DomainEstimate(0.5, 1.0, kids))
-        assert agg.clamped and agg.p == 0.0
+    def test_three_level_formula(self):
+        """2-2-2: level m has prod_{j<m} 4 domains, each reached when
+        every ancestor holds."""
+        spec = RecursionSpec.symmetric(2, 3)
+        agg = analyze_hierarchical(spec, budget=500, seed=3, enum_cap=1000)
+        r1, r2, r3 = _level_reports(spec, 500, 3, 1000)
+        w = [1 - r1.p, 4 * r1.p * (1 - r2.p), 16 * r1.p * r2.p * (1 - r3.p)]
+        assert all(x > 0 for x in w)
+        assert math.isclose(1 - agg.p, sum(w), rel_tol=1e-12)
+        t = (w[0] * r1.t + w[1] * r2.t + w[2] * r3.t) / sum(w)
+        assert math.isclose(agg.t, t, rel_tol=1e-12)
 
-    def test_uniform_tree_shape(self):
-        tree = uniform_domain_tree([(0.9, 1.0), (0.8, 2.0)], branching=[4])
-        assert len(tree.children) == 4
-        assert all(c.p == 0.8 for c in tree.children)
+    def test_clamp_flag(self):
+        """Links down about half the time: the level sum exceeds 1."""
+        classes = {0: LinkClass(0, 5000.0, 2.0, 1.9), 1: LinkClass(1, 3000.0, 2.0, 1.9)}
+        spec = RecursionSpec("semi", (3, 2), {1: 0, 2: 1}, classes)
+        agg = analyze_hierarchical(spec, budget=200, seed=0)
+        assert agg.clamped and agg.p == 0.0
 
     def test_hierarchical_4_2_repair(self):
         result = analyze_hierarchical(
