@@ -26,7 +26,6 @@ from .topology import (  # noqa: F401
 )
 from .reliability import (  # noqa: F401
     CountChain,
-    FailureParams,
     PartitionReport,
     StationaryDist,
     analyze_hierarchical,

@@ -21,7 +21,7 @@ from . import __version__
 from .consensus import ConsensusConfig, cross_size_std, run_consensus, sweep_consensus
 from .errors import CubenetError, NumericError
 from .gossip import GossipConfig, linear_fit_r2, run_gossip, sweep_sizes
-from .reliability import FailureParams, _single_class_id, analyze_hierarchical, partition_tolerance
+from .reliability import _single_class_id, analyze_hierarchical, partition_tolerance
 from .topology import (
     RecursionSpec,
     Topology,
@@ -271,10 +271,9 @@ def cmd_tables(args) -> int:
 def cmd_analyze(args) -> int:
     start = time.perf_counter()
     topo = _load_topology(args.topology)
-    params = FailureParams(k=args.k)
     report = partition_tolerance(
         topo,
-        params,
+        args.k,
         budget=args.budget,
         seed=args.seed,
         enum_cap=args.enum_cap,

@@ -52,7 +52,6 @@ Level = tuple[np.ndarray, np.ndarray, np.ndarray]
 @dataclass
 class ThroughputReport:
     tx_per_second: float  # overall committed / elapsed
-    round_rate_std: float  # std of per-round commit rates
     per_round_time: list[float]
     per_round_committed: list[int]
     leader_history: list[int]
@@ -214,10 +213,8 @@ def run_consensus(topology: Topology, config: ConsensusConfig) -> ThroughputRepo
         per_round_time.append(round_time)
         per_round_committed.append(block_tx)
 
-    rates = [c / t for c, t in zip(per_round_committed, per_round_time)]
     return ThroughputReport(
         tx_per_second=committed / elapsed,
-        round_rate_std=float(np.std(rates)),
         per_round_time=per_round_time,
         per_round_committed=per_round_committed,
         leader_history=leaders,

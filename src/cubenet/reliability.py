@@ -14,18 +14,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NumericError, ResourceLimitError, SpecError
-from .topology import LinkClass, RecursionSpec, Topology, build_complete_hypercube
+from .topology import RecursionSpec, Topology, build_complete_hypercube
 from .topology import max_component_size, resolve_failed_links
 from .unionfind import UnionFind  # noqa: F401  unused; perfbench/tracer.py patches this name
 
 ENUM_CAP_DEFAULT = 2_000_000
-TAIL_EPS_DEFAULT = 1e-12
+TAIL_EPS = 1e-12  # single-class states with pi_i below this are skipped
 BRUTEFORCE_MAX_LINKS = 22
 UNDERFLOW_FLOOR = 1e-300
 KERNEL_SLOTS = 2**15  # link slots per kernel batch: a few MB of arrays at any B
@@ -37,35 +36,13 @@ def default_quorum(n_nodes: int) -> int:
     return n_nodes // 2 + 1
 
 
-@dataclass(frozen=True)
-class FailureParams:
-    """Analysis parameters: quorum size plus optional per-class rate overrides.
-
-    `rates` maps class_id -> (lambda, mu) per hour; classes not listed
-    use the rates carried by the topology's link classes.
-    """
-
-    k: int | None = None
-    rates: dict[int, tuple[float, float]] | None = None
-
-    def __post_init__(self):
-        for cid, (lam, mu) in (self.rates or {}).items():
-            if not (0.0 < lam < 1.0 and 0.0 < mu <= 1.0):
-                raise SpecError(
-                    f"class {cid}: lambda must lie in (0,1) and mu in (0,1], got ({lam}, {mu})"
-                )
-
-    def quorum(self, topology: Topology) -> int:
-        k = default_quorum(topology.n_nodes) if self.k is None else self.k
-        if not 1 <= k <= topology.n_nodes:
-            raise SpecError(f"quorum k={k} outside [1, N={topology.n_nodes}]")
-        return k
-
-    def rate_of(self, topology: Topology, class_id: int) -> tuple[float, float]:
-        if self.rates and class_id in self.rates:
-            return self.rates[class_id]
-        c = topology.classes[class_id]
-        return c.lam, c.mu
+def _quorum(topology: Topology, k: int | None) -> int:
+    """`k`, or the default quorum when it is None; SpecError outside [1, N]."""
+    if k is None:
+        return default_quorum(topology.n_nodes)
+    if not 1 <= k <= topology.n_nodes:
+        raise SpecError(f"quorum k={k} outside [1, N={topology.n_nodes}]")
+    return k
 
 
 @dataclass(frozen=True)
@@ -121,7 +98,6 @@ class PartitionReport:
     per_state: list[StateEstimate]
     method: str
     k: int
-    underflow: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
@@ -130,8 +106,11 @@ class PartitionReport:
             raise NumericError("negative repair time")
 
 
+_lgamma = np.frompyfunc(math.lgamma, 1, 1)
+
+
 def _log_binom_pmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
-    logc = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    logc = math.lgamma(n + 1) - (_lgamma(k + 1) + _lgamma(n - k + 1)).astype(float)
     return logc + k * math.log(p) + (n - k) * math.log1p(-p)
 
 
@@ -363,8 +342,7 @@ def min_repair_time(topology: Topology, failed_links, k: int | None = None) -> f
     class MTTR lies below a threshold, so the answer is the smallest
     class-MTTR threshold that restores a good partition.
     """
-    if k is None:
-        k = default_quorum(topology.n_nodes)
+    k = _quorum(topology, k)
     failed = resolve_failed_links(topology, failed_links)
     if max_component_size(topology, failed) >= k:
         return 0.0
@@ -527,20 +505,18 @@ def conditional_wrong_prob(
     budget: int = 20000,
     seed: int = 0,
     enum_cap: int = ENUM_CAP_DEFAULT,
-    pi_i: float = float("nan"),
 ) -> StateEstimate:
     """P{wrong partition | i invalid links}: exact enumeration below the
     cap, Monte Carlo over `budget` random link orders above it.
 
     A wrong partition is a state whose largest component has fewer than
-    k nodes.
+    k nodes.  The estimate's `pi_i` is NaN: no steady state is solved.
     """
     L = topology.n_links
-    N = topology.n_nodes
     if not 0 <= i <= L:
         raise SpecError(f"state {i} out of range for L={L}")
-    if k is None:
-        k = default_quorum(N)
+    k = _quorum(topology, k)
+    pi_i = float("nan")
     if i == 0:
         p0 = 0.0 if max_component_size(topology, set()) >= k else 1.0
         return StateEstimate(i, pi_i, p0, 0.0, 1, "exact")
@@ -550,24 +526,23 @@ def conditional_wrong_prob(
 
 def partition_tolerance(
     topology: Topology,
-    params: FailureParams | None = None,
+    k: int | None = None,
     budget: int = 20000,
     seed: int = 0,
     enum_cap: int = ENUM_CAP_DEFAULT,
-    tail_eps: float = TAIL_EPS_DEFAULT,
 ) -> PartitionReport:
     """Overall partition tolerance probability and average minimum repair time.
 
     Single-class topologies weight per-state conditional estimates by
     the count chain's closed-form steady state Binomial(L, q),
-    q = lambda/(lambda+mu): p = 1 - sum_i pi_i * P{wrong|i}.  A state is
-    exact below the edge connectivity or when its C(L, i) subsets fit
-    `enum_cap`; every other state reads the same `budget` random link
-    orders.  Mixed-class topologies sample link states directly, each
-    link down with its steady-state probability q.
+    q = lambda/(lambda+mu): p = 1 - sum_i pi_i * P{wrong|i}.  States
+    with pi_i below TAIL_EPS are skipped.  A state is exact below the
+    edge connectivity or when its C(L, i) subsets fit `enum_cap`; every
+    other state reads the same `budget` random link orders.  Mixed-class
+    topologies sample link states directly, each link down with its
+    class's steady-state probability q.
     """
-    params = params or FailureParams()
-    k = params.quorum(topology)
+    k = _quorum(topology, k)
     L = topology.n_links
     if L == 0:
         p = 1.0 if topology.n_nodes >= k else 0.0
@@ -575,15 +550,14 @@ def partition_tolerance(
 
     cid = _single_class_id(topology)
     if cid is None:
-        return _partition_tolerance_multiclass(topology, params, k, budget, seed)
+        return _partition_tolerance_multiclass(topology, k, budget, seed)
 
-    lam, mu = params.rate_of(topology, cid)
-    pi = binomial_stationary(CountChain(L, lam, mu)).tolist()
+    pi = binom_pmf_vector(L, topology.classes[cid].steady_down_prob).tolist()
     if max_component_size(topology, set()) < k:
         raise NumericError("repairing all failed links did not restore a good partition")
-    kept = [(i, pi[i]) for i in range(1, L + 1) if pi[i] >= tail_eps]
+    kept = [(i, pi[i]) for i in range(1, L + 1) if pi[i] >= TAIL_EPS]
     skipped = [StateEstimate(i, pi[i], 0.0, 0.0, 0, "skipped") for i in range(1, L + 1)
-               if pi[i] < tail_eps]
+               if pi[i] < TAIL_EPS]
     estimated, var = _estimate_states(topology, k, kept, budget, seed, enum_cap)
     per_state = sorted(estimated + skipped, key=lambda e: e.i)
 
@@ -592,27 +566,21 @@ def partition_tolerance(
     t = topology.classes[cid].mttr_h if wrong_mass > 0 else None
     methods = {e.method for e in estimated}
     method = methods.pop() if len(methods) == 1 else "hybrid"
-    underflow = any(e.pi_i > 0 for e in skipped)
-    return PartitionReport(p, math.sqrt(var), t, per_state, method, k, underflow)
+    return PartitionReport(p, math.sqrt(var), t, per_state, method, k)
 
 
-def _down_probs(topology: Topology, params: FailureParams) -> np.ndarray:
+def _down_probs(topology: Topology) -> np.ndarray:
     """Steady-state down probability lambda/(lambda+mu) of each link."""
-    rates = [params.rate_of(topology, lk.class_id) for lk in topology.links]
-    return np.array([lam / (lam + mu) for lam, mu in rates])
+    return np.array([topology.classes[lk.class_id].steady_down_prob for lk in topology.links])
 
 
 def _partition_tolerance_multiclass(
-    topology: Topology,
-    params: FailureParams,
-    k: int,
-    budget: int,
-    seed: int,
+    topology: Topology, k: int, budget: int, seed: int
 ) -> PartitionReport:
     if budget < 1:
         raise SpecError(f"a graph with several link classes is sampled but the budget is {budget}")
     L = topology.n_links
-    q = _down_probs(topology, params)
+    q = _down_probs(topology)
     N = topology.n_nodes
     ends, repair = _link_ends(topology), _repair_fn(topology, k)
     step = _chunk_rows(N, L)
@@ -646,19 +614,18 @@ def _partition_tolerance_multiclass(
 
 
 def exact_partition_tolerance_bruteforce(
-    topology: Topology, params: FailureParams | None = None
+    topology: Topology, k: int | None = None
 ) -> tuple[float, float | None]:
     """Exact (p, t) by full enumeration of the 2^L link-state vectors.
 
     Each link is down with its steady-state probability
     lambda/(lambda+mu); desk-scale oracle, L <= 22 only.
     """
-    params = params or FailureParams()
     L = topology.n_links
     if L > BRUTEFORCE_MAX_LINKS:
         raise ResourceLimitError(f"brute force refused for L={L} > {BRUTEFORCE_MAX_LINKS}")
-    k = params.quorum(topology)
-    q = _down_probs(topology, params)
+    k = _quorum(topology, k)
+    q = _down_probs(topology)
     N = topology.n_nodes
     ends, repair = _link_ends(topology), _repair_fn(topology, k)
     bits = 1 << np.arange(L)
@@ -713,11 +680,9 @@ def analyze_hierarchical(
     reach = 1.0  # prod_{j<m} 2^{d_j} p_j
     for m, dim in enumerate(spec.dims, start=1):
         cls = spec.classes[spec.class_by_level[m]]
-        cube = build_complete_hypercube(dim, distance_km=cls.distance_km)
-        cube.classes = {0: LinkClass(0, cls.distance_km, cls.mtbf_h, cls.mttr_h)}
-        report = partition_tolerance(
-            cube, FailureParams(), budget=budget, seed=seed + m, enum_cap=enum_cap
-        )
+        cube = build_complete_hypercube(dim)
+        cube.classes = {0: replace(cls, class_id=0)}
+        report = partition_tolerance(cube, budget=budget, seed=seed + m, enum_cap=enum_cap)
         weight = reach * (1.0 - report.p)
         if weight > 0.0:
             raw += weight

@@ -140,16 +140,12 @@ def _gray_hypercube_edges(dim: int) -> list[tuple[int, int]]:
 
     Recursive domains number their nodes the way the worked example
     does (a 2-cube drawn as the cycle 0-1-2-3, so node 0 touches 1 and
-    3); that is the Gray-code relabeling of the Hamming rule.
+    3); that is the Gray-code relabeling of the Hamming rule.  Node u
+    carries code u ^ (u >> 1), and flipping code bit b flips bits 0..b
+    of u, so u's neighbours are u ^ ((2 << b) - 1).  Edges come sorted.
     """
-    gray = [u ^ (u >> 1) for u in range(2**dim)]
-    inv = {g: u for u, g in enumerate(gray)}
-    edges = []
-    for a, b in _hypercube_edges(dim):
-        u, v = inv[a], inv[b]
-        edges.append((min(u, v), max(u, v)))
-    edges.sort()
-    return edges
+    masks = [(2 << b) - 1 for b in range(dim)]
+    return [(u, u ^ m) for u in range(2**dim) for m in masks if u < u ^ m]
 
 
 @dataclass(frozen=True)
@@ -421,11 +417,12 @@ def build_recursive(spec: RecursionSpec) -> Topology:
     inside domain B, for every suffix s.
     """
     r = spec.r
+    cube_edges = {d: _gray_hypercube_edges(d) for d in spec.levels if isinstance(d, int)}
 
     def level_graph(m: int, prefix: tuple[int, ...]) -> tuple[int, list[tuple[int, int]]]:
         entry = spec.levels[m - 1]
         if isinstance(entry, int):
-            return 2**entry, _gray_hypercube_edges(entry)
+            return 2**entry, cube_edges[entry]
         try:
             g = entry[prefix]
         except KeyError:

@@ -16,7 +16,6 @@ import pytest
 from cubenet import (
     ConsensusConfig,
     CountChain,
-    FailureParams,
     GossipConfig,
     LinkClass,
     RecursionSpec,

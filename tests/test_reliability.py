@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -18,7 +19,6 @@ from scipy.special import gammaln, logsumexp
 
 from cubenet import (
     CountChain,
-    FailureParams,
     LinkClass,
     RecursionSpec,
     analyze_hierarchical,
@@ -241,8 +241,8 @@ class TestPartitionTolerance:
 
     def test_matches_bruteforce_triangle(self):
         t = build_ring_lattice(3, 2)
-        p_exact, t_exact = exact_partition_tolerance_bruteforce(t, FailureParams(k=2))
-        report = partition_tolerance(t, FailureParams(k=2), budget=0)
+        p_exact, t_exact = exact_partition_tolerance_bruteforce(t, k=2)
+        report = partition_tolerance(t, k=2, budget=0)
         assert math.isclose(report.p, p_exact, rel_tol=1e-12)
         assert math.isclose(report.t, t_exact, rel_tol=1e-12)
 
@@ -262,17 +262,20 @@ class TestPartitionTolerance:
 
     def test_custom_quorum_monotone(self):
         t = build_ring_lattice(8, 4)
-        p_strict = partition_tolerance(t, FailureParams(k=8), budget=0, enum_cap=10**6).p
-        p_loose = partition_tolerance(t, FailureParams(k=5), budget=0, enum_cap=10**6).p
+        p_strict = partition_tolerance(t, k=8, budget=0, enum_cap=10**6).p
+        p_loose = partition_tolerance(t, k=5, budget=0, enum_cap=10**6).p
         assert p_strict <= p_loose
 
     def test_multiclass_mixed_path(self):
-        t = _mixed_path()
-        params = FailureParams(k=2, rates={0: (0.3, 0.3), 1: (0.2, 0.6)})
-        report = partition_tolerance(t, params=params, budget=200000, seed=0)
-        # q0 = 0.5, q1 = 0.25; wrong iff both links down -> 0.125
+        classes = {0: LinkClass(0, 5000.0, 2.0, 2.0), 1: LinkClass(1, 420.0, 6.048, 2.016)}
+        t = Topology("custom", tuple(NodeId((i,), i) for i in range(3)),
+                     (Link(0, 1, 0), Link(1, 2, 1)), classes, {})
+        report = partition_tolerance(t, k=2, budget=200000, seed=0)
+        # q0 = 0.5, q1 = 0.25; wrong iff both links down -> 0.125, and
+        # repairing link 0 (MTTR 2.0) restores a 2-node component
         assert abs((1 - report.p) - 0.125) <= 4 * max(report.stderr, 1e-12)
-        assert abs(report.t - 2.016) < 1e-9
+        assert report.t == 2.0
+        assert exact_partition_tolerance_bruteforce(t, k=2) == (0.875, 2.0)
 
     def test_determinism(self):
         t = build_rooted_tree(16, 3)
@@ -293,10 +296,10 @@ class TestPartitionTolerance:
     def test_single_sampled_state_stderr(self):
         """With one sampled state the summary stderr is pi_i * stderr_i."""
         t = build_ring_lattice(8, 4)
-        report = partition_tolerance(t, FailureParams(k=8), budget=2000, seed=1, enum_cap=0,
-                                     tail_eps=1e-5)
+        report = partition_tolerance(t, k=8, budget=2000, seed=1, enum_cap=11440)
         sampled = [e for e in report.per_state if e.method == "sampled"]
-        assert len(sampled) == 1 and sampled[0].p_wrong > 0
+        # C(16, i) <= 11440 for every other state of the 16-link graph
+        assert [e.i for e in sampled] == [8] and sampled[0].p_wrong > 0
         assert math.isclose(report.stderr, sampled[0].pi_i * sampled[0].stderr, rel_tol=1e-12)
 
     def test_cube12_analysable(self):
@@ -526,14 +529,24 @@ class TestCriticalCounts:
 
 
 def test_analysis_runs_without_networkx():
-    """Single-class analysis, κ included, never imports networkx."""
+    """Every analysis and simulation entry point, κ included, runs on
+    numpy alone: networkx and scipy are test oracles only."""
     code = (
         "import sys\n"
         "sys.modules['networkx'] = None\n"
-        "from cubenet import build_ring_lattice, conditional_wrong_prob, partition_tolerance\n"
+        "sys.modules['scipy'] = None\n"
+        "from cubenet import *\n"
         "t = build_ring_lattice(16, 4)\n"
         "partition_tolerance(t, budget=50, seed=0, enum_cap=100)\n"
         "conditional_wrong_prob(t, 5, budget=50, enum_cap=0)\n"
+        "spec = RecursionSpec.symmetric(2, 2)\n"
+        "mixed = build_recursive(spec)\n"
+        "partition_tolerance(mixed, budget=50, seed=0)\n"
+        "min_repair_time(mixed, range(mixed.n_links))\n"
+        "analyze_hierarchical(spec, budget=50, seed=0)\n"
+        "exact_partition_tolerance_bruteforce(build_ring_lattice(6, 2))\n"
+        "run_gossip(mixed, GossipConfig(cycles=3, seed=0))\n"
+        "run_consensus(mixed, ConsensusConfig(rounds=3, seed=0))\n"
     )
     src = os.path.dirname(os.path.dirname(cubenet.__file__))
     env = {**os.environ, "PYTHONPATH": src}
@@ -548,8 +561,8 @@ def _level_reports(spec, budget, seed, enum_cap):
     reports = []
     for m, dim in enumerate(spec.dims, start=1):
         cls = spec.classes[spec.class_by_level[m]]
-        cube = build_complete_hypercube(dim, distance_km=cls.distance_km)
-        cube.classes = {0: LinkClass(0, cls.distance_km, cls.mtbf_h, cls.mttr_h)}
+        cube = build_complete_hypercube(dim)
+        cube.classes = {0: dataclasses.replace(cls, class_id=0)}
         reports.append(partition_tolerance(cube, budget=budget, seed=seed + m, enum_cap=enum_cap))
     return reports
 
@@ -586,6 +599,19 @@ class TestAggregation:
         agg = analyze_hierarchical(spec, budget=200, seed=0)
         assert agg.clamped and agg.p == 0.0
 
+    def test_nonstandard_distance(self):
+        """A class's distance is only a label: a spec whose distances have
+        no standard indicators gives the result of the same MTBF/MTTR
+        pairs at standard distances."""
+        rates = ((500.0, 5.0), (800.0, 3.0))
+        results = []
+        for dists in ((100.0, 50.0), (5000.0, 420.0)):
+            classes = {c: LinkClass(c, d, *r) for c, (d, r) in enumerate(zip(dists, rates))}
+            spec = RecursionSpec("semi", (3, 2), {1: 0, 2: 1}, classes)
+            results.append(analyze_hierarchical(spec, budget=200, seed=0))
+        assert results[0] == results[1]
+        assert 0.0 < results[0].p < 1.0
+
     def test_hierarchical_4_2_repair(self):
         result = analyze_hierarchical(
             RecursionSpec.semi((4, 2)), budget=2000, seed=0, enum_cap=50000
@@ -597,16 +623,17 @@ class TestAggregation:
 
 
 class TestErrors:
-    def test_bad_rates(self):
-        with pytest.raises(SpecError):
-            FailureParams(rates={0: (1.5, 0.5)})
-
     def test_quorum_out_of_range(self):
         t = build_star(4)
-        with pytest.raises(SpecError):
-            partition_tolerance(t, FailureParams(k=0), budget=0)
-        with pytest.raises(SpecError):
-            partition_tolerance(t, FailureParams(k=5), budget=0)
+        for k in (0, t.n_nodes + 1):
+            with pytest.raises(SpecError):
+                partition_tolerance(t, k=k, budget=0)
+            with pytest.raises(SpecError):
+                exact_partition_tolerance_bruteforce(t, k=k)
+            with pytest.raises(SpecError):
+                conditional_wrong_prob(t, 2, k=k)
+            with pytest.raises(SpecError):
+                min_repair_time(t, [0, 1], k=k)
 
     def test_multiclass_zero_budget(self):
         t = build_recursive(RecursionSpec.symmetric(2, 2))

@@ -20,6 +20,7 @@ from cubenet import (
     connected_components,
 )
 from cubenet.errors import ConstructionError, ResourceLimitError, SpecError
+from cubenet.topology import _gray_hypercube_edges
 
 
 class TestLinkClass:
@@ -108,6 +109,18 @@ class TestRecursive:
     def test_uniform_degree_is_dim_sum(self):
         t = build_recursive(RecursionSpec.semi((3, 2)))
         assert set(t.degrees()) == {5}
+
+    @pytest.mark.parametrize("dim", range(9))
+    def test_gray_edges_match_relabeled_hamming_rule(self, dim):
+        """The closed-form Gray-code neighbours give the sorted list of
+        Hamming edges relabeled through the inverse Gray code, so
+        recursive link order is unchanged."""
+        inv = {u ^ (u >> 1): u for u in range(2**dim)}
+        oracle = sorted(
+            tuple(sorted((inv[a], inv[a ^ (1 << b)])))
+            for a in range(2**dim) for b in range(dim) if a < a ^ (1 << b)
+        )
+        assert _gray_hypercube_edges(dim) == oracle
 
     def test_single_level_isomorphic_to_hypercube(self):
         import networkx as nx
