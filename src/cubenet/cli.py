@@ -3,9 +3,10 @@
 Subcommands: `topo build|stats`, `tables 1|2|3`, `analyze
 partition|repair`, `gossip run|sweep`, `consensus run|sweep`.  Tabular
 output is RFC-4180-style CSV with a header row; topologies and run
-manifests are JSON.  Every data file gets a manifest sidecar naming
-the command, parameters, and seed.  Exit codes: 0 ok, 2 usage/spec
-error, 3 numeric failure.
+manifests are JSON.  Every output file gets a manifest sidecar naming
+the command, parameters, and seed; output to stdout (no `--out`, or
+`--out -`) gets none.  Exit codes: 0 ok, 2 usage/spec error, 3 numeric
+failure.
 """
 from __future__ import annotations
 
@@ -16,11 +17,12 @@ import json
 import math
 import sys
 import time
+from contextlib import nullcontext
 
 from . import __version__
 from .consensus import ConsensusConfig, cross_size_std, run_consensus, sweep_consensus
-from .errors import CubenetError, NumericError
-from .gossip import GossipConfig, linear_fit_r2, run_gossip, sweep_sizes
+from .errors import CubenetError, NumericError, SpecError
+from .gossip import GossipConfig, run_gossip, sweep_sizes
 from .reliability import _single_class_id, analyze_hierarchical, partition_tolerance
 from .topology import (
     RecursionSpec,
@@ -32,7 +34,6 @@ from .topology import (
     build_star,
     closed_form_link_count,
 )
-from .errors import SpecError
 
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
@@ -117,19 +118,11 @@ def write_manifest(out_path: str, command: str, params: dict, seed, wall_clock_s
 
 
 def _write_rows(out, header: list[str], rows: list[list]) -> None:
-    if out in (None, "-"):
-        fh = sys.stdout
-        close = False
-    else:
-        fh = open(out, "w", newline="", encoding="utf-8")
-        close = True
-    try:
+    to_file = out not in (None, "-")
+    with open(out, "w", newline="", encoding="utf-8") if to_file else nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if close:
-            fh.close()
 
 
 def _fmt(x) -> str:
@@ -204,47 +197,61 @@ def table2_rows() -> list[list]:
     return rows
 
 
-def _census_by_distance(topo: Topology) -> dict[float, int]:
-    census = topo.class_census()
-    return {topo.classes[cid].distance_km: count for cid, count in census.items()}
+def _table3_graph(kind: str, n: int, degree: int, spec) -> Topology:
+    """The graph a Table 3 row describes."""
+    if kind == "tree":
+        return build_rooted_tree(n, degree)
+    if kind == "ring":
+        return build_ring_lattice(n, degree)
+    return build_recursive(spec)
 
 
-def table3_rows(n_values=(64, 4096), with_reliability=False, budget=4000, seed=0) -> list[list]:
+def _table3_census(kind: str, n: int, degree: int, spec) -> dict[float, int]:
+    """Links per distance class, from the closed forms.
+
+    Trees have n - 1 links and ring lattices n * degree / 2, all in the
+    5000 km class.  Recursion level m has 2^(sum(dims) - 1) * d_m links:
+    each of the 2^sum(dims) nodes has d_m of them.
+    """
+    if kind == "tree":
+        return {5000.0: n - 1}
+    if kind == "ring":
+        return {5000.0: n * degree // 2}
+    n_nodes, _ = closed_form_link_count(spec)
+    census: dict[float, int] = {}
+    for m, dim in enumerate(spec.dims, start=1):
+        km = spec.classes[spec.class_by_level[m]].distance_km
+        census[km] = census.get(km, 0) + n_nodes // 2 * dim
+    return census
+
+
+def table3_rows(with_reliability=False, budget=4000, seed=0) -> list[list]:
     rows = []
     for n, entries in ((64, TABLE3_N64), (4096, TABLE3_N4096)):
-        if n not in n_values:
-            continue
         # baseline degree matches the single-level hypercube of the same size
         degree = {64: 6, 4096: 12}[n]
         for kind, label, spec in entries:
-            if kind == "tree":
-                topo = build_rooted_tree(n, degree)
-            elif kind == "ring":
-                topo = build_ring_lattice(n, degree)
-            else:
-                topo = build_recursive(spec)
-            by_distance = _census_by_distance(topo)
-            counts = [by_distance.get(d, 0) for d in (5000.0, 3000.0, 420.0)]
-            row = [n, label, *counts]
+            census = _table3_census(kind, n, degree, spec)
+            row = [n, label, *(census.get(d, 0) for d in (5000.0, 3000.0, 420.0))]
             if with_reliability and n == 64:
-                row.extend(_reliability_columns(topo, spec, budget, seed))
+                row.extend(_reliability_columns(kind, n, degree, spec, budget, seed))
             rows.append(row)
     return rows
 
 
-def _reliability_columns(topo, spec, budget, seed):
+def _reliability_columns(kind, n, degree, spec, budget, seed):
     if spec is not None and spec.r > 1:
         agg = analyze_hierarchical(spec, budget=budget, seed=seed, enum_cap=100_000)
         p, t, method = agg.p, agg.t, "aggregated"
     else:
+        topo = _table3_graph(kind, n, degree, spec)
         report = partition_tolerance(topo, budget=budget, seed=seed, enum_cap=100_000)
         p, t, method = report.p, report.t, report.method
     neglog = math.inf if p >= 1.0 else -math.log10(1.0 - p)
     return [_fmt(p), _fmt(neglog), _fmt(t) if t is not None else "", method]
 
 
-def cmd_tables(args) -> int:
-    start = time.perf_counter()
+def cmd_tables(args):
     if args.table == 1:
         header = ["recursions", "dim", "nodes", "links"]
         rows = table1_rows()
@@ -256,20 +263,10 @@ def cmd_tables(args) -> int:
         if args.reliability:
             header += ["p", "neg_lg_1mp", "avg_min_repair_h", "method_tag"]
         rows = table3_rows(with_reliability=args.reliability, budget=args.budget, seed=args.seed)
-    _write_rows(args.out, header, rows)
-    if args.out:
-        write_manifest(
-            args.out,
-            f"tables {args.table}",
-            {"reliability": args.reliability, "budget": args.budget},
-            args.seed,
-            time.perf_counter() - start,
-        )
-    return 0
+    return header, rows, {"reliability": args.reliability, "budget": args.budget}
 
 
-def cmd_analyze(args) -> int:
-    start = time.perf_counter()
+def cmd_analyze(args):
     topo = _load_topology(args.topology)
     report = partition_tolerance(
         topo,
@@ -302,24 +299,15 @@ def cmd_analyze(args) -> int:
             _fmt(report.stderr), report.method,
         ]
     )
-    _write_rows(args.out, header, rows)
     if args.action == "repair":
         t_str = "none" if report.t is None else f"{report.t:.6g}"
         print(f"p={report.p:.12g} avg_min_repair_h={t_str}", file=sys.stderr)
-    if args.out:
-        write_manifest(
-            args.out,
-            f"analyze {args.action}",
-            {"topology": args.topology, "k": args.k, "budget": args.budget,
-             "enum_cap": args.enum_cap},
-            args.seed,
-            time.perf_counter() - start,
-        )
-    return 0
+    params = {"topology": args.topology, "k": args.k, "budget": args.budget,
+              "enum_cap": args.enum_cap}
+    return header, rows, params
 
 
-def cmd_gossip(args) -> int:
-    start = time.perf_counter()
+def cmd_gossip(args):
     config = GossipConfig(
         cycles=args.cycles, fanout=args.fanout, delay_prob=args.delay, seed=args.seed
     )
@@ -337,16 +325,11 @@ def cmd_gossip(args) -> int:
         header = ["label", "N", "mean_total"]
         rows = [[r.label, r.n_nodes, _fmt(r.mean_total)] for r in rows_out]
         params = {"sizes": sizes}
-    _write_rows(args.out, header, rows)
-    if args.out:
-        params.update({"cycles": args.cycles, "fanout": args.fanout, "delay": args.delay})
-        write_manifest(args.out, f"gossip {args.action}", params, args.seed,
-                       time.perf_counter() - start)
-    return 0
+    params.update({"cycles": args.cycles, "fanout": args.fanout, "delay": args.delay})
+    return header, rows, params
 
 
-def cmd_consensus(args) -> int:
-    start = time.perf_counter()
+def cmd_consensus(args):
     config = ConsensusConfig(
         tx_rate=args.tx_rate,
         link_bandwidth=args.bandwidth,
@@ -380,15 +363,11 @@ def cmd_consensus(args) -> int:
         rows.append(["std:hypercube", "", _fmt(cross_size_std(rows_out, "hypercube"))])
         rows.append(["std:star", "", _fmt(cross_size_std(rows_out, "star"))])
         params = {"sizes": sizes}
-    _write_rows(args.out, header, rows)
-    if args.out:
-        params.update(
-            {"rounds": args.rounds, "leader_policy": args.leader_policy,
-             "bandwidth": args.bandwidth, "latency": args.latency, "tx_rate": args.tx_rate}
-        )
-        write_manifest(args.out, f"consensus {args.action}", params, args.seed,
-                       time.perf_counter() - start)
-    return 0
+    params.update(
+        {"rounds": args.rounds, "leader_policy": args.leader_policy,
+         "bandwidth": args.bandwidth, "latency": args.latency, "tx_rate": args.tx_rate}
+    )
+    return header, rows, params
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,10 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = topo_sub.add_parser("build")
     p_build.add_argument("--spec", required=True, help="JSON or key=value spec file")
     common(p_build, seed=False)
-    p_build.set_defaults(func=cmd_topo)
     p_stats = topo_sub.add_parser("stats")
     p_stats.add_argument("--topology", required=True)
-    p_stats.set_defaults(func=cmd_topo, out=None)
 
     p_tables = sub.add_parser("tables", help="regenerate the construction tables")
     p_tables.add_argument("table", type=int, choices=(1, 2, 3))
@@ -460,8 +437,19 @@ def main(argv=None) -> int:
         parser.error("gossip run requires --topology")
     if args.command == "consensus" and args.action == "run" and not args.topology:
         parser.error("consensus run requires --topology")
+    if args.command == "topo" and args.action == "build" and args.out == "-":
+        parser.error("topo build --out must name a file")
     try:
-        return args.func(args)
+        if args.command == "topo":
+            return cmd_topo(args)
+        start = time.perf_counter()
+        header, rows, params = args.func(args)
+        _write_rows(args.out, header, rows)
+        if args.out not in (None, "-"):
+            what = args.table if args.command == "tables" else args.action
+            write_manifest(args.out, f"{args.command} {what}", params, args.seed,
+                           time.perf_counter() - start)
+        return 0
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -8,7 +8,7 @@ connected, labeled `Topology` whose links carry a distance class.
 from __future__ import annotations
 
 import json
-import math
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import ConstructionError, ResourceLimitError, SpecError
@@ -349,17 +349,23 @@ def _single_class(distance_km: float = 5000.0) -> dict[int, LinkClass]:
     return {0: LinkClass.standard(distance_km, class_id=0)}
 
 
+def _flat_topology(kind: str, n: int, edges, distance_km: float, meta: dict) -> Topology:
+    """Validated single-class topology on nodes 0..n-1 with one link per edge."""
+    nodes = [NodeId((i,), i) for i in range(n)]
+    links = [Link(u, v, 0) for u, v in edges]
+    topo = Topology(kind, nodes, links, _single_class(distance_km), meta)
+    topo.validate()
+    return topo
+
+
 def build_complete_hypercube(dim: int, distance_km: float = 5000.0) -> Topology:
     """dim-dimensional hypercube: 2^dim nodes, links at Hamming distance 1."""
     if dim < 0:
         raise SpecError("dimension must be non-negative")
     if dim > MAX_HYPERCUBE_DIM:
         raise ResourceLimitError(f"dim={dim} exceeds the guard of {MAX_HYPERCUBE_DIM}")
-    nodes = [NodeId((u,), u) for u in range(2**dim)]
-    links = [Link(u, v, 0) for u, v in _hypercube_edges(dim)]
-    topo = Topology("complete-hypercube", nodes, links, _single_class(distance_km), {"dim": dim})
-    topo.validate()
-    return topo
+    return _flat_topology("complete-hypercube", 2**dim, _hypercube_edges(dim), distance_km,
+                          {"dim": dim})
 
 
 def build_incomplete_hypercube(
@@ -495,7 +501,7 @@ def build_rooted_tree(n: int, degree: int = 3, distance_km: float = 5000.0) -> T
         raise SpecError("need at least one node")
     if degree < 2:
         raise SpecError("degree must be at least 2")
-    links = []
+    edges = []
     next_child = 1
     frontier = [0]
     while next_child < n:
@@ -504,13 +510,10 @@ def build_rooted_tree(n: int, degree: int = 3, distance_km: float = 5000.0) -> T
         for _ in range(capacity):
             if next_child >= n:
                 break
-            links.append(Link(parent, next_child, 0))
+            edges.append((parent, next_child))
             frontier.append(next_child)
             next_child += 1
-    nodes = [NodeId((i,), i) for i in range(n)]
-    topo = Topology("rooted-tree", nodes, links, _single_class(distance_km), {"degree": degree})
-    topo.validate()
-    return topo
+    return _flat_topology("rooted-tree", n, edges, distance_km, {"degree": degree})
 
 
 def build_ring_lattice(n: int, degree: int, distance_km: float = 5000.0) -> Topology:
@@ -519,34 +522,19 @@ def build_ring_lattice(n: int, degree: int, distance_km: float = 5000.0) -> Topo
         raise SpecError("ring lattice degree must be even")
     if not 2 <= degree < n:
         raise SpecError("ring lattice requires 2 <= degree < n")
-    links = []
-    for i in range(n):
-        for j in range(1, degree // 2 + 1):
-            a, b = i, (i + j) % n
-            if a != b:
-                links.append(Link(min(a, b), max(a, b), 0))
-    unique = sorted({lk.key() for lk in links})
-    nodes = [NodeId((i,), i) for i in range(n)]
-    topo = Topology(
-        "ring-lattice",
-        nodes,
-        [Link(a, b, 0) for a, b in unique],
-        _single_class(distance_km),
-        {"degree": degree},
+    edges = sorted(
+        (min(i, j), max(i, j))
+        for i in range(n)
+        for j in ((i + s) % n for s in range(1, degree // 2 + 1))
     )
-    topo.validate()
-    return topo
+    return _flat_topology("ring-lattice", n, edges, distance_km, {"degree": degree})
 
 
 def build_star(n: int, distance_km: float = 5000.0) -> Topology:
     """Star with node 0 as hub."""
     if n < 2:
         raise SpecError("star needs at least 2 nodes")
-    nodes = [NodeId((i,), i) for i in range(n)]
-    links = [Link(0, i, 0) for i in range(1, n)]
-    topo = Topology("star", nodes, links, _single_class(distance_km), {})
-    topo.validate()
-    return topo
+    return _flat_topology("star", n, [(0, i) for i in range(1, n)], distance_km, {})
 
 
 def resolve_failed_links(topology: Topology, failed_links) -> set[int]:
@@ -554,10 +542,10 @@ def resolve_failed_links(topology: Topology, failed_links) -> set[int]:
     failed: set[int] = set()
     index = None
     for item in failed_links:
-        if isinstance(item, int):
+        if isinstance(item, numbers.Integral):
             if not 0 <= item < topology.n_links:
                 raise SpecError(f"link index {item} out of range")
-            failed.add(item)
+            failed.add(int(item))
         else:
             if index is None:
                 index = topology.link_index()

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cubenet import Topology
+from cubenet import Topology, cli
 from cubenet.cli import main
 
 
@@ -66,6 +66,12 @@ class TestTopoBuild:
         assert "N=8 L=12 degree=3..3" in capsys.readouterr().out
 
 
+# Table 3's rows in order, with the baseline degree of each block.
+TABLE3_GRAPHS = [(n, degree, entry)
+                 for n, degree, entries in ((64, 6, cli.TABLE3_N64), (4096, 12, cli.TABLE3_N4096))
+                 for entry in entries]
+
+
 class TestTables:
     def test_table1(self, tmp_path):
         out = tmp_path / "t1.csv"
@@ -103,6 +109,28 @@ class TestTables:
             2048 * 4,
             2048 * 4,
         )
+
+    def test_table3_builds_only_analysed_graphs(self, monkeypatch):
+        built = []
+        for name in ("build_rooted_tree", "build_ring_lattice", "build_recursive"):
+            def counted(*a, _build=getattr(cli, name), **kw):
+                topo = _build(*a, **kw)
+                built.append(topo.n_nodes)
+                return topo
+            monkeypatch.setattr(cli, name, counted)
+        cli.table3_rows()
+        assert built == []
+        cli.table3_rows(with_reliability=True, budget=20)
+        assert built == [64, 64, 64]
+
+    @pytest.mark.parametrize("index", range(len(TABLE3_GRAPHS)),
+                             ids=[f"{n}-{label}" for n, _, (_, label, _) in TABLE3_GRAPHS])
+    def test_table3_census_matches_built_graph(self, index):
+        n, degree, (kind, label, spec) = TABLE3_GRAPHS[index]
+        row = cli.table3_rows()[index]
+        topo = cli._table3_graph(kind, n, degree, spec)
+        by_km = {topo.classes[c].distance_km: k for c, k in topo.class_census().items()}
+        assert row == [n, label, *(by_km.get(d, 0) for d in (5000.0, 3000.0, 420.0))]
 
     def test_rerun_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -219,6 +247,23 @@ class TestConsensusCli:
 class TestExitCodes:
     def test_missing_file(self, capsys):
         assert run_cli(["topo", "stats", "--topology", "/nonexistent.json"]) == 2
+
+    @pytest.mark.parametrize("argv", [["tables", "1"], ["gossip", "sweep", "--sizes", "4",
+                                                     "--cycles", "2"]])
+    def test_stdout_output_has_no_manifest(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(argv + ["--out", "-"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] in ("recursions,dim,nodes,links",
+                                                          "label,N,mean_total")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_topo_build_to_stdout_is_usage_error(self, tmp_path, monkeypatch, cube_spec):
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["topo", "build", "--spec", cube_spec, "--out", "-"])
+        assert exc.value.code == 2
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_bad_spec(self, tmp_path, capsys):
         spec = tmp_path / "bad.json"

@@ -195,6 +195,10 @@ class TestRepairTime:
         t = build_complete_hypercube(3)
         assert min_repair_time(t, [0], k=5) == 0.0
 
+    def test_numpy_indices_match_list(self):
+        t = build_ring_lattice(8, 2)  # links 0 and 5 are (0,1) and (4,5): a 4/4 split
+        assert min_repair_time(t, np.array([0, 5])) == min_repair_time(t, [0, 5]) == 24.0
+
 
 def _mixed_path():
     from cubenet.topology import Link, NodeId, Topology

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -249,6 +250,16 @@ class TestComponents:
         t = build_rooted_tree(3, 2)  # path 0-1, 0-2
         comps = connected_components(t, [(0, 1)])
         assert [len(c) for c in comps] == [2, 1]
+
+    def test_numpy_indices_match_list(self):
+        t = build_complete_hypercube(3)
+        mask = np.zeros(t.n_links, dtype=bool)
+        mask[[0, 1, 2]] = True
+        assert connected_components(t, np.flatnonzero(mask)) == connected_components(t, [0, 1, 2])
+
+    def test_numpy_index_out_of_range(self):
+        with pytest.raises(SpecError):
+            connected_components(build_complete_hypercube(3), np.array([12]))
 
     @settings(max_examples=25, deadline=None)
     @given(fail=st.sets(st.integers(0, 11), max_size=12))
