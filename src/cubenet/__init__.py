@@ -25,16 +25,12 @@ from .topology import (  # noqa: F401
     connected_components,
 )
 from .reliability import (  # noqa: F401
-    CountChain,
     PartitionReport,
-    StationaryDist,
     analyze_hierarchical,
-    binomial_stationary,
     conditional_wrong_prob,
     exact_partition_tolerance_bruteforce,
     min_repair_time,
     partition_tolerance,
-    stationary,
 )
 from .gossip import GossipConfig, GossipMetrics, run_gossip, sweep_sizes  # noqa: F401
 from .consensus import (  # noqa: F401

@@ -41,8 +41,14 @@ class ConsensusConfig:
         policy = self.leader_policy
         if policy not in ("random", "hub") and not policy.startswith("rotate:"):
             raise SpecError(f"unknown leader policy {policy!r}")
-        if policy.startswith("rotate:") and int(policy.split(":", 1)[1]) < 1:
-            raise SpecError("rotation period must be >= 1")
+        if policy.startswith("rotate:"):
+            period = policy.split(":", 1)[1]
+            try:
+                ok = int(period) >= 1
+            except ValueError:
+                ok = False
+            if not ok:
+                raise SpecError(f"rotation period must be an integer >= 1, got {period!r}")
 
 
 # one BFS level: (nodes in queue order, their parents, their child ranks)

@@ -1,14 +1,15 @@
 """Partition tolerance analysis.
 
-Implements the discrete-time count chain over the number of invalid
-links and its closed-form steady state (the dense transition matrix and
-GTH state-elimination are kept as a test oracle), hybrid exact/sampled
-estimation of the partition tolerance probability (sampled states share
-one batch of random link orders), the minimum-repair strategy (repair
-everything up to a class MTTR threshold), and the hierarchical
-aggregation as a sum over recursion levels.  Queries over many
-failed-link sets of one graph go through one batched numpy connectivity
-kernel, and the random link orders evolve in lockstep batches.
+Implements the closed-form steady state of the count chain over the
+number of invalid links, a certified lower bound on the failed links of
+any wrong state (edge connectivity and Fiedler's algebraic-connectivity
+bound), hybrid exact/sampled estimation of the partition tolerance
+probability (sampled states share one batch of random link orders), the
+minimum-repair strategy (repair everything up to a class MTTR
+threshold), and the hierarchical aggregation as a sum over recursion
+levels.  Queries over many failed-link sets of one graph go through one
+batched numpy connectivity kernel, and the random link orders evolve in
+lockstep batches.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ ENUM_CAP_DEFAULT = 2_000_000
 TAIL_EPS = 1e-12  # single-class states with pi_i below this are skipped
 BRUTEFORCE_MAX_LINKS = 22
 UNDERFLOW_FLOOR = 1e-300
+DENSE_MAX_NODES = 2048  # no cut bound (kappa, Fiedler) above this many nodes
 KERNEL_SLOTS = 2**15  # link slots per kernel batch: a few MB of arrays at any B
 ORDER_SLOTS = 2**20  # order (and node) slots per lockstep batch: 4 MB per int32 array
 
@@ -43,39 +45,6 @@ def _quorum(topology: Topology, k: int | None) -> int:
     if not 1 <= k <= topology.n_nodes:
         raise SpecError(f"quorum k={k} outside [1, N={topology.n_nodes}]")
     return k
-
-
-@dataclass(frozen=True)
-class CountChain:
-    """(L+1)-state chain over the number of invalid links, single class."""
-
-    L: int
-    lam: float
-    mu: float
-
-    def __post_init__(self):
-        if self.L < 1:
-            raise SpecError("count chain needs at least one link")
-        if not (0.0 < self.lam < 1.0 and 0.0 < self.mu <= 1.0):
-            raise SpecError("lambda must lie in (0,1) and mu in (0,1]")
-
-    @property
-    def down_prob(self) -> float:
-        return self.lam / (self.lam + self.mu)
-
-
-@dataclass
-class StationaryDist:
-    pi: np.ndarray
-    residual: float = 0.0
-
-    def __post_init__(self):
-        pi = np.asarray(self.pi, dtype=float)
-        if np.any(pi < 0):
-            raise NumericError("stationary distribution has negative entries")
-        if abs(pi.sum() - 1.0) > 1e-10:
-            raise NumericError(f"stationary distribution sums to {pi.sum()}")
-        self.pi = pi
 
 
 @dataclass(frozen=True)
@@ -132,61 +101,9 @@ def binom_pmf_vector(n: int, p: float) -> np.ndarray:
     return out
 
 
-def transition_matrix(chain: CountChain) -> np.ndarray:
-    """Full row-stochastic transition matrix of the count chain.
-
-    Row i is the convolution of the kept-invalid distribution
-    Binomial(i, 1-mu) with the new-failure distribution
-    Binomial(L-i, lambda); identical to the per-entry formula.
-    """
-    L = chain.L
-    if L > 5000:
-        raise ResourceLimitError(f"dense transition matrix for L={L} refused")
-    P = np.zeros((L + 1, L + 1))
-    for i in range(L + 1):
-        keep = binom_pmf_vector(i, 1.0 - chain.mu)
-        new = binom_pmf_vector(L - i, chain.lam)
-        P[i, :] = np.convolve(keep, new)
-    return P
-
-
-def _gth_stationary(P: np.ndarray) -> np.ndarray:
-    """Grassmann-Taksar-Heyman state elimination; no subtractions."""
-    A = P.astype(float).copy()
-    n = A.shape[0]
-    scale = np.ones(n)
-    for k in range(n - 1, 0, -1):
-        s = A[k, :k].sum()
-        if s <= 0.0:
-            raise NumericError(f"GTH elimination hit a zero pivot at state {k}", residual=s)
-        scale[k] = s
-        A[k, :k] /= s
-        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
-    x = np.zeros(n)
-    x[0] = 1.0
-    for k in range(1, n):
-        x[k] = float(x[:k] @ A[:k, k]) / scale[k]
-    return x / x.sum()
-
-
-def stationary(chain: CountChain) -> StationaryDist:
-    """Steady state of the count chain via GTH elimination.
-
-    Agrees with the closed form Binomial(L, lambda/(lambda+mu)): each
-    link is an independent two-state chain with stationary down
-    probability lambda/(lambda+mu).
-    """
-    P = transition_matrix(chain)
-    pi = _gth_stationary(P)
-    residual = float(np.max(np.abs(pi @ P - pi)))
-    if residual > 1e-8:
-        raise NumericError("stationary solve did not converge", residual=residual)
-    return StationaryDist(pi, residual)
-
-
-def binomial_stationary(chain: CountChain) -> np.ndarray:
-    """Closed-form steady state (independent-link product chain)."""
-    return binom_pmf_vector(chain.L, chain.down_prob)
+def _check_enum_cap(enum_cap: int) -> None:
+    if enum_cap < 0:
+        raise SpecError(f"enum_cap must be >= 0, got {enum_cap}")
 
 
 def _single_class_id(topology: Topology) -> int | None:
@@ -194,8 +111,78 @@ def _single_class_id(topology: Topology) -> int | None:
     return used.pop() if len(used) == 1 else None
 
 
+def _cut_lower_bound(topology: Topology, k: int) -> int:
+    """Certified c_lb: every wrong state (largest component below k, for
+    1 <= k <= N) fails at least c_lb links; 0 above DENSE_MAX_NODES.
+
+    c_lb = max(kappa, ceil(lam2 * (N - k + 1) / 2)).  A wrong state
+    splits the nodes into parts of s_j <= k - 1 nodes and fails every
+    link between parts, and each part has at least lam2 s_j (N - s_j) / N
+    boundary links (Fiedler 1973; Mohar 1989), so it fails at least
+    half their sum >= lam2 (N - k + 1) / 2 links.  lam2, the second
+    least Laplacian eigenvalue, comes from a dense solve less a
+    backward-error margin.  Two exact checks keep the bound cheap: the
+    solve is skipped when the Rayleigh quotient of the centred BFS
+    distances (>= lam2) cannot lift the Fiedler term above kappa, and
+    kappa is skipped when the Fiedler term reaches the minimum degree
+    (kappa <= delta).
+    """
+    n = topology.n_nodes
+    if n > DENSE_MAX_NODES:
+        return 0
+    ends = _link_ends(topology)
+    degree = np.bincount(ends.ravel(), minlength=n)
+    delta = int(degree.min())
+    half = (n - k + 1) / 2
+    kappa = None
+    rayleigh_term = math.ceil(_distance_rayleigh(ends, n) * half)
+    if rayleigh_term <= delta:
+        kappa = _edge_connectivity(topology)
+        if rayleigh_term <= kappa:
+            return kappa
+    fiedler = math.ceil(max(_algebraic_connectivity_lb(ends, degree), 0.0) * half)
+    if fiedler >= delta:
+        return fiedler
+    return max(fiedler, _edge_connectivity(topology) if kappa is None else kappa)
+
+
+def _distance_rayleigh(ends: np.ndarray, n: int) -> float:
+    """Rayleigh quotient of the BFS distances from node 0, centred: an
+    upper bound on lam2; 0 when the graph is disconnected (lam2 = 0).
+
+    BFS distances differ by at most one along a link, so the quotient's
+    numerator counts the links whose ends lie at different distances.
+    """
+    dist = np.full(n, -1)
+    dist[0] = 0
+    frontier = dist == 0
+    level = 0
+    while frontier.any():
+        level += 1
+        reached = np.zeros(n, dtype=bool)
+        reached[ends[frontier[ends[:, 0]], 1]] = True
+        reached[ends[frontier[ends[:, 1]], 0]] = True
+        frontier = reached & (dist < 0)
+        dist[frontier] = level
+    if n < 2 or dist.min() < 0:
+        return 0.0
+    x = dist - dist.mean()
+    return float(np.count_nonzero(dist[ends[:, 0]] != dist[ends[:, 1]])) / float(x @ x)
+
+
+def _algebraic_connectivity_lb(ends: np.ndarray, degree: np.ndarray) -> float:
+    """lam2 of the Laplacian from a dense symmetric solve, less a backward-
+    error margin of 1e-9 * N * 2 * max degree (2 * max degree bounds the
+    Laplacian's norm); N >= 2."""
+    n = len(degree)
+    lap = np.diag(degree.astype(float))
+    np.add.at(lap, (ends[:, 0], ends[:, 1]), -1.0)
+    np.add.at(lap, (ends[:, 1], ends[:, 0]), -1.0)
+    return float(np.linalg.eigvalsh(lap)[1]) - 1e-9 * n * 2 * int(degree.max())
+
+
 def _edge_connectivity(topology: Topology) -> int:
-    """Exact edge connectivity; 0 (no certified bound) above 2048 nodes.
+    """Exact edge connectivity; 0 (no certified bound) above DENSE_MAX_NODES.
 
     kappa = min(delta, min over t in D of the max s-t flow), where s has
     minimum degree delta and D is a dominating set containing s: when
@@ -204,7 +191,7 @@ def _edge_connectivity(topology: Topology) -> int:
     the least cut found so far.
     """
     n = topology.n_nodes
-    if n > 2048:
+    if n > DENSE_MAX_NODES:
         return 0
     arcs, head = _arc_lists(topology)
     s = min(range(n), key=lambda x: len(arcs[x]))
@@ -364,15 +351,14 @@ def _repair_fn(topology: Topology, k: int):
 
 
 def _exact_state(
-    topology: Topology, i: int, k: int, kappa: int, enum_cap: int, pi_i: float
+    topology: Topology, i: int, k: int, c_lb: int, enum_cap: int, pi_i: float
 ) -> StateEstimate | None:
     """Exact P{wrong | i} for 1 <= i <= L, or None when C(L, i) > enum_cap.
 
-    `kappa` is the edge connectivity (0 when unknown).
+    `c_lb` is a certified lower bound on the failed links of any wrong
+    state (0 when unknown): every state below it is an exact zero.
     """
-    if i < kappa and topology.n_nodes >= k:
-        # Removing fewer links than the edge connectivity cannot
-        # disconnect the graph, so the full node set survives.
+    if i < c_lb:
         return StateEstimate(i, pi_i, 0.0, 0.0, 0, "exact")
     L = topology.n_links
     n_subsets = math.comb(L, i)
@@ -397,12 +383,12 @@ def _estimate_states(
     """Estimates of P{wrong | i} for the (i, pi_i) pairs of `states`, all i >= 1,
     and the variance of their sum of pi_i * P{wrong | i}.
 
-    A state is exact below the edge connectivity or when its C(L, i)
+    A state is exact below the cut bound c_lb or when its C(L, i)
     subsets fit `enum_cap`; every other state reads the same `budget`
     random link orders.
     """
-    kappa = _edge_connectivity(topology)
-    est = [_exact_state(topology, i, k, kappa, enum_cap, pi_i) for i, pi_i in states]
+    c_lb = _cut_lower_bound(topology, k)
+    est = [_exact_state(topology, i, k, c_lb, enum_cap, pi_i) for i, pi_i in states]
     sampled = [j for j, e in enumerate(est) if e is None]
     if not sampled:
         return est, 0.0
@@ -516,6 +502,7 @@ def conditional_wrong_prob(
     if not 0 <= i <= L:
         raise SpecError(f"state {i} out of range for L={L}")
     k = _quorum(topology, k)
+    _check_enum_cap(enum_cap)
     pi_i = float("nan")
     if i == 0:
         p0 = 0.0 if max_component_size(topology, set()) >= k else 1.0
@@ -537,12 +524,14 @@ def partition_tolerance(
     the count chain's closed-form steady state Binomial(L, q),
     q = lambda/(lambda+mu): p = 1 - sum_i pi_i * P{wrong|i}.  States
     with pi_i below TAIL_EPS are skipped.  A state is exact below the
-    edge connectivity or when its C(L, i) subsets fit `enum_cap`; every
-    other state reads the same `budget` random link orders.  Mixed-class
-    topologies sample link states directly, each link down with its
-    class's steady-state probability q.
+    cut bound c_lb (see `_cut_lower_bound`) or when its C(L, i) subsets
+    fit `enum_cap`; every other state reads the same `budget` random
+    link orders.  Mixed-class topologies sample link states directly,
+    each link down with its class's steady-state probability q, and
+    check connectivity only where at least c_lb links are down.
     """
     k = _quorum(topology, k)
+    _check_enum_cap(enum_cap)
     L = topology.n_links
     if L == 0:
         p = 1.0 if topology.n_nodes >= k else 0.0
@@ -584,6 +573,7 @@ def _partition_tolerance_multiclass(
     N = topology.n_nodes
     ends, repair = _link_ends(topology), _repair_fn(topology, k)
     step = _chunk_rows(N, L)
+    c_lb = _cut_lower_bound(topology, k)
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     n_of = np.zeros(L + 1, dtype=np.int64)
@@ -593,7 +583,8 @@ def _partition_tolerance_multiclass(
     for lo in range(0, budget, step):
         down = rng.random((min(step, budget - lo), L)) < q
         n_failed = down.sum(axis=1)
-        bad = _max_comp_rows(ends, N, ~down) < k
+        rows = np.flatnonzero(n_failed >= c_lb)
+        bad = rows[_max_comp_rows(ends, N, ~down[rows]) < k]
         n_of += np.bincount(n_failed, minlength=L + 1)
         wrong_of += np.bincount(n_failed[bad], minlength=L + 1)
         for t in repair(down[bad]).tolist():
@@ -676,6 +667,7 @@ def analyze_hierarchical(
     """
     if spec.mode == "asymmetric":
         raise SpecError("hierarchical aggregation needs a symmetric or semi-symmetric spec")
+    _check_enum_cap(enum_cap)
     raw = t_mass = 0.0
     reach = 1.0  # prod_{j<m} 2^{d_j} p_j
     for m, dim in enumerate(spec.dims, start=1):

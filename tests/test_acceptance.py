@@ -15,12 +15,10 @@ import pytest
 
 from cubenet import (
     ConsensusConfig,
-    CountChain,
     GossipConfig,
     LinkClass,
     RecursionSpec,
     analyze_hierarchical,
-    binomial_stationary,
     build_complete_hypercube,
     build_recursive,
     build_ring_lattice,
@@ -31,12 +29,12 @@ from cubenet import (
     partition_tolerance,
     run_consensus,
     run_gossip,
-    stationary,
     sweep_sizes,
 )
 from cubenet.cli import main as cli_main, table3_rows
 from cubenet.consensus import cross_size_std, sweep_consensus
 from cubenet.gossip import linear_fit_r2
+from markov_oracle import CountChain, binomial_stationary, stationary
 
 RATE_PAIRS = [
     (1 / 2190, 1 / 24),

@@ -284,6 +284,12 @@ class TestExitCodes:
         assert code == 2
         assert "budget is 0" in capsys.readouterr().err
 
+    def test_negative_enum_cap(self, cube_topology, capsys):
+        code = run_cli(["analyze", "partition", "--topology", cube_topology,
+                        "--enum-cap", "-1"])
+        assert code == 2
+        assert "enum_cap must be >= 0" in capsys.readouterr().err
+
     def test_numeric_failure(self, tmp_path, monkeypatch, cube_topology, capsys):
         from cubenet import cli
         from cubenet.errors import NumericError

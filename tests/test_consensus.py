@@ -37,6 +37,8 @@ class TestConfig:
             {"link_bandwidth": 0},
             {"leader_policy": "dictator"},
             {"leader_policy": "rotate:0"},
+            {"leader_policy": "rotate:x"},
+            {"leader_policy": "rotate:"},
             {"link_latency": -1.0},
         ],
     )

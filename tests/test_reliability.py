@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import os
@@ -18,11 +19,9 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
 from cubenet import (
-    CountChain,
     LinkClass,
     RecursionSpec,
     analyze_hierarchical,
-    binomial_stationary,
     build_complete_hypercube,
     build_recursive,
     build_ring_lattice,
@@ -32,14 +31,16 @@ from cubenet import (
     exact_partition_tolerance_bruteforce,
     min_repair_time,
     partition_tolerance,
-    stationary,
 )
 import cubenet
+from cubenet import cli, reliability
 from cubenet.errors import NumericError, ResourceLimitError, SpecError
 from cubenet.reliability import (
     ORDER_SLOTS,
     _arc_lists,
+    _algebraic_connectivity_lb,
     _critical_counts,
+    _cut_lower_bound,
     _edge_connectivity,
     _exact_state,
     _link_ends,
@@ -48,10 +49,10 @@ from cubenet.reliability import (
     _max_flow,
     _repair_fn,
     default_quorum,
-    transition_matrix,
 )
 from cubenet.topology import Link, NodeId, Topology, max_component_size
 from cubenet.unionfind import UnionFind
+from markov_oracle import CountChain, binomial_stationary, stationary, transition_matrix
 
 Q5000 = (1 / 2190) / (1 / 2190 + 1 / 24)  # steady-state down probability, 5000 km
 
@@ -169,7 +170,11 @@ class TestConditionalWrongProb:
 
     def test_sampling_agrees_with_enum(self):
         t = build_ring_lattice(8, 4)
-        for i in [4, 6]:  # below edge connectivity the answer is exactly 0
+        assert _cut_lower_bound(t, 5) == 6
+        # below c_lb the answer is a certified 0, with neither subsets nor orders
+        zero = conditional_wrong_prob(t, 4, k=5, enum_cap=0, budget=40000, seed=1)
+        assert (zero.method, zero.p_wrong, zero.n_samples) == ("exact", 0.0, 0)
+        for i in [6, 8]:
             exact = conditional_wrong_prob(t, i, k=5, enum_cap=10**6)
             mc = conditional_wrong_prob(t, i, k=5, enum_cap=0, budget=40000, seed=1)
             assert exact.method == "exact" and mc.method == "sampled"
@@ -478,6 +483,197 @@ class TestEdgeConnectivity:
         assert _edge_connectivity(build_ring_lattice(2049, 2)) == 0
 
 
+@functools.lru_cache(maxsize=None)
+def _set_partitions(n):
+    """Every partition of nodes 0..n-1 as an (n_partitions, n) array of
+    part labels (restricted growth strings)."""
+    rows = [[]]
+    for _ in range(n):
+        rows = [r + [c] for r in rows for c in range(max(r, default=-1) + 2)]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+
+
+def min_wrong_cuts(n, pairs):
+    """Least failed links of a wrong state for each quorum k (index k,
+    inf where no state is wrong): the least number of links between
+    parts over all partitions of the nodes into parts of at most k - 1
+    nodes.  Failing exactly those links leaves components inside the
+    parts, and every wrong failed set holds the links between the parts
+    its components form."""
+    labels = _set_partitions(n)
+    cut = np.zeros(len(labels), dtype=np.int64)
+    for a, b in pairs:
+        cut += labels[:, a] != labels[:, b]
+    largest = np.stack([(labels == c).sum(1) for c in range(n)]).max(0)
+    return [math.inf] + [float(cut[largest < k].min()) if (largest < k).any() else math.inf
+                         for k in range(1, n + 1)]
+
+
+def cut_bound_unchecked(topology, k):
+    """`_cut_lower_bound` without its two shortcuts: kappa and the
+    Fiedler term are both always computed."""
+    n = topology.n_nodes
+    ends = _link_ends(topology)
+    degree = np.bincount(ends.ravel(), minlength=n)
+    lam2 = _algebraic_connectivity_lb(ends, degree) if n > 1 else 0.0
+    return max(_edge_connectivity(topology), math.ceil(max(lam2, 0.0) * (n - k + 1) / 2))
+
+
+CUT_BOUND_GRAPHS = {
+    **{f"Q{d}": (lambda d=d: build_complete_hypercube(d), 2 ** (d - 1)) for d in range(1, 9)},
+    "3-3": (lambda: build_recursive(RecursionSpec.symmetric(3, 2)), 32),
+    "2-2-2": (lambda: build_recursive(RecursionSpec.symmetric(2, 3)), 32),
+    "4-2": (lambda: build_recursive(RecursionSpec.semi((4, 2))), 32),
+    "4-4": (lambda: build_recursive(RecursionSpec.symmetric(4, 2)), 128),
+    "ring768-4": (lambda: build_ring_lattice(768, 4), 4),
+    "ring64-6": (lambda: build_ring_lattice(64, 6), 6),
+    "tree64-6": (lambda: build_rooted_tree(64, 6), 1),
+    "cycle64": (lambda: build_ring_lattice(64, 2), 2),
+}
+
+
+class TestCutLowerBound:
+    def test_partition_oracle(self):
+        """The oracle on graphs whose least wrong cuts are known."""
+        path = [(0, 1), (1, 2), (2, 3)]
+        assert min_wrong_cuts(4, path) == [math.inf, math.inf, 3, 1, 1]
+        cycle = path + [(0, 3)]
+        assert min_wrong_cuts(4, cycle) == [math.inf, math.inf, 4, 2, 2]
+        assert min_wrong_cuts(3, []) == [math.inf, math.inf, 0, 0]
+        assert len(_set_partitions(9)) == 21147  # Bell(9)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 9),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1, density=0.0, seed=0)
+    @example(n=8, density=0.0, seed=0)  # no links: every state of k >= 2 is wrong
+    @example(n=9, density=1.0, seed=0)  # the first 16 links of K9
+    @example(n=7, density=0.5, seed=179)  # k=2: Rayleigh term = Fiedler term = kappa + 1
+    def test_never_above_least_wrong_cut(self, n, density, seed):
+        """On random graphs of at most 9 nodes and 16 links, relabelled at
+        random, c_lb never exceeds the least wrong cut for any k in
+        2..N, and equals the bound with both shortcuts bypassed.  At
+        k = 1 nothing is wrong."""
+        rng = np.random.default_rng(seed)
+        pairs = [p for p in itertools.combinations(range(n), 2) if rng.random() < density][:16]
+        label = rng.permutation(n).tolist()
+        relabelled = [tuple(sorted((label[a], label[b]))) for a, b in pairs]
+        oracle = min_wrong_cuts(n, pairs)
+        g, h = _graph(n, pairs), _graph(n, relabelled)
+        for k in range(2, n + 1):
+            c_lb = _cut_lower_bound(g, k)
+            assert c_lb == _cut_lower_bound(h, k) == cut_bound_unchecked(g, k)
+            assert c_lb <= oracle[k]
+
+    @pytest.mark.parametrize("name", list(CUT_BOUND_GRAPHS))
+    def test_pinned_values(self, name):
+        build, c_lb = CUT_BOUND_GRAPHS[name]
+        t = build()
+        k = default_quorum(t.n_nodes)
+        assert _cut_lower_bound(t, k) == c_lb
+        assert cut_bound_unchecked(t, k) == c_lb
+
+    def test_rayleigh_check_skips_the_solve(self, monkeypatch):
+        """On the rings the BFS Rayleigh quotient already caps the
+        Fiedler term at kappa, so no dense eigenvalue solve runs."""
+        def refuse(*args):
+            raise AssertionError("dense solve")
+
+        monkeypatch.setattr(reliability, "_algebraic_connectivity_lb", refuse)
+        assert _cut_lower_bound(build_ring_lattice(768, 4), 385) == 4
+        assert _cut_lower_bound(build_ring_lattice(64, 2), 33) == 2
+
+    def test_fiedler_term_skips_kappa(self, monkeypatch):
+        """On Q8 as a graph the Fiedler term reaches the minimum degree,
+        so no max-flow runs."""
+        def refuse(*args):
+            raise AssertionError("max-flow")
+
+        monkeypatch.setattr(reliability, "_edge_connectivity", refuse)
+        assert _cut_lower_bound(build_recursive(RecursionSpec.symmetric(4, 2)), 129) == 128
+
+    def test_no_bound_above_dense_limit(self):
+        assert _cut_lower_bound(build_complete_hypercube(12), 2049) == 0
+
+
+def _two_class_cycle():
+    """8-cycle whose links alternate between classes down 40 % and 33 %
+    of the time: c_lb = 2 at k = 5, and two opposite failed links make
+    a wrong state at exactly c_lb."""
+    classes = {0: LinkClass(0, 5000.0, 3.0, 2.0), 1: LinkClass(1, 3000.0, 3.0, 1.5)}
+    links = [Link(min(x, (x + 1) % 8), max(x, (x + 1) % 8), x % 2) for x in range(8)]
+    return Topology("custom", [NodeId((x,), x) for x in range(8)], links, classes, {})
+
+
+def _unreliable_2_2():
+    """2-2 with links down 40 % and 33 % of the time: c_lb = 8 at k = 9
+    splits the sampled states, and some of those above it are wrong."""
+    classes = {0: LinkClass(0, 5000.0, 3.0, 2.0), 1: LinkClass(1, 3000.0, 3.0, 1.5)}
+    return build_recursive(RecursionSpec("symmetric", (2, 2), {1: 0, 2: 1}, classes))
+
+
+class TestCutBoundWork:
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: build_recursive(RecursionSpec.symmetric(4, 2)),
+         lambda: build_recursive(RecursionSpec.symmetric(2, 3)),
+         _unreliable_2_2, _two_class_cycle],
+        ids=["4-4", "2-2-2", "2-2-unreliable", "cycle8-two-class"],
+    )
+    def test_multiclass_report_unchanged_without_bound(self, monkeypatch, build):
+        """The multi-class sampler keeps its random stream: checking only
+        the rows with at least c_lb failed links gives the report of
+        checking every row."""
+        t = build()
+        fast = partition_tolerance(t, budget=2000, seed=5)
+        monkeypatch.setattr(reliability, "_cut_lower_bound", lambda topology, k: 0)
+        slow = partition_tolerance(t, budget=2000, seed=5)
+        assert fast.method == slow.method == "sampled"
+        assert (fast.per_state, fast.p, fast.stderr, fast.t) == \
+            (slow.per_state, slow.p, slow.stderr, slow.t)
+
+    @pytest.mark.parametrize("build,c_lb", [(_unreliable_2_2, 8), (_two_class_cycle, 2)])
+    def test_unreliable_cases_exercise_both_sides(self, build, c_lb):
+        """Some sampled states lie below c_lb, and some wrong ones at it."""
+        t = build()
+        report = partition_tolerance(t, budget=2000, seed=5)
+        assert _cut_lower_bound(t, report.k) == c_lb
+        assert sum(e.n_samples for e in report.per_state if e.i < c_lb) > 0
+        assert 0.0 < report.p < 1.0 and report.t is not None
+        if c_lb == 2:
+            assert [e.p_wrong > 0 for e in report.per_state if e.i == c_lb] == [True]
+
+    def test_multiclass_rows_checked(self, monkeypatch):
+        """4-4 at budget 10000: no sampled state reaches c_lb = 128 failed
+        links, so no row reaches the connectivity kernel."""
+        rows = []
+        kernel = reliability._max_comp_rows
+
+        def counting(ends, n, present):
+            rows.append(len(present))
+            return kernel(ends, n, present)
+
+        monkeypatch.setattr(reliability, "_max_comp_rows", counting)
+        report = partition_tolerance(build_recursive(RecursionSpec.symmetric(4, 2)),
+                                     budget=10000, seed=1)
+        assert sum(e.n_samples for e in report.per_state) == 10000
+        assert sum(rows) == 0 and report.p == 1.0
+
+    def test_table3_cube_row_draws_no_orders(self, monkeypatch):
+        """Every kept state of Table 3's 6-cube row lies below c_lb = 32:
+        all are exact zeros, and no link order is drawn."""
+        def refuse(*args):
+            raise AssertionError("link orders drawn")
+
+        monkeypatch.setattr(reliability, "_critical_counts", refuse)
+        kind, _, spec = cli.TABLE3_N64[2]
+        p, neglog, t, method = cli._reliability_columns(kind, 64, 6, spec, 4000, 1)
+        assert (p, neglog, t, method) == ("1.0", "inf", "", "exact")
+
+
 def critical_counts_oracle(topology, k, budget, seed):
     """One union-find pass per link order, stopping at the first k-component."""
     L, n = topology.n_links, topology.n_nodes
@@ -638,6 +834,21 @@ class TestErrors:
                 conditional_wrong_prob(t, 2, k=k)
             with pytest.raises(SpecError):
                 min_repair_time(t, [0, 1], k=k)
+
+    def test_negative_enum_cap(self):
+        """A negative cap is an error, not a cap of 0, at every entry point
+        that takes one, also where no state would be enumerated."""
+        t, spec = build_ring_lattice(8, 4), RecursionSpec.symmetric(2, 2)
+        calls = [
+            lambda: partition_tolerance(t, budget=10, enum_cap=-1),
+            lambda: partition_tolerance(build_recursive(spec), budget=10, enum_cap=-1),
+            lambda: conditional_wrong_prob(t, 6, budget=10, enum_cap=-1),
+            lambda: conditional_wrong_prob(t, 0, enum_cap=-1),
+            lambda: analyze_hierarchical(spec, budget=10, enum_cap=-1),
+        ]
+        for call in calls:
+            with pytest.raises(SpecError, match="enum_cap"):
+                call()
 
     def test_multiclass_zero_budget(self):
         t = build_recursive(RecursionSpec.symmetric(2, 2))
