@@ -667,7 +667,6 @@ def analyze_hierarchical(
     """
     if spec.mode == "asymmetric":
         raise SpecError("hierarchical aggregation needs a symmetric or semi-symmetric spec")
-    _check_enum_cap(enum_cap)
     raw = t_mass = 0.0
     reach = 1.0  # prod_{j<m} 2^{d_j} p_j
     for m, dim in enumerate(spec.dims, start=1):
