@@ -8,7 +8,6 @@ the reverse tree.  No cryptography, no Byzantine behavior.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,16 +61,6 @@ class ThroughputReport:
     per_round_committed: list[int]
     leader_history: list[int]
     elapsed_s: float
-
-
-def _csr(topology: Topology) -> tuple[np.ndarray, np.ndarray]:
-    """Compressed adjacency: node u's sorted neighbors are
-    indices[indptr[u]:indptr[u + 1]]."""
-    adj = topology.adjacency()
-    indptr = np.zeros(topology.n_nodes + 1, dtype=np.int64)
-    np.cumsum([len(a) for a in adj], out=indptr[1:])
-    indices = np.fromiter(itertools.chain.from_iterable(adj), dtype=np.int64, count=int(indptr[-1]))
-    return indptr, indices
 
 
 def _bfs_levels(indptr: np.ndarray, indices: np.ndarray, source: int) -> list[Level]:
@@ -156,7 +145,7 @@ def broadcast_time(topology: Topology, source: int, payload_bytes: float, config
     serializes its outgoing transfers, so its i-th child receives i
     transfer times after the node itself finished receiving.
     """
-    levels = _bfs_levels(*_csr(topology), source)
+    levels = _bfs_levels(*topology.csr(), source)
     return _broadcast(levels, topology.n_nodes, payload_bytes, config)
 
 
@@ -167,7 +156,7 @@ def gather_time(topology: Topology, root: int, config: ConsensusConfig) -> float
     aggregate (vote_bytes * subtree size) and receives from its
     children one at a time.
     """
-    return _gather(_bfs_levels(*_csr(topology), root), topology.n_nodes, root, config)
+    return _gather(_bfs_levels(*topology.csr(), root), topology.n_nodes, root, config)
 
 
 def _leader_sequence(config: ConsensusConfig, n: int):
@@ -193,7 +182,7 @@ def run_consensus(topology: Topology, config: ConsensusConfig) -> ThroughputRepo
         raise SpecError("consensus simulation needs at least 4 nodes")
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, n)))
     pick = _leader_sequence(config, n)
-    indptr, indices = _csr(topology)
+    indptr, indices = topology.csr()
     tree_root = -1
 
     elapsed = 0.0

@@ -61,8 +61,8 @@ def run_gossip(topology: Topology, config: GossipConfig) -> GossipMetrics:
     fresh uniform keys and takes the first `successes` of them.
     """
     n = topology.n_nodes
-    adj = topology.adjacency()
-    degrees = np.array([len(a) for a in adj], dtype=np.int64)
+    indptr, indices = topology.csr()
+    degrees = np.diff(indptr)
     if degrees.min() < 1:
         raise SpecError("gossip requires every node to have at least one neighbor")
     attempts = np.minimum(config.fanout, degrees)
@@ -70,7 +70,7 @@ def run_gossip(topology: Topology, config: GossipConfig) -> GossipMetrics:
     slots = np.arange(degrees.max())
     padding = slots >= degrees[:, None]
     neighbors = np.zeros(padding.shape, dtype=np.int64)
-    neighbors[~padding] = np.concatenate(adj)
+    neighbors[~padding] = indices
 
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, n, config.cycles)))
     forwarded_per_cycle = np.zeros(config.cycles, dtype=np.int64)

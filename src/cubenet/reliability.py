@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NumericError, ResourceLimitError, SpecError
 from .topology import RecursionSpec, Topology, build_complete_hypercube
-from .topology import max_component_size, resolve_failed_links
+from .topology import _chunk_rows, _max_comp_rows, max_component_size, resolve_failed_links
 from .unionfind import UnionFind  # noqa: F401  unused; perfbench/tracer.py patches this name
 
 ENUM_CAP_DEFAULT = 2_000_000
@@ -29,7 +29,6 @@ TAIL_EPS = 1e-12  # single-class states with pi_i below this are skipped
 BRUTEFORCE_MAX_LINKS = 22
 UNDERFLOW_FLOOR = 1e-300
 DENSE_MAX_NODES = 2048  # no cut bound (kappa, Fiedler) above this many nodes
-KERNEL_SLOTS = 2**15  # link slots per kernel batch: a few MB of arrays at any B
 ORDER_SLOTS = 2**20  # order (and node) slots per lockstep batch: 4 MB per int32 array
 
 
@@ -107,8 +106,14 @@ def _check_enum_cap(enum_cap: int) -> None:
 
 
 def _single_class_id(topology: Topology) -> int | None:
-    used = {link.class_id for link in topology.links}
-    return used.pop() if len(used) == 1 else None
+    used = np.unique(topology.class_id)
+    return int(used[0]) if len(used) == 1 else None
+
+
+def _class_values(topology: Topology, value) -> np.ndarray:
+    """value(link class) of each link."""
+    ids, inverse = np.unique(topology.class_id, return_inverse=True)
+    return np.array([value(topology.classes[c]) for c in ids.tolist()], dtype=float)[inverse]
 
 
 def _cut_lower_bound(topology: Topology, k: int) -> int:
@@ -125,12 +130,16 @@ def _cut_lower_bound(topology: Topology, k: int) -> int:
     solve is skipped when the Rayleigh quotient of the centred BFS
     distances (>= lam2) cannot lift the Fiedler term above kappa, and
     kappa is skipped when the Fiedler term reaches the minimum degree
-    (kappa <= delta).
+    (kappa <= delta).  The bound is kept on the topology, per k.
     """
+    return topology.memo(("c_lb", k), lambda: _cut_bound(topology, k))
+
+
+def _cut_bound(topology: Topology, k: int) -> int:
     n = topology.n_nodes
     if n > DENSE_MAX_NODES:
         return 0
-    ends = _link_ends(topology)
+    ends = topology.ends
     degree = np.bincount(ends.ravel(), minlength=n)
     delta = int(degree.min())
     half = (n - k + 1) / 2
@@ -185,25 +194,32 @@ def _edge_connectivity(topology: Topology) -> int:
     """Exact edge connectivity; 0 (no certified bound) above DENSE_MAX_NODES.
 
     kappa = min(delta, min over t in D of the max s-t flow), where s has
-    minimum degree delta and D is a dominating set containing s: when
+    minimum degree delta and D is any dominating set containing s: when
     kappa < delta both sides of a minimum cut hold a node of D (Matula
-    1987; Esfahanian & Hakimi 1984).  Each flow stops once it reaches
-    the least cut found so far.
+    1987; Esfahanian & Hakimi 1984).  D is grown greedily: each node
+    still undominated, in order, adds the member of its closed
+    neighbourhood that dominates the most undominated nodes.  Each flow
+    stops once it reaches the least cut found so far.
     """
     n = topology.n_nodes
     if n > DENSE_MAX_NODES:
         return 0
     arcs, head = _arc_lists(topology)
+    closed = [[x] + [head[a] for a in arcs[x]] for x in range(n)]
     s = min(range(n), key=lambda x: len(arcs[x]))
     best = len(arcs[s])
     dominated = [False] * n
+
+    def undominated(c: int) -> int:
+        return sum(not dominated[z] for z in closed[c])
+
     targets = []
     for x in itertools.chain([s], range(n)):
         if not dominated[x]:
-            targets.append(x)
-            dominated[x] = True
-            for a in arcs[x]:
-                dominated[head[a]] = True
+            y = max(closed[x], key=undominated) if targets else s
+            targets.append(y)
+            for z in closed[y]:
+                dominated[z] = True
     for t in targets[1:]:
         if best == 0:
             break
@@ -217,13 +233,11 @@ def _arc_lists(topology: Topology) -> tuple[list[list[int]], list[int]]:
     Arc 2j runs u -> v along link j and arc 2j + 1 runs v -> u, so arc
     a ^ 1 is the reverse of arc a.
     """
-    head: list[int] = []
-    arcs: list[list[int]] = [[] for _ in range(topology.n_nodes)]
-    for j, lk in enumerate(topology.links):
-        arcs[lk.u].append(2 * j)
-        arcs[lk.v].append(2 * j + 1)
-        head += (lk.v, lk.u)
-    return arcs, head
+    tail = topology.ends.ravel()
+    order = np.argsort(tail, kind="stable").tolist()
+    bounds = np.cumsum(np.bincount(tail, minlength=topology.n_nodes)).tolist()
+    arcs = [order[lo:hi] for lo, hi in zip([0] + bounds, bounds)]
+    return arcs, topology.ends[:, ::-1].ravel().tolist()
 
 
 def _max_flow(s: int, t: int, arcs, head, cap: int) -> int:
@@ -257,49 +271,6 @@ def _max_flow(s: int, t: int, arcs, head, cap: int) -> int:
                 flow[a] = 1
             y = head[a ^ 1]
     return cap
-
-
-def _link_ends(topology: Topology) -> np.ndarray:
-    """(L, 2) array of link endpoints."""
-    return np.array([(lk.u, lk.v) for lk in topology.links], dtype=np.intp).reshape(-1, 2)
-
-
-def _chunk_rows(n_nodes: int, n_links: int) -> int:
-    """Rows per kernel batch: at most KERNEL_SLOTS link slots and node slots."""
-    return max(1, KERNEL_SLOTS // max(n_nodes, n_links))
-
-
-def _max_comp_rows(ends: np.ndarray, n: int, present: np.ndarray) -> np.ndarray:
-    """Largest component size for each row of a (B, L) present-link mask.
-
-    Rows go through in batches of `_chunk_rows` rows.  Node x of row b
-    is b*n + x, so one label array holds every row's graph, and an
-    absent link is a self-loop.  Each round hooks the larger root of
-    every edge joining two roots to the smaller one, then pointer-jumps
-    until every label is a root (min-label hooking, Shiloach & Vishkin
-    1982); an edge inside one component stays inside it and is dropped.
-    """
-    B = present.shape[0]
-    out = np.empty(B, dtype=np.int64)
-    step = _chunk_rows(n, present.shape[1])
-    for lo in range(0, B, step):
-        mask = present[lo:lo + step]
-        base = np.arange(0, len(mask) * n, n)[:, None]
-        a = base + ends[:, 0]
-        a, b = a.ravel(), np.where(mask, base + ends[:, 1], a).ravel()
-        label = np.arange(len(mask) * n)
-        while a.size:
-            la, lb = label[a], label[b]
-            cross = la != lb
-            a, b, la, lb = a[cross], b[cross], la[cross], lb[cross]
-            np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
-            while True:
-                jumped = label[label]
-                if np.array_equal(jumped, label):
-                    break
-                label = jumped
-        out[lo:lo + step] = np.bincount(label, minlength=len(label)).reshape(-1, n).max(1)
-    return out
 
 
 def _repair_times(ends: np.ndarray, n: int, k: int, mttr_of: np.ndarray, failed: np.ndarray):
@@ -345,9 +316,8 @@ def _repair_fn(topology: Topology, k: int):
     """
     if max_component_size(topology, set()) < k:
         raise NumericError("repairing all failed links did not restore a good partition")
-    ends = _link_ends(topology)
-    mttr_of = np.array([topology.classes[lk.class_id].mttr_h for lk in topology.links])
-    return lambda failed: _repair_times(ends, topology.n_nodes, k, mttr_of, failed)
+    mttr_of = _class_values(topology, lambda c: c.mttr_h)
+    return lambda failed: _repair_times(topology.ends, topology.n_nodes, k, mttr_of, failed)
 
 
 def _exact_state(
@@ -364,7 +334,7 @@ def _exact_state(
     n_subsets = math.comb(L, i)
     if n_subsets > enum_cap:
         return None
-    ends = _link_ends(topology)
+    ends = topology.ends
     combos = itertools.combinations(range(L), i)
     step = _chunk_rows(topology.n_nodes, L)
     wrong = 0
@@ -434,7 +404,7 @@ def _critical_counts(topology: Topology, k: int, budget: int, seed) -> np.ndarra
     out = np.full(budget, L + 1, dtype=np.int64)
     if k == 1:
         return out
-    ends = _link_ends(topology)
+    ends = topology.ends
     orders = _link_orders(L, budget, seed)
     step = max(1, ORDER_SLOTS // max(n, L))
     for lo in range(0, budget, step):
@@ -560,7 +530,7 @@ def partition_tolerance(
 
 def _down_probs(topology: Topology) -> np.ndarray:
     """Steady-state down probability lambda/(lambda+mu) of each link."""
-    return np.array([topology.classes[lk.class_id].steady_down_prob for lk in topology.links])
+    return _class_values(topology, lambda c: c.steady_down_prob)
 
 
 def _partition_tolerance_multiclass(
@@ -571,7 +541,7 @@ def _partition_tolerance_multiclass(
     L = topology.n_links
     q = _down_probs(topology)
     N = topology.n_nodes
-    ends, repair = _link_ends(topology), _repair_fn(topology, k)
+    ends, repair = topology.ends, _repair_fn(topology, k)
     step = _chunk_rows(N, L)
     c_lb = _cut_lower_bound(topology, k)
 
@@ -618,7 +588,7 @@ def exact_partition_tolerance_bruteforce(
     k = _quorum(topology, k)
     q = _down_probs(topology)
     N = topology.n_nodes
-    ends, repair = _link_ends(topology), _repair_fn(topology, k)
+    ends, repair = topology.ends, _repair_fn(topology, k)
     bits = 1 << np.arange(L)
     step = _chunk_rows(N, L)
     wrong_mass = 0.0
@@ -671,8 +641,7 @@ def analyze_hierarchical(
     reach = 1.0  # prod_{j<m} 2^{d_j} p_j
     for m, dim in enumerate(spec.dims, start=1):
         cls = spec.classes[spec.class_by_level[m]]
-        cube = build_complete_hypercube(dim)
-        cube.classes = {0: replace(cls, class_id=0)}
+        cube = replace(build_complete_hypercube(dim), classes={0: replace(cls, class_id=0)})
         report = partition_tolerance(cube, budget=budget, seed=seed + m, enum_cap=enum_cap)
         weight = reach * (1.0 - report.p)
         if weight > 0.0:

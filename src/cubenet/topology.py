@@ -7,12 +7,16 @@ connected, labeled `Topology` whose links carry a distance class.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import numbers
 from dataclasses import dataclass, field
+from operator import itemgetter
+
+import numpy as np
 
 from .errors import ConstructionError, ResourceLimitError, SpecError
-from .unionfind import UnionFind
+from .unionfind import UnionFind  # noqa: F401  unused; perfbench/tracer.py patches this name
 
 SERIALIZATION_VERSION = 1
 
@@ -28,6 +32,7 @@ DEFAULT_LEVEL_DISTANCES = (5000.0, 3000.0, 420.0)
 
 MAX_HYPERCUBE_DIM = 20
 MAX_RECURSIVE_NODES = 2**20
+KERNEL_SLOTS = 2**15  # link slots per connectivity-kernel batch: a few MB of arrays at any B
 
 
 @dataclass(frozen=True)
@@ -125,17 +130,20 @@ class DomainGraph:
                 raise SpecError(f"bad domain edge ({a},{b}) for n={self.n}")
 
 
-def _hypercube_edges(dim: int) -> list[tuple[int, int]]:
-    edges = []
-    for u in range(2**dim):
-        for b in range(dim):
-            v = u | (1 << b)
-            if v != u:
-                edges.append((u, v))
-    return edges
+def _upper_pairs(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(E, 2) rows (u, v[u, j]) with u < v[u, j], in row-major order, for an
+    (n, 1) column of nodes u and an (n, d) neighbour table v."""
+    keep = u < v
+    return np.stack([np.broadcast_to(u, v.shape)[keep], v[keep]], axis=1)
 
 
-def _gray_hypercube_edges(dim: int) -> list[tuple[int, int]]:
+def _hypercube_edges(dim: int) -> np.ndarray:
+    """Hypercube edges (u, u | 2^b) for u ascending, then b: sorted."""
+    u = np.arange(2**dim, dtype=np.int32)[:, None]
+    return _upper_pairs(u, u | (1 << np.arange(dim, dtype=np.int32)))
+
+
+def _gray_hypercube_edges(dim: int) -> np.ndarray:
     """Hypercube edges under reflected-Gray-code node numbering.
 
     Recursive domains number their nodes the way the worked example
@@ -144,8 +152,8 @@ def _gray_hypercube_edges(dim: int) -> list[tuple[int, int]]:
     carries code u ^ (u >> 1), and flipping code bit b flips bits 0..b
     of u, so u's neighbours are u ^ ((2 << b) - 1).  Edges come sorted.
     """
-    masks = [(2 << b) - 1 for b in range(dim)]
-    return [(u, u ^ m) for u in range(2**dim) for m in masks if u < u ^ m]
+    u = np.arange(2**dim, dtype=np.int32)[:, None]
+    return _upper_pairs(u, u ^ ((2 << np.arange(dim, dtype=np.int32)) - 1))
 
 
 @dataclass(frozen=True)
@@ -224,80 +232,131 @@ class RecursionSpec:
         return cls("asymmetric", tuple(levels), class_by_level, classes)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Topology:
-    """A labeled node set plus a typed link set.
+    """A labeled node set plus a typed link set, held in read-only arrays.
 
-    Treated as immutable after construction; the adjacency list is
-    cached lazily and shared by all analyses.
+    Node x is labeled by row x of `labels`, the digits of its `NodeId`
+    (one per recursion level, most significant first).  Link j joins the
+    flat nodes `ends[j]`, belongs to link class `class_id[j]` and to
+    recursion level `level[j]` (1 for flat graphs).  The arrays cannot
+    be written, so data derived from them is computed once and kept on
+    the object (`memo`): the sorted CSR adjacency, and the `nodes` and
+    `links` object views, which are built on first access.
     """
 
     kind: str
-    nodes: list[NodeId]
-    links: list[Link]
+    labels: np.ndarray  # (N, r) int32
+    ends: np.ndarray  # (L, 2) int32
+    class_id: np.ndarray  # (L,) int32
+    level: np.ndarray  # (L,) int32
     classes: dict[int, LinkClass]
     meta: dict = field(default_factory=dict)
-    _adj: list[list[int]] | None = field(default=None, repr=False, compare=False)
+    _memo: dict = field(init=False, repr=False, default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("labels", "ends", "class_id", "level"):
+            arr = np.asarray(getattr(self, name), dtype=np.int32)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def from_links(cls, kind: str, nodes, links, classes, meta=None) -> "Topology":
+        """Validated topology from `NodeId`s (node x is nodes[x]) and `Link`s."""
+        rows = np.array([(lk.u, lk.v, lk.class_id, lk.level) for lk in links],
+                        dtype=np.int32).reshape(-1, 4)
+        labels = _label_array([nd.levels for nd in nodes])
+        topo = cls(kind, labels, rows[:, :2], rows[:, 2], rows[:, 3], dict(classes),
+                   dict(meta or {}))
+        topo.validate()
+        return topo
+
+    def memo(self, key, compute):
+        """compute(), run once per key: derived data of the read-only arrays."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.labels)
 
     @property
     def n_links(self) -> int:
-        return len(self.links)
+        return len(self.ends)
 
-    def adjacency(self) -> list[list[int]]:
-        if self._adj is None:
-            adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
-            for link in self.links:
-                adj[link.u].append(link.v)
-                adj[link.v].append(link.u)
-            for lst in adj:
-                lst.sort()
-            self._adj = adj
-        return self._adj
+    @property
+    def nodes(self) -> list[NodeId]:
+        return self.memo("nodes", lambda: [NodeId(tuple(lab), x)
+                                           for x, lab in enumerate(self.labels.tolist())])
+
+    @property
+    def links(self) -> list[Link]:
+        return self.memo("links", lambda: [Link(*row) for row in self._link_rows()])
+
+    def _link_rows(self) -> list[list[int]]:
+        """[u, v, class_id, level] of every link, as Python ints."""
+        return np.column_stack((self.ends, self.class_id, self.level)).tolist()
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted adjacency: node u's neighbours, ascending, are
+        indices[indptr[u]:indptr[u + 1]]."""
+        def build():
+            # intp: indexing with int32 arrays converts them on every use
+            ends = self.ends.astype(np.intp)
+            src = np.concatenate((ends[:, 0], ends[:, 1]))
+            dst = np.concatenate((ends[:, 1], ends[:, 0]))
+            indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
+            np.cumsum(np.bincount(src, minlength=self.n_nodes), out=indptr[1:])
+            indices = dst[np.lexsort((dst, src))]
+            indptr.flags.writeable = indices.flags.writeable = False
+            return indptr, indices
+        return self.memo("csr", build)
 
     def degree(self, u: int) -> int:
-        return len(self.adjacency()[u])
+        indptr = self.csr()[0]
+        return int(indptr[u + 1] - indptr[u])
 
-    def degrees(self) -> list[int]:
-        return [len(a) for a in self.adjacency()]
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.csr()[0])
 
     def link_index(self) -> dict[tuple[int, int], int]:
-        return {link.key(): i for i, link in enumerate(self.links)}
+        lo, hi = np.sort(self.ends, axis=1).T.tolist()
+        return {key: j for j, key in enumerate(zip(lo, hi))}
 
     def class_census(self) -> dict[int, int]:
         census = {cid: 0 for cid in sorted(self.classes)}
-        for link in self.links:
-            census[link.class_id] += 1
+        census.update(_counts(self.class_id))
         return census
 
     def level_census(self) -> dict[int, int]:
-        census: dict[int, int] = {}
-        for link in self.links:
-            census[link.level] = census.get(link.level, 0) + 1
-        return dict(sorted(census.items()))
+        return _counts(self.level)
 
     def is_connected(self) -> bool:
-        comps = connected_components(self)
-        return len(comps) == 1
+        return max_component_size(self, set()) == self.n_nodes
 
     def validate(self) -> None:
+        """ConstructionError naming the first bad link, as a scan in link
+        order checks each for a self-loop, a dangling end, a repeat of an
+        earlier link and an unknown class, in that order."""
         n = self.n_nodes
         if n < 1:
             raise ConstructionError("topology must contain at least one node")
-        seen = set()
-        for link in self.links:
-            if link.u == link.v:
-                raise ConstructionError(f"self-loop at node {link.u}")
-            if not (0 <= link.u < n and 0 <= link.v < n):
-                raise ConstructionError(f"dangling link endpoint ({link.u},{link.v})")
-            if link.key() in seen:
-                raise ConstructionError(f"duplicate link {link.key()}")
-            seen.add(link.key())
-            if link.class_id not in self.classes:
-                raise ConstructionError(f"link references unknown class {link.class_id}")
+        u, v = self.ends.T
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        repeat = np.ones(len(u), dtype=bool)
+        repeat[np.unique(lo.astype(np.int64) * n + hi, return_index=True)[1]] = False
+        checks = (
+            (u == v, lambda j: f"self-loop at node {u[j]}"),
+            ((lo < 0) | (hi >= n), lambda j: f"dangling link endpoint ({u[j]},{v[j]})"),
+            (repeat, lambda j: f"duplicate link {(int(lo[j]), int(hi[j]))}"),
+            (~np.isin(self.class_id, list(self.classes)),
+             lambda j: f"link references unknown class {self.class_id[j]}"),
+        )
+        bad = np.logical_or.reduce([mask for mask, _ in checks])
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise ConstructionError(next(msg(j) for mask, msg in checks if mask[j]))
 
     # -- serialization --------------------------------------------------
 
@@ -316,10 +375,10 @@ class Topology:
                 }
                 for _, c in sorted(self.classes.items())
             ],
-            "nodes": [{"flat": nd.flat, "levels": list(nd.levels)} for nd in self.nodes],
+            "nodes": [{"flat": x, "levels": lab} for x, lab in enumerate(self.labels.tolist())],
             "links": [
-                {"u": lk.u, "v": lk.v, "class_id": lk.class_id, "level": lk.level}
-                for lk in self.links
+                {"u": u, "v": v, "class_id": c, "level": lvl}
+                for u, v, c, lvl in self._link_rows()
             ],
         }
 
@@ -334,9 +393,17 @@ class Topology:
             c["class_id"]: LinkClass(c["class_id"], c["distance_km"], c["mtbf_h"], c["mttr_h"])
             for c in doc["classes"]
         }
-        nodes = [NodeId(tuple(nd["levels"]), nd["flat"]) for nd in doc["nodes"]]
-        links = [Link(lk["u"], lk["v"], lk["class_id"], lk["level"]) for lk in doc["links"]]
-        topo = cls(doc["kind"], nodes, links, classes, dict(doc.get("meta", {})))
+        nodes = doc["nodes"]
+        if [nd["flat"] for nd in nodes] != list(range(len(nodes))):
+            raise SpecError("node flat numbers must run 0, 1, ..., N-1 in order")
+        try:
+            labels = _label_array([nd["levels"] for nd in nodes])
+            fields = itertools.chain.from_iterable(map(_LINK_FIELDS, doc["links"]))
+            rows = np.fromiter(fields, dtype=np.int32, count=4 * len(doc["links"])).reshape(-1, 4)
+        except OverflowError as exc:
+            raise SpecError(f"topology document number out of range: {exc}") from None
+        topo = cls(doc["kind"], labels, rows[:, :2], rows[:, 2], rows[:, 3], classes,
+                   dict(doc.get("meta", {})))
         topo.validate()
         return topo
 
@@ -345,15 +412,32 @@ class Topology:
         return cls.from_dict(json.loads(text))
 
 
+_LINK_FIELDS = itemgetter("u", "v", "class_id", "level")
+
+
+def _label_array(levels: list) -> np.ndarray:
+    """(N, r) int32 array of N node labels, each r >= 1 digits long."""
+    width = {len(lab) for lab in levels}
+    if len(width) > 1 or 0 in width:
+        raise SpecError("node labels must be non-empty and all of one length")
+    return np.array(levels, dtype=np.int32).reshape(len(levels), max(width, default=1))
+
+
+def _counts(values: np.ndarray) -> dict[int, int]:
+    """{value: occurrences}, ascending by value."""
+    return dict(zip(*(a.tolist() for a in np.unique(values, return_counts=True))))
+
+
 def _single_class(distance_km: float = 5000.0) -> dict[int, LinkClass]:
     return {0: LinkClass.standard(distance_km, class_id=0)}
 
 
-def _flat_topology(kind: str, n: int, edges, distance_km: float, meta: dict) -> Topology:
-    """Validated single-class topology on nodes 0..n-1 with one link per edge."""
-    nodes = [NodeId((i,), i) for i in range(n)]
-    links = [Link(u, v, 0) for u, v in edges]
-    topo = Topology(kind, nodes, links, _single_class(distance_km), meta)
+def _flat_topology(kind: str, ids: np.ndarray, ends: np.ndarray, distance_km: float,
+                   meta: dict) -> Topology:
+    """Validated single-class topology on nodes labeled by `ids`, one link per row of `ends`."""
+    L = len(ends)
+    topo = Topology(kind, np.reshape(ids, (-1, 1)), ends, np.zeros(L), np.ones(L),
+                    _single_class(distance_km), meta)
     topo.validate()
     return topo
 
@@ -364,8 +448,8 @@ def build_complete_hypercube(dim: int, distance_km: float = 5000.0) -> Topology:
         raise SpecError("dimension must be non-negative")
     if dim > MAX_HYPERCUBE_DIM:
         raise ResourceLimitError(f"dim={dim} exceeds the guard of {MAX_HYPERCUBE_DIM}")
-    return _flat_topology("complete-hypercube", 2**dim, _hypercube_edges(dim), distance_km,
-                          {"dim": dim})
+    return _flat_topology("complete-hypercube", np.arange(2**dim), _hypercube_edges(dim),
+                          distance_km, {"dim": dim})
 
 
 def build_incomplete_hypercube(
@@ -387,27 +471,21 @@ def build_incomplete_hypercube(
         raise SpecError("present_nodes must be hypercube node ids")
     if not present:
         raise SpecError("present_nodes must not be empty")
+    edges = _hypercube_edges(dim)
     removed = {tuple(sorted(pair)) for pair in removed_links}
-    edge_set = {tuple(sorted(e)) for e in _hypercube_edges(dim)}
-    if not removed <= edge_set:
+    if removed and not removed <= set(map(tuple, edges.tolist())):
         raise SpecError("removed_links must be hypercube edges")
 
-    ordered = sorted(present)
-    flat_of = {nid: i for i, nid in enumerate(ordered)}
-    nodes = [NodeId((nid,), i) for i, nid in enumerate(ordered)]
-    links = [
-        Link(flat_of[a], flat_of[b], 0)
-        for a, b in sorted(edge_set - removed)
-        if a in present and b in present
-    ]
-    topo = Topology(
-        "incomplete-hypercube",
-        nodes,
-        links,
-        _single_class(distance_km),
-        {"dim": dim, "removed_links": sorted(removed)},
-    )
-    topo.validate()
+    ordered = np.array(sorted(present), dtype=np.int64)
+    flat_of = np.full(2**dim, -1)
+    flat_of[ordered] = np.arange(len(ordered))
+    ends = flat_of[edges]
+    keep = (ends >= 0).all(axis=1)
+    if removed:
+        keep &= ~np.isin(edges[:, 0].astype(np.int64) << dim | edges[:, 1],
+                         [a << dim | b for a, b in removed])
+    topo = _flat_topology("incomplete-hypercube", ordered, ends[keep], distance_km,
+                          {"dim": dim, "removed_links": sorted(removed)})
     if not topo.is_connected():
         raise ConstructionError("incomplete hypercube is disconnected; retry with other removals")
     return topo
@@ -420,26 +498,125 @@ def build_recursive(spec: RecursionSpec) -> Topology:
     level-m topology, extending node numbers by one digit.  Step 2
     wires, for each link (A,B) of the level-m topology, the node with
     local suffix s inside domain A to the node with the same suffix s
-    inside domain B, for every suffix s.
+    inside domain B, for every suffix s.  The node and link counts are
+    checked against the size guard before anything is allocated.
     """
-    r = spec.r
-    cube_edges = {d: _gray_hypercube_edges(d) for d in spec.levels if isinstance(d, int)}
+    if spec.mode == "asymmetric":
+        n_nodes, n_links = _asymmetric_size(spec, 1, ())
+    else:
+        n_nodes, n_links = closed_form_link_count(spec)
+    # The link guard is the link count of the largest integer-dims spec
+    # within the node guard: 2^20 nodes of degree 20.
+    if n_nodes > MAX_RECURSIVE_NODES or n_links > MAX_RECURSIVE_NODES // 2 * MAX_HYPERCUBE_DIM:
+        raise ResourceLimitError(
+            f"recursive topology would have {n_nodes} nodes and {n_links} links"
+        )
+    if spec.mode == "asymmetric":
+        labels, ends, level = _expand(spec)
+    else:
+        labels, ends, level = _cube_recursion(spec.dims)
+    class_of = np.array([0] + [spec.class_by_level[m] for m in range(1, spec.r + 1)])
+    topo = Topology(
+        "recursive",
+        labels,
+        ends,
+        class_of[level],
+        level,
+        dict(spec.classes),
+        {"mode": spec.mode, "levels": [lv if isinstance(lv, int) else "explicit" for lv in spec.levels]},
+    )
+    topo.validate()
+    if not topo.is_connected():
+        raise ConstructionError("recursive topology is disconnected")
+    return topo
 
-    def level_graph(m: int, prefix: tuple[int, ...]) -> tuple[int, list[tuple[int, int]]]:
-        entry = spec.levels[m - 1]
-        if isinstance(entry, int):
-            return 2**entry, cube_edges[entry]
-        try:
-            g = entry[prefix]
-        except KeyError:
-            raise SpecError(f"no explicit domain topology for prefix {prefix}") from None
-        return g.n, list(g.edges)
+
+def _cube_recursion(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Labels, link ends and link levels of the recursion with hypercube
+    dimensions `dims`, built from the innermost level out.
+
+    Nodes are numbered in lexicographic label order, so subdomain a of a
+    level-m domain is the block of `span` consecutive nodes from
+    a * span, where span is the node count of one subdomain.  The
+    domain's links are those of each subdomain a in turn, shifted by
+    a * span, and then, for each level-m cube edge (a, b), the links
+    from a * span + s to b * span + s for every suffix s: the order a
+    depth-first expansion appends them in.
+    """
+    ends = np.empty((0, 2), dtype=np.int32)
+    level = np.empty(0, dtype=np.int32)
+    span = 1
+    for m in range(len(dims), 0, -1):
+        n_local = 2 ** dims[m - 1]
+        shift = np.arange(n_local, dtype=np.int32)[:, None, None] * span
+        bridges = (_gray_hypercube_edges(dims[m - 1])[:, None, :] * span
+                   + np.arange(span, dtype=np.int32)[:, None]).reshape(-1, 2)
+        ends = np.concatenate(((ends + shift).reshape(-1, 2), bridges))
+        level = np.concatenate((np.tile(level, n_local), np.full(len(bridges), m, np.int32)))
+        span *= n_local
+    labels = np.indices([2**d for d in dims], dtype=np.int32).reshape(len(dims), -1).T
+    return labels, ends, level
+
+
+def _domain(spec: RecursionSpec, m: int, prefix: tuple[int, ...]):
+    """Level m's topology below `prefix`: a hypercube dimension or a DomainGraph."""
+    entry = spec.levels[m - 1]
+    if isinstance(entry, int):
+        return entry
+    try:
+        return entry[prefix]
+    except KeyError:
+        raise SpecError(f"no explicit domain topology for prefix {prefix}") from None
+
+
+def _asymmetric_size(spec: RecursionSpec, m: int, prefix: tuple[int, ...]) -> tuple[int, int]:
+    """(nodes, links) below `prefix`, from the domain sizes alone; the
+    count stops once the nodes pass MAX_RECURSIVE_NODES.
+
+    An interconnected pair of domains shares one suffix set (the build
+    refuses it otherwise), so each level-m link adds as many links as a
+    domain at either end has nodes: half the degree-weighted node sum.
+    """
+    if m > spec.r:
+        return 1, 0
+    dom = _domain(spec, m, prefix)
+    n_local = 2**dom if isinstance(dom, int) else dom.n
+    if n_local > MAX_RECURSIVE_NODES:
+        return n_local, 0
+    if isinstance(dom, int):
+        degree = [dom] * n_local
+    else:
+        degree = [0] * n_local
+        for a, b in dom.edges:
+            degree[a] += 1
+            degree[b] += 1
+    nodes = links = bridge_ends = 0
+    for a in range(n_local):
+        sub_nodes, sub_links = _asymmetric_size(spec, m + 1, prefix + (a,))
+        nodes += sub_nodes
+        links += sub_links
+        bridge_ends += degree[a] * sub_nodes
+        if nodes > MAX_RECURSIVE_NODES:
+            break
+    return nodes, links + bridge_ends // 2
+
+
+def _expand(spec: RecursionSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Labels, link ends and link levels of any spec, by depth-first expansion."""
+    r = spec.r
+    cube_edges: dict[int, list] = {}
 
     def expand(m: int, prefix: tuple[int, ...]):
         """Suffix tuples and links (as suffix pairs + level) below `prefix`."""
         if m > r:
             return [()], []
-        n_local, local_edges = level_graph(m, prefix)
+        dom = _domain(spec, m, prefix)
+        if isinstance(dom, int):
+            if dom not in cube_edges:
+                cube_edges[dom] = _gray_hypercube_edges(dom).tolist()
+            n_local, local_edges = 2**dom, cube_edges[dom]
+        else:
+            n_local, local_edges = dom.n, dom.edges
         suffixes: list[tuple[int, ...]] = []
         links: list[tuple[tuple, tuple, int]] = []
         subs: dict[int, list[tuple[int, ...]]] = {}
@@ -459,27 +636,12 @@ def build_recursive(spec: RecursionSpec) -> Topology:
         return suffixes, links
 
     labels, raw_links = expand(1, ())
-    if len(labels) > MAX_RECURSIVE_NODES:
-        raise ResourceLimitError(f"recursive topology would have {len(labels)} nodes")
     # Depth-first enumeration is lexicographic, so each domain's number
     # (its smallest flat node number) is the one with an all-zero suffix.
     flat_of = {lab: i for i, lab in enumerate(labels)}
-    nodes = [NodeId(lab, i) for i, lab in enumerate(labels)]
-    links = [
-        Link(flat_of[lu], flat_of[lv], spec.class_by_level[lvl], level=lvl)
-        for lu, lv, lvl in raw_links
-    ]
-    topo = Topology(
-        "recursive",
-        nodes,
-        links,
-        dict(spec.classes),
-        {"mode": spec.mode, "levels": [lv if isinstance(lv, int) else "explicit" for lv in spec.levels]},
-    )
-    topo.validate()
-    if not topo.is_connected():
-        raise ConstructionError("recursive topology is disconnected")
-    return topo
+    rows = np.array([(flat_of[lu], flat_of[lv], lvl) for lu, lv, lvl in raw_links],
+                    dtype=np.int32).reshape(-1, 3)
+    return np.array(labels, dtype=np.int32), rows[:, :2], rows[:, 2]
 
 
 def closed_form_link_count(spec: RecursionSpec) -> tuple[int, int]:
@@ -496,24 +658,20 @@ def closed_form_link_count(spec: RecursionSpec) -> tuple[int, int]:
 
 def build_rooted_tree(n: int, degree: int = 3, distance_km: float = 5000.0) -> Topology:
     """Regular rooted tree: root has `degree` children, every other
-    internal node degree-1 children, filled breadth-first."""
+    internal node degree-1 children, filled breadth-first.
+
+    Breadth-first filling numbers the children in parent order, so node
+    c >= 2 hangs below (c - 2) // (degree - 1), and nodes 1..degree
+    below the root.
+    """
     if n < 1:
         raise SpecError("need at least one node")
     if degree < 2:
         raise SpecError("degree must be at least 2")
-    edges = []
-    next_child = 1
-    frontier = [0]
-    while next_child < n:
-        parent = frontier.pop(0)
-        capacity = degree if parent == 0 else degree - 1
-        for _ in range(capacity):
-            if next_child >= n:
-                break
-            edges.append((parent, next_child))
-            frontier.append(next_child)
-            next_child += 1
-    return _flat_topology("rooted-tree", n, edges, distance_km, {"degree": degree})
+    child = np.arange(1, n, dtype=np.int32)
+    parent = np.maximum((child - 2) // (degree - 1), 0)
+    return _flat_topology("rooted-tree", np.arange(n), np.stack([parent, child], axis=1),
+                          distance_km, {"degree": degree})
 
 
 def build_ring_lattice(n: int, degree: int, distance_km: float = 5000.0) -> Topology:
@@ -522,19 +680,21 @@ def build_ring_lattice(n: int, degree: int, distance_km: float = 5000.0) -> Topo
         raise SpecError("ring lattice degree must be even")
     if not 2 <= degree < n:
         raise SpecError("ring lattice requires 2 <= degree < n")
-    edges = sorted(
-        (min(i, j), max(i, j))
-        for i in range(n)
-        for j in ((i + s) % n for s in range(1, degree // 2 + 1))
-    )
-    return _flat_topology("ring-lattice", n, edges, distance_km, {"degree": degree})
+    i = np.arange(n, dtype=np.int32)[:, None]
+    j = (i + np.arange(1, degree // 2 + 1, dtype=np.int32)) % n
+    lo, hi = np.minimum(i, j).ravel(), np.maximum(i, j).ravel()
+    order = np.lexsort((hi, lo))
+    return _flat_topology("ring-lattice", np.arange(n), np.stack([lo[order], hi[order]], axis=1),
+                          distance_km, {"degree": degree})
 
 
 def build_star(n: int, distance_km: float = 5000.0) -> Topology:
     """Star with node 0 as hub."""
     if n < 2:
         raise SpecError("star needs at least 2 nodes")
-    return _flat_topology("star", n, [(0, i) for i in range(1, n)], distance_km, {})
+    leaves = np.arange(1, n)
+    return _flat_topology("star", np.arange(n), np.stack([np.zeros_like(leaves), leaves], axis=1),
+                          distance_km, {})
 
 
 def resolve_failed_links(topology: Topology, failed_links) -> set[int]:
@@ -556,6 +716,60 @@ def resolve_failed_links(topology: Topology, failed_links) -> set[int]:
     return failed
 
 
+# -- connectivity ---------------------------------------------------------
+
+
+def _chunk_rows(n_nodes: int, n_links: int) -> int:
+    """Rows per kernel batch: at most KERNEL_SLOTS link slots and node slots."""
+    return max(1, KERNEL_SLOTS // max(n_nodes, n_links))
+
+
+def _component_roots(ends: np.ndarray, n: int, present: np.ndarray) -> np.ndarray:
+    """Component root of every node of every row of a (B, L) present-link
+    mask, as one (B * n,) array: node x of row b is b*n + x, and its root
+    is the least node of its component.
+
+    An absent link is a self-loop.  Each round hooks the larger root of
+    every edge joining two roots to the smaller one, then pointer-jumps
+    until every label is a root (min-label hooking, Shiloach & Vishkin
+    1982); an edge inside one component stays inside it and is dropped.
+    """
+    base = np.arange(0, len(present) * n, n)[:, None]
+    a = base + ends[:, 0]
+    a, b = a.ravel(), np.where(present, base + ends[:, 1], a).ravel()
+    label = np.arange(len(present) * n)
+    while a.size:
+        la, lb = label[a], label[b]
+        cross = la != lb
+        a, b, la, lb = a[cross], b[cross], la[cross], lb[cross]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    return label
+
+
+def _max_comp_rows(ends: np.ndarray, n: int, present: np.ndarray) -> np.ndarray:
+    """Largest component size for each row of a (B, L) present-link mask;
+    rows go through in batches of `_chunk_rows` rows."""
+    B = present.shape[0]
+    out = np.empty(B, dtype=np.int64)
+    step = _chunk_rows(n, present.shape[1])
+    for lo in range(0, B, step):
+        label = _component_roots(ends, n, present[lo:lo + step])
+        out[lo:lo + step] = np.bincount(label, minlength=len(label)).reshape(-1, n).max(1)
+    return out
+
+
+def _present_row(topology: Topology, failed: set[int]) -> np.ndarray:
+    """(1, L) present-link mask with the `failed` link indices absent."""
+    present = np.ones((1, topology.n_links), dtype=bool)
+    present[0, list(failed)] = False
+    return present
+
+
 def connected_components(topology: Topology, failed_links=()) -> list[list[int]]:
     """Components of the graph with the failed links removed.
 
@@ -563,19 +777,15 @@ def connected_components(topology: Topology, failed_links=()) -> list[list[int]]
     within a component are sorted ascending.
     """
     failed = resolve_failed_links(topology, failed_links)
-    uf = UnionFind(topology.n_nodes)
-    for i, link in enumerate(topology.links):
-        if i not in failed:
-            uf.union(link.u, link.v)
-    comps = [sorted(c) for c in uf.components()]
+    roots = _component_roots(topology.ends, topology.n_nodes, _present_row(topology, failed))
+    members = np.argsort(roots, kind="stable")
+    starts = np.flatnonzero(np.diff(roots[members], prepend=-1))
+    comps = [c.tolist() for c in np.split(members, starts[1:])]
     comps.sort(key=lambda c: (-len(c), c[0]))
     return comps
 
 
 def max_component_size(topology: Topology, failed_link_indices: set[int]) -> int:
     """Largest component size with the given link indices failed (fast path)."""
-    uf = UnionFind(topology.n_nodes)
-    for i, link in enumerate(topology.links):
-        if i not in failed_link_indices:
-            uf.union(link.u, link.v)
-    return uf.max_component_size()
+    present = _present_row(topology, failed_link_indices)
+    return int(_max_comp_rows(topology.ends, topology.n_nodes, present)[0])

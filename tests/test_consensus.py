@@ -167,7 +167,8 @@ class TestSweep:
 
 
 def _oracle_children(topology, source):
-    adj = topology.adjacency()
+    indptr, indices = topology.csr()
+    adj = [indices[indptr[u]:indptr[u + 1]].tolist() for u in range(topology.n_nodes)]
     children = [[] for _ in range(topology.n_nodes)]
     seen = [False] * topology.n_nodes
     seen[source] = True

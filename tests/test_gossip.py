@@ -104,7 +104,8 @@ class TestRunGossip:
         t = build_rooted_tree(40, 3)
         cycles = 3000
         m = run_gossip(t, GossipConfig(cycles=cycles, fanout=2, seed=0))
-        adj = t.adjacency()
+        indptr, indices = t.csr()
+        adj = [indices[indptr[u]:indptr[u + 1]].tolist() for u in range(t.n_nodes)]
         p = [[min(2, len(adj[u])) / len(adj[u]) for u in adj[v]] for v in range(t.n_nodes)]
         mean = np.array([cycles * sum(pv) for pv in p])
         sd = np.sqrt([cycles * sum(q * (1 - q) for q in pv) for pv in p])

@@ -43,7 +43,6 @@ from cubenet.reliability import (
     _cut_lower_bound,
     _edge_connectivity,
     _exact_state,
-    _link_ends,
     _link_orders,
     _max_comp_rows,
     _max_flow,
@@ -211,7 +210,7 @@ def _mixed_path():
     classes = {0: LinkClass.standard(5000), 1: LinkClass.standard(420)}
     nodes = tuple(NodeId((i,), i) for i in range(3))
     links = (Link(0, 1, 0), Link(1, 2, 1))
-    return Topology("custom", nodes, links, classes, {})
+    return Topology.from_links("custom", nodes, links, classes, {})
 
 
 def _three_class_ring():
@@ -219,7 +218,7 @@ def _three_class_ring():
     classes = {c: LinkClass.standard(d, c) for c, d in enumerate((5000, 3000, 420))}
     ends = sorted({(min(x, (x + 1) % 14), max(x, (x + 1) % 14)) for x in range(14)} | {(0, 7), (3, 10)})
     links = [Link(u, v, (7 * u + v) % 3) for u, v in ends]
-    return Topology("custom", [NodeId((x,), x) for x in range(14)], links, classes, {})
+    return Topology.from_links("custom", [NodeId((x,), x) for x in range(14)], links, classes, {})
 
 
 def _two_links():
@@ -227,7 +226,7 @@ def _two_links():
 
     nodes = tuple(NodeId((i,), i) for i in range(4))
     links = (Link(0, 1, 0), Link(2, 3, 0))
-    return Topology("custom", nodes, links, {0: LinkClass.standard(5000)}, {})
+    return Topology.from_links("custom", nodes, links, {0: LinkClass.standard(5000)}, {})
 
 
 class TestPartitionTolerance:
@@ -277,7 +276,7 @@ class TestPartitionTolerance:
 
     def test_multiclass_mixed_path(self):
         classes = {0: LinkClass(0, 5000.0, 2.0, 2.0), 1: LinkClass(1, 420.0, 6.048, 2.016)}
-        t = Topology("custom", tuple(NodeId((i,), i) for i in range(3)),
+        t = Topology.from_links("custom", tuple(NodeId((i,), i) for i in range(3)),
                      (Link(0, 1, 0), Link(1, 2, 1)), classes, {})
         report = partition_tolerance(t, k=2, budget=200000, seed=0)
         # q0 = 0.5, q1 = 0.25; wrong iff both links down -> 0.125, and
@@ -327,7 +326,7 @@ class TestPartitionTolerance:
         from cubenet.topology import Link, NodeId, Topology
 
         nodes = tuple(NodeId((i,), i) for i in range(4))
-        t = Topology("custom", nodes, (Link(0, 1, 0), Link(2, 3, 0)),
+        t = Topology.from_links("custom", nodes, (Link(0, 1, 0), Link(2, 3, 0)),
                      {0: LinkClass.standard(5000)}, {})
         with pytest.raises(NumericError):
             partition_tolerance(t, budget=10)
@@ -363,11 +362,11 @@ class TestConnectivityKernel:
         label = rng.permutation(n)
         pairs = {(min(a, b), max(a, b)) for a, b in rng.integers(0, n_core, (n_pairs, 2)).tolist()}
         links = [Link(int(label[a]), int(label[b]), 0) for a, b in sorted(pairs) if a != b]
-        t = Topology("custom", [NodeId((x,), x) for x in range(n)], links,
+        t = Topology.from_links("custom", [NodeId((x,), x) for x in range(n)], links,
                      {0: LinkClass.standard(5000)}, {})
         present = rng.random((rows, len(links))) < keep
         present[0] = False
-        got = _max_comp_rows(_link_ends(t), n, present)
+        got = _max_comp_rows(t.ends, n, present)
         want = [max_component_size(t, set(np.flatnonzero(~row).tolist())) for row in present]
         assert got.tolist() == want
 
@@ -404,7 +403,7 @@ class TestConnectivityKernel:
 
 
 def _graph(n, pairs):
-    return Topology("custom", [NodeId((x,), x) for x in range(n)],
+    return Topology.from_links("custom", [NodeId((x,), x) for x in range(n)],
                     [Link(a, b, 0) for a, b in pairs], {0: LinkClass.standard(5000)}, {})
 
 
@@ -482,6 +481,21 @@ class TestEdgeConnectivity:
         assert _edge_connectivity(build_ring_lattice(2048, 2)) == 2
         assert _edge_connectivity(build_ring_lattice(2049, 2)) == 0
 
+    def test_ring_flow_count(self, monkeypatch):
+        """The greedy dominating set of ring(768, 4) takes the node that
+        dominates most of its undominated closed neighbourhood: at most
+        160 max-flows, where every third node would take 255."""
+        flows = []
+        max_flow = reliability._max_flow
+
+        def counting(*args):
+            flows.append(args[1])
+            return max_flow(*args)
+
+        monkeypatch.setattr(reliability, "_max_flow", counting)
+        assert _edge_connectivity(build_ring_lattice(768, 4)) == 4
+        assert len(flows) <= 160
+
 
 @functools.lru_cache(maxsize=None)
 def _set_partitions(n):
@@ -513,7 +527,7 @@ def cut_bound_unchecked(topology, k):
     """`_cut_lower_bound` without its two shortcuts: kappa and the
     Fiedler term are both always computed."""
     n = topology.n_nodes
-    ends = _link_ends(topology)
+    ends = topology.ends
     degree = np.bincount(ends.ravel(), minlength=n)
     lam2 = _algebraic_connectivity_lb(ends, degree) if n > 1 else 0.0
     return max(_edge_connectivity(topology), math.ceil(max(lam2, 0.0) * (n - k + 1) / 2))
@@ -598,6 +612,25 @@ class TestCutLowerBound:
     def test_no_bound_above_dense_limit(self):
         assert _cut_lower_bound(build_complete_hypercube(12), 2049) == 0
 
+    def test_kept_per_topology_and_quorum(self, monkeypatch):
+        """A per-state sweep on one ring computes kappa once: i = 1, 2, 3
+        are certified zeros, and a second quorum computes its own bound."""
+        calls = []
+        kappa = reliability._edge_connectivity
+
+        def counting(topology):
+            calls.append(topology.n_nodes)
+            return kappa(topology)
+
+        monkeypatch.setattr(reliability, "_edge_connectivity", counting)
+        t = build_ring_lattice(768, 4)
+        for i in (1, 2, 3):
+            est = conditional_wrong_prob(t, i, budget=50)
+            assert (est.p_wrong, est.n_samples, est.method) == (0.0, 0, "exact")
+        assert calls == [768]
+        assert _cut_lower_bound(t, 700) == 4 and calls == [768, 768]
+        assert _cut_lower_bound(build_ring_lattice(768, 4), 385) == 4 and len(calls) == 3
+
 
 def _two_class_cycle():
     """8-cycle whose links alternate between classes down 40 % and 33 %
@@ -605,7 +638,7 @@ def _two_class_cycle():
     a wrong state at exactly c_lb."""
     classes = {0: LinkClass(0, 5000.0, 3.0, 2.0), 1: LinkClass(1, 3000.0, 3.0, 1.5)}
     links = [Link(min(x, (x + 1) % 8), max(x, (x + 1) % 8), x % 2) for x in range(8)]
-    return Topology("custom", [NodeId((x,), x) for x in range(8)], links, classes, {})
+    return Topology.from_links("custom", [NodeId((x,), x) for x in range(8)], links, classes, {})
 
 
 def _unreliable_2_2():
@@ -761,8 +794,8 @@ def _level_reports(spec, budget, seed, enum_cap):
     reports = []
     for m, dim in enumerate(spec.dims, start=1):
         cls = spec.classes[spec.class_by_level[m]]
-        cube = build_complete_hypercube(dim)
-        cube.classes = {0: dataclasses.replace(cls, class_id=0)}
+        cube = dataclasses.replace(build_complete_hypercube(dim),
+                                   classes={0: dataclasses.replace(cls, class_id=0)})
         reports.append(partition_tolerance(cube, budget=budget, seed=seed + m, enum_cap=enum_cap))
     return reports
 
