@@ -189,6 +189,8 @@ class RecursionSpec:
                 raise SpecError("completely symmetric mode requires one fixed dimension")
         if self.mode == "semi" and not all(isinstance(d, int) for d in self.levels):
             raise SpecError("semi-symmetric mode requires per-level hypercube dimensions")
+        if any(isinstance(d, int) and d < 0 for d in self.levels):
+            raise SpecError("recursion dimensions must be non-negative")
 
     @property
     def r(self) -> int:
@@ -465,18 +467,20 @@ def build_incomplete_hypercube(
     """
     if dim < 0 or dim > MAX_HYPERCUBE_DIM:
         raise ResourceLimitError(f"dim={dim} out of range")
-    full = set(range(2**dim))
-    present = full if present_nodes is None else set(present_nodes)
-    if not present <= full:
-        raise SpecError("present_nodes must be hypercube node ids")
-    if not present:
-        raise SpecError("present_nodes must not be empty")
-    edges = _hypercube_edges(dim)
+    if present_nodes is None:
+        ordered = np.arange(2**dim)
+    else:
+        ordered = np.unique(np.asarray(list(present_nodes)))
+        if not ordered.size:
+            raise SpecError("present_nodes must not be empty")
+        if ordered.dtype.kind not in "iu" or ordered[0] < 0 or ordered[-1] >= 2**dim:
+            raise SpecError("present_nodes must be hypercube node ids")
+    # (a, b) with a < b is an edge iff b is in range and a ^ b is a power of two
     removed = {tuple(sorted(pair)) for pair in removed_links}
-    if removed and not removed <= set(map(tuple, edges.tolist())):
+    if not all(0 <= a < b < 2**dim and (a ^ b) & ((a ^ b) - 1) == 0 for a, b in removed):
         raise SpecError("removed_links must be hypercube edges")
+    edges = _hypercube_edges(dim)
 
-    ordered = np.array(sorted(present), dtype=np.int64)
     flat_of = np.full(2**dim, -1)
     flat_of[ordered] = np.arange(len(ordered))
     ends = flat_of[edges]
@@ -501,20 +505,14 @@ def build_recursive(spec: RecursionSpec) -> Topology:
     inside domain B, for every suffix s.  The node and link counts are
     checked against the size guard before anything is allocated.
     """
-    if spec.mode == "asymmetric":
-        n_nodes, n_links = _asymmetric_size(spec, 1, ())
-    else:
-        n_nodes, n_links = closed_form_link_count(spec)
+    n_nodes, n_links = _count_below(spec, 1, ())
     # The link guard is the link count of the largest integer-dims spec
     # within the node guard: 2^20 nodes of degree 20.
     if n_nodes > MAX_RECURSIVE_NODES or n_links > MAX_RECURSIVE_NODES // 2 * MAX_HYPERCUBE_DIM:
         raise ResourceLimitError(
             f"recursive topology would have {n_nodes} nodes and {n_links} links"
         )
-    if spec.mode == "asymmetric":
-        labels, ends, level = _expand(spec)
-    else:
-        labels, ends, level = _cube_recursion(spec.dims)
+    labels, ends, level = _build_below(spec, 1, ())
     class_of = np.array([0] + [spec.class_by_level[m] for m in range(1, spec.r + 1)])
     topo = Topology(
         "recursive",
@@ -531,33 +529,6 @@ def build_recursive(spec: RecursionSpec) -> Topology:
     return topo
 
 
-def _cube_recursion(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Labels, link ends and link levels of the recursion with hypercube
-    dimensions `dims`, built from the innermost level out.
-
-    Nodes are numbered in lexicographic label order, so subdomain a of a
-    level-m domain is the block of `span` consecutive nodes from
-    a * span, where span is the node count of one subdomain.  The
-    domain's links are those of each subdomain a in turn, shifted by
-    a * span, and then, for each level-m cube edge (a, b), the links
-    from a * span + s to b * span + s for every suffix s: the order a
-    depth-first expansion appends them in.
-    """
-    ends = np.empty((0, 2), dtype=np.int32)
-    level = np.empty(0, dtype=np.int32)
-    span = 1
-    for m in range(len(dims), 0, -1):
-        n_local = 2 ** dims[m - 1]
-        shift = np.arange(n_local, dtype=np.int32)[:, None, None] * span
-        bridges = (_gray_hypercube_edges(dims[m - 1])[:, None, :] * span
-                   + np.arange(span, dtype=np.int32)[:, None]).reshape(-1, 2)
-        ends = np.concatenate(((ends + shift).reshape(-1, 2), bridges))
-        level = np.concatenate((np.tile(level, n_local), np.full(len(bridges), m, np.int32)))
-        span *= n_local
-    labels = np.indices([2**d for d in dims], dtype=np.int32).reshape(len(dims), -1).T
-    return labels, ends, level
-
-
 def _domain(spec: RecursionSpec, m: int, prefix: tuple[int, ...]):
     """Level m's topology below `prefix`: a hypercube dimension or a DomainGraph."""
     entry = spec.levels[m - 1]
@@ -569,18 +540,34 @@ def _domain(spec: RecursionSpec, m: int, prefix: tuple[int, ...]):
         raise SpecError(f"no explicit domain topology for prefix {prefix}") from None
 
 
-def _asymmetric_size(spec: RecursionSpec, m: int, prefix: tuple[int, ...]) -> tuple[int, int]:
-    """(nodes, links) below `prefix`, from the domain sizes alone; the
-    count stops once the nodes pass MAX_RECURSIVE_NODES.
+def _integer_from(spec: RecursionSpec, m: int) -> bool:
+    """Whether levels m..r are all hypercube dimensions (true past the last level)."""
+    return all(isinstance(entry, int) for entry in spec.levels[m - 1:])
 
-    An interconnected pair of domains shares one suffix set (the build
+
+def _count_below(spec: RecursionSpec, m: int, prefix: tuple[int, ...]) -> tuple[int, int]:
+    """(nodes, links) of the level-m domain below `prefix` and everything
+    under it, from the domain sizes alone; the count stops once the
+    nodes pass MAX_RECURSIVE_NODES.
+
+    Below a run of integer levels every subdomain is the same, so one is
+    counted: n subdomains of S nodes joined along E domain edges make
+    n * S nodes and E * S bridging links (2^D nodes and 2^D * D / 2
+    links below integer levels of dimension sum D).  Otherwise an
+    interconnected pair of subdomains shares one suffix set (the build
     refuses it otherwise), so each level-m link adds as many links as a
-    domain at either end has nodes: half the degree-weighted node sum.
+    subdomain at either end has nodes: half the degree-weighted node sum.
     """
     if m > spec.r:
         return 1, 0
     dom = _domain(spec, m, prefix)
-    n_local = 2**dom if isinstance(dom, int) else dom.n
+    if isinstance(dom, int):
+        n_local, n_edges = 2**dom, 2**dom * dom // 2
+    else:
+        n_local, n_edges = dom.n, len(dom.edges)
+    if _integer_from(spec, m + 1):
+        sub_nodes, sub_links = _count_below(spec, m + 1, prefix + (0,))
+        return n_local * sub_nodes, n_local * sub_links + n_edges * sub_nodes
     if n_local > MAX_RECURSIVE_NODES:
         return n_local, 0
     if isinstance(dom, int):
@@ -592,7 +579,7 @@ def _asymmetric_size(spec: RecursionSpec, m: int, prefix: tuple[int, ...]) -> tu
             degree[b] += 1
     nodes = links = bridge_ends = 0
     for a in range(n_local):
-        sub_nodes, sub_links = _asymmetric_size(spec, m + 1, prefix + (a,))
+        sub_nodes, sub_links = _count_below(spec, m + 1, prefix + (a,))
         nodes += sub_nodes
         links += sub_links
         bridge_ends += degree[a] * sub_nodes
@@ -601,47 +588,48 @@ def _asymmetric_size(spec: RecursionSpec, m: int, prefix: tuple[int, ...]) -> tu
     return nodes, links + bridge_ends // 2
 
 
-def _expand(spec: RecursionSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Labels, link ends and link levels of any spec, by depth-first expansion."""
-    r = spec.r
-    cube_edges: dict[int, list] = {}
+def _build_below(spec: RecursionSpec, m: int, prefix: tuple[int, ...]
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Labels (digits m..r), link ends and link levels of the level-m
+    domain below `prefix`, nodes numbered in lexicographic label order.
 
-    def expand(m: int, prefix: tuple[int, ...]):
-        """Suffix tuples and links (as suffix pairs + level) below `prefix`."""
-        if m > r:
-            return [()], []
-        dom = _domain(spec, m, prefix)
-        if isinstance(dom, int):
-            if dom not in cube_edges:
-                cube_edges[dom] = _gray_hypercube_edges(dom).tolist()
-            n_local, local_edges = 2**dom, cube_edges[dom]
-        else:
-            n_local, local_edges = dom.n, dom.edges
-        suffixes: list[tuple[int, ...]] = []
-        links: list[tuple[tuple, tuple, int]] = []
-        subs: dict[int, list[tuple[int, ...]]] = {}
-        for a in range(n_local):
-            sub_suffixes, sub_links = expand(m + 1, prefix + (a,))
-            subs[a] = sub_suffixes
-            suffixes.extend((a,) + s for s in sub_suffixes)
-            links.extend(((a,) + su, (a,) + sv, lvl) for su, sv, lvl in sub_links)
-        for a, b in local_edges:
-            if set(subs[a]) != set(subs[b]):
+    Subdomain a is the block of nodes from start[a].  The links are
+    those of each subdomain a in turn, shifted by start[a], then, for
+    each level-m edge (a, b), the links from start[a] + s to
+    start[b] + s for every suffix s: the order a depth-first expansion
+    appends them in.  Below a run of integer levels every subdomain is
+    the same graph, so it is built once.
+    """
+    if m > spec.r:
+        return (np.zeros((1, 0), dtype=np.int32), np.empty((0, 2), dtype=np.int32),
+                np.empty(0, dtype=np.int32))
+    dom = _domain(spec, m, prefix)
+    if isinstance(dom, int):
+        n_local, local_edges = 2**dom, _gray_hypercube_edges(dom)
+    else:
+        n_local, local_edges = dom.n, np.array(dom.edges, dtype=np.int32).reshape(-1, 2)
+    if _integer_from(spec, m + 1):
+        subs = [_build_below(spec, m + 1, prefix + (0,))] * n_local
+    else:
+        subs = [_build_below(spec, m + 1, prefix + (a,)) for a in range(n_local)]
+        for a, b in local_edges.tolist():
+            if not np.array_equal(subs[a][0], subs[b][0]):
                 raise ConstructionError(
                     f"cannot interconnect domains {prefix + (a,)} and {prefix + (b,)}: "
                     "unequal local suffix sets"
                 )
-            for s in subs[a]:
-                links.append(((a,) + s, (b,) + s, m))
-        return suffixes, links
-
-    labels, raw_links = expand(1, ())
-    # Depth-first enumeration is lexicographic, so each domain's number
-    # (its smallest flat node number) is the one with an all-zero suffix.
-    flat_of = {lab: i for i, lab in enumerate(labels)}
-    rows = np.array([(flat_of[lu], flat_of[lv], lvl) for lu, lv, lvl in raw_links],
-                    dtype=np.int32).reshape(-1, 3)
-    return np.array(labels, dtype=np.int32), rows[:, :2], rows[:, 2]
+    sub_labels, sub_ends, sub_level = zip(*subs)
+    size = np.fromiter(map(len, sub_labels), np.int32, n_local)
+    start = np.cumsum(size, dtype=np.int32) - size
+    run = size[local_edges[:, 0]]  # suffixes bridged along each level-m edge
+    suffix = np.arange(run.sum(), dtype=np.int32) - np.repeat(np.cumsum(run, dtype=np.int32) - run, run)
+    labels = np.column_stack((np.repeat(np.arange(n_local, dtype=np.int32), size),
+                              np.concatenate(sub_labels)))
+    shift = np.repeat(start, np.fromiter(map(len, sub_ends), np.int32, n_local))[:, None]
+    ends = np.concatenate((np.concatenate(sub_ends) + shift,
+                           start[np.repeat(local_edges, run, axis=0)] + suffix[:, None]))
+    level = np.concatenate(sub_level + (np.full(len(suffix), m, dtype=np.int32),))
+    return labels, ends, level
 
 
 def closed_form_link_count(spec: RecursionSpec) -> tuple[int, int]:
@@ -652,8 +640,7 @@ def closed_form_link_count(spec: RecursionSpec) -> tuple[int, int]:
     """
     if spec.mode == "asymmetric":
         raise SpecError("asymmetric recursion has no closed-form link count")
-    total = sum(spec.dims)
-    return 2**total, 2 ** (total - 1) * total
+    return _count_below(spec, 1, ())
 
 
 def build_rooted_tree(n: int, degree: int = 3, distance_km: float = 5000.0) -> Topology:

@@ -271,6 +271,21 @@ class TestExitCodes:
         assert run_cli(["topo", "build", "--spec", str(spec)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc",
+        [{"kind": "recursive", "mode": "semi", "dims": [-1, 2]},
+         {"kind": "recursive", "mode": "symmetric", "dims": [-2, -2]},
+         {"kind": "hypercube", "dim": -1}],
+        ids=["semi", "symmetric", "hypercube"],
+    )
+    def test_negative_dimension(self, tmp_path, capsys, doc):
+        spec = tmp_path / "neg.json"
+        spec.write_text(json.dumps(doc))
+        assert run_cli(["topo", "build", "--spec", str(spec),
+                        "--out", str(tmp_path / "neg.topology.json")]) == 2
+        err = capsys.readouterr().err
+        assert "non-negative" in err and "Traceback" not in err
+
     def test_bad_sweep_size(self, capsys):
         assert run_cli(["gossip", "sweep", "--sizes", "12", "--cycles", "5"]) == 2
 

@@ -94,6 +94,29 @@ class TestIncompleteHypercube:
         with pytest.raises(ConstructionError):
             build_incomplete_hypercube(3, removed_links=[(0, 1), (0, 2), (0, 4)])
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"removed_links": [(0, 3)]}, "removed_links must be hypercube edges"),
+            ({"removed_links": [(5, 5)]}, "removed_links must be hypercube edges"),
+            ({"removed_links": [(16, 0)]}, "removed_links must be hypercube edges"),
+            ({"removed_links": [(-1, 0)]}, "removed_links must be hypercube edges"),
+            ({"present_nodes": [0, 1, 16]}, "present_nodes must be hypercube node ids"),
+            ({"present_nodes": [-1, 0]}, "present_nodes must be hypercube node ids"),
+            ({"present_nodes": []}, "present_nodes must not be empty"),
+        ],
+        ids=["non-edge", "self-pair", "out-of-range-pair", "negative-pair",
+             "out-of-range-node", "negative-node", "no-nodes"],
+    )
+    def test_rejects_non_hypercube_items(self, kwargs, message):
+        with pytest.raises(SpecError, match=message):
+            build_incomplete_hypercube(4, **kwargs)
+
+    def test_duplicate_present_nodes(self):
+        t = build_incomplete_hypercube(3, present_nodes=[3, 1, 0, 1, 2, 3])
+        assert t.labels.ravel().tolist() == [0, 1, 2, 3]
+        assert (t.n_nodes, t.n_links) == (4, 4)
+
 
 class TestRecursive:
     def test_two_level_cyclic_numbering(self):
@@ -158,6 +181,21 @@ class TestRecursive:
         # 4 domains x 6 mesh links + 4 parent links x 4 suffixes
         assert t.n_links == 24 + 16
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: RecursionSpec.semi((-1, 2)),
+            lambda: RecursionSpec.semi((2, -3)),
+            lambda: RecursionSpec.symmetric(-1, 2),
+            lambda: RecursionSpec.asymmetric((2, -1)),
+            lambda: RecursionSpec.asymmetric(({(): DomainGraph(2, ((0, 1),))}, -2)),
+        ],
+        ids=["semi-first", "semi-last", "symmetric", "asymmetric", "asymmetric-after-explicit"],
+    )
+    def test_negative_dimension_rejected(self, make):
+        with pytest.raises(SpecError, match="non-negative"):
+            make()
+
     def test_asymmetric_unequal_domains_rejected(self):
         spec = RecursionSpec.asymmetric(
             (1, {(0,): DomainGraph(2, ((0, 1),)), (1,): DomainGraph(3, ((0, 1), (1, 2)))})
@@ -177,6 +215,11 @@ class TestClosedForms:
     )
     def test_values(self, spec, n, links):
         assert closed_form_link_count(spec) == (n, links)
+
+    def test_zero_dimension_is_one_node(self):
+        n, links = closed_form_link_count(RecursionSpec.symmetric(0, 1))
+        assert (n, links) == (1, 0)
+        assert type(n) is int and type(links) is int
 
     def test_asymmetric_unsupported(self):
         spec = RecursionSpec.asymmetric((2, {(i,): DomainGraph(2, ((0, 1),)) for i in range(4)}))
@@ -452,7 +495,7 @@ class TestSizeGuard:
         def refuse(*args):
             raise AssertionError("edges or labels generated")
 
-        for name in ("_gray_hypercube_edges", "_cube_recursion", "_expand"):
+        for name in ("_gray_hypercube_edges", "_build_below"):
             monkeypatch.setattr(topology, name, refuse)
 
     @pytest.mark.parametrize(
@@ -481,7 +524,121 @@ class TestSizeGuard:
     def test_asymmetric_count_matches_build(self):
         for spec in (_ASYM_TRIANGLE, _ASYM_MESH):
             t = build_recursive(spec)
-            assert topology._asymmetric_size(spec, 1, ()) == (t.n_nodes, t.n_links)
+            assert topology._count_below(spec, 1, ()) == (t.n_nodes, t.n_links)
+
+
+def expand_oracle(spec):
+    """Labels, link ends and link levels of any spec, by depth-first
+    expansion over suffix tuples: the construction read off the paper."""
+    def expand(m, prefix):
+        """Suffix tuples and links (as suffix pairs + level) below `prefix`."""
+        if m > spec.r:
+            return [()], []
+        dom = topology._domain(spec, m, prefix)
+        if isinstance(dom, int):
+            n_local, local_edges = 2**dom, _gray_hypercube_edges(dom).tolist()
+        else:
+            n_local, local_edges = dom.n, dom.edges
+        suffixes, links, subs = [], [], {}
+        for a in range(n_local):
+            sub_suffixes, sub_links = expand(m + 1, prefix + (a,))
+            subs[a] = sub_suffixes
+            suffixes.extend((a,) + s for s in sub_suffixes)
+            links.extend(((a,) + su, (a,) + sv, lvl) for su, sv, lvl in sub_links)
+        for a, b in local_edges:
+            if set(subs[a]) != set(subs[b]):
+                raise ConstructionError(
+                    f"cannot interconnect domains {prefix + (a,)} and {prefix + (b,)}: "
+                    "unequal local suffix sets"
+                )
+            links.extend(((a,) + s, (b,) + s, m) for s in subs[a])
+        return suffixes, links
+
+    labels, raw_links = expand(1, ())
+    flat_of = {lab: i for i, lab in enumerate(labels)}
+    rows = [(flat_of[lu], flat_of[lv], lvl) for lu, lv, lvl in raw_links]
+    rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    return np.array(labels, dtype=np.int64), rows[:, :2], rows[:, 2]
+
+
+@st.composite
+def connected_domains(draw, n):
+    """A connected DomainGraph on n nodes: a random tree plus random chords,
+    in random order and orientation."""
+    pairs = {(draw(st.integers(0, b - 1)), b) for b in range(1, n)}
+    all_pairs = list(itertools.combinations(range(n), 2))
+    if all_pairs:
+        pairs |= set(draw(st.lists(st.sampled_from(all_pairs), max_size=n)))
+    edges = [(b, a) if draw(st.booleans()) else (a, b) for a, b in sorted(pairs)]
+    return DomainGraph(n, tuple(draw(st.permutations(edges))))
+
+
+@st.composite
+def mixed_specs(draw, mismatch=False):
+    """A buildable spec of 1-3 levels, each a hypercube dimension 0-3 or a
+    map from every prefix to its own connected DomainGraph of 1-8 nodes (at
+    most 512 nodes in all).  With `mismatch`, one explicit domain below a
+    level of at least two nodes gets one node more than its peers."""
+    r = draw(st.integers(2 if mismatch else 1, 3))
+    # sizes[i] >= 0 is a hypercube dimension, -n an explicit level of n nodes
+    sizes = [draw(st.one_of(st.integers(0, 3), st.integers(-8, -1))) for _ in range(r)]
+    if mismatch:
+        m = draw(st.integers(2, r))  # the mismatched level, 1-based
+        sizes[m - 1] = draw(st.integers(-7, -1))
+        if sizes[m - 2] in (0, -1):  # a one-node parent domain has no edge to check
+            sizes[m - 2] = draw(st.sampled_from([1, 2, -2, -3]))
+    n_local = [2**d if d >= 0 else -d for d in sizes]
+    levels = []
+    for i, d in enumerate(sizes):
+        if d >= 0:
+            levels.append(d)
+            continue
+        prefixes = list(itertools.product(*(range(n) for n in n_local[:i])))
+        levels.append({p: draw(connected_domains(-d)) for p in prefixes})
+    if mismatch:
+        prefix = draw(st.sampled_from(sorted(levels[m - 1])))
+        levels[m - 1][prefix] = draw(connected_domains(n_local[m - 1] + 1))
+        # deeper explicit levels need domains below the extra node too
+        for j in range(m, r):
+            if sizes[j] < 0:
+                for rest in itertools.product(*(range(n) for n in n_local[m:j])):
+                    levels[j][prefix + (n_local[m - 1],) + rest] = draw(
+                        connected_domains(n_local[j]))
+    return RecursionSpec.asymmetric(levels)
+
+
+class TestRecursionOracle:
+    """The array walks against the depth-first expansion, on specs that
+    mix integer levels with explicit per-prefix domains."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=mixed_specs())
+    def test_build_and_count_match_expansion(self, spec):
+        t = build_recursive(spec)
+        labels, ends, level = expand_oracle(spec)
+        assert np.array_equal(t.labels, labels)
+        assert np.array_equal(t.ends, ends)
+        assert np.array_equal(t.level, level)
+        assert topology._count_below(spec, 1, ()) == (t.n_nodes, t.n_links)
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=mixed_specs(mismatch=True))
+    def test_mismatched_subdomain_rejected(self, spec):
+        with pytest.raises(ConstructionError, match="unequal local suffix sets"):
+            build_recursive(spec)
+        with pytest.raises(ConstructionError, match="unequal local suffix sets"):
+            expand_oracle(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [_ASYM_MESH, _ASYM_TRIANGLE, RecursionSpec.semi((5, 4, 3)), RecursionSpec.semi((0, 2)),
+         RecursionSpec.symmetric(2, 3), RecursionSpec.symmetric(6, 1)],
+        ids=["asym-mesh", "asym-tri", "5-4-3", "0-2", "2-2-2", "6"],
+    )
+    def test_fixed_specs_match_expansion(self, spec):
+        t = build_recursive(spec)
+        for got, want in zip((t.labels, t.ends, t.level), expand_oracle(spec)):
+            assert np.array_equal(got, want)
 
 
 class TestArrays:
