@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericError, ResourceLimitError, SpecError
-from .topology import RecursionSpec, Topology, build_complete_hypercube
-from .topology import _chunk_rows, _max_comp_rows, max_component_size, resolve_failed_links
+from .topology import RecursionSpec, Topology, build_complete_hypercube, max_component_size
+from .topology import _bfs_levels, _chunk_rows, _max_comp_rows, resolve_failed_links
 from .unionfind import UnionFind  # noqa: F401  unused; perfbench/tracer.py patches this name
 
 ENUM_CAP_DEFAULT = 2_000_000
@@ -144,7 +144,7 @@ def _cut_bound(topology: Topology, k: int) -> int:
     delta = int(degree.min())
     half = (n - k + 1) / 2
     kappa = None
-    rayleigh_term = math.ceil(_distance_rayleigh(ends, n) * half)
+    rayleigh_term = math.ceil(_distance_rayleigh(topology) * half)
     if rayleigh_term <= delta:
         kappa = _edge_connectivity(topology)
         if rayleigh_term <= kappa:
@@ -155,26 +155,20 @@ def _cut_bound(topology: Topology, k: int) -> int:
     return max(fiedler, _edge_connectivity(topology) if kappa is None else kappa)
 
 
-def _distance_rayleigh(ends: np.ndarray, n: int) -> float:
+def _distance_rayleigh(topology: Topology) -> float:
     """Rayleigh quotient of the BFS distances from node 0, centred: an
     upper bound on lam2; 0 when the graph is disconnected (lam2 = 0).
 
     BFS distances differ by at most one along a link, so the quotient's
     numerator counts the links whose ends lie at different distances.
     """
-    dist = np.full(n, -1)
-    dist[0] = 0
-    frontier = dist == 0
-    level = 0
-    while frontier.any():
-        level += 1
-        reached = np.zeros(n, dtype=bool)
-        reached[ends[frontier[ends[:, 0]], 1]] = True
-        reached[ends[frontier[ends[:, 1]], 0]] = True
-        frontier = reached & (dist < 0)
-        dist[frontier] = level
-    if n < 2 or dist.min() < 0:
+    n, ends = topology.n_nodes, topology.ends
+    levels = _bfs_levels(*topology.csr(), 0)
+    if n < 2 or 1 + sum(len(nodes) for nodes, _, _ in levels) < n:
         return 0.0
+    dist = np.zeros(n, dtype=np.int64)
+    for d, (nodes, _, _) in enumerate(levels, start=1):
+        dist[nodes] = d
     x = dist - dist.mean()
     return float(np.count_nonzero(dist[ends[:, 0]] != dist[ends[:, 1]])) / float(x @ x)
 
@@ -380,12 +374,6 @@ def _estimate_states(
     return est, float(np.var(w)) / budget
 
 
-def _link_orders(n_links: int, budget: int, seed):
-    """`budget` uniform random orders of the link indices; one stream per seed."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return (rng.permutation(n_links) for _ in range(budget))
-
-
 def _critical_counts(topology: Topology, k: int, budget: int, seed) -> np.ndarray:
     """Critical failure count c* of each of `budget` random link orders.
 
@@ -398,20 +386,20 @@ def _critical_counts(topology: Topology, k: int, budget: int, seed) -> np.ndarra
     form a uniform i-subset, so 1[c* <= i] is one draw of P{wrong | i}
     for every i at once.  The orders go through in batches of at most
     ORDER_SLOTS order (and node) slots, every order of a batch adding
-    its next link at the same step.
+    its next link at the same step.  Each batch is one draw of uniform
+    column permutations, which reads the stream one `rng.permutation(L)`
+    per order reads.
     """
     L, n = topology.n_links, topology.n_nodes
     out = np.full(budget, L + 1, dtype=np.int64)
     if k == 1:
         return out
-    ends = topology.ends
-    orders = _link_orders(L, budget, seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    links = np.arange(L, dtype=np.int32)[:, None]
     step = max(1, ORDER_SLOTS // max(n, L))
     for lo in range(0, budget, step):
-        batch = np.empty((L, min(step, budget - lo)), dtype=np.int32)
-        for b in range(batch.shape[1]):
-            batch[:, b] = next(orders)
-        out[lo:lo + batch.shape[1]] -= _links_added(ends, n, k, batch)
+        batch = rng.permuted(np.broadcast_to(links, (L, min(step, budget - lo))), axis=0)
+        out[lo:lo + batch.shape[1]] -= _links_added(topology.ends, n, k, batch)
     return out
 
 

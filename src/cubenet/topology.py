@@ -598,7 +598,7 @@ def _build_below(spec: RecursionSpec, m: int, prefix: tuple[int, ...]
     each level-m edge (a, b), the links from start[a] + s to
     start[b] + s for every suffix s: the order a depth-first expansion
     appends them in.  Below a run of integer levels every subdomain is
-    the same graph, so it is built once.
+    the same graph, so it is built once and tiled.
     """
     if m > spec.r:
         return (np.zeros((1, 0), dtype=np.int32), np.empty((0, 2), dtype=np.int32),
@@ -609,7 +609,12 @@ def _build_below(spec: RecursionSpec, m: int, prefix: tuple[int, ...]
     else:
         n_local, local_edges = dom.n, np.array(dom.edges, dtype=np.int32).reshape(-1, 2)
     if _integer_from(spec, m + 1):
-        subs = [_build_below(spec, m + 1, prefix + (0,))] * n_local
+        sub_labels, sub_ends, sub_level = _build_below(spec, m + 1, prefix + (0,))
+        size = np.full(n_local, len(sub_labels), dtype=np.int32)
+        n_sub_links = np.full(n_local, len(sub_ends), dtype=np.int32)
+        sub_labels = np.tile(sub_labels, (n_local, 1))
+        sub_ends = np.tile(sub_ends, (n_local, 1))
+        sub_level = np.tile(sub_level, n_local)
     else:
         subs = [_build_below(spec, m + 1, prefix + (a,)) for a in range(n_local)]
         for a, b in local_edges.tolist():
@@ -618,17 +623,17 @@ def _build_below(spec: RecursionSpec, m: int, prefix: tuple[int, ...]
                     f"cannot interconnect domains {prefix + (a,)} and {prefix + (b,)}: "
                     "unequal local suffix sets"
                 )
-    sub_labels, sub_ends, sub_level = zip(*subs)
-    size = np.fromiter(map(len, sub_labels), np.int32, n_local)
+        sub_labels, sub_ends, sub_level = zip(*subs)
+        size = np.fromiter(map(len, sub_labels), np.int32, n_local)
+        n_sub_links = np.fromiter(map(len, sub_ends), np.int32, n_local)
+        sub_labels, sub_ends, sub_level = map(np.concatenate, (sub_labels, sub_ends, sub_level))
     start = np.cumsum(size, dtype=np.int32) - size
     run = size[local_edges[:, 0]]  # suffixes bridged along each level-m edge
     suffix = np.arange(run.sum(), dtype=np.int32) - np.repeat(np.cumsum(run, dtype=np.int32) - run, run)
-    labels = np.column_stack((np.repeat(np.arange(n_local, dtype=np.int32), size),
-                              np.concatenate(sub_labels)))
-    shift = np.repeat(start, np.fromiter(map(len, sub_ends), np.int32, n_local))[:, None]
-    ends = np.concatenate((np.concatenate(sub_ends) + shift,
+    labels = np.column_stack((np.repeat(np.arange(n_local, dtype=np.int32), size), sub_labels))
+    ends = np.concatenate((sub_ends + np.repeat(start, n_sub_links)[:, None],
                            start[np.repeat(local_edges, run, axis=0)] + suffix[:, None]))
-    level = np.concatenate(sub_level + (np.full(len(suffix), m, dtype=np.int32),))
+    level = np.concatenate((sub_level, np.full(len(suffix), m, dtype=np.int32)))
     return labels, ends, level
 
 
@@ -776,3 +781,53 @@ def max_component_size(topology: Topology, failed_link_indices: set[int]) -> int
     """Largest component size with the given link indices failed (fast path)."""
     present = _present_row(topology, failed_link_indices)
     return int(_max_comp_rows(topology.ends, topology.n_nodes, present)[0])
+
+
+# one BFS level: (nodes in queue order, their parents, their child ranks)
+Level = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _bfs_levels(indptr: np.ndarray, indices: np.ndarray, source: int) -> list[Level]:
+    """The queue-order BFS tree from `source`, one level at a time.
+
+    Each level lists its nodes in queue order with their parents and
+    their 1-based rank among the parent's children.  A FIFO queue over
+    sorted adjacency lists dequeues a whole level before the next, so a
+    node's parent is the first node of the level above, in queue order,
+    to list it.  Concatenating the frontier's neighbor slices in queue
+    order and keeping each unseen node's first occurrence therefore
+    gives exactly that tree.  Nodes that `source` cannot reach are in
+    no level.
+    """
+    n = len(indptr) - 1
+    degree = np.diff(indptr)
+    seen = np.zeros(n, dtype=bool)
+    seen[source] = True
+    # A node is a candidate in one level and a parent in the next, so these
+    # need no reset: its first position among the level's candidates, and
+    # the position of its first child in the level below.
+    unset = np.iinfo(np.int64).max
+    first = np.full(n, unset)
+    head = np.full(n, unset)
+    frontier = np.array([source], dtype=np.int64)
+    levels: list[Level] = []
+    while True:
+        counts = degree[frontier]
+        ends = np.cumsum(counts)
+        slots = np.repeat(indptr[frontier] - ends + counts, counts) + np.arange(ends[-1])
+        cand = indices[slots]
+        fresh = ~seen[cand]
+        cand = cand[fresh]
+        if not cand.size:
+            break
+        parents = np.repeat(frontier, counts)[fresh]
+        pos = np.arange(cand.size)
+        np.minimum.at(first, cand, pos)
+        keep = first[cand] == pos
+        nodes, parents = cand[keep], parents[keep]
+        seen[nodes] = True
+        pos = pos[: nodes.size]
+        np.minimum.at(head, parents, pos)
+        levels.append((nodes, parents, pos - head[parents] + 1))
+        frontier = nodes
+    return levels

@@ -289,6 +289,17 @@ class TestExitCodes:
     def test_bad_sweep_size(self, capsys):
         assert run_cli(["gossip", "sweep", "--sizes", "12", "--cycles", "5"]) == 2
 
+    @pytest.mark.parametrize("option, field", [("--bandwidth", "link_bandwidth"),
+                                               ("--latency", "link_latency"),
+                                               ("--tx-rate", "tx_rate")])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_consensus_non_finite_rate(self, cube_topology, capsys, option, field, value):
+        capsys.readouterr()
+        code = run_cli(["consensus", "run", "--topology", cube_topology, "--rounds", "5",
+                        option, value])
+        assert code == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+
     def test_multiclass_zero_budget(self, tmp_path, capsys):
         spec = tmp_path / "rec.json"
         spec.write_text(json.dumps({"kind": "recursive", "mode": "symmetric", "dims": [2, 2]}))

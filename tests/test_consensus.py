@@ -17,18 +17,21 @@ from cubenet import (
     run_consensus,
     sweep_consensus,
 )
-from cubenet.consensus import cross_size_std, gather_time
-from cubenet.errors import SpecError
+from cubenet.consensus import (
+    BLOCK_CAP,
+    HEADER_BYTES,
+    TX_SIZE,
+    VOTE_BYTES,
+    cross_size_std,
+    gather_time,
+)
+from cubenet.errors import ConstructionError, SpecError
+from cubenet.topology import Link, LinkClass, NodeId, Topology
 
 
 class TestConfig:
     def test_defaults_respect_block_budget(self):
-        cfg = ConsensusConfig()
-        assert cfg.block_cap * cfg.tx_size <= cfg.max_block_bytes
-
-    def test_oversized_block_rejected(self):
-        with pytest.raises(SpecError):
-            ConsensusConfig(block_cap=10_000_000, tx_size=24, max_block_bytes=1000)
+        assert BLOCK_CAP * TX_SIZE <= 235_000_000
 
     @pytest.mark.parametrize(
         "kw",
@@ -45,6 +48,12 @@ class TestConfig:
     def test_rejects(self, kw):
         with pytest.raises(SpecError):
             ConsensusConfig(**kw)
+
+    @pytest.mark.parametrize("field", ["tx_rate", "link_bandwidth", "link_latency"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(SpecError, match=f"{field} must be finite"):
+            ConsensusConfig(**{field: value})
 
 
 class TestBroadcast:
@@ -78,6 +87,16 @@ class TestBroadcast:
         # 4 leaves each deliver one 64-byte aggregate, serialized at the hub
         expected = 4 * 64 * 8 / 8e6
         assert math.isclose(gather_time(t, 0, cfg), expected)
+
+    def test_unreachable_node_raises(self):
+        t = Topology.from_links("custom", [NodeId((x,), x) for x in range(4)],
+                                [Link(0, 1, 0), Link(2, 3, 0)], {0: LinkClass.standard(5000)}, {})
+        cfg = ConsensusConfig(rounds=1)
+        calls = (lambda: broadcast_time(t, 0, 1000, cfg), lambda: gather_time(t, 3, cfg),
+                 lambda: run_consensus(t, cfg))
+        for call in calls:
+            with pytest.raises(ConstructionError, match="cannot reach every node"):
+                call()
 
     def test_gather_aggregates_subtrees(self):
         t = build_rooted_tree(7, 3)  # children: 0->{1,2,3}, 1->{4,5}, 2->{6}
@@ -133,7 +152,7 @@ class TestRunConsensus:
         report = run_consensus(t, cfg)
         assert sum(report.per_round_committed) == round(report.tx_per_second * report.elapsed_s)
         assert math.isclose(sum(report.per_round_time), report.elapsed_s)
-        assert all(c <= cfg.block_cap for c in report.per_round_committed)
+        assert all(c <= BLOCK_CAP for c in report.per_round_committed)
 
 
 class TestSweep:
@@ -207,7 +226,7 @@ def _oracle_gather(topology, root, config):
         size = 1
         for c in children[u]:
             child_done, child_size = finish(c)
-            transfer = config.vote_bytes * child_size * 8.0 / config.link_bandwidth
+            transfer = VOTE_BYTES * child_size * 8.0 / config.link_bandwidth
             transfer += config.link_latency
             t = max(t, child_done) + transfer
             size += child_size
@@ -233,8 +252,8 @@ def _oracle_rounds(topology, config):
             leader = int(rng.integers(n))
         else:
             leader = (r // int(config.leader_policy.split(":", 1)[1])) % n
-        block_tx = min(config.block_cap, int(config.tx_rate * elapsed - committed))
-        block_bytes = config.header_bytes + block_tx * config.tx_size
+        block_tx = min(BLOCK_CAP, int(config.tx_rate * elapsed - committed))
+        block_bytes = HEADER_BYTES + block_tx * TX_SIZE
         round_time = _oracle_broadcast(topology, leader, block_bytes, config)
         round_time += _oracle_gather(topology, leader, config)
         elapsed += round_time

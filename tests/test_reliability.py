@@ -43,7 +43,6 @@ from cubenet.reliability import (
     _cut_lower_bound,
     _edge_connectivity,
     _exact_state,
-    _link_orders,
     _max_comp_rows,
     _max_flow,
     _repair_fn,
@@ -708,10 +707,13 @@ class TestCutBoundWork:
 
 
 def critical_counts_oracle(topology, k, budget, seed):
-    """One union-find pass per link order, stopping at the first k-component."""
+    """One union-find pass per link order, stopping at the first k-component;
+    each order is its own `rng.permutation(L)` draw from the seed's stream."""
     L, n = topology.n_links, topology.n_nodes
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     out = np.empty(budget, dtype=np.int64)
-    for b, order in enumerate(_link_orders(L, budget, seed)):
+    for b in range(budget):
+        order = rng.permutation(L)
         added = 0
         if k > 1:
             uf = UnionFind(n)
