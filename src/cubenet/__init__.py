@@ -10,9 +10,7 @@ __version__ = "0.1.0"
 
 from .topology import (  # noqa: F401
     DomainGraph,
-    Link,
     LinkClass,
-    NodeId,
     RecursionSpec,
     Topology,
     build_complete_hypercube,

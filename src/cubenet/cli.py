@@ -23,7 +23,7 @@ from . import __version__
 from .consensus import ConsensusConfig, cross_size_std, run_consensus, sweep_consensus
 from .errors import CubenetError, NumericError, SpecError
 from .gossip import GossipConfig, run_gossip, sweep_sizes
-from .reliability import _single_class_id, analyze_hierarchical, partition_tolerance
+from .reliability import ENUM_CAP_DEFAULT, _single_class_id, analyze_hierarchical, partition_tolerance
 from .topology import (
     RecursionSpec,
     Topology,
@@ -162,6 +162,7 @@ def _load_topology(path: str) -> Topology:
 
 
 TABLE1_DIMS = (2, 3, 4, 5)
+TABLE3_ENUM_CAP = 100_000  # subsets enumerated per state for the reliability columns
 TABLE3_N64 = [
     ("tree", "regular rooted tree", None),
     ("ring", "ring lattice", None),
@@ -241,11 +242,11 @@ def table3_rows(with_reliability=False, budget=4000, seed=0) -> list[list]:
 
 def _reliability_columns(kind, n, degree, spec, budget, seed):
     if spec is not None and spec.r > 1:
-        agg = analyze_hierarchical(spec, budget=budget, seed=seed, enum_cap=100_000)
+        agg = analyze_hierarchical(spec, budget=budget, seed=seed, enum_cap=TABLE3_ENUM_CAP)
         p, t, method = agg.p, agg.t, "aggregated"
     else:
         topo = _table3_graph(kind, n, degree, spec)
-        report = partition_tolerance(topo, budget=budget, seed=seed, enum_cap=100_000)
+        report = partition_tolerance(topo, budget=budget, seed=seed, enum_cap=TABLE3_ENUM_CAP)
         p, t, method = report.p, report.t, report.method
     neglog = math.inf if p >= 1.0 else -math.log10(1.0 - p)
     return [_fmt(p), _fmt(neglog), _fmt(t) if t is not None else "", method]
@@ -401,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--topology", required=True)
     p_analyze.add_argument("--k", type=int, default=None)
     p_analyze.add_argument("--budget", type=int, default=20000)
-    p_analyze.add_argument("--enum-cap", type=int, default=2_000_000)
+    p_analyze.add_argument("--enum-cap", type=int, default=ENUM_CAP_DEFAULT)
     common(p_analyze)
     p_analyze.set_defaults(func=cmd_analyze)
 

@@ -103,7 +103,6 @@ class SweepRow:
     label: str
     n_nodes: int
     mean_total: float
-    per_seed_totals: tuple[int, ...]
 
 
 def sweep_sizes(
@@ -114,10 +113,8 @@ def sweep_sizes(
     """Run the gossip simulation per topology, averaging totals over seeds."""
     rows = []
     for label, topo in topologies:
-        totals = []
-        for seed in seeds:
-            totals.append(run_gossip(topo, replace(config, seed=seed)).total_forwarded)
-        rows.append(SweepRow(label, topo.n_nodes, float(np.mean(totals)), tuple(totals)))
+        totals = [run_gossip(topo, replace(config, seed=seed)).total_forwarded for seed in seeds]
+        rows.append(SweepRow(label, topo.n_nodes, float(np.mean(totals))))
     return rows
 
 

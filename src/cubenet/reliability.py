@@ -603,7 +603,6 @@ def exact_partition_tolerance_bruteforce(
 class AggregateResult:
     p: float
     t: float | None
-    clamped: bool
 
 
 def analyze_hierarchical(
@@ -620,8 +619,7 @@ def analyze_hierarchical(
     prod_{j<m} 2^{d_j} domains, each reached when every ancestor holds,
     so it adds prod_{j<m} 2^{d_j} p_j * (1 - p_m) to 1 - p; t is the
     repair-time average weighted by those terms.  The sum is a
-    union-style first-order expansion and may exceed 1; it is clamped
-    with a flag.
+    union-style first-order expansion and may exceed 1; p is then 0.
     """
     if spec.mode == "asymmetric":
         raise SpecError("hierarchical aggregation needs a symmetric or semi-symmetric spec")
@@ -637,4 +635,4 @@ def analyze_hierarchical(
             t_mass += weight * report.t
         reach *= 2**dim * report.p
     t = t_mass / raw if raw > 0.0 else None
-    return AggregateResult(1.0 - min(raw, 1.0), t, raw > 1.0)
+    return AggregateResult(1.0 - min(raw, 1.0), t)

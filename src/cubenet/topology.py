@@ -81,38 +81,13 @@ class LinkClass:
 
 
 @dataclass(frozen=True)
-class NodeId:
-    """Hierarchical node number: one index per recursion level, plus a flat index.
-
-    `levels` is most-significant first: the first digit is the level-1
-    domain index, the last digit is the node's index inside its deepest
-    domain.  For a single-level hypercube, `levels` has length 1.
-    """
-
-    levels: tuple[int, ...]
-    flat: int
-
-    def __post_init__(self):
-        if not self.levels:
-            raise SpecError("NodeId.levels must be non-empty")
-
-    def label(self) -> str:
-        if all(x < 10 for x in self.levels):
-            return "".join(str(x) for x in self.levels)
-        return ".".join(str(x) for x in self.levels)
-
-
-@dataclass(frozen=True)
 class Link:
-    """Undirected physical link between two nodes (given by flat ids)."""
+    """One row of `Topology.links`: an undirected link between flat node ids."""
 
     u: int
     v: int
     class_id: int
     level: int = 1
-
-    def key(self) -> tuple[int, int]:
-        return (self.u, self.v) if self.u < self.v else (self.v, self.u)
 
 
 @dataclass(frozen=True)
@@ -238,13 +213,15 @@ class RecursionSpec:
 class Topology:
     """A labeled node set plus a typed link set, held in read-only arrays.
 
-    Node x is labeled by row x of `labels`, the digits of its `NodeId`
-    (one per recursion level, most significant first).  Link j joins the
-    flat nodes `ends[j]`, belongs to link class `class_id[j]` and to
-    recursion level `level[j]` (1 for flat graphs).  The arrays cannot
-    be written, so data derived from them is computed once and kept on
-    the object (`memo`): the sorted CSR adjacency, and the `nodes` and
-    `links` object views, which are built on first access.
+    Node x is labeled by row x of `labels`, its hierarchical number (one
+    digit per recursion level, most significant first).  Link j joins
+    the flat nodes `ends[j]`, belongs to link class `class_id[j]` and to
+    recursion level `level[j]` (1 for flat graphs).  A topology is valid
+    by construction: `__post_init__`, which `dataclasses.replace` runs
+    too, freezes the arrays and checks them against `classes`.  Because
+    the arrays cannot be written, data derived from them is computed
+    once and kept on the object (`memo`), such as the sorted CSR
+    adjacency.
     """
 
     kind: str
@@ -257,21 +234,32 @@ class Topology:
     _memo: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
+        """Freeze the arrays, then raise ConstructionError naming the first
+        bad link, as a scan in link order checks each for a self-loop, a
+        dangling end, a repeat of an earlier link and an unknown class, in
+        that order."""
         for name in ("labels", "ends", "class_id", "level"):
             arr = np.asarray(getattr(self, name), dtype=np.int32)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    @classmethod
-    def from_links(cls, kind: str, nodes, links, classes, meta=None) -> "Topology":
-        """Validated topology from `NodeId`s (node x is nodes[x]) and `Link`s."""
-        rows = np.array([(lk.u, lk.v, lk.class_id, lk.level) for lk in links],
-                        dtype=np.int32).reshape(-1, 4)
-        labels = _label_array([nd.levels for nd in nodes])
-        topo = cls(kind, labels, rows[:, :2], rows[:, 2], rows[:, 3], dict(classes),
-                   dict(meta or {}))
-        topo.validate()
-        return topo
+        n = self.n_nodes
+        if n < 1:
+            raise ConstructionError("topology must contain at least one node")
+        u, v = self.ends.T
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        repeat = np.ones(len(u), dtype=bool)
+        repeat[np.unique(lo.astype(np.int64) * n + hi, return_index=True)[1]] = False
+        checks = (
+            (u == v, lambda j: f"self-loop at node {u[j]}"),
+            ((lo < 0) | (hi >= n), lambda j: f"dangling link endpoint ({u[j]},{v[j]})"),
+            (repeat, lambda j: f"duplicate link {(int(lo[j]), int(hi[j]))}"),
+            (~np.isin(self.class_id, list(self.classes)),
+             lambda j: f"link references unknown class {self.class_id[j]}"),
+        )
+        bad = np.logical_or.reduce([mask for mask, _ in checks])
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise ConstructionError(next(msg(j) for mask, msg in checks if mask[j]))
 
     def memo(self, key, compute):
         """compute(), run once per key: derived data of the read-only arrays."""
@@ -288,12 +276,8 @@ class Topology:
         return len(self.ends)
 
     @property
-    def nodes(self) -> list[NodeId]:
-        return self.memo("nodes", lambda: [NodeId(tuple(lab), x)
-                                           for x, lab in enumerate(self.labels.tolist())])
-
-    @property
     def links(self) -> list[Link]:
+        """Link objects, one per row; perfbench/tracer.py is their only reader."""
         return self.memo("links", lambda: [Link(*row) for row in self._link_rows()])
 
     def _link_rows(self) -> list[list[int]]:
@@ -315,10 +299,6 @@ class Topology:
             return indptr, indices
         return self.memo("csr", build)
 
-    def degree(self, u: int) -> int:
-        indptr = self.csr()[0]
-        return int(indptr[u + 1] - indptr[u])
-
     def degrees(self) -> np.ndarray:
         return np.diff(self.csr()[0])
 
@@ -328,37 +308,12 @@ class Topology:
 
     def class_census(self) -> dict[int, int]:
         census = {cid: 0 for cid in sorted(self.classes)}
-        census.update(_counts(self.class_id))
+        ids, counts = np.unique(self.class_id, return_counts=True)
+        census.update(zip(ids.tolist(), counts.tolist()))
         return census
-
-    def level_census(self) -> dict[int, int]:
-        return _counts(self.level)
 
     def is_connected(self) -> bool:
         return max_component_size(self, set()) == self.n_nodes
-
-    def validate(self) -> None:
-        """ConstructionError naming the first bad link, as a scan in link
-        order checks each for a self-loop, a dangling end, a repeat of an
-        earlier link and an unknown class, in that order."""
-        n = self.n_nodes
-        if n < 1:
-            raise ConstructionError("topology must contain at least one node")
-        u, v = self.ends.T
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        repeat = np.ones(len(u), dtype=bool)
-        repeat[np.unique(lo.astype(np.int64) * n + hi, return_index=True)[1]] = False
-        checks = (
-            (u == v, lambda j: f"self-loop at node {u[j]}"),
-            ((lo < 0) | (hi >= n), lambda j: f"dangling link endpoint ({u[j]},{v[j]})"),
-            (repeat, lambda j: f"duplicate link {(int(lo[j]), int(hi[j]))}"),
-            (~np.isin(self.class_id, list(self.classes)),
-             lambda j: f"link references unknown class {self.class_id[j]}"),
-        )
-        bad = np.logical_or.reduce([mask for mask, _ in checks])
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise ConstructionError(next(msg(j) for mask, msg in checks if mask[j]))
 
     # -- serialization --------------------------------------------------
 
@@ -395,7 +350,11 @@ class Topology:
             c["class_id"]: LinkClass(c["class_id"], c["distance_km"], c["mtbf_h"], c["mttr_h"])
             for c in doc["classes"]
         }
+        if len(classes) != len(doc["classes"]):
+            raise SpecError("class ids must be distinct")
         nodes = doc["nodes"]
+        if doc["N"] != len(nodes):
+            raise SpecError(f"N={doc['N']!r} but the document lists {len(nodes)} nodes")
         if [nd["flat"] for nd in nodes] != list(range(len(nodes))):
             raise SpecError("node flat numbers must run 0, 1, ..., N-1 in order")
         try:
@@ -404,10 +363,8 @@ class Topology:
             rows = np.fromiter(fields, dtype=np.int32, count=4 * len(doc["links"])).reshape(-1, 4)
         except OverflowError as exc:
             raise SpecError(f"topology document number out of range: {exc}") from None
-        topo = cls(doc["kind"], labels, rows[:, :2], rows[:, 2], rows[:, 3], classes,
+        return cls(doc["kind"], labels, rows[:, :2], rows[:, 2], rows[:, 3], classes,
                    dict(doc.get("meta", {})))
-        topo.validate()
-        return topo
 
     @classmethod
     def from_json(cls, text: str) -> "Topology":
@@ -425,11 +382,6 @@ def _label_array(levels: list) -> np.ndarray:
     return np.array(levels, dtype=np.int32).reshape(len(levels), max(width, default=1))
 
 
-def _counts(values: np.ndarray) -> dict[int, int]:
-    """{value: occurrences}, ascending by value."""
-    return dict(zip(*(a.tolist() for a in np.unique(values, return_counts=True))))
-
-
 def _single_class(distance_km: float = 5000.0) -> dict[int, LinkClass]:
     return {0: LinkClass.standard(distance_km, class_id=0)}
 
@@ -438,18 +390,20 @@ def _flat_topology(kind: str, ids: np.ndarray, ends: np.ndarray, distance_km: fl
                    meta: dict) -> Topology:
     """Validated single-class topology on nodes labeled by `ids`, one link per row of `ends`."""
     L = len(ends)
-    topo = Topology(kind, np.reshape(ids, (-1, 1)), ends, np.zeros(L), np.ones(L),
+    return Topology(kind, np.reshape(ids, (-1, 1)), ends, np.zeros(L), np.ones(L),
                     _single_class(distance_km), meta)
-    topo.validate()
-    return topo
 
 
-def build_complete_hypercube(dim: int, distance_km: float = 5000.0) -> Topology:
-    """dim-dimensional hypercube: 2^dim nodes, links at Hamming distance 1."""
+def _check_dim(dim: int) -> None:
     if dim < 0:
         raise SpecError("dimension must be non-negative")
     if dim > MAX_HYPERCUBE_DIM:
         raise ResourceLimitError(f"dim={dim} exceeds the guard of {MAX_HYPERCUBE_DIM}")
+
+
+def build_complete_hypercube(dim: int, distance_km: float = 5000.0) -> Topology:
+    """dim-dimensional hypercube: 2^dim nodes, links at Hamming distance 1."""
+    _check_dim(dim)
     return _flat_topology("complete-hypercube", np.arange(2**dim), _hypercube_edges(dim),
                           distance_km, {"dim": dim})
 
@@ -465,8 +419,7 @@ def build_incomplete_hypercube(
     The result must stay connected; a disconnected outcome raises
     `ConstructionError` so the caller can retry with other removals.
     """
-    if dim < 0 or dim > MAX_HYPERCUBE_DIM:
-        raise ResourceLimitError(f"dim={dim} out of range")
+    _check_dim(dim)
     if present_nodes is None:
         ordered = np.arange(2**dim)
     else:
@@ -523,7 +476,6 @@ def build_recursive(spec: RecursionSpec) -> Topology:
         dict(spec.classes),
         {"mode": spec.mode, "levels": [lv if isinstance(lv, int) else "explicit" for lv in spec.levels]},
     )
-    topo.validate()
     if not topo.is_connected():
         raise ConstructionError("recursive topology is disconnected")
     return topo

@@ -26,7 +26,7 @@ from cubenet.consensus import (
     gather_time,
 )
 from cubenet.errors import ConstructionError, SpecError
-from cubenet.topology import Link, LinkClass, NodeId, Topology
+from custom_graph import custom_topology
 
 
 class TestConfig:
@@ -89,8 +89,7 @@ class TestBroadcast:
         assert math.isclose(gather_time(t, 0, cfg), expected)
 
     def test_unreachable_node_raises(self):
-        t = Topology.from_links("custom", [NodeId((x,), x) for x in range(4)],
-                                [Link(0, 1, 0), Link(2, 3, 0)], {0: LinkClass.standard(5000)}, {})
+        t = custom_topology(4, [(0, 1), (2, 3)])
         cfg = ConsensusConfig(rounds=1)
         calls = (lambda: broadcast_time(t, 0, 1000, cfg), lambda: gather_time(t, 3, cfg),
                  lambda: run_consensus(t, cfg))

@@ -133,7 +133,7 @@ class TestSweep:
         xs = [r.n_nodes for r in rows]
         ys = [r.mean_total for r in rows]
         assert linear_fit_r2(xs, ys) > 0.999
-        assert all(r.per_seed_totals == (r.per_seed_totals[0],) * 2 for r in rows)
+        assert ys == [2 * 3 * x * 50 for x in xs]  # every seed forwards the delay-0 total
 
     def test_r2_constant_series(self):
         assert linear_fit_r2([1, 2, 3], [5, 5, 5]) == 1.0

@@ -48,8 +48,9 @@ from cubenet.reliability import (
     _repair_fn,
     default_quorum,
 )
-from cubenet.topology import Link, NodeId, Topology, max_component_size
+from cubenet.topology import max_component_size
 from cubenet.unionfind import UnionFind
+from custom_graph import custom_topology
 from markov_oracle import CountChain, binomial_stationary, stationary, transition_matrix
 
 Q5000 = (1 / 2190) / (1 / 2190 + 1 / 24)  # steady-state down probability, 5000 km
@@ -204,28 +205,19 @@ class TestRepairTime:
 
 
 def _mixed_path():
-    from cubenet.topology import Link, NodeId, Topology
-
     classes = {0: LinkClass.standard(5000), 1: LinkClass.standard(420)}
-    nodes = tuple(NodeId((i,), i) for i in range(3))
-    links = (Link(0, 1, 0), Link(1, 2, 1))
-    return Topology.from_links("custom", nodes, links, classes, {})
+    return custom_topology(3, [(0, 1), (1, 2)], [0, 1], classes)
 
 
 def _three_class_ring():
     """14-cycle plus chords 0-7 and 3-10, link classes 5000/3000/420 km mixed."""
     classes = {c: LinkClass.standard(d, c) for c, d in enumerate((5000, 3000, 420))}
     ends = sorted({(min(x, (x + 1) % 14), max(x, (x + 1) % 14)) for x in range(14)} | {(0, 7), (3, 10)})
-    links = [Link(u, v, (7 * u + v) % 3) for u, v in ends]
-    return Topology.from_links("custom", [NodeId((x,), x) for x in range(14)], links, classes, {})
+    return custom_topology(14, ends, [(7 * u + v) % 3 for u, v in ends], classes)
 
 
 def _two_links():
-    from cubenet.topology import Link, NodeId, Topology
-
-    nodes = tuple(NodeId((i,), i) for i in range(4))
-    links = (Link(0, 1, 0), Link(2, 3, 0))
-    return Topology.from_links("custom", nodes, links, {0: LinkClass.standard(5000)}, {})
+    return custom_topology(4, [(0, 1), (2, 3)])
 
 
 class TestPartitionTolerance:
@@ -275,8 +267,7 @@ class TestPartitionTolerance:
 
     def test_multiclass_mixed_path(self):
         classes = {0: LinkClass(0, 5000.0, 2.0, 2.0), 1: LinkClass(1, 420.0, 6.048, 2.016)}
-        t = Topology.from_links("custom", tuple(NodeId((i,), i) for i in range(3)),
-                     (Link(0, 1, 0), Link(1, 2, 1)), classes, {})
+        t = custom_topology(3, [(0, 1), (1, 2)], [0, 1], classes)
         report = partition_tolerance(t, k=2, budget=200000, seed=0)
         # q0 = 0.5, q1 = 0.25; wrong iff both links down -> 0.125, and
         # repairing link 0 (MTTR 2.0) restores a 2-node component
@@ -322,11 +313,7 @@ class TestPartitionTolerance:
         assert any(e.method == "sampled" for e in report.per_state)
 
     def test_disconnected_graph_raises(self):
-        from cubenet.topology import Link, NodeId, Topology
-
-        nodes = tuple(NodeId((i,), i) for i in range(4))
-        t = Topology.from_links("custom", nodes, (Link(0, 1, 0), Link(2, 3, 0)),
-                     {0: LinkClass.standard(5000)}, {})
+        t = custom_topology(4, [(0, 1), (2, 3)])
         with pytest.raises(NumericError):
             partition_tolerance(t, budget=10)
 
@@ -360,10 +347,8 @@ class TestConnectivityKernel:
         n = n_core + n_isolated
         label = rng.permutation(n)
         pairs = {(min(a, b), max(a, b)) for a, b in rng.integers(0, n_core, (n_pairs, 2)).tolist()}
-        links = [Link(int(label[a]), int(label[b]), 0) for a, b in sorted(pairs) if a != b]
-        t = Topology.from_links("custom", [NodeId((x,), x) for x in range(n)], links,
-                     {0: LinkClass.standard(5000)}, {})
-        present = rng.random((rows, len(links))) < keep
+        t = custom_topology(n, [(label[a], label[b]) for a, b in sorted(pairs) if a != b])
+        present = rng.random((rows, t.n_links)) < keep
         present[0] = False
         got = _max_comp_rows(t.ends, n, present)
         want = [max_component_size(t, set(np.flatnonzero(~row).tolist())) for row in present]
@@ -402,8 +387,7 @@ class TestConnectivityKernel:
 
 
 def _graph(n, pairs):
-    return Topology.from_links("custom", [NodeId((x,), x) for x in range(n)],
-                    [Link(a, b, 0) for a, b in pairs], {0: LinkClass.standard(5000)}, {})
+    return custom_topology(n, pairs)
 
 
 class TestEdgeConnectivity:
@@ -636,8 +620,8 @@ def _two_class_cycle():
     of the time: c_lb = 2 at k = 5, and two opposite failed links make
     a wrong state at exactly c_lb."""
     classes = {0: LinkClass(0, 5000.0, 3.0, 2.0), 1: LinkClass(1, 3000.0, 3.0, 1.5)}
-    links = [Link(min(x, (x + 1) % 8), max(x, (x + 1) % 8), x % 2) for x in range(8)]
-    return Topology.from_links("custom", [NodeId((x,), x) for x in range(8)], links, classes, {})
+    ends = [(min(x, (x + 1) % 8), max(x, (x + 1) % 8)) for x in range(8)]
+    return custom_topology(8, ends, [x % 2 for x in range(8)], classes)
 
 
 def _unreliable_2_2():
@@ -710,6 +694,7 @@ def critical_counts_oracle(topology, k, budget, seed):
     """One union-find pass per link order, stopping at the first k-component;
     each order is its own `rng.permutation(L)` draw from the seed's stream."""
     L, n = topology.n_links, topology.n_nodes
+    ends = topology.ends.tolist()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     out = np.empty(budget, dtype=np.int64)
     for b in range(budget):
@@ -718,9 +703,9 @@ def critical_counts_oracle(topology, k, budget, seed):
         if k > 1:
             uf = UnionFind(n)
             for added, idx in enumerate(order.tolist(), start=1):
-                lk = topology.links[idx]
-                uf.union(lk.u, lk.v)
-                if uf.size[uf.find(lk.u)] >= k:
+                u, v = ends[idx]
+                uf.union(u, v)
+                if uf.size[uf.find(u)] >= k:
                     break
             else:
                 added = L + 1
@@ -813,7 +798,6 @@ class TestAggregation:
         assert w1 > 0 and w2 > 0
         assert math.isclose(1 - agg.p, w1 + w2, rel_tol=1e-12)
         assert math.isclose(agg.t, (w1 * r1.t + w2 * r2.t) / (w1 + w2), rel_tol=1e-12)
-        assert not agg.clamped
 
     def test_three_level_formula(self):
         """2-2-2: level m has prod_{j<m} 4 domains, each reached when
@@ -828,11 +812,13 @@ class TestAggregation:
         assert math.isclose(agg.t, t, rel_tol=1e-12)
 
     def test_clamp_flag(self):
-        """Links down about half the time: the level sum exceeds 1."""
+        """Links down about half the time: the level sum exceeds 1, so p
+        is clamped to 0."""
         classes = {0: LinkClass(0, 5000.0, 2.0, 1.9), 1: LinkClass(1, 3000.0, 2.0, 1.9)}
         spec = RecursionSpec("semi", (3, 2), {1: 0, 2: 1}, classes)
-        agg = analyze_hierarchical(spec, budget=200, seed=0)
-        assert agg.clamped and agg.p == 0.0
+        r1, r2 = _level_reports(spec, 200, 0, reliability.ENUM_CAP_DEFAULT)
+        assert (1 - r1.p) + 8 * r1.p * (1 - r2.p) > 1
+        assert analyze_hierarchical(spec, budget=200, seed=0).p == 0.0
 
     def test_nonstandard_distance(self):
         """A class's distance is only a label: a spec whose distances have
@@ -887,7 +873,7 @@ class TestErrors:
 
     def test_multiclass_zero_budget(self):
         t = build_recursive(RecursionSpec.symmetric(2, 2))
-        assert len({lk.class_id for lk in t.links}) == 2
+        assert np.unique(t.class_id).size == 2
         with pytest.raises(SpecError):
             partition_tolerance(t, budget=0)
 

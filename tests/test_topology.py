@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -9,9 +10,7 @@ from hypothesis import strategies as st
 
 from cubenet import (
     DomainGraph,
-    Link,
     LinkClass,
-    NodeId,
     RecursionSpec,
     Topology,
     build_complete_hypercube,
@@ -26,6 +25,12 @@ from cubenet import (
 from cubenet import topology
 from cubenet.errors import ConstructionError, ResourceLimitError, SpecError
 from cubenet.topology import _gray_hypercube_edges
+from custom_graph import custom_topology
+
+
+def _pairs(t: Topology) -> set[tuple[int, int]]:
+    """Every link of t as its (smaller, larger) end pair."""
+    return set(map(tuple, np.sort(t.ends, axis=1).tolist()))
 
 
 class TestLinkClass:
@@ -53,7 +58,7 @@ class TestCompleteHypercube:
     @pytest.mark.parametrize("dim", range(0, 11))
     def test_hamming_property(self, dim):
         t = build_complete_hypercube(dim)
-        have = {lk.key() for lk in t.links}
+        have = _pairs(t)
         for u in range(2**dim):
             for v in range(u + 1, 2**dim):
                 expected = bin(u ^ v).count("1") == 1
@@ -82,12 +87,20 @@ class TestIncompleteHypercube:
     def test_no_removals_equals_complete(self):
         full = build_complete_hypercube(3)
         t = build_incomplete_hypercube(3)
-        assert {lk.key() for lk in t.links} == {lk.key() for lk in full.links}
+        assert _pairs(t) == _pairs(full)
 
     def test_five_removed_links(self):
         removed = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
         t = build_incomplete_hypercube(5, removed_links=removed)
         assert (t.n_nodes, t.n_links) == (32, 75)
+
+    def test_dimension_checks(self):
+        """Negative dimensions are spec errors, as for the complete cube;
+        only dimensions past the guard are resource limits."""
+        with pytest.raises(SpecError, match="non-negative"):
+            build_incomplete_hypercube(-1)
+        with pytest.raises(ResourceLimitError, match="guard"):
+            build_incomplete_hypercube(21)
 
     def test_disconnected_rejected(self):
         # removing all three links of node 0 isolates it
@@ -122,7 +135,7 @@ class TestRecursive:
     def test_two_level_cyclic_numbering(self):
         t = build_recursive(RecursionSpec.symmetric(2, 2))
         assert (t.n_nodes, t.n_links) == (16, 32)
-        label = {nd.flat: nd.label() for nd in t.nodes}
+        label = ["".join(map(str, row)) for row in t.labels.tolist()]
         indptr, indices = t.csr()
         neighbors_00 = {label[v] for v in indices[indptr[0]:indptr[1]].tolist()}
         assert {"10", "30"} <= neighbors_00
@@ -156,22 +169,20 @@ class TestRecursive:
 
         a = build_recursive(RecursionSpec.symmetric(4, 1))
         b = build_complete_hypercube(4)
-        ga = nx.Graph((lk.u, lk.v) for lk in a.links)
-        gb = nx.Graph((lk.u, lk.v) for lk in b.links)
+        ga = nx.Graph(map(tuple, a.ends.tolist()))
+        gb = nx.Graph(map(tuple, b.ends.tolist()))
         assert nx.is_isomorphic(ga, gb)
 
     def test_domain_number_is_smallest_member(self):
         t = build_recursive(RecursionSpec.symmetric(2, 2))
-        for nd in t.nodes:
-            if nd.levels[1] == 0:  # first node of its domain
-                domain = [m.flat for m in t.nodes if m.levels[0] == nd.levels[0]]
-                assert nd.flat == min(domain)
+        for x, (domain, local) in enumerate(t.labels.tolist()):
+            if local == 0:  # first node of its domain
+                assert x == np.flatnonzero(t.labels[:, 0] == domain).min()
 
     def test_level_classes(self):
         t = build_recursive(RecursionSpec.symmetric(2, 3))
         assert t.class_census() == {0: 64, 1: 64, 2: 64}
-        by_level = t.level_census()
-        assert by_level == {1: 64, 2: 64, 3: 64}
+        assert np.bincount(t.level).tolist() == [0, 64, 64, 64]
 
     def test_asymmetric_equal_domains(self):
         mesh = DomainGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
@@ -238,7 +249,7 @@ class TestClosedForms:
         # per-level recurrence terms: level m contributes 2^(sum-1) * dim_m
         total = sum(dims)
         for m, dim in enumerate(dims, start=1):
-            assert topo.level_census()[m] == 2 ** (total - 1) * dim
+            assert np.count_nonzero(topo.level == m) == 2 ** (total - 1) * dim
 
 
 class TestBaselines:
@@ -267,7 +278,7 @@ class TestBaselines:
     def test_star(self, n):
         t = build_star(n)
         assert t.n_links == n - 1
-        assert t.degree(0) == n - 1
+        assert t.degrees()[0] == n - 1
 
 
 class TestTable3Census:
@@ -332,7 +343,7 @@ class TestSerialization:
         again = Topology.from_json(text)
         assert again.to_json() == text
         assert again.n_nodes == topo.n_nodes
-        assert {lk.key() for lk in again.links} == {lk.key() for lk in topo.links}
+        assert _pairs(again) == _pairs(topo)
 
     def test_version_check(self):
         doc = build_star(4).to_dict()
@@ -342,8 +353,13 @@ class TestSerialization:
 
 
 def test_node_id_requires_levels():
-    with pytest.raises(SpecError):
-        NodeId((), 0)
+    """A document whose node labels have no digits, or a row with none, is refused."""
+    for empty in (range(4), [0]):
+        doc = build_star(4).to_dict()
+        for x in empty:
+            doc["nodes"][x]["levels"] = []
+        with pytest.raises(SpecError, match="node labels must be non-empty"):
+            Topology.from_dict(doc)
 
 
 _MESH = DomainGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
@@ -479,7 +495,7 @@ class TestSerializationPins:
     def test_bytes_and_link_order(self, name):
         build, json_sha, links_sha = SERIALIZATION_PINS[name]
         t = build()
-        rows = [[lk.u, lk.v, lk.class_id, lk.level] for lk in t.links]
+        rows = np.column_stack((t.ends, t.class_id, t.level)).tolist()
         assert _sha256(json.dumps(rows, separators=(",", ":"))) == links_sha
         text = t.to_json()
         assert _sha256(text) == json_sha
@@ -651,8 +667,6 @@ class TestArrays:
 
     def test_views_match_arrays(self):
         t = build_recursive(RecursionSpec.semi((2, 1)))
-        assert [nd.levels for nd in t.nodes] == [tuple(r) for r in t.labels.tolist()]
-        assert [nd.flat for nd in t.nodes] == list(range(t.n_nodes))
         assert [(lk.u, lk.v, lk.class_id, lk.level) for lk in t.links] == \
             [tuple(r) for r in np.column_stack((t.ends, t.class_id, t.level)).tolist()]
 
@@ -662,12 +676,7 @@ class TestArrays:
         for u in range(9):
             want = sorted({(u + s) % 9 for s in (-2, -1, 1, 2)})
             assert indices[indptr[u]:indptr[u + 1]].tolist() == want
-        assert t.degrees().tolist() == [4] * 9 and t.degree(3) == 4
-
-    def test_from_links_round_trip(self):
-        t = build_recursive(RecursionSpec.semi((3, 2)))
-        again = Topology.from_links(t.kind, t.nodes, t.links, t.classes, t.meta)
-        assert again.to_json() == t.to_json()
+        assert t.degrees().tolist() == [4] * 9
 
     @pytest.mark.parametrize(
         "ends,classes,message",
@@ -680,10 +689,15 @@ class TestArrays:
         ],
     )
     def test_validate_names_first_bad_link(self, ends, classes, message):
-        links = [Link(u, v, c) for (u, v), c in zip(ends, classes)]
-        nodes = [NodeId((x,), x) for x in range(4)]
         with pytest.raises(ConstructionError, match=message):
-            Topology.from_links("custom", nodes, links, {0: LinkClass.standard(5000)})
+            custom_topology(4, ends, classes)
+
+    def test_replace_rechecks_classes(self):
+        cube = build_complete_hypercube(2)
+        with pytest.raises(ConstructionError, match="unknown class 0"):
+            dataclasses.replace(cube, classes={})
+        other = {0: LinkClass.standard(420)}
+        assert dataclasses.replace(cube, classes=other).classes == other
 
     @pytest.mark.parametrize(
         "edit",
@@ -691,8 +705,10 @@ class TestArrays:
             lambda doc: doc["nodes"].reverse(),
             lambda doc: doc["nodes"][1]["levels"].append(0),
             lambda doc: doc["links"][0].update(u=2**40),
+            lambda doc: doc.update(N=99),
+            lambda doc: doc["classes"].append(dict(doc["classes"][0], mttr_h=2.0)),
         ],
-        ids=["flat-order", "ragged-labels", "out-of-range"],
+        ids=["flat-order", "ragged-labels", "out-of-range", "node-count", "repeated-class"],
     )
     def test_from_dict_rejects(self, edit):
         doc = build_ring_lattice(6, 2).to_dict()
