@@ -126,8 +126,9 @@ def _write_rows(out, header: list[str], rows: list[list]) -> None:
 
 
 def _fmt(x) -> str:
+    """CSV cell text: repr of every float, numpy scalars as plain Python floats."""
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))
     return str(x)
 
 
@@ -162,7 +163,6 @@ def _load_topology(path: str) -> Topology:
 
 
 TABLE1_DIMS = (2, 3, 4, 5)
-TABLE3_ENUM_CAP = 100_000  # subsets enumerated per state for the reliability columns
 TABLE3_N64 = [
     ("tree", "regular rooted tree", None),
     ("ring", "ring lattice", None),
@@ -242,11 +242,11 @@ def table3_rows(with_reliability=False, budget=4000, seed=0) -> list[list]:
 
 def _reliability_columns(kind, n, degree, spec, budget, seed):
     if spec is not None and spec.r > 1:
-        agg = analyze_hierarchical(spec, budget=budget, seed=seed, enum_cap=TABLE3_ENUM_CAP)
+        agg = analyze_hierarchical(spec, budget=budget, seed=seed)
         p, t, method = agg.p, agg.t, "aggregated"
     else:
         topo = _table3_graph(kind, n, degree, spec)
-        report = partition_tolerance(topo, budget=budget, seed=seed, enum_cap=TABLE3_ENUM_CAP)
+        report = partition_tolerance(topo, budget=budget, seed=seed)
         p, t, method = report.p, report.t, report.method
     neglog = math.inf if p >= 1.0 else -math.log10(1.0 - p)
     return [_fmt(p), _fmt(neglog), _fmt(t) if t is not None else "", method]

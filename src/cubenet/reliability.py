@@ -3,13 +3,13 @@
 Implements the closed-form steady state of the count chain over the
 number of invalid links, a certified lower bound on the failed links of
 any wrong state (edge connectivity and Fiedler's algebraic-connectivity
-bound), hybrid exact/sampled estimation of the partition tolerance
-probability (sampled states share one batch of random link orders), the
-minimum-repair strategy (repair everything up to a class MTTR
-threshold), and the hierarchical aggregation as a sum over recursion
-levels.  Queries over many failed-link sets of one graph go through one
-batched numpy connectivity kernel, and the random link orders evolve in
-lockstep batches.
+bound), an exact DP for forests, hybrid exact/sampled estimation of the
+partition tolerance probability of other graphs (sampled states share
+one batch of random link orders), the minimum-repair strategy (repair
+everything up to a class MTTR threshold), and the hierarchical
+aggregation as a sum over recursion levels.  Queries over many
+failed-link sets of one graph go through one batched numpy connectivity
+kernel, and the random link orders evolve in lockstep batches.
 """
 from __future__ import annotations
 
@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import NumericError, ResourceLimitError, SpecError
 from .topology import RecursionSpec, Topology, build_complete_hypercube, max_component_size
-from .topology import _bfs_levels, _chunk_rows, _max_comp_rows, resolve_failed_links
+from .topology import _bfs_levels, _chunk_rows, _component_roots, _max_comp_rows
+from .topology import resolve_failed_links
 from .unionfind import UnionFind  # noqa: F401  unused; perfbench/tracer.py patches this name
 
 ENUM_CAP_DEFAULT = 2_000_000
@@ -478,8 +479,10 @@ def partition_tolerance(
 ) -> PartitionReport:
     """Overall partition tolerance probability and average minimum repair time.
 
-    Single-class topologies weight per-state conditional estimates by
-    the count chain's closed-form steady state Binomial(L, q),
+    A single-class forest (L = N - #components) is solved exactly by
+    `_forest_wrong_mass`, with no per-state rows.  Other single-class
+    topologies weight per-state conditional estimates by the count
+    chain's closed-form steady state Binomial(L, q),
     q = lambda/(lambda+mu): p = 1 - sum_i pi_i * P{wrong|i}.  States
     with pi_i below TAIL_EPS are skipped.  A state is exact below the
     cut bound c_lb (see `_cut_lower_bound`) or when its C(L, i) subsets
@@ -499,9 +502,16 @@ def partition_tolerance(
     if cid is None:
         return _partition_tolerance_multiclass(topology, k, budget, seed)
 
-    pi = binom_pmf_vector(L, topology.classes[cid].steady_down_prob).tolist()
-    if max_component_size(topology, set()) < k:
+    cls = topology.classes[cid]
+    N = topology.n_nodes
+    sizes = np.bincount(_component_roots(topology.ends, N, np.ones((1, L), dtype=bool)))
+    if sizes.max() < k:
         raise NumericError("repairing all failed links did not restore a good partition")
+    if L < N and L == N - np.count_nonzero(sizes):  # a forest
+        wrong = _forest_wrong_mass(topology, k, np.full(L, cls.steady_down_prob))
+        return PartitionReport(1.0 - wrong, 0.0, cls.mttr_h if wrong > 0 else None, [],
+                               "exact-tree", k)
+    pi = binom_pmf_vector(L, cls.steady_down_prob).tolist()
     kept = [(i, pi[i]) for i in range(1, L + 1) if pi[i] >= TAIL_EPS]
     skipped = [StateEstimate(i, pi[i], 0.0, 0.0, 0, "skipped") for i in range(1, L + 1)
                if pi[i] < TAIL_EPS]
@@ -510,10 +520,53 @@ def partition_tolerance(
 
     wrong_mass = sum(e.pi_i * e.p_wrong for e in estimated)
     p = min(max(1.0 - wrong_mass, 0.0), 1.0)
-    t = topology.classes[cid].mttr_h if wrong_mass > 0 else None
+    t = cls.mttr_h if wrong_mass > 0 else None
     methods = {e.method for e in estimated}
     method = methods.pop() if len(methods) == 1 else "hybrid"
     return PartitionReport(p, math.sqrt(var), t, per_state, method, k)
+
+
+def _forest_wrong_mass(topology: Topology, k: int, q: np.ndarray) -> float:
+    """P{every component has fewer than k nodes} for a forest whose link
+    j is down with probability q[j], independently.
+
+    Each tree is walked by BFS from its least node and folded bottom-up
+    (Gertsbakh & Shpungin 2010).  Node x carries the distribution of
+    the size of its open component, the part of its subtree still joined
+    to x, given that every component its subtree has closed off is
+    below k; sizes from k up are dropped.  Child c joins its parent x
+    through link e: when e is up the two sizes add (a convolution cut
+    at k), when e is down c's component closes, with probability
+    c.sum() of being below k.  The wrong mass is the product over the
+    trees of the root sums, with no 1 - p cancellation.
+    """
+    n = topology.n_nodes
+    indptr, indices = topology.csr()
+    parent = np.full(n, -1)  # -1 until walked; a root is its own parent
+    walks = []
+    for root in range(n):
+        if parent[root] < 0:
+            parent[root] = root
+            levels = _bfs_levels(indptr, indices, root)
+            for nodes, parents, _ in levels:
+                parent[nodes] = parents
+            walks.append((root, levels))
+    # Every link joins a node to its BFS parent; q_up[x] is x's link's q.
+    u, v = topology.ends.T
+    q_up = np.empty(n)
+    q_up[np.where(parent[u] == v, u, v)] = q
+    q_up = q_up.tolist()
+    dist = [np.array([0.0, 1.0])[:k] for _ in range(n)]  # P{open size = s}, s < k
+    wrong = 1.0
+    for root, levels in walks:
+        for nodes, parents, _ in reversed(levels):
+            for c, x in zip(nodes.tolist(), parents.tolist()):
+                a, b, qe = dist[x], dist[c], q_up[c]
+                merged = np.convolve(a, b)[:k] * (1.0 - qe)
+                merged[:len(a)] += a * (qe * b.sum())
+                dist[x] = merged
+        wrong *= float(dist[root].sum())
+    return wrong
 
 
 def _down_probs(topology: Topology) -> np.ndarray:

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from cubenet import Topology, cli
@@ -138,6 +139,21 @@ class TestTables:
         run_cli(["tables", "3", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_tree_row_is_exact(self, tmp_path):
+        """Table 3's tree row comes from the forest DP: the same cells for
+        every seed, and a p cell that parses as a float."""
+        rows = []
+        for seed in (1, 2):
+            out = tmp_path / f"t3_{seed}.csv"
+            assert run_cli(["tables", "3", "--reliability", "--budget", "20",
+                            "--seed", str(seed), "--out", str(out)]) == 0
+            rows.append(next(r for r in read_csv(str(out)) if r[:2] == ["64", "regular rooted tree"]))
+        assert rows[0] == rows[1]
+        p, neglog, t, method = rows[0][5:]
+        assert abs(float(p) - 0.996808113966) < 1e-12
+        assert abs(float(neglog) - 2.49595) < 1e-5
+        assert (t, method) == ("24.0", "exact-tree")
+
     def test_manifest_records_params(self, tmp_path):
         out = tmp_path / "t3.csv"
         assert run_cli(["tables", "3", "--reliability", "--budget", "50", "--seed", "2",
@@ -170,6 +186,22 @@ class TestAnalyze:
         for row in rows[1:]:
             for value in row[7:10]:
                 float(value)  # a numpy scalar would print as "np.float64(...)"
+
+    def test_tree_writes_one_exact_summary(self, tmp_path):
+        """A forest has no per-state rows: only the summary, from the DP."""
+        spec, topo = tmp_path / "tree.spec.json", tmp_path / "tree.json"
+        spec.write_text(json.dumps({"kind": "tree", "n": 64, "degree": 6}))
+        assert run_cli(["topo", "build", "--spec", str(spec), "--out", str(topo)]) == 0
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for out in (a, b):
+            assert run_cli(["analyze", "partition", "--topology", str(topo),
+                            "--out", str(out)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        header, summary = read_csv(str(a))
+        assert len(header) == len(summary)
+        assert summary[6] == "summary" and summary[10] == "exact-tree"
+        assert (summary[8], summary[9]) == ("24.0", "0.0")
+        assert abs(float(summary[7]) - 0.996808113966) < 1e-12
 
     def test_repair_prints_summary(self, tmp_path, cube_topology, capsys):
         out = tmp_path / "repair.csv"
@@ -327,3 +359,8 @@ class TestExitCodes:
         code = run_cli(["analyze", "partition", "--topology", cube_topology])
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
+
+
+def test_fmt_writes_numpy_floats_plainly():
+    assert cli._fmt(np.float64(0.5)) == "0.5"
+    assert cli._fmt(0.25) == "0.25" and cli._fmt(3) == "3"

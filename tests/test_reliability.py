@@ -220,6 +220,19 @@ def _two_links():
     return custom_topology(4, [(0, 1), (2, 3)])
 
 
+def sampled_wrong_mass(topology, budget, seed, k=None):
+    """(1 - p, its stderr, the per-state estimates) of the single-class
+    estimator with every state i >= 1 sampled (no enumeration), as
+    `partition_tolerance` runs it on a graph that is not a forest."""
+    L = topology.n_links
+    k = default_quorum(topology.n_nodes) if k is None else k
+    (cls,) = topology.classes.values()
+    pi = reliability.binom_pmf_vector(L, cls.steady_down_prob).tolist()
+    states = [(i, pi[i]) for i in range(1, L + 1) if pi[i] >= reliability.TAIL_EPS]
+    est, var = reliability._estimate_states(topology, k, states, budget, seed, 0)
+    return sum(e.pi_i * e.p_wrong for e in est), math.sqrt(var), est
+
+
 class TestPartitionTolerance:
     def test_star4_closed_form(self):
         """1 - p = 3 q^2 (1-q) + q^3 for a 4-node star with quorum 3."""
@@ -229,7 +242,7 @@ class TestPartitionTolerance:
         expected_wrong = 3 * q * q * (1 - q) + q**3
         assert math.isclose(report.p, 1 - expected_wrong, rel_tol=1e-12)
         assert math.isclose(report.t, 24.0, rel_tol=1e-12)
-        assert report.method == "exact"
+        assert report.method == "exact-tree"
 
     def test_ring4_closed_form(self):
         t = build_ring_lattice(4, 2)
@@ -247,11 +260,15 @@ class TestPartitionTolerance:
 
     @pytest.mark.parametrize("builder,kw", [(build_complete_hypercube, 3), (build_star, 6)])
     def test_sampled_matches_bruteforce(self, builder, kw):
+        """The sampler, reached through `_estimate_states` because a star
+        is a forest and `partition_tolerance` solves forests exactly."""
         t = builder(kw)
         p_exact, _ = exact_partition_tolerance_bruteforce(t)
-        report = partition_tolerance(t, budget=6000, seed=3, enum_cap=0)
-        assert report.method in ("sampled", "hybrid")  # i=0 stays exact
-        assert abs(report.p - p_exact) <= 3 * max(report.stderr, 1e-12)
+        wrong, stderr, est = sampled_wrong_mass(t, budget=6000, seed=3)
+        assert any(e.method == "sampled" for e in est)
+        assert abs((1.0 - wrong) - p_exact) <= 3 * max(stderr, 1e-12)
+        if builder is build_complete_hypercube:  # the path partition_tolerance takes
+            assert partition_tolerance(t, budget=6000, seed=3, enum_cap=0).p == 1.0 - wrong
 
     def test_default_quorum(self):
         assert default_quorum(8) == 5
@@ -285,11 +302,12 @@ class TestPartitionTolerance:
         """Shared link orders: a wrong order at i stays wrong at every
         larger i, so the sampled P{wrong | i} never falls with i; every
         wrong state of one link class is repaired in the class MTTR."""
-        report = partition_tolerance(build_rooted_tree(64, 6), budget=300, seed=2, enum_cap=0)
-        sampled = [e.p_wrong for e in report.per_state if e.method == "sampled"]
+        t = build_rooted_tree(64, 6)
+        _, _, est = sampled_wrong_mass(t, budget=300, seed=2)
+        sampled = [e.p_wrong for e in est if e.method == "sampled"]
         assert len(sampled) > 10 and sampled[-1] > 0
         assert all(a <= b for a, b in zip(sampled, sampled[1:]))
-        assert report.t == 24.0
+        assert partition_tolerance(t, budget=300, seed=2).t == 24.0
 
     def test_single_sampled_state_stderr(self):
         """With one sampled state the summary stderr is pi_i * stderr_i."""
@@ -323,6 +341,121 @@ class TestPartitionTolerance:
         partition_tolerance(t, budget=200, seed=0)
         conditional_wrong_prob(t, 3, budget=50)
         assert t.to_json() == before
+
+
+# q = 0.0108, 1/3 and 1/11: the 5000 km class and two far less reliable ones
+FOREST_CLASSES = {
+    0: LinkClass(0, 5000.0, 2190.0, 24.0),
+    1: LinkClass(1, 3000.0, 4.0, 2.0),
+    2: LinkClass(2, 420.0, 10.0, 1.0),
+}
+
+
+def wrong_mass_oracle(topology, ks):
+    """Wrong mass of each quorum in `ks` by enumerating all 2^L link
+    states: the summed probability of the states whose largest
+    component has fewer than k nodes, never formed as 1 - p.
+    Components come from min-label propagation along the up links."""
+    L, n = topology.n_links, topology.n_nodes
+    q = np.array([topology.classes[c].steady_down_prob for c in topology.class_id.tolist()])
+    down = (np.arange(2**L)[:, None] >> np.arange(L)) & 1 == 1
+    weight = np.prod(np.where(down, q, 1.0 - q), axis=1)
+    label = np.tile(np.arange(n), (len(down), 1))
+    while True:
+        before = label.copy()
+        for j, (u, v) in enumerate(topology.ends.tolist()):
+            up = ~down[:, j]
+            least = np.minimum(label[up, u], label[up, v])
+            label[up, u] = label[up, v] = least
+        if np.array_equal(label, before):
+            break
+    flat = (label + n * np.arange(len(label))[:, None]).ravel()
+    largest = np.bincount(flat, minlength=flat.size).reshape(-1, n).max(axis=1)
+    return [math.fsum(weight[largest < k]) for k in ks]
+
+
+def random_forest(rng, n_links, n_trees, n_classes, relabel=True):
+    """A forest of `n_trees` random trees on n_links + n_trees nodes:
+    node x joins a random node below x, and the first n_trees nodes are
+    the roots.  Relabelled, its nodes are permuted and its links
+    shuffled and turned; link classes are drawn from `n_classes`
+    classes of FOREST_CLASSES."""
+    n = n_links + n_trees
+    pairs = [(int(rng.integers(0, x)), x) for x in range(n_trees, n)]
+    cids = rng.choice(n_classes, n_links) if n_classes > 1 else np.full(n_links, rng.integers(3))
+    if relabel:
+        label = rng.permutation(n)
+        order = rng.permutation(n_links)
+        pairs = [(label[b], label[a]) if rng.random() < 0.5 else (label[a], label[b])
+                 for a, b in (pairs[j] for j in order)]
+        cids = cids[order]
+    used = {int(c): FOREST_CLASSES[int(c)] for c in set(cids.tolist())}
+    return custom_topology(n, pairs, cids, used)
+
+
+class TestForestDP:
+    @pytest.mark.parametrize("n_trees", [1, 2, 3])
+    @pytest.mark.parametrize("n_classes", [1, 3])
+    def test_matches_wrong_mass_oracle(self, n_classes, n_trees):
+        """Equal to the enumerated wrong mass at rel 1e-12 on random
+        relabelled forests with up to 16 links, and to the DP of the same
+        forest before relabelling."""
+        for seed in range(8):
+            n_links = int(np.random.default_rng(seed).integers(1, 17))
+            plain = random_forest(np.random.default_rng((seed, n_classes, n_trees)),
+                                  n_links, n_trees, n_classes, relabel=False)
+            t = random_forest(np.random.default_rng((seed, n_classes, n_trees)),
+                              n_links, n_trees, n_classes)
+            n = t.n_nodes
+            ks = sorted({1, 2, n // 2 + 1, n})
+            for k, want in zip(ks, wrong_mass_oracle(t, ks)):
+                got = reliability._forest_wrong_mass(t, k, reliability._down_probs(t))
+                again = reliability._forest_wrong_mass(plain, k, reliability._down_probs(plain))
+                assert math.isclose(got, want, rel_tol=1e-12), (seed, n, k, got, want)
+                assert math.isclose(got, again, rel_tol=1e-12), (seed, n, k)
+                assert (got == 0.0) == (k == 1)
+
+    def test_star22_no_cancellation(self):
+        """At k = 2 a 22-leaf star is wrong only when every link is down:
+        q^22 = 5.9e-44, which 1 - p cannot hold."""
+        t = build_star(23)
+        q = Q5000
+        got = reliability._forest_wrong_mass(t, 2, reliability._down_probs(t))
+        assert math.isclose(got, q**22, rel_tol=1e-12) and 5e-44 < got < 6e-44
+        assert exact_partition_tolerance_bruteforce(t, k=2)[0] == 1.0
+        assert partition_tolerance(t, k=2).p == 1.0
+
+    def test_tree64_within_3_sigma_of_sampler(self):
+        t = build_rooted_tree(64, 6)
+        report = partition_tolerance(t)
+        wrong, stderr, _ = sampled_wrong_mass(t, budget=4000, seed=1)
+        assert abs((1.0 - report.p) - wrong) <= 3 * stderr
+        assert (report.stderr, report.t, report.per_state, report.method, report.k) == (
+            0.0, 24.0, [], "exact-tree", 33)
+
+    def test_tree4096(self):
+        report = partition_tolerance(build_rooted_tree(4096, 12))
+        assert math.isclose(1.0 - report.p, 1.176688e-4, rel_tol=1e-6)
+        assert report.method == "exact-tree"
+
+    def test_only_single_class_forests(self):
+        """Several classes stay on the sampler; so does a graph with
+        fewer links than nodes that is not a forest (a triangle and two
+        isolated nodes)."""
+        mixed = random_forest(np.random.default_rng(5), 10, 1, 3)
+        assert len(np.unique(mixed.class_id)) > 1
+        assert partition_tolerance(mixed, budget=50).method == "sampled"
+        sparse = custom_topology(5, [(0, 1), (1, 2), (0, 2)])
+        assert partition_tolerance(sparse, k=3, budget=0).method == "exact"
+
+    def test_forest_of_several_trees(self):
+        """Two paths of three nodes at k = 3: wrong unless one path is
+        whole, P = (1 - (1-q)^2)^2."""
+        t = custom_topology(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        q = Q5000
+        report = partition_tolerance(t, k=3)
+        assert math.isclose(1.0 - report.p, (1 - (1 - q) ** 2) ** 2, rel_tol=1e-9)
+        assert report.method == "exact-tree" and report.t == 24.0
 
 
 class TestConnectivityKernel:
