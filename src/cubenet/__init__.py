@@ -25,7 +25,6 @@ from .topology import (  # noqa: F401
 from .reliability import (  # noqa: F401
     PartitionReport,
     analyze_hierarchical,
-    conditional_wrong_prob,
     exact_partition_tolerance_bruteforce,
     min_repair_time,
     partition_tolerance,

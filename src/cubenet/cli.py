@@ -220,9 +220,8 @@ def _table3_census(kind: str, n: int, degree: int, spec) -> dict[float, int]:
         return {5000.0: n * degree // 2}
     n_nodes, _ = closed_form_link_count(spec)
     census: dict[float, int] = {}
-    for m, dim in enumerate(spec.dims, start=1):
-        km = spec.classes[spec.class_by_level[m]].distance_km
-        census[km] = census.get(km, 0) + n_nodes // 2 * dim
+    for dim, cls in zip(spec.dims, spec.classes):
+        census[cls.distance_km] = census.get(cls.distance_km, 0) + n_nodes // 2 * dim
     return census
 
 

@@ -18,8 +18,4 @@ class ResourceLimitError(CubenetError):
 
 
 class NumericError(CubenetError):
-    """A numeric solve failed; carries the residual when available."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """A numeric solve failed or an analysis has no meaningful answer."""

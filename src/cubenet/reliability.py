@@ -443,33 +443,6 @@ def _links_added(ends: np.ndarray, n: int, k: int, batch: np.ndarray) -> np.ndar
     return added
 
 
-def conditional_wrong_prob(
-    topology: Topology,
-    i: int,
-    k: int | None = None,
-    budget: int = 20000,
-    seed: int = 0,
-    enum_cap: int = ENUM_CAP_DEFAULT,
-) -> StateEstimate:
-    """P{wrong partition | i invalid links}: exact enumeration below the
-    cap, Monte Carlo over `budget` random link orders above it.
-
-    A wrong partition is a state whose largest component has fewer than
-    k nodes.  The estimate's `pi_i` is NaN: no steady state is solved.
-    """
-    L = topology.n_links
-    if not 0 <= i <= L:
-        raise SpecError(f"state {i} out of range for L={L}")
-    k = _quorum(topology, k)
-    _check_enum_cap(enum_cap)
-    pi_i = float("nan")
-    if i == 0:
-        p0 = 0.0 if max_component_size(topology, set()) >= k else 1.0
-        return StateEstimate(i, pi_i, p0, 0.0, 1, "exact")
-    (est,), _ = _estimate_states(topology, k, [(i, pi_i)], budget, (seed, i), enum_cap)
-    return est
-
-
 def partition_tolerance(
     topology: Topology,
     k: int | None = None,
@@ -479,38 +452,36 @@ def partition_tolerance(
 ) -> PartitionReport:
     """Overall partition tolerance probability and average minimum repair time.
 
-    A single-class forest (L = N - #components) is solved exactly by
-    `_forest_wrong_mass`, with no per-state rows.  Other single-class
-    topologies weight per-state conditional estimates by the count
-    chain's closed-form steady state Binomial(L, q),
-    q = lambda/(lambda+mu): p = 1 - sum_i pi_i * P{wrong|i}.  States
-    with pi_i below TAIL_EPS are skipped.  A state is exact below the
-    cut bound c_lb (see `_cut_lower_bound`) or when its C(L, i) subsets
-    fit `enum_cap`; every other state reads the same `budget` random
-    link orders.  Mixed-class topologies sample link states directly,
-    each link down with its class's steady-state probability q, and
-    check connectivity only where at least c_lb links are down.
+    Raises `NumericError` when the intact graph has no component of k
+    nodes.  A single-class forest (L = N - #components, so also a graph
+    with no links) is solved exactly by `_forest_wrong_mass`, with no
+    per-state rows.  Other single-class topologies weight per-state
+    conditional estimates by the count chain's closed-form steady state
+    Binomial(L, q), q = lambda/(lambda+mu): p = 1 - sum_i pi_i *
+    P{wrong|i}.  States with pi_i below TAIL_EPS are skipped.  A state
+    is exact below the cut bound c_lb (see `_cut_lower_bound`) or when
+    its C(L, i) subsets fit `enum_cap`; every other state reads the same
+    `budget` random link orders.  Mixed-class topologies sample link
+    states directly, each link down with its class's steady-state
+    probability q, and check connectivity only where at least c_lb links
+    are down.
     """
     k = _quorum(topology, k)
     _check_enum_cap(enum_cap)
-    L = topology.n_links
-    if L == 0:
-        p = 1.0 if topology.n_nodes >= k else 0.0
-        return PartitionReport(p, 0.0, None if p == 1.0 else 0.0, [], "exact", k)
-
-    cid = _single_class_id(topology)
-    if cid is None:
-        return _partition_tolerance_multiclass(topology, k, budget, seed)
-
-    cls = topology.classes[cid]
-    N = topology.n_nodes
+    L, N = topology.n_links, topology.n_nodes
     sizes = np.bincount(_component_roots(topology.ends, N, np.ones((1, L), dtype=bool)))
     if sizes.max() < k:
         raise NumericError("repairing all failed links did not restore a good partition")
-    if L < N and L == N - np.count_nonzero(sizes):  # a forest
-        wrong = _forest_wrong_mass(topology, k, np.full(L, cls.steady_down_prob))
-        return PartitionReport(1.0 - wrong, 0.0, cls.mttr_h if wrong > 0 else None, [],
-                               "exact-tree", k)
+
+    cid = _single_class_id(topology)
+    if cid is None and L > 0:
+        return _partition_tolerance_multiclass(topology, k, budget, seed)
+    if L == N - np.count_nonzero(sizes):  # a forest; a graph with no links is one
+        wrong = _forest_wrong_mass(topology, k, _down_probs(topology))
+        # with no links the check above leaves only k = 1, where wrong = 0
+        t = topology.classes[cid].mttr_h if wrong > 0 else None
+        return PartitionReport(1.0 - wrong, 0.0, t, [], "exact-tree", k)
+    cls = topology.classes[cid]
     pi = binom_pmf_vector(L, cls.steady_down_prob).tolist()
     kept = [(i, pi[i]) for i in range(1, L + 1) if pi[i] >= TAIL_EPS]
     skipped = [StateEstimate(i, pi[i], 0.0, 0.0, 0, "skipped") for i in range(1, L + 1)
@@ -658,12 +629,8 @@ class AggregateResult:
     t: float | None
 
 
-def analyze_hierarchical(
-    spec: RecursionSpec,
-    budget: int = 20000,
-    seed: int = 0,
-    enum_cap: int = ENUM_CAP_DEFAULT,
-) -> AggregateResult:
+def analyze_hierarchical(spec: RecursionSpec, budget: int = 20000,
+                         seed: int = 0) -> AggregateResult:
     """(p, t) of a symmetric/semi-symmetric recursive topology via
     per-level analysis of each level's hypercube plus path aggregation.
 
@@ -678,10 +645,9 @@ def analyze_hierarchical(
         raise SpecError("hierarchical aggregation needs a symmetric or semi-symmetric spec")
     raw = t_mass = 0.0
     reach = 1.0  # prod_{j<m} 2^{d_j} p_j
-    for m, dim in enumerate(spec.dims, start=1):
-        cls = spec.classes[spec.class_by_level[m]]
-        cube = replace(build_complete_hypercube(dim), classes={0: replace(cls, class_id=0)})
-        report = partition_tolerance(cube, budget=budget, seed=seed + m, enum_cap=enum_cap)
+    for m, (dim, cls) in enumerate(zip(spec.dims, spec.classes), start=1):
+        cube = replace(build_complete_hypercube(dim), classes={0: cls})
+        report = partition_tolerance(cube, budget=budget, seed=seed + m)
         weight = reach * (1.0 - report.p)
         if weight > 0.0:
             raw += weight

@@ -37,9 +37,9 @@ KERNEL_SLOTS = 2**15  # link slots per connectivity-kernel batch: a few MB of ar
 
 @dataclass(frozen=True)
 class LinkClass:
-    """A category of physical link: distance plus failure/repair rates."""
+    """A category of physical link: distance plus failure/repair rates.
+    Its id is its key in `Topology.classes`; it stores none itself."""
 
-    class_id: int
     distance_km: float
     mtbf_h: float
     mttr_h: float
@@ -72,12 +72,12 @@ class LinkClass:
         return self.lam / (self.lam + self.mu)
 
     @classmethod
-    def standard(cls, distance_km: float, class_id: int = 0) -> "LinkClass":
+    def standard(cls, distance_km: float) -> "LinkClass":
         try:
             mtbf, mttr = STANDARD_LINK_SPECS[float(distance_km)]
         except KeyError:
             raise SpecError(f"no standard link indicators for {distance_km} km") from None
-        return cls(class_id=class_id, distance_km=float(distance_km), mtbf_h=mtbf, mttr_h=mttr)
+        return cls(float(distance_km), mtbf, mttr)
 
 
 @dataclass(frozen=True)
@@ -137,15 +137,14 @@ class RecursionSpec:
 
     `levels` entries are hypercube dimensions (int), or, in asymmetric
     mode, a mapping from the parent prefix tuple to an explicit
-    `DomainGraph`.  `class_by_level` maps recursion level (1-based,
-    level 1 = outermost interconnection links) to a class id in
-    `classes`.
+    `DomainGraph`.  `classes` holds one link class per level, in level
+    order: the links of recursion level m (1-based, level 1 = outermost
+    interconnection links) belong to `classes[m - 1]`, class id m - 1.
     """
 
     mode: str  # "symmetric" | "semi" | "asymmetric"
     levels: tuple
-    class_by_level: dict[int, int]
-    classes: dict[int, LinkClass]
+    classes: tuple[LinkClass, ...]
 
     def __post_init__(self):
         if self.mode not in ("symmetric", "semi", "asymmetric"):
@@ -153,11 +152,8 @@ class RecursionSpec:
         r = len(self.levels)
         if r < 1:
             raise SpecError("recursion spec needs at least one level")
-        for m in range(1, r + 1):
-            if m not in self.class_by_level:
-                raise SpecError(f"class_by_level missing level {m}")
-            if self.class_by_level[m] not in self.classes:
-                raise SpecError(f"class id {self.class_by_level[m]} not in class table")
+        if len(self.classes) != r:
+            raise SpecError(f"expected {r} link classes, one per level, got {len(self.classes)}")
         if self.mode == "symmetric":
             dims = set(self.levels)
             if len(dims) != 1 or not isinstance(self.levels[0], int):
@@ -178,7 +174,7 @@ class RecursionSpec:
         return tuple(self.levels)
 
     @staticmethod
-    def _default_classes(r: int, distances=None) -> tuple[dict[int, int], dict[int, LinkClass]]:
+    def _default_classes(r: int, distances=None) -> tuple[LinkClass, ...]:
         if distances is None:
             if r > len(DEFAULT_LEVEL_DISTANCES):
                 raise SpecError(
@@ -186,27 +182,20 @@ class RecursionSpec:
                     f"(defaults cover {len(DEFAULT_LEVEL_DISTANCES)})"
                 )
             distances = DEFAULT_LEVEL_DISTANCES[:r]
-        if len(distances) != r:
-            raise SpecError(f"expected {r} class distances, got {len(distances)}")
-        classes = {i: LinkClass.standard(d, class_id=i) for i, d in enumerate(distances)}
-        class_by_level = {m: m - 1 for m in range(1, r + 1)}
-        return class_by_level, classes
+        return tuple(LinkClass.standard(d) for d in distances)
 
     @classmethod
     def symmetric(cls, dim: int, levels: int, distances=None) -> "RecursionSpec":
-        class_by_level, classes = cls._default_classes(levels, distances)
-        return cls("symmetric", (dim,) * levels, class_by_level, classes)
+        return cls("symmetric", (dim,) * levels, cls._default_classes(levels, distances))
 
     @classmethod
     def semi(cls, dims, distances=None) -> "RecursionSpec":
         dims = tuple(dims)
-        class_by_level, classes = cls._default_classes(len(dims), distances)
-        return cls("semi", dims, class_by_level, classes)
+        return cls("semi", dims, cls._default_classes(len(dims), distances))
 
     @classmethod
     def asymmetric(cls, levels, distances=None) -> "RecursionSpec":
-        class_by_level, classes = cls._default_classes(len(levels), distances)
-        return cls("asymmetric", tuple(levels), class_by_level, classes)
+        return cls("asymmetric", tuple(levels), cls._default_classes(len(levels), distances))
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,12 +314,12 @@ class Topology:
             "meta": self.meta,
             "classes": [
                 {
-                    "class_id": c.class_id,
+                    "class_id": cid,
                     "distance_km": c.distance_km,
                     "mtbf_h": c.mtbf_h,
                     "mttr_h": c.mttr_h,
                 }
-                for _, c in sorted(self.classes.items())
+                for cid, c in sorted(self.classes.items())
             ],
             "nodes": [{"flat": x, "levels": lab} for x, lab in enumerate(self.labels.tolist())],
             "links": [
@@ -347,7 +336,7 @@ class Topology:
         if doc.get("version") != SERIALIZATION_VERSION:
             raise SpecError(f"unsupported topology document version {doc.get('version')!r}")
         classes = {
-            c["class_id"]: LinkClass(c["class_id"], c["distance_km"], c["mtbf_h"], c["mttr_h"])
+            c["class_id"]: LinkClass(c["distance_km"], c["mtbf_h"], c["mttr_h"])
             for c in doc["classes"]
         }
         if len(classes) != len(doc["classes"]):
@@ -382,16 +371,20 @@ def _label_array(levels: list) -> np.ndarray:
     return np.array(levels, dtype=np.int32).reshape(len(levels), max(width, default=1))
 
 
-def _single_class(distance_km: float = 5000.0) -> dict[int, LinkClass]:
-    return {0: LinkClass.standard(distance_km, class_id=0)}
-
-
-def _flat_topology(kind: str, ids: np.ndarray, ends: np.ndarray, distance_km: float,
-                   meta: dict) -> Topology:
-    """Validated single-class topology on nodes labeled by `ids`, one link per row of `ends`."""
+def _flat_topology(kind: str, ids: np.ndarray, ends: np.ndarray, meta: dict) -> Topology:
+    """Validated topology on nodes labeled by `ids`, one link per row of
+    `ends`, every link in one 5000 km class."""
     L = len(ends)
     return Topology(kind, np.reshape(ids, (-1, 1)), ends, np.zeros(L), np.ones(L),
-                    _single_class(distance_km), meta)
+                    {0: LinkClass.standard(5000.0)}, meta)
+
+
+def _check_size(kind: str, n_nodes: int, n_links: int) -> None:
+    """ResourceLimitError, raised before anything is allocated, unless the
+    counts fit the node guard and the link guard (the link count of the
+    largest integer-dims spec within the node guard: 2^20 nodes of degree 20)."""
+    if n_nodes > MAX_RECURSIVE_NODES or n_links > MAX_RECURSIVE_NODES // 2 * MAX_HYPERCUBE_DIM:
+        raise ResourceLimitError(f"{kind} would have {n_nodes} nodes and {n_links} links")
 
 
 def _check_dim(dim: int) -> None:
@@ -401,18 +394,17 @@ def _check_dim(dim: int) -> None:
         raise ResourceLimitError(f"dim={dim} exceeds the guard of {MAX_HYPERCUBE_DIM}")
 
 
-def build_complete_hypercube(dim: int, distance_km: float = 5000.0) -> Topology:
+def build_complete_hypercube(dim: int) -> Topology:
     """dim-dimensional hypercube: 2^dim nodes, links at Hamming distance 1."""
     _check_dim(dim)
     return _flat_topology("complete-hypercube", np.arange(2**dim), _hypercube_edges(dim),
-                          distance_km, {"dim": dim})
+                          {"dim": dim})
 
 
 def build_incomplete_hypercube(
     dim: int,
     present_nodes=None,
     removed_links=(),
-    distance_km: float = 5000.0,
 ) -> Topology:
     """Induced subgraph of the complete hypercube minus explicit links.
 
@@ -441,7 +433,7 @@ def build_incomplete_hypercube(
     if removed:
         keep &= ~np.isin(edges[:, 0].astype(np.int64) << dim | edges[:, 1],
                          [a << dim | b for a, b in removed])
-    topo = _flat_topology("incomplete-hypercube", ordered, ends[keep], distance_km,
+    topo = _flat_topology("incomplete-hypercube", ordered, ends[keep],
                           {"dim": dim, "removed_links": sorted(removed)})
     if not topo.is_connected():
         raise ConstructionError("incomplete hypercube is disconnected; retry with other removals")
@@ -458,22 +450,15 @@ def build_recursive(spec: RecursionSpec) -> Topology:
     inside domain B, for every suffix s.  The node and link counts are
     checked against the size guard before anything is allocated.
     """
-    n_nodes, n_links = _count_below(spec, 1, ())
-    # The link guard is the link count of the largest integer-dims spec
-    # within the node guard: 2^20 nodes of degree 20.
-    if n_nodes > MAX_RECURSIVE_NODES or n_links > MAX_RECURSIVE_NODES // 2 * MAX_HYPERCUBE_DIM:
-        raise ResourceLimitError(
-            f"recursive topology would have {n_nodes} nodes and {n_links} links"
-        )
+    _check_size("recursive topology", *_count_below(spec, 1, ()))
     labels, ends, level = _build_below(spec, 1, ())
-    class_of = np.array([0] + [spec.class_by_level[m] for m in range(1, spec.r + 1)])
     topo = Topology(
         "recursive",
         labels,
         ends,
-        class_of[level],
+        level - 1,
         level,
-        dict(spec.classes),
+        dict(enumerate(spec.classes)),
         {"mode": spec.mode, "levels": [lv if isinstance(lv, int) else "explicit" for lv in spec.levels]},
     )
     if not topo.is_connected():
@@ -600,7 +585,7 @@ def closed_form_link_count(spec: RecursionSpec) -> tuple[int, int]:
     return _count_below(spec, 1, ())
 
 
-def build_rooted_tree(n: int, degree: int = 3, distance_km: float = 5000.0) -> Topology:
+def build_rooted_tree(n: int, degree: int = 3) -> Topology:
     """Regular rooted tree: root has `degree` children, every other
     internal node degree-1 children, filled breadth-first.
 
@@ -612,33 +597,36 @@ def build_rooted_tree(n: int, degree: int = 3, distance_km: float = 5000.0) -> T
         raise SpecError("need at least one node")
     if degree < 2:
         raise SpecError("degree must be at least 2")
+    _check_size("rooted tree", n, n - 1)
     child = np.arange(1, n, dtype=np.int32)
     parent = np.maximum((child - 2) // (degree - 1), 0)
     return _flat_topology("rooted-tree", np.arange(n), np.stack([parent, child], axis=1),
-                          distance_km, {"degree": degree})
+                          {"degree": degree})
 
 
-def build_ring_lattice(n: int, degree: int, distance_km: float = 5000.0) -> Topology:
+def build_ring_lattice(n: int, degree: int) -> Topology:
     """Ring lattice: node i linked to i +- 1 .. i +- degree/2 (mod n)."""
     if degree % 2 != 0:
         raise SpecError("ring lattice degree must be even")
     if not 2 <= degree < n:
         raise SpecError("ring lattice requires 2 <= degree < n")
+    _check_size("ring lattice", n, n * (degree // 2))
     i = np.arange(n, dtype=np.int32)[:, None]
     j = (i + np.arange(1, degree // 2 + 1, dtype=np.int32)) % n
     lo, hi = np.minimum(i, j).ravel(), np.maximum(i, j).ravel()
     order = np.lexsort((hi, lo))
     return _flat_topology("ring-lattice", np.arange(n), np.stack([lo[order], hi[order]], axis=1),
-                          distance_km, {"degree": degree})
+                          {"degree": degree})
 
 
-def build_star(n: int, distance_km: float = 5000.0) -> Topology:
+def build_star(n: int) -> Topology:
     """Star with node 0 as hub."""
     if n < 2:
         raise SpecError("star needs at least 2 nodes")
+    _check_size("star", n, n - 1)
     leaves = np.arange(1, n)
     return _flat_topology("star", np.arange(n), np.stack([np.zeros_like(leaves), leaves], axis=1),
-                          distance_km, {})
+                          {})
 
 
 def resolve_failed_links(topology: Topology, failed_links) -> set[int]:

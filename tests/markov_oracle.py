@@ -75,7 +75,7 @@ def _gth_stationary(P: np.ndarray) -> np.ndarray:
     for k in range(n - 1, 0, -1):
         s = A[k, :k].sum()
         if s <= 0.0:
-            raise NumericError(f"GTH elimination hit a zero pivot at state {k}", residual=s)
+            raise NumericError(f"GTH elimination hit a zero pivot {s} at state {k}")
         scale[k] = s
         A[k, :k] /= s
         A[:k, :k] += np.outer(A[:k, k], A[k, :k])
@@ -97,7 +97,7 @@ def stationary(chain: CountChain) -> StationaryDist:
     pi = _gth_stationary(P)
     residual = float(np.max(np.abs(pi @ P - pi)))
     if residual > 1e-8:
-        raise NumericError("stationary solve did not converge", residual=residual)
+        raise NumericError(f"stationary solve did not converge: residual {residual:.3g}")
     return StationaryDist(pi, residual)
 
 

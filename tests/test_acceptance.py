@@ -5,6 +5,7 @@ sub-claims).  Each test records a single PASS/FAIL verdict line; the
 conftest terminal-summary hook echoes them after the run so they are
 visible despite pytest's output capture.
 """
+import dataclasses
 import math
 import sys
 
@@ -157,17 +158,16 @@ def test_criterion_7_repair_times():
     details = []
     # single class: the conditional repair time is the class MTTR
     for distance, mttr in ((5000, 24.0), (3000, 14.4), (420, 2.016)):
-        t = partition_tolerance(build_star(4, distance_km=distance), budget=0).t
+        star = dataclasses.replace(build_star(4), classes={0: LinkClass.standard(distance)})
+        t = partition_tolerance(star, budget=0).t
         if not abs(t - mttr) <= 0.05 * mttr:
             ok = False
         details.append(f"{distance}km {t:.3f}h")
-    agg222 = analyze_hierarchical(RecursionSpec.symmetric(2, 3), budget=3000, seed=0,
-                                  enum_cap=50000)
+    agg222 = analyze_hierarchical(RecursionSpec.symmetric(2, 3), budget=3000, seed=0)
     if not (2.016 < agg222.t < 24 and abs(agg222.t - 21.4) <= 0.15 * 21.4):
         ok = False
     details.append(f"2-2-2 {agg222.t:.2f}h")
-    agg42 = analyze_hierarchical(RecursionSpec.semi((4, 2)), budget=3000, seed=0,
-                                 enum_cap=50000)
+    agg42 = analyze_hierarchical(RecursionSpec.semi((4, 2)), budget=3000, seed=0)
     if not abs(agg42.t - 14.4) <= 0.10 * 14.4:
         ok = False
     details.append(f"4-2 {agg42.t:.2f}h")

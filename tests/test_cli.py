@@ -6,6 +6,7 @@ import pytest
 
 from cubenet import Topology, cli
 from cubenet.cli import main
+from custom_graph import custom_topology
 
 
 def run_cli(argv):
@@ -342,6 +343,25 @@ class TestExitCodes:
         assert code == 2
         assert "budget is 0" in capsys.readouterr().err
 
+    def test_graph_without_links(self, tmp_path, capsys):
+        topo = tmp_path / "bare.json"
+        topo.write_text(custom_topology(3, []).to_json())
+        assert run_cli(["analyze", "partition", "--topology", str(topo)]) == 3
+        assert "numeric failure" in capsys.readouterr().err
+        out = tmp_path / "k1.csv"
+        assert run_cli(["analyze", "partition", "--topology", str(topo), "--k", "1",
+                        "--out", str(out)]) == 0
+        _, summary = read_csv(str(out))
+        assert (summary[6], summary[7], summary[8], summary[10]) == \
+            ("summary", "1.0", "", "exact-tree")
+
+    def test_flat_size_guard(self, tmp_path, capsys):
+        spec = tmp_path / "ring.json"
+        spec.write_text(json.dumps({"kind": "ring", "n": 2**20 + 1, "degree": 2}))
+        assert run_cli(["topo", "build", "--spec", str(spec), "--out",
+                        str(tmp_path / "ring.topology.json")]) == 2
+        assert "1048577 nodes" in capsys.readouterr().err
+
     def test_negative_enum_cap(self, cube_topology, capsys):
         code = run_cli(["analyze", "partition", "--topology", cube_topology,
                         "--enum-cap", "-1"])
@@ -353,7 +373,7 @@ class TestExitCodes:
         from cubenet.errors import NumericError
 
         def boom(*a, **kw):
-            raise NumericError("synthetic instability", residual=1.0)
+            raise NumericError("synthetic instability")
 
         monkeypatch.setattr(cli, "partition_tolerance", boom)
         code = run_cli(["analyze", "partition", "--topology", cube_topology])

@@ -27,7 +27,6 @@ from cubenet import (
     build_ring_lattice,
     build_rooted_tree,
     build_star,
-    conditional_wrong_prob,
     exact_partition_tolerance_bruteforce,
     min_repair_time,
     partition_tolerance,
@@ -125,57 +124,53 @@ class TestCountChain:
         assert math.isclose(dist.pi.sum(), 1.0, abs_tol=1e-12)
 
 
+def state_estimate(topology, i, k=None, budget=20000, seed=0,
+                   enum_cap=reliability.ENUM_CAP_DEFAULT):
+    """The estimate of P{wrong | i} for one state i >= 1, made as
+    `partition_tolerance` makes it for each kept state; pi_i is NaN."""
+    k = default_quorum(topology.n_nodes) if k is None else k
+    states = [(i, math.nan)]
+    (est,), _ = reliability._estimate_states(topology, k, states, budget, (seed, i), enum_cap)
+    return est
+
+
 class TestConditionalWrongProb:
-    def test_zero_failures(self):
-        t = build_complete_hypercube(3)
-        est = conditional_wrong_prob(t, 0, k=5)
-        assert est.p_wrong == 0.0 and est.method == "exact"
-
-    def test_zero_failures_disconnected(self):
-        """Two disjoint links on 4 nodes have no 3-node component even intact."""
-        est = conditional_wrong_prob(_two_links(), 0, k=3)
-        assert est.p_wrong == 1.0 and est.method == "exact"
-
     @pytest.mark.parametrize("enum_cap,budget,method", [(10**6, 0, "exact"), (0, 50, "sampled")])
     def test_disconnected_every_state_wrong(self, enum_cap, budget, method):
         """Without a 3-node component even intact, every state is wrong."""
         for i in (1, 2):
-            est = conditional_wrong_prob(_two_links(), i, k=3, budget=budget, enum_cap=enum_cap)
+            est = state_estimate(_two_links(), i, k=3, budget=budget, enum_cap=enum_cap)
             assert est.p_wrong == 1.0 and est.method == method
-
-    def test_zero_failures_connected_path(self):
-        est = conditional_wrong_prob(_mixed_path(), 0, k=3)
-        assert est.p_wrong == 0.0 and est.method == "exact"
 
     def test_cube_small_counts_exact(self):
         """Enumeration over C(12, i) failed-link subsets of the 3-cube, k=5."""
         t = build_complete_hypercube(3)
-        assert conditional_wrong_prob(t, 1, k=5).p_wrong == 0.0
-        assert conditional_wrong_prob(t, 2, k=5).p_wrong == 0.0
+        assert state_estimate(t, 1, k=5).p_wrong == 0.0
+        assert state_estimate(t, 2, k=5).p_wrong == 0.0
         # i=3: even isolating one vertex leaves a 7-node majority component
-        assert conditional_wrong_prob(t, 3, k=5).p_wrong == 0.0
-        est4 = conditional_wrong_prob(t, 4, k=5)
+        assert state_estimate(t, 3, k=5).p_wrong == 0.0
+        est4 = state_estimate(t, 4, k=5)
         assert math.isclose(est4.p_wrong, 3 / 495)
 
     def test_edge_connectivity_shortcut(self):
         t = build_complete_hypercube(4)
-        est = conditional_wrong_prob(t, 3, k=9)
+        est = state_estimate(t, 3, k=9)
         assert est.p_wrong == 0.0 and est.method == "exact"
 
     def test_all_failed(self):
         t = build_ring_lattice(4, 2)
-        est = conditional_wrong_prob(t, 4, k=3)
+        est = state_estimate(t, 4, k=3)
         assert est.p_wrong == 1.0
 
     def test_sampling_agrees_with_enum(self):
         t = build_ring_lattice(8, 4)
         assert _cut_lower_bound(t, 5) == 6
         # below c_lb the answer is a certified 0, with neither subsets nor orders
-        zero = conditional_wrong_prob(t, 4, k=5, enum_cap=0, budget=40000, seed=1)
+        zero = state_estimate(t, 4, k=5, enum_cap=0, budget=40000, seed=1)
         assert (zero.method, zero.p_wrong, zero.n_samples) == ("exact", 0.0, 0)
         for i in [6, 8]:
-            exact = conditional_wrong_prob(t, i, k=5, enum_cap=10**6)
-            mc = conditional_wrong_prob(t, i, k=5, enum_cap=0, budget=40000, seed=1)
+            exact = state_estimate(t, i, k=5, enum_cap=10**6)
+            mc = state_estimate(t, i, k=5, enum_cap=0, budget=40000, seed=1)
             assert exact.method == "exact" and mc.method == "sampled"
             assert abs(mc.p_wrong - exact.p_wrong) <= 4 * max(mc.stderr, 1e-9)
 
@@ -211,7 +206,7 @@ def _mixed_path():
 
 def _three_class_ring():
     """14-cycle plus chords 0-7 and 3-10, link classes 5000/3000/420 km mixed."""
-    classes = {c: LinkClass.standard(d, c) for c, d in enumerate((5000, 3000, 420))}
+    classes = dict(enumerate(map(LinkClass.standard, (5000, 3000, 420))))
     ends = sorted({(min(x, (x + 1) % 14), max(x, (x + 1) % 14)) for x in range(14)} | {(0, 7), (3, 10)})
     return custom_topology(14, ends, [(7 * u + v) % 3 for u, v in ends], classes)
 
@@ -283,7 +278,7 @@ class TestPartitionTolerance:
         assert p_strict <= p_loose
 
     def test_multiclass_mixed_path(self):
-        classes = {0: LinkClass(0, 5000.0, 2.0, 2.0), 1: LinkClass(1, 420.0, 6.048, 2.016)}
+        classes = {0: LinkClass(5000.0, 2.0, 2.0), 1: LinkClass(420.0, 6.048, 2.016)}
         t = custom_topology(3, [(0, 1), (1, 2)], [0, 1], classes)
         report = partition_tolerance(t, k=2, budget=200000, seed=0)
         # q0 = 0.5, q1 = 0.25; wrong iff both links down -> 0.125, and
@@ -335,19 +330,32 @@ class TestPartitionTolerance:
         with pytest.raises(NumericError):
             partition_tolerance(t, budget=10)
 
+    def test_graph_without_links(self):
+        """Three nodes and no links: every state is wrong for k >= 2, as
+        the brute force finds, and k = 1 always holds."""
+        t = custom_topology(3, [])
+        for k in (2, 3):
+            with pytest.raises(NumericError):
+                partition_tolerance(t, k=k)
+            with pytest.raises(NumericError):
+                exact_partition_tolerance_bruteforce(t, k=k)
+        report = partition_tolerance(t, k=1)
+        assert (report.p, report.t, report.method) == (1.0, None, "exact-tree")
+        assert exact_partition_tolerance_bruteforce(t, k=1) == (1.0, None)
+
     def test_analysis_leaves_topology_unchanged(self):
         t = build_complete_hypercube(4)
         before = t.to_json()
         partition_tolerance(t, budget=200, seed=0)
-        conditional_wrong_prob(t, 3, budget=50)
+        state_estimate(t, 3, budget=50)
         assert t.to_json() == before
 
 
 # q = 0.0108, 1/3 and 1/11: the 5000 km class and two far less reliable ones
 FOREST_CLASSES = {
-    0: LinkClass(0, 5000.0, 2190.0, 24.0),
-    1: LinkClass(1, 3000.0, 4.0, 2.0),
-    2: LinkClass(2, 420.0, 10.0, 1.0),
+    0: LinkClass(5000.0, 2190.0, 24.0),
+    1: LinkClass(3000.0, 4.0, 2.0),
+    2: LinkClass(420.0, 10.0, 1.0),
 }
 
 
@@ -741,7 +749,7 @@ class TestCutLowerBound:
         monkeypatch.setattr(reliability, "_edge_connectivity", counting)
         t = build_ring_lattice(768, 4)
         for i in (1, 2, 3):
-            est = conditional_wrong_prob(t, i, budget=50)
+            est = state_estimate(t, i, budget=50)
             assert (est.p_wrong, est.n_samples, est.method) == (0.0, 0, "exact")
         assert calls == [768]
         assert _cut_lower_bound(t, 700) == 4 and calls == [768, 768]
@@ -752,7 +760,7 @@ def _two_class_cycle():
     """8-cycle whose links alternate between classes down 40 % and 33 %
     of the time: c_lb = 2 at k = 5, and two opposite failed links make
     a wrong state at exactly c_lb."""
-    classes = {0: LinkClass(0, 5000.0, 3.0, 2.0), 1: LinkClass(1, 3000.0, 3.0, 1.5)}
+    classes = {0: LinkClass(5000.0, 3.0, 2.0), 1: LinkClass(3000.0, 3.0, 1.5)}
     ends = [(min(x, (x + 1) % 8), max(x, (x + 1) % 8)) for x in range(8)]
     return custom_topology(8, ends, [x % 2 for x in range(8)], classes)
 
@@ -760,8 +768,8 @@ def _two_class_cycle():
 def _unreliable_2_2():
     """2-2 with links down 40 % and 33 % of the time: c_lb = 8 at k = 9
     splits the sampled states, and some of those above it are wrong."""
-    classes = {0: LinkClass(0, 5000.0, 3.0, 2.0), 1: LinkClass(1, 3000.0, 3.0, 1.5)}
-    return build_recursive(RecursionSpec("symmetric", (2, 2), {1: 0, 2: 1}, classes))
+    classes = (LinkClass(5000.0, 3.0, 2.0), LinkClass(3000.0, 3.0, 1.5))
+    return build_recursive(RecursionSpec("symmetric", (2, 2), classes))
 
 
 class TestCutBoundWork:
@@ -889,9 +897,10 @@ def test_analysis_runs_without_networkx():
         "sys.modules['networkx'] = None\n"
         "sys.modules['scipy'] = None\n"
         "from cubenet import *\n"
+        "from cubenet import reliability\n"
         "t = build_ring_lattice(16, 4)\n"
         "partition_tolerance(t, budget=50, seed=0, enum_cap=100)\n"
-        "conditional_wrong_prob(t, 5, budget=50, enum_cap=0)\n"
+        "reliability._estimate_states(t, 9, [(5, float('nan'))], 50, (0, 5), 0)\n"
         "spec = RecursionSpec.symmetric(2, 2)\n"
         "mixed = build_recursive(spec)\n"
         "partition_tolerance(mixed, budget=50, seed=0)\n"
@@ -908,15 +917,13 @@ def test_analysis_runs_without_networkx():
     assert done.returncode == 0, done.stderr
 
 
-def _level_reports(spec, budget, seed, enum_cap):
+def _level_reports(spec, budget, seed):
     """`partition_tolerance` of each level's hypercube, as `analyze_hierarchical`
     runs it: the level's link class, default quorum, seed + level."""
     reports = []
-    for m, dim in enumerate(spec.dims, start=1):
-        cls = spec.classes[spec.class_by_level[m]]
-        cube = dataclasses.replace(build_complete_hypercube(dim),
-                                   classes={0: dataclasses.replace(cls, class_id=0)})
-        reports.append(partition_tolerance(cube, budget=budget, seed=seed + m, enum_cap=enum_cap))
+    for m, (dim, cls) in enumerate(zip(spec.dims, spec.classes), start=1):
+        cube = dataclasses.replace(build_complete_hypercube(dim), classes={0: cls})
+        reports.append(partition_tolerance(cube, budget=budget, seed=seed + m))
     return reports
 
 
@@ -925,8 +932,8 @@ class TestAggregation:
         """4-2: one level-1 domain and 16 level-2 domains, each reached
         when the level-1 domain holds."""
         spec = RecursionSpec.semi((4, 2))
-        agg = analyze_hierarchical(spec, budget=20000, seed=0, enum_cap=50000)
-        r1, r2 = _level_reports(spec, 20000, 0, 50000)
+        agg = analyze_hierarchical(spec, budget=20000, seed=0)
+        r1, r2 = _level_reports(spec, 20000, 0)
         w1, w2 = 1 - r1.p, 16 * r1.p * (1 - r2.p)
         assert w1 > 0 and w2 > 0
         assert math.isclose(1 - agg.p, w1 + w2, rel_tol=1e-12)
@@ -936,8 +943,8 @@ class TestAggregation:
         """2-2-2: level m has prod_{j<m} 4 domains, each reached when
         every ancestor holds."""
         spec = RecursionSpec.symmetric(2, 3)
-        agg = analyze_hierarchical(spec, budget=500, seed=3, enum_cap=1000)
-        r1, r2, r3 = _level_reports(spec, 500, 3, 1000)
+        agg = analyze_hierarchical(spec, budget=500, seed=3)
+        r1, r2, r3 = _level_reports(spec, 500, 3)
         w = [1 - r1.p, 4 * r1.p * (1 - r2.p), 16 * r1.p * r2.p * (1 - r3.p)]
         assert all(x > 0 for x in w)
         assert math.isclose(1 - agg.p, sum(w), rel_tol=1e-12)
@@ -947,9 +954,9 @@ class TestAggregation:
     def test_clamp_flag(self):
         """Links down about half the time: the level sum exceeds 1, so p
         is clamped to 0."""
-        classes = {0: LinkClass(0, 5000.0, 2.0, 1.9), 1: LinkClass(1, 3000.0, 2.0, 1.9)}
-        spec = RecursionSpec("semi", (3, 2), {1: 0, 2: 1}, classes)
-        r1, r2 = _level_reports(spec, 200, 0, reliability.ENUM_CAP_DEFAULT)
+        classes = (LinkClass(5000.0, 2.0, 1.9), LinkClass(3000.0, 2.0, 1.9))
+        spec = RecursionSpec("semi", (3, 2), classes)
+        r1, r2 = _level_reports(spec, 200, 0)
         assert (1 - r1.p) + 8 * r1.p * (1 - r2.p) > 1
         assert analyze_hierarchical(spec, budget=200, seed=0).p == 0.0
 
@@ -960,16 +967,14 @@ class TestAggregation:
         rates = ((500.0, 5.0), (800.0, 3.0))
         results = []
         for dists in ((100.0, 50.0), (5000.0, 420.0)):
-            classes = {c: LinkClass(c, d, *r) for c, (d, r) in enumerate(zip(dists, rates))}
-            spec = RecursionSpec("semi", (3, 2), {1: 0, 2: 1}, classes)
+            classes = tuple(LinkClass(d, *r) for d, r in zip(dists, rates))
+            spec = RecursionSpec("semi", (3, 2), classes)
             results.append(analyze_hierarchical(spec, budget=200, seed=0))
         assert results[0] == results[1]
         assert 0.0 < results[0].p < 1.0
 
     def test_hierarchical_4_2_repair(self):
-        result = analyze_hierarchical(
-            RecursionSpec.semi((4, 2)), budget=2000, seed=0, enum_cap=50000
-        )
+        result = analyze_hierarchical(RecursionSpec.semi((4, 2)), budget=2000, seed=0)
         # level-2 repairs dominate: every per-domain failure is a level-1
         # 4-cube event, every cross-domain failure a level-2 1-cube event
         assert math.isclose(result.t, 14.4, rel_tol=1e-6)
@@ -985,8 +990,6 @@ class TestErrors:
             with pytest.raises(SpecError):
                 exact_partition_tolerance_bruteforce(t, k=k)
             with pytest.raises(SpecError):
-                conditional_wrong_prob(t, 2, k=k)
-            with pytest.raises(SpecError):
                 min_repair_time(t, [0, 1], k=k)
 
     def test_negative_enum_cap(self):
@@ -996,9 +999,6 @@ class TestErrors:
         calls = [
             lambda: partition_tolerance(t, budget=10, enum_cap=-1),
             lambda: partition_tolerance(build_recursive(spec), budget=10, enum_cap=-1),
-            lambda: conditional_wrong_prob(t, 6, budget=10, enum_cap=-1),
-            lambda: conditional_wrong_prob(t, 0, enum_cap=-1),
-            lambda: analyze_hierarchical(spec, budget=10, enum_cap=-1),
         ]
         for call in calls:
             with pytest.raises(SpecError, match="enum_cap"):

@@ -42,11 +42,11 @@ class TestLinkClass:
 
     def test_rejects_mttr_above_mtbf(self):
         with pytest.raises(SpecError):
-            LinkClass(0, 100, mtbf_h=10, mttr_h=20)
+            LinkClass(100, mtbf_h=10, mttr_h=20)
 
     def test_rejects_invalid_probabilities(self):
         with pytest.raises(SpecError):
-            LinkClass(0, 100, mtbf_h=2000, mttr_h=0.5)  # mu > 1
+            LinkClass(100, mtbf_h=2000, mttr_h=0.5)  # mu > 1
 
 
 class TestCompleteHypercube:
@@ -207,6 +207,14 @@ class TestRecursive:
         with pytest.raises(SpecError, match="non-negative"):
             make()
 
+    @pytest.mark.parametrize("n_classes", [0, 1, 3])
+    def test_one_class_per_level(self, n_classes):
+        classes = (LinkClass.standard(5000),) * n_classes
+        with pytest.raises(SpecError, match="expected 2 link classes"):
+            RecursionSpec("semi", (3, 2), classes)
+        with pytest.raises(SpecError, match="expected 2 link classes"):
+            RecursionSpec.semi((3, 2), [5000.0] * n_classes)
+
     def test_asymmetric_unequal_domains_rejected(self):
         spec = RecursionSpec.asymmetric(
             (1, {(0,): DomainGraph(2, ((0, 1),)), (1,): DomainGraph(3, ((0, 1), (1, 2)))})
@@ -352,6 +360,19 @@ class TestSerialization:
             Topology.from_dict(doc)
 
 
+def test_class_ids_are_table_keys():
+    """A class's id is its key in the class table, in any order and with
+    gaps: the document keeps the keys, and reading it back gives the
+    same table and bytes."""
+    classes = {7: LinkClass.standard(420), 3: LinkClass(5000.0, 2190.0, 24.0)}
+    t = custom_topology(3, [(0, 1), (1, 2)], [7, 3], classes)
+    text = t.to_json()
+    assert [c["class_id"] for c in json.loads(text)["classes"]] == [3, 7]
+    back = Topology.from_json(text)
+    assert back.classes == classes and back.class_id.tolist() == [7, 3]
+    assert back.to_json() == text
+
+
 def test_node_id_requires_levels():
     """A document whose node labels have no digits, or a row with none, is refused."""
     for empty in (range(4), [0]):
@@ -408,7 +429,8 @@ SERIALIZATION_PINS = {
     "ring7-6": (lambda: build_ring_lattice(7, 6),
         "cd8c7cadb4134aabcee635791796e55e8d8a657a8c0e5eea3d94b474d2d712ca",
         "621c69265c653af25d23b362386df0eca6ea304ce899f1dae6a31bd13a0979e4"),
-    "ring8-2-420": (lambda: build_ring_lattice(8, 2, distance_km=420.0),
+    "ring8-2-420": (lambda: dataclasses.replace(build_ring_lattice(8, 2),
+                                                classes={0: LinkClass.standard(420.0)}),
         "327e70fba483c045228a9a7ea8985b370c14f17dc4aad5e03a6383cae082254d",
         "de2b546090a490a5778e462d18a941e5fe7dc88bcfc501e6adf4cfdf45d9fbbd"),
     "ring64-2": (lambda: build_ring_lattice(64, 2),
@@ -541,6 +563,32 @@ class TestSizeGuard:
         for spec in (_ASYM_TRIANGLE, _ASYM_MESH):
             t = build_recursive(spec)
             assert topology._count_below(spec, 1, ()) == (t.n_nodes, t.n_links)
+
+
+class TestFlatSizeGuard:
+    """Trees, ring lattices and stars check their node and link counts
+    against the recursive builder's guards before they allocate.  The
+    refused sizes allocate little even unguarded: just over the node
+    guard, or a ring over the link guard of a guard lowered to 64 nodes
+    (640 links)."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: build_rooted_tree(2**20 + 1), lambda: build_ring_lattice(2**20 + 1, 2),
+         lambda: build_star(2**20 + 1)],
+        ids=["tree", "ring", "star"],
+    )
+    def test_too_many_nodes(self, build):
+        with pytest.raises(ResourceLimitError, match="1048577 nodes"):
+            build()
+
+    def test_too_many_links(self, monkeypatch):
+        monkeypatch.setattr(topology, "MAX_RECURSIVE_NODES", 64)
+        assert build_ring_lattice(64, 20).n_links == 640
+        for build in (lambda: build_rooted_tree(64), lambda: build_star(64)):
+            assert build().n_nodes == 64
+        with pytest.raises(ResourceLimitError, match="64 nodes and 704 links"):
+            build_ring_lattice(64, 22)
 
 
 def expand_oracle(spec):
