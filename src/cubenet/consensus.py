@@ -14,12 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, SpecError
-from .topology import Level, Topology, _bfs_levels
+from .topology import Level, Topology, _bfs_levels, _check_run_length
 
 TX_SIZE = 24  # bytes per transaction
 BLOCK_CAP = 10000  # transactions per block
 HEADER_BYTES = 512  # bytes per block header
 VOTE_BYTES = 64  # per node, aggregated along the reverse tree
+LEADER_SLOTS = 2**17  # adjacency slots per batch of leader trees: BFS arrays of at most 1 MB
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,12 @@ class ThroughputReport:
     elapsed_s: float
 
 
-def _tree(indptr: np.ndarray, indices: np.ndarray, source: int) -> list[Level]:
-    """The BFS levels from `source`; ConstructionError unless they reach every node."""
-    levels = _bfs_levels(indptr, indices, source)
-    if 1 + sum(len(nodes) for nodes, _, _ in levels) != len(indptr) - 1:
+def _trees(indptr: np.ndarray, indices: np.ndarray, sources: list[int]) -> list[Level]:
+    """The BFS levels of the copies searched from `sources` (see
+    `_bfs_levels`); ConstructionError unless each copy reaches every node."""
+    k, n = len(sources), len(indptr) - 1
+    levels = _bfs_levels(indptr, indices, sources)
+    if k + sum(len(nodes) for nodes, _, _ in levels) != k * n:
         raise ConstructionError("broadcast source cannot reach every node")
     return levels
 
@@ -78,7 +81,9 @@ def _broadcast(levels: list[Level], n: int, payload_bytes: float, config: Consen
     return float(arrival.max())
 
 
-def _gather(levels: list[Level], n: int, root: int, config: ConsensusConfig) -> float:
+def _gather(levels: list[Level], n: int, roots, config: ConsensusConfig) -> np.ndarray:
+    """The finish time at each of `roots` of the vote gather over `levels`,
+    whose node ids are below `n`; the trees of several copies fold at once."""
     size = np.ones(n, dtype=np.int64)
     done = np.zeros(n)
     for nodes, parents, ranks in reversed(levels):
@@ -93,7 +98,7 @@ def _gather(levels: list[Level], n: int, root: int, config: ConsensusConfig) -> 
             p = parents[sel]
             done[p] = np.maximum(done[p], done[nodes[sel]]) + transfer[sel]
         np.add.at(size, parents, size[nodes])
-    return float(done[root])
+    return done[roots]
 
 
 def broadcast_time(topology: Topology, source: int, payload_bytes: float, config: ConsensusConfig) -> float:
@@ -103,7 +108,7 @@ def broadcast_time(topology: Topology, source: int, payload_bytes: float, config
     serializes its outgoing transfers, so its i-th child receives i
     transfer times after the node itself finished receiving.
     """
-    levels = _tree(*topology.csr(), source)
+    levels = _trees(*topology.csr(), [source])
     return _broadcast(levels, topology.n_nodes, payload_bytes, config)
 
 
@@ -114,12 +119,54 @@ def gather_time(topology: Topology, root: int, config: ConsensusConfig) -> float
     aggregate (VOTE_BYTES * subtree size) and receives from its
     children one at a time.
     """
-    return _gather(_tree(*topology.csr(), root), topology.n_nodes, root, config)
+    levels = _trees(*topology.csr(), [root])
+    return float(_gather(levels, topology.n_nodes, root, config))
+
+
+def _leader_trees(
+    indptr: np.ndarray, indices: np.ndarray, leaders: list[int], config: ConsensusConfig
+) -> dict[int, tuple[list[Level], float]]:
+    """Each leader's BFS levels, in its own node ids, and its gather time,
+    from one BFS and one gather over a copy of the graph per leader."""
+    k, n = len(leaders), len(indptr) - 1
+    levels = _trees(indptr, indices, leaders)
+    offsets = n * np.arange(k + 1)
+    gathers = _gather(levels, k * n, np.add(leaders, offsets[:-1]), config).tolist()
+    # each level holds the copies in order, so copy j's slice lies in [j*n, (j+1)*n)
+    cuts = [np.searchsorted(nodes, offsets).tolist() for nodes, _, _ in levels]
+    trees = {}
+    for j, (leader, offset, gather) in enumerate(zip(leaders, offsets.tolist(), gathers)):
+        own = []
+        for (nodes, parents, ranks), cut in zip(levels, cuts):
+            lo, hi = cut[j], cut[j + 1]
+            if lo == hi:  # this copy's tree ended a level above
+                break
+            own.append((nodes[lo:hi] - offset, parents[lo:hi] - offset, ranks[lo:hi]))
+        trees[leader] = (own, gather)
+    return trees
+
+
+def _next_leaders(leaders: list[int], start: int, k: int) -> list[int]:
+    """The first k distinct leaders from round `start` on, in round order."""
+    batch: dict[int, None] = {}
+    for r in range(start, len(leaders)):
+        batch[leaders[r]] = None
+        if len(batch) == k:
+            break
+    return list(batch)
 
 
 def run_consensus(topology: Topology, config: ConsensusConfig) -> ThroughputReport:
     """Round loop: pick leader, pack pending transactions up to the block
-    cap, broadcast the block, collect votes, commit."""
+    cap, broadcast the block, collect votes, commit.
+
+    A leader's tree and gather time do not depend on the block, so the
+    trees of the next few distinct leaders grow in one BFS (at most
+    LEADER_SLOTS adjacency slots over all copies) and their gathers fold
+    in one pass; each round then broadcasts its block along its
+    leader's tree.
+    """
+    _check_run_length("rounds", config.rounds)
     n = topology.n_nodes
     if n < 4:
         raise SpecError("consensus simulation needs at least 4 nodes")
@@ -133,21 +180,20 @@ def run_consensus(topology: Topology, config: ConsensusConfig) -> ThroughputRepo
         leaders = np.arange(config.rounds) // period % n
     leaders = leaders.tolist()
     indptr, indices = topology.csr()
-    tree_root = -1
+    per_batch = max(1, LEADER_SLOTS // max(1, len(indices)))
+    trees: dict[int, tuple[list[Level], float]] = {}
 
     elapsed = 0.0
     committed = 0
     per_round_time: list[float] = []
     per_round_committed: list[int] = []
-    for leader in leaders:
+    for r, leader in enumerate(leaders):
         pool = config.tx_rate * elapsed - committed
         block_tx = min(BLOCK_CAP, int(pool))
         block_bytes = HEADER_BYTES + block_tx * TX_SIZE
-        if leader != tree_root:
-            # the tree and its gather time depend only on the leader
-            levels = _tree(indptr, indices, leader)
-            gather = _gather(levels, n, leader, config)
-            tree_root = leader
+        if leader not in trees:
+            trees = _leader_trees(indptr, indices, _next_leaders(leaders, r, per_batch), config)
+        levels, gather = trees[leader]
         round_time = _broadcast(levels, n, block_bytes, config)
         round_time += gather
         elapsed += round_time

@@ -20,7 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SpecError
-from .topology import Topology
+from .topology import Topology, _check_run_length
+
+CYCLE_SLOTS = 2**15  # neighbor slots per block of cycles: 256 KB per float64 array
 
 
 @dataclass(frozen=True)
@@ -52,14 +54,20 @@ class GossipMetrics:
 
 
 def run_gossip(topology: Topology, config: GossipConfig) -> GossipMetrics:
-    """Deterministic (given seed) cycle loop, one array step per cycle.
+    """Deterministic (given seed) cycle loop, one array step per block of cycles.
 
     Nodes with degree below the fanout use their whole neighbor set.
     Suppression is applied per exchange; the surviving partners of a
     node's cycle are a uniform subset of its neighbors, so suppression
     is drawn first and partners second: each node ranks its neighbors by
-    fresh uniform keys and takes the first `successes` of them.
+    fresh uniform keys and takes the first `successes` of them.  Each
+    cycle draws its binomial and then its keys, as a per-cycle loop
+    would; the keys of a block of cycles (at most CYCLE_SLOTS neighbor
+    slots) fill one buffer, and the ranking and counting run once per
+    block.  Without delay the block's keys are one draw, which reads the
+    same stream as one draw per cycle.
     """
+    _check_run_length("cycles", config.cycles)
     n = topology.n_nodes
     indptr, indices = topology.csr()
     degrees = np.diff(indptr)
@@ -69,26 +77,40 @@ def run_gossip(topology: Topology, config: GossipConfig) -> GossipMetrics:
     # padded neighbor table; padding slots get keys past every valid key
     slots = np.arange(degrees.max())
     padding = slots >= degrees[:, None]
-    neighbors = np.zeros(padding.shape, dtype=np.int64)
-    neighbors[~padding] = indices
+    neighbors = np.zeros(padding.size, dtype=np.int64)
+    neighbors[~padding.ravel()] = indices
+    row_start = slots.size * np.arange(n)[:, None]  # flat index of each row's first slot
 
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, n, config.cycles)))
     forwarded_per_cycle = np.zeros(config.cycles, dtype=np.int64)
     in_degree = np.zeros(n, dtype=np.int64)
     per_node = np.zeros(n, dtype=np.int64)
+    block = min(config.cycles, max(1, CYCLE_SLOTS // padding.size))
+    keys = np.empty((block, *padding.shape))
+    if config.delay_prob > 0.0:
+        successes = np.empty((block, n), dtype=np.int64)
+    else:
+        successes = np.broadcast_to(attempts, (block, n))
+    # when every node has the same attempts, one scalar draw gives the
+    # array draw's variates at a third of its cost
+    trials, size = (int(attempts[0]), n) if (attempts == attempts[0]).all() else (attempts, None)
 
-    for cycle in range(config.cycles):
+    for lo in range(0, config.cycles, block):
+        b = min(block, config.cycles - lo)
         if config.delay_prob > 0.0:
-            successes = rng.binomial(attempts, 1.0 - config.delay_prob)
+            for c in range(b):
+                successes[c] = rng.binomial(trials, 1.0 - config.delay_prob, size)
+                rng.random(out=keys[c])
         else:
-            successes = attempts
-        forwarded_per_cycle[cycle] = 2 * int(successes.sum())
-        keys = rng.random(padding.shape)
-        keys[padding] = 2.0
-        ranked = np.take_along_axis(neighbors, np.argsort(keys, axis=1), axis=1)
-        hits = np.bincount(ranked[slots < successes[:, None]], minlength=n)
+            rng.random(out=keys[:b])
+        exchanges = successes[:b]
+        forwarded_per_cycle[lo:lo + b] = 2 * exchanges.sum(axis=1)
+        keys[:b, padding] = 2.0
+        # each node's partners: the neighbors at its first `exchanges` key ranks
+        order = np.argsort(keys[:b], axis=2) + row_start
+        hits = np.bincount(neighbors[order[slots < exchanges[:, :, None]]], minlength=n)
         in_degree += hits  # one pull reply per exchange a node receives
-        per_node += successes + hits  # pushes plus replies
+        per_node += exchanges.sum(axis=0) + hits  # pushes plus replies
 
     return GossipMetrics(
         forwarded_per_cycle=forwarded_per_cycle,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NumericError, ResourceLimitError, SpecError
 from .topology import RecursionSpec, Topology, build_complete_hypercube, max_component_size
-from .topology import _bfs_levels, _chunk_rows, _component_roots, _max_comp_rows
+from .topology import _bfs_levels, _check_run_length, _chunk_rows, _component_roots, _max_comp_rows
 from .topology import resolve_failed_links
 from .unionfind import UnionFind  # noqa: F401  unused; perfbench/tracer.py patches this name
 
@@ -164,7 +164,7 @@ def _distance_rayleigh(topology: Topology) -> float:
     numerator counts the links whose ends lie at different distances.
     """
     n, ends = topology.n_nodes, topology.ends
-    levels = _bfs_levels(*topology.csr(), 0)
+    levels = _bfs_levels(*topology.csr(), [0])
     if n < 2 or 1 + sum(len(nodes) for nodes, _, _ in levels) < n:
         return 0.0
     dist = np.zeros(n, dtype=np.int64)
@@ -468,6 +468,7 @@ def partition_tolerance(
     """
     k = _quorum(topology, k)
     _check_enum_cap(enum_cap)
+    _check_run_length("budget", budget)
     L, N = topology.n_links, topology.n_nodes
     sizes = np.bincount(_component_roots(topology.ends, N, np.ones((1, L), dtype=bool)))
     if sizes.max() < k:
@@ -518,7 +519,7 @@ def _forest_wrong_mass(topology: Topology, k: int, q: np.ndarray) -> float:
     for root in range(n):
         if parent[root] < 0:
             parent[root] = root
-            levels = _bfs_levels(indptr, indices, root)
+            levels = _bfs_levels(indptr, indices, [root])
             for nodes, parents, _ in levels:
                 parent[nodes] = parents
             walks.append((root, levels))

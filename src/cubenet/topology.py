@@ -32,6 +32,7 @@ DEFAULT_LEVEL_DISTANCES = (5000.0, 3000.0, 420.0)
 
 MAX_HYPERCUBE_DIM = 20
 MAX_RECURSIVE_NODES = 2**20
+MAX_RUN_LENGTH = 2**24  # cycles, rounds or sampled link orders: 128 MB per int64 array
 KERNEL_SLOTS = 2**15  # link slots per connectivity-kernel batch: a few MB of arrays at any B
 
 
@@ -387,6 +388,14 @@ def _check_size(kind: str, n_nodes: int, n_links: int) -> None:
         raise ResourceLimitError(f"{kind} would have {n_nodes} nodes and {n_links} links")
 
 
+def _check_run_length(name: str, value: int) -> None:
+    """ResourceLimitError, raised before anything is allocated, unless a
+    run's length (its per-cycle, per-round or per-sample arrays) fits the
+    guard."""
+    if value > MAX_RUN_LENGTH:
+        raise ResourceLimitError(f"{name}={value} exceeds the guard of {MAX_RUN_LENGTH}")
+
+
 def _check_dim(dim: int) -> None:
     if dim < 0:
         raise SpecError("dimension must be non-negative")
@@ -727,43 +736,51 @@ def max_component_size(topology: Topology, failed_link_indices: set[int]) -> int
 Level = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _bfs_levels(indptr: np.ndarray, indices: np.ndarray, source: int) -> list[Level]:
-    """The queue-order BFS tree from `source`, one level at a time.
+def _bfs_levels(indptr: np.ndarray, indices: np.ndarray, sources: list[int]) -> list[Level]:
+    """The queue-order BFS trees from `sources`, one level at a time.
 
-    Each level lists its nodes in queue order with their parents and
-    their 1-based rank among the parent's children.  A FIFO queue over
-    sorted adjacency lists dequeues a whole level before the next, so a
-    node's parent is the first node of the level above, in queue order,
-    to list it.  Concatenating the frontier's neighbor slices in queue
-    order and keeping each unseen node's first occurrence therefore
-    gives exactly that tree.  Nodes that `source` cannot reach are in
-    no level.
+    Copy j of the n-node graph is searched from `sources[j]`; its node x
+    is j*n + x, and the copies share only the level steps.  Each level
+    lists its nodes in queue order with their parents and their 1-based
+    rank among the parent's children, the copies in source order, each
+    copy's nodes contiguous.  A FIFO queue over sorted adjacency lists
+    dequeues a whole level before the next, so a node's parent is the
+    first node of the level above, in queue order, to list it.
+    Concatenating the frontier's neighbor slices in queue order and
+    keeping each unseen node's first occurrence therefore gives exactly
+    that tree, copy by copy.  Nodes that a source cannot reach are in
+    no level of its copy.
     """
-    n = len(indptr) - 1
+    n, k = len(indptr) - 1, len(sources)
     degree = np.diff(indptr)
-    seen = np.zeros(n, dtype=bool)
-    seen[source] = True
+    frontier = np.asarray(sources, dtype=np.int64) + n * np.arange(k)
+    seen = np.zeros(k * n, dtype=bool)
+    seen[frontier] = True
     # A node is a candidate in one level and a parent in the next, so these
     # need no reset: its first position among the level's candidates, and
     # the position of its first child in the level below.
     unset = np.iinfo(np.int64).max
-    first = np.full(n, unset)
-    head = np.full(n, unset)
-    frontier = np.array([source], dtype=np.int64)
+    first = np.full(seen.size, unset)
+    head = np.full(seen.size, unset)
     levels: list[Level] = []
     while True:
-        counts = degree[frontier]
+        local = frontier % n if k > 1 else frontier  # one copy needs no shift
+        counts = degree[local]
         ends = np.cumsum(counts)
-        slots = np.repeat(indptr[frontier] - ends + counts, counts) + np.arange(ends[-1])
+        slots = np.repeat(indptr[local] - ends + counts, counts) + np.arange(ends[-1])
         cand = indices[slots]
-        fresh = ~seen[cand]
+        if k > 1:  # into the copy of the frontier node that lists it
+            cand += np.repeat(frontier - local, counts)
+        # index arrays, not boolean masks: numpy selects by index several
+        # times faster when the mask's pattern is irregular
+        fresh = (~seen[cand]).nonzero()[0]
         cand = cand[fresh]
         if not cand.size:
             break
         parents = np.repeat(frontier, counts)[fresh]
         pos = np.arange(cand.size)
         np.minimum.at(first, cand, pos)
-        keep = first[cand] == pos
+        keep = (first[cand] == pos).nonzero()[0]
         nodes, parents = cand[keep], parents[keep]
         seen[nodes] = True
         pos = pos[: nodes.size]

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from cubenet import Topology, cli
+from cubenet import Topology, build_ring_lattice, cli
 from cubenet.cli import main
 from custom_graph import custom_topology
 
@@ -361,6 +361,21 @@ class TestExitCodes:
         assert run_cli(["topo", "build", "--spec", str(spec), "--out",
                         str(tmp_path / "ring.topology.json")]) == 2
         assert "1048577 nodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["gossip", "run", "--cycles"],
+                                      ["consensus", "run", "--rounds"],
+                                      ["analyze", "partition", "--budget"]],
+                             ids=["cycles", "rounds", "budget"])
+    def test_run_length_guard(self, tmp_path, capsys, argv):
+        """Refused from the count, before any per-cycle, per-round or
+        per-sample array is allocated (which would need 7.3 TiB)."""
+        topo = tmp_path / "ring64.json"
+        topo.write_text(build_ring_lattice(64, 6).to_json())
+        code = run_cli([*argv[:2], "--topology", str(topo), argv[2], "1000000000000"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{argv[2][2:]}=1000000000000 exceeds the guard" in err
+        assert "Traceback" not in err
 
     def test_negative_enum_cap(self, cube_topology, capsys):
         code = run_cli(["analyze", "partition", "--topology", cube_topology,

@@ -17,6 +17,7 @@ from cubenet import (
     run_consensus,
     sweep_consensus,
 )
+from cubenet import consensus
 from cubenet.consensus import (
     BLOCK_CAP,
     HEADER_BYTES,
@@ -26,6 +27,7 @@ from cubenet.consensus import (
     gather_time,
 )
 from cubenet.errors import ConstructionError, SpecError
+from cubenet.topology import _bfs_levels
 from custom_graph import custom_topology
 
 
@@ -287,15 +289,30 @@ class TestOracle:
             assert gather_time(t, source, cfg) == _oracle_gather(t, source, cfg)
 
     @pytest.mark.parametrize("policy", ["random", "hub", "rotate:3"])
-    def test_rounds_match(self, policy):
+    def test_rounds_match(self, policy, monkeypatch):
+        """With the default slots one batch holds every leader of tree40;
+        at 3 leaders per batch the random and rotating runs span several."""
         t = build_rooted_tree(40, 3)  # not vertex-transitive: each leader has its own times
         cfg = ConsensusConfig(rounds=40, seed=7, link_bandwidth=1e8, link_latency=3.7e-4,
                               leader_policy=policy)
-        report = run_consensus(t, cfg)
         times, leaders, blocks = _oracle_rounds(t, cfg)
-        assert report.per_round_time == times
-        assert report.leader_history == leaders
-        assert report.per_round_committed == blocks
+        batches = []
+        grow = consensus._leader_trees
+        monkeypatch.setattr(consensus, "_leader_trees",
+                            lambda *args: batches.append(args[2]) or grow(*args))
+        for per_batch in (None, 3):
+            if per_batch is not None:
+                monkeypatch.setattr(consensus, "LEADER_SLOTS", per_batch * 2 * t.n_links)
+            batches.clear()
+            report = run_consensus(t, cfg)
+            assert report.per_round_time == times
+            assert report.leader_history == leaders
+            assert report.per_round_committed == blocks
+            if per_batch is None or policy == "hub":
+                assert batches == [list(dict.fromkeys(leaders))]
+            else:
+                assert len(batches) > 1
+                assert all(len(set(batch)) == len(batch) == per_batch for batch in batches[:-1])
 
     def test_deep_gather_is_iterative(self, monkeypatch):
         """A 2500-level tree: same value, and the recursion limit is never touched."""
@@ -310,3 +327,46 @@ class TestOracle:
         monkeypatch.setattr(sys, "setrecursionlimit", refuse)
         assert gather_time(t, 0, cfg) == expected
         assert sys.getrecursionlimit() == limit
+
+
+class TestMultiSource:
+    """Copy j of a k-source BFS is the single-source BFS from sources[j],
+    shifted by j*n, and each level lists the copies in source order."""
+
+    @staticmethod
+    def _concatenated(t, sources):
+        indptr, indices = t.csr()
+        singles = [_bfs_levels(indptr, indices, [s]) for s in sources]
+        depth = max(len(levels) for levels in singles)
+        return [
+            tuple(np.concatenate([levels[d][f] + (j * t.n_nodes if f < 2 else 0)
+                                  for j, levels in enumerate(singles) if d < len(levels)])
+                  for f in range(3))
+            for d in range(depth)
+        ]
+
+    @pytest.mark.parametrize("graph, sources", [
+        ("tree40", [0, 39, 5, 0]),
+        ("ring32", [3, 17]),
+        ("rec222", list(range(64))),
+        ("star9", [0, 4, 8]),
+        ("split8", [0, 7, 3, 1, 6]),  # disconnected: each copy stops on its own
+    ])
+    def test_equals_shifted_single_sources(self, graph, sources):
+        graphs = {**ORACLE_GRAPHS,  # a path 0-1-2, a path 3-4-5-6 and the isolated node 7
+                  "split8": lambda: custom_topology(8, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)])}
+        t = graphs[graph]()
+        got = _bfs_levels(*t.csr(), sources)
+        want = self._concatenated(t, sources)
+        assert len(got) == len(want)
+        for level, expected in zip(got, want):
+            for a, b in zip(level, expected):
+                assert np.array_equal(a, b)
+
+    def test_batch_with_unreachable_source_raises(self):
+        t = custom_topology(4, [(0, 1), (2, 3)])
+        with pytest.raises(ConstructionError, match="cannot reach every node"):
+            consensus._trees(*t.csr(), [0, 1, 2])
+        cfg = ConsensusConfig(rounds=8, leader_policy="rotate:1")  # leaders 0..3 in one batch
+        with pytest.raises(ConstructionError, match="cannot reach every node"):
+            run_consensus(t, cfg)

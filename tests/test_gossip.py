@@ -5,13 +5,16 @@ from hypothesis import strategies as st
 
 from cubenet import (
     GossipConfig,
+    RecursionSpec,
     build_complete_hypercube,
+    build_recursive,
     build_ring_lattice,
     build_rooted_tree,
     build_star,
     run_gossip,
     sweep_sizes,
 )
+from cubenet import gossip
 from cubenet.errors import SpecError
 from cubenet.gossip import linear_fit_r2
 
@@ -137,3 +140,64 @@ class TestSweep:
 
     def test_r2_constant_series(self):
         assert linear_fit_r2([1, 2, 3], [5, 5, 5]) == 1.0
+
+
+# -- oracle: the one-step-per-cycle loop, kept as the reference the block
+# loop must reproduce bit for bit ---------------------------------------
+
+
+def _oracle_gossip(topology, config):
+    n = topology.n_nodes
+    indptr, indices = topology.csr()
+    degrees = np.diff(indptr)
+    attempts = np.minimum(config.fanout, degrees)
+    slots = np.arange(degrees.max())
+    padding = slots >= degrees[:, None]
+    neighbors = np.zeros(padding.shape, dtype=np.int64)
+    neighbors[~padding] = indices
+
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, n, config.cycles)))
+    forwarded_per_cycle = np.zeros(config.cycles, dtype=np.int64)
+    in_degree = np.zeros(n, dtype=np.int64)
+    per_node = np.zeros(n, dtype=np.int64)
+    for cycle in range(config.cycles):
+        if config.delay_prob > 0.0:
+            successes = rng.binomial(attempts, 1.0 - config.delay_prob)
+        else:
+            successes = attempts
+        forwarded_per_cycle[cycle] = 2 * int(successes.sum())
+        keys = rng.random(padding.shape)
+        keys[padding] = 2.0
+        ranked = np.take_along_axis(neighbors, np.argsort(keys, axis=1), axis=1)
+        hits = np.bincount(ranked[slots < successes[:, None]], minlength=n)
+        in_degree += hits
+        per_node += successes + hits
+    return forwarded_per_cycle, in_degree, per_node
+
+
+ORACLE_GRAPHS = {
+    "q6": lambda: build_complete_hypercube(6),
+    "rec222": lambda: build_recursive(RecursionSpec.symmetric(2, 3)),
+    "star9": lambda: build_star(9),  # uneven attempts: the array binomial
+    "tree40": lambda: build_rooted_tree(40, 3),  # uneven attempts: the array binomial
+}
+
+
+class TestOracle:
+    @pytest.mark.parametrize("slots", [None, 1000], ids=["default-block", "small-block"])
+    @pytest.mark.parametrize("fanout", [2, 7])  # 7 is clipped by every graph's degree
+    @pytest.mark.parametrize("delay", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("graph", sorted(ORACLE_GRAPHS))
+    def test_bit_identical(self, monkeypatch, graph, delay, fanout, slots):
+        """257 cycles is no multiple of any block here: 85 cycles of Q6 or
+        2-2-2 by default; 2, 13 or 8 cycles of Q6/2-2-2, star9 or tree40
+        at 1000 slots (star9 and tree40 fit whole in one default block)."""
+        if slots is not None:
+            monkeypatch.setattr(gossip, "CYCLE_SLOTS", slots)
+        t = ORACLE_GRAPHS[graph]()
+        cfg = GossipConfig(cycles=257, fanout=fanout, delay_prob=delay, seed=13)
+        m = run_gossip(t, cfg)
+        forwarded, in_degree, per_node = _oracle_gossip(t, cfg)
+        assert np.array_equal(m.forwarded_per_cycle, forwarded)
+        assert np.array_equal(m.in_degree_histogram, in_degree)
+        assert np.array_equal(m.per_node_forwarded, per_node)

@@ -22,7 +22,7 @@ from cubenet import (
     closed_form_link_count,
     connected_components,
 )
-from cubenet import topology
+from cubenet import cli, topology
 from cubenet.errors import ConstructionError, ResourceLimitError, SpecError
 from cubenet.topology import _gray_hypercube_edges
 from custom_graph import custom_topology
@@ -522,6 +522,32 @@ class TestSerializationPins:
         text = t.to_json()
         assert _sha256(text) == json_sha
         assert Topology.from_json(text).to_json() == text
+
+
+# name: (dims of the symmetric recursive graph, CLI arguments after
+# --topology, sha256 of the CSV), as the one-cycle-per-step gossip loop
+# and the one-BFS-per-leader consensus loop wrote them.
+OUTPUT_PINS = {
+    "gossip-2-2-2": ((2, 2, 2), ["gossip", "run", "--delay", "0.5", "--seed", "1"],
+                     "ae802a512b17cc22f27898fb0d191c777f77c9fb90cf149de6b70ca73f452036"),
+    "consensus-3-3-random": ((3, 3), ["consensus", "run", "--leader-policy", "random",
+                                      "--seed", "1"],
+                             "a849df6be9766810fee6df50a2f077e6a550839ed45a2857b5a49f1a140aea6d"),
+    "consensus-3-3-rotate": ((3, 3), ["consensus", "run", "--leader-policy", "rotate:3",
+                                      "--seed", "1"],
+                             "417b71777cf4d284260131d13c365f96b602ad06f4f090a5b0dc20da35a2a387"),
+}
+
+
+class TestOutputPins:
+    @pytest.mark.parametrize("name", list(OUTPUT_PINS))
+    def test_csv_bytes(self, tmp_path, name):
+        dims, argv, csv_sha = OUTPUT_PINS[name]
+        topo = tmp_path / "topology.json"
+        topo.write_text(build_recursive(RecursionSpec.symmetric(dims[0], len(dims))).to_json())
+        out = tmp_path / "out.csv"
+        assert cli.main([*argv[:2], "--topology", str(topo), *argv[2:], "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
 
 
 class TestSizeGuard:
