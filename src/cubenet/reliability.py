@@ -502,43 +502,40 @@ def _forest_wrong_mass(topology: Topology, k: int, q: np.ndarray) -> float:
     """P{every component has fewer than k nodes} for a forest whose link
     j is down with probability q[j], independently.
 
-    Each tree is walked by BFS from its least node and folded bottom-up
-    (Gertsbakh & Shpungin 2010).  Node x carries the distribution of
-    the size of its open component, the part of its subtree still joined
-    to x, given that every component its subtree has closed off is
-    below k; sizes from k up are dropped.  Child c joins its parent x
-    through link e: when e is up the two sizes add (a convolution cut
-    at k), when e is down c's component closes, with probability
-    c.sum() of being below k.  The wrong mass is the product over the
-    trees of the root sums, with no 1 - p cancellation.
+    One BFS walks every tree from its least node: it starts at a virtual
+    node n listing those roots in ascending order, and its first level,
+    the roots, is dropped.  Each tree is folded bottom-up (Gertsbakh &
+    Shpungin 2010).  Node x carries the distribution of the size of its
+    open component, the part of its subtree still joined to x, given
+    that every component its subtree has closed off is below k; sizes
+    from k up are dropped.  Child c joins its parent x through link e:
+    when e is up the two sizes add (a convolution cut at k), when e is
+    down c's component closes, with probability c.sum() of being below
+    k.  The wrong mass is the product over the trees, in root order, of
+    the root sums, with no 1 - p cancellation.
     """
     n = topology.n_nodes
     indptr, indices = topology.csr()
-    parent = np.full(n, -1)  # -1 until walked; a root is its own parent
-    walks = []
-    for root in range(n):
-        if parent[root] < 0:
-            parent[root] = root
-            levels = _bfs_levels(indptr, indices, [root])
-            for nodes, parents, _ in levels:
-                parent[nodes] = parents
-            walks.append((root, levels))
+    label = _component_roots(topology.ends, n, np.ones((1, topology.n_links), dtype=bool))
+    roots = (label == np.arange(n)).nonzero()[0]
+    levels = _bfs_levels(np.append(indptr, indptr[-1] + roots.size),
+                         np.concatenate((indices, roots)), [n])
+    parent = np.empty(n, dtype=np.int64)  # a root's parent is the virtual node n
+    for nodes, parents, _ in levels:
+        parent[nodes] = parents
     # Every link joins a node to its BFS parent; q_up[x] is x's link's q.
     u, v = topology.ends.T
     q_up = np.empty(n)
     q_up[np.where(parent[u] == v, u, v)] = q
     q_up = q_up.tolist()
     dist = [np.array([0.0, 1.0])[:k] for _ in range(n)]  # P{open size = s}, s < k
-    wrong = 1.0
-    for root, levels in walks:
-        for nodes, parents, _ in reversed(levels):
-            for c, x in zip(nodes.tolist(), parents.tolist()):
-                a, b, qe = dist[x], dist[c], q_up[c]
-                merged = np.convolve(a, b)[:k] * (1.0 - qe)
-                merged[:len(a)] += a * (qe * b.sum())
-                dist[x] = merged
-        wrong *= float(dist[root].sum())
-    return wrong
+    for nodes, parents, _ in reversed(levels[1:]):
+        for c, x in zip(nodes.tolist(), parents.tolist()):
+            a, b, qe = dist[x], dist[c], q_up[c]
+            merged = np.convolve(a, b)[:k] * (1.0 - qe)
+            merged[:len(a)] += a * (qe * b.sum())
+            dist[x] = merged
+    return math.prod(float(dist[root].sum()) for root in roots.tolist())
 
 
 def _down_probs(topology: Topology) -> np.ndarray:

@@ -389,9 +389,11 @@ def _check_size(kind: str, n_nodes: int, n_links: int) -> None:
 
 
 def _check_run_length(name: str, value: int) -> None:
-    """ResourceLimitError, raised before anything is allocated, unless a
-    run's length (its per-cycle, per-round or per-sample arrays) fits the
-    guard."""
+    """SpecError below 0; ResourceLimitError, raised before anything is
+    allocated, unless a run's length (its per-cycle, per-round or
+    per-sample arrays) fits the guard."""
+    if value < 0:
+        raise SpecError(f"{name} must be >= 0, got {value}")
     if value > MAX_RUN_LENGTH:
         raise ResourceLimitError(f"{name}={value} exceeds the guard of {MAX_RUN_LENGTH}")
 
@@ -764,13 +766,13 @@ def _bfs_levels(indptr: np.ndarray, indices: np.ndarray, sources: list[int]) -> 
     head = np.full(seen.size, unset)
     levels: list[Level] = []
     while True:
-        local = frontier % n if k > 1 else frontier  # one copy needs no shift
+        local = frontier % n
         counts = degree[local]
         ends = np.cumsum(counts)
-        slots = np.repeat(indptr[local] - ends + counts, counts) + np.arange(ends[-1])
+        slots = np.repeat(indptr[local] - ends + counts, counts)
+        slots += np.arange(ends[-1])
         cand = indices[slots]
-        if k > 1:  # into the copy of the frontier node that lists it
-            cand += np.repeat(frontier - local, counts)
+        cand += np.repeat(frontier - local, counts)  # into the lister's copy
         # index arrays, not boolean masks: numpy selects by index several
         # times faster when the mask's pattern is irregular
         fresh = (~seen[cand]).nonzero()[0]

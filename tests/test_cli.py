@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from cubenet import Topology, build_ring_lattice, cli
+from cubenet import Topology, build_ring_lattice, build_star, cli
 from cubenet.cli import main
 from custom_graph import custom_topology
 
@@ -376,6 +376,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{argv[2][2:]}=1000000000000 exceeds the guard" in err
         assert "Traceback" not in err
+
+    def test_negative_budget(self, tmp_path, capsys):
+        """Refused although a star is a forest, whose exact DP samples
+        nothing."""
+        topo = tmp_path / "star5.json"
+        topo.write_text(build_star(5).to_json())
+        code = run_cli(["analyze", "partition", "--topology", str(topo), "--budget", "-5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "budget must be >= 0, got -5" in err and "Traceback" not in err
 
     def test_negative_enum_cap(self, cube_topology, capsys):
         code = run_cli(["analyze", "partition", "--topology", cube_topology,

@@ -343,6 +343,16 @@ class TestPartitionTolerance:
         assert (report.p, report.t, report.method) == (1.0, None, "exact-tree")
         assert exact_partition_tolerance_bruteforce(t, k=1) == (1.0, None)
 
+    @pytest.mark.parametrize("analysis", [
+        lambda: partition_tolerance(build_star(5), budget=-5),  # a forest: exact DP
+        lambda: partition_tolerance(build_complete_hypercube(3), budget=-5),  # every state exact
+        lambda: analyze_hierarchical(RecursionSpec.symmetric(2, 3), budget=-5),
+    ], ids=["star", "cube", "hierarchical"])
+    def test_negative_budget(self, analysis):
+        """Refused even where no state is sampled."""
+        with pytest.raises(SpecError, match="budget must be >= 0, got -5"):
+            analysis()
+
     def test_analysis_leaves_topology_unchanged(self):
         t = build_complete_hypercube(4)
         before = t.to_json()
@@ -401,6 +411,54 @@ def random_forest(rng, n_links, n_trees, n_classes, relabel=True):
     return custom_topology(n, pairs, cids, used)
 
 
+def _count_bfs(monkeypatch):
+    """The sources of every `_bfs_levels` call that reliability makes."""
+    calls = []
+    bfs = reliability._bfs_levels
+
+    def counting(indptr, indices, sources):
+        calls.append(sources)
+        return bfs(indptr, indices, sources)
+
+    monkeypatch.setattr(reliability, "_bfs_levels", counting)
+    return calls
+
+
+def per_tree_wrong_mass(topology, k, q):
+    """The forest DP as it ran tree by tree: each tree, in order of its
+    least node, walked alone by a FIFO queue over sorted adjacency and
+    folded bottom-up, level by level, each level in queue order; the
+    root sums multiply in root order."""
+    n = topology.n_nodes
+    indptr, indices = (a.tolist() for a in topology.csr())
+    link = topology.link_index()
+    seen = [False] * n
+    dist = [np.array([0.0, 1.0])[:k] for _ in range(n)]
+    wrong = 1.0
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        levels, frontier = [], [root]
+        while frontier:
+            level = []
+            for x in frontier:
+                for c in indices[indptr[x]:indptr[x + 1]]:
+                    if not seen[c]:
+                        seen[c] = True
+                        level.append((c, x))
+            levels.append(level)
+            frontier = [c for c, _ in level]
+        for level in reversed(levels):
+            for c, x in level:
+                a, b, qe = dist[x], dist[c], float(q[link[min(c, x), max(c, x)]])
+                merged = np.convolve(a, b)[:k] * (1.0 - qe)
+                merged[:len(a)] += a * (qe * b.sum())
+                dist[x] = merged
+        wrong *= float(dist[root].sum())
+    return wrong
+
+
 class TestForestDP:
     @pytest.mark.parametrize("n_trees", [1, 2, 3])
     @pytest.mark.parametrize("n_classes", [1, 3])
@@ -422,6 +480,45 @@ class TestForestDP:
                 assert math.isclose(got, want, rel_tol=1e-12), (seed, n, k, got, want)
                 assert math.isclose(got, again, rel_tol=1e-12), (seed, n, k)
                 assert (got == 0.0) == (k == 1)
+
+    @pytest.mark.parametrize("n_trees", [1, 7, 1000])
+    @pytest.mark.parametrize("n_classes", [1, 3])
+    def test_equals_per_tree_fold(self, n_classes, n_trees):
+        """Bit-identical to the tree-by-tree fold on random relabelled
+        forests; 1000 roots with at most 1000 links leave isolated nodes."""
+        for seed in range(3):
+            rng = np.random.default_rng((seed, n_classes, n_trees))
+            t = random_forest(rng, int(rng.integers(1, 1001)), n_trees, n_classes)
+            n, q = t.n_nodes, reliability._down_probs(t)
+            if n_trees == 1000:
+                assert np.count_nonzero(t.degrees() == 0) > 0
+            for k in sorted({1, 2, 3, n // 2 + 1} & set(range(1, n + 1))):
+                got = reliability._forest_wrong_mass(t, k, q)
+                assert got == per_tree_wrong_mass(t, k, q), (seed, n, k)
+
+    @pytest.mark.parametrize("pairs", [[], [(2 * j, 2 * j + 1) for j in range(10000)]],
+                             ids=["isolated-nodes", "disjoint-links"])
+    def test_wide_forests(self, pairs, monkeypatch):
+        """20 000 isolated nodes, and 10 000 disjoint links, in one BFS:
+        equal to the tree-by-tree fold at k = 1, 2, 3 and N/2 + 1."""
+        label = np.random.default_rng(3).permutation(20000)
+        t = custom_topology(20000, [(label[a], label[b]) for a, b in pairs],
+                            classes={0: FOREST_CLASSES[1]})
+        q = reliability._down_probs(t)
+        calls = _count_bfs(monkeypatch)
+        for k in (1, 2, 3, 10001):
+            assert reliability._forest_wrong_mass(t, k, q) == per_tree_wrong_mass(t, k, q)
+        assert len(calls) == 4
+
+    def test_one_bfs_per_forest(self, monkeypatch):
+        """One `_bfs_levels` call walks every tree, whether called
+        directly or through `partition_tolerance`."""
+        calls = _count_bfs(monkeypatch)
+        t = random_forest(np.random.default_rng(11), 40, 9, 1)
+        reliability._forest_wrong_mass(t, 5, reliability._down_probs(t))
+        assert len(calls) == 1
+        assert partition_tolerance(t, k=5).method == "exact-tree"
+        assert len(calls) == 2
 
     def test_star22_no_cancellation(self):
         """At k = 2 a 22-leaf star is wrong only when every link is down:

@@ -50,3 +50,22 @@ def test_install_records_spans_and_uninstall_restores():
     assert report.method == "sampled"  # two link classes: the multi-class sampler
     assert len(tracer.multiclass_spans) == 1
     assert tracer.counters["reliability.states_sampled"] == len(report.per_state)
+
+
+def test_forest_analysis_adds_no_state_counters():
+    """A forest goes to the exact DP: its report has no per-state rows,
+    so the tracer counts no states and no samples, and one link class
+    marks no multi-class span."""
+    tracer = perf_tracer.Tracer()
+    tracer.install()
+    try:
+        tracer.phase = "pass"
+        report = reliability.partition_tolerance(cubenet.build_rooted_tree(64, 6))
+    finally:
+        tracer.uninstall()
+    assert (report.method, report.per_state) == ("exact-tree", [])
+    assert "reliability.partition_tolerance" in [span[0] for span in tracer.spans]
+    assert tracer.multiclass_spans == set()
+    for name in ("samples", "states_sampled", "subsets_enumerated", "states_exact",
+                 "states_skipped", "skipped_mass"):
+        assert tracer.counters[f"reliability.{name}"] == 0
