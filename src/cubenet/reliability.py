@@ -3,13 +3,13 @@
 Implements the closed-form steady state of the count chain over the
 number of invalid links, a certified lower bound on the failed links of
 any wrong state (edge connectivity and Fiedler's algebraic-connectivity
-bound), an exact DP for forests, hybrid exact/sampled estimation of the
-partition tolerance probability of other graphs (sampled states share
-one batch of random link orders), the minimum-repair strategy (repair
-everything up to a class MTTR threshold), and the hierarchical
-aggregation as a sum over recursion levels.  Queries over many
-failed-link sets of one graph go through one batched numpy connectivity
-kernel, and the random link orders evolve in lockstep batches.
+bound), an exact DP for forests of any link classes (t from its wrong
+masses), hybrid exact/sampled estimation for other graphs (sampled
+states share one batch of random link orders), the minimum-repair
+strategy (repair everything up to a class MTTR threshold), and the
+hierarchical aggregation as a sum over recursion levels.  Queries over
+many failed-link sets of one graph go through one batched numpy
+connectivity kernel; random link orders evolve in lockstep batches.
 """
 from __future__ import annotations
 
@@ -268,22 +268,25 @@ def _max_flow(s: int, t: int, arcs, head, cap: int) -> int:
     return cap
 
 
-def _repair_times(ends: np.ndarray, n: int, k: int, mttr_of: np.ndarray, failed: np.ndarray):
-    """Least repair time of each row of a (B, L) mask of wrong failed-link sets.
+def _repair_times(topology: Topology, k: int, mttr_of: np.ndarray, failed: np.ndarray):
+    """Least repair time of each row of a (B, L) mask of wrong failed-link
+    sets, link j taking mttr_of[j] hours.
 
-    The plan repairs every failed link whose class MTTR is at most a
-    threshold T; each row gets the smallest class MTTR T that restores a
-    component of k nodes.  A T between two of a row's own failed-link
-    MTTRs leaves the same links failed as the lower one, so searching
-    all class MTTRs in ascending order finds each row's threshold, given
-    that the intact graph has a component of k nodes.
+    The plan repairs every failed link whose MTTR is at most a threshold
+    T; each row gets the smallest class MTTR T that restores a component
+    of k nodes.  A T between two of a row's own failed-link MTTRs leaves
+    the same links failed as the lower one, so searching all class
+    MTTRs in ascending order finds each row's threshold.  Raises
+    `NumericError` if a row is wrong with every link repaired.
     """
     times = np.empty(len(failed))
     todo = np.arange(len(failed))
     for T in np.unique(mttr_of):
-        ok = _max_comp_rows(ends, n, ~(failed[todo] & (mttr_of > T))) >= k
+        ok = _max_comp_rows(topology.ends, topology.n_nodes, ~(failed[todo] & (mttr_of > T))) >= k
         times[todo[ok]] = T
         todo = todo[~ok]
+    if todo.size:
+        raise NumericError("repairing all failed links did not restore a good partition")
     return times
 
 
@@ -300,19 +303,7 @@ def min_repair_time(topology: Topology, failed_links, k: int | None = None) -> f
     if max_component_size(topology, failed) >= k:
         return 0.0
     row = np.isin(np.arange(topology.n_links), list(failed))[None]
-    return float(_repair_fn(topology, k)(row)[0])
-
-
-def _repair_fn(topology: Topology, k: int):
-    """Map a (W, L) mask of wrong failed-link sets to their least repair times.
-
-    Raises `NumericError` unless the intact graph has a component of k
-    nodes.
-    """
-    if max_component_size(topology, set()) < k:
-        raise NumericError("repairing all failed links did not restore a good partition")
-    mttr_of = _class_values(topology, lambda c: c.mttr_h)
-    return lambda failed: _repair_times(topology.ends, topology.n_nodes, k, mttr_of, failed)
+    return float(_repair_times(topology, k, _class_values(topology, lambda c: c.mttr_h), row)[0])
 
 
 def _exact_state(
@@ -453,18 +444,18 @@ def partition_tolerance(
     """Overall partition tolerance probability and average minimum repair time.
 
     Raises `NumericError` when the intact graph has no component of k
-    nodes.  A single-class forest (L = N - #components, so also a graph
-    with no links) is solved exactly by `_forest_wrong_mass`, with no
-    per-state rows.  Other single-class topologies weight per-state
-    conditional estimates by the count chain's closed-form steady state
-    Binomial(L, q), q = lambda/(lambda+mu): p = 1 - sum_i pi_i *
-    P{wrong|i}.  States with pi_i below TAIL_EPS are skipped.  A state
-    is exact below the cut bound c_lb (see `_cut_lower_bound`) or when
-    its C(L, i) subsets fit `enum_cap`; every other state reads the same
-    `budget` random link orders.  Mixed-class topologies sample link
-    states directly, each link down with its class's steady-state
-    probability q, and check connectivity only where at least c_lb links
-    are down.
+    nodes.  A forest (L = N - #components, so also a graph with no
+    links) of any link classes is solved exactly by `_forest_wrong_mass`,
+    t included, with no per-state rows.  Other single-class topologies
+    weight per-state conditional estimates by the count chain's
+    closed-form steady state Binomial(L, q), q = lambda/(lambda+mu):
+    p = 1 - sum_i pi_i * P{wrong|i}.  States with pi_i below TAIL_EPS
+    are skipped.  A state is exact below the cut bound c_lb (see
+    `_cut_lower_bound`) or when its C(L, i) subsets fit `enum_cap`;
+    every other state reads the same `budget` random link orders.
+    Other mixed-class topologies sample link states directly, each link
+    down with its class's steady-state probability q, and check
+    connectivity only where at least c_lb links are down.
     """
     k = _quorum(topology, k)
     _check_enum_cap(enum_cap)
@@ -474,27 +465,30 @@ def partition_tolerance(
     if sizes.max() < k:
         raise NumericError("repairing all failed links did not restore a good partition")
 
-    cid = _single_class_id(topology)
-    if cid is None and L > 0:
-        return _partition_tolerance_multiclass(topology, k, budget, seed)
     if L == N - np.count_nonzero(sizes):  # a forest; a graph with no links is one
-        wrong = _forest_wrong_mass(topology, k, _down_probs(topology))
-        # with no links the check above leaves only k = 1, where wrong = 0
-        t = topology.classes[cid].mttr_h if wrong > 0 else None
-        return PartitionReport(1.0 - wrong, 0.0, t, [], "exact-tree", k)
-    cls = topology.classes[cid]
-    pi = binom_pmf_vector(L, cls.steady_down_prob).tolist()
-    kept = [(i, pi[i]) for i in range(1, L + 1) if pi[i] >= TAIL_EPS]
-    skipped = [StateEstimate(i, pi[i], 0.0, 0.0, 0, "skipped") for i in range(1, L + 1)
-               if pi[i] < TAIL_EPS]
-    estimated, var = _estimate_states(topology, k, kept, budget, seed, enum_cap)
-    per_state = sorted(estimated + skipped, key=lambda e: e.i)
-
-    wrong_mass = sum(e.pi_i * e.p_wrong for e in estimated)
+        q, mttr_of = _down_probs(topology), _class_values(topology, lambda c: c.mttr_h)
+        wrong_mass, t = _forest_wrong_mass(topology, k, q), None
+        if wrong_mass > 0:  # t averages the class MTTRs: rounding may not lift it past T_m
+            T = np.unique(mttr_of).tolist()
+            W = [_forest_wrong_mass(topology, k, np.where(mttr_of <= x, 0.0, q)) for x in T[:-1]]
+            t = min(T[0] + sum((b - a) * w / wrong_mass for a, b, w in zip(T, T[1:], W)), T[-1])
+        per_state, var, method = [], 0.0, "exact-tree"
+    else:
+        cid = _single_class_id(topology)
+        if cid is None:
+            return _partition_tolerance_multiclass(topology, k, budget, seed)
+        cls = topology.classes[cid]
+        pi = binom_pmf_vector(L, cls.steady_down_prob).tolist()
+        kept = [(i, pi[i]) for i in range(1, L + 1) if pi[i] >= TAIL_EPS]
+        skipped = [StateEstimate(i, pi[i], 0.0, 0.0, 0, "skipped") for i in range(1, L + 1)
+                   if pi[i] < TAIL_EPS]
+        estimated, var = _estimate_states(topology, k, kept, budget, seed, enum_cap)
+        per_state = sorted(estimated + skipped, key=lambda e: e.i)
+        wrong_mass = sum(e.pi_i * e.p_wrong for e in estimated)
+        t = cls.mttr_h if wrong_mass > 0 else None
+        methods = {e.method for e in estimated}
+        method = methods.pop() if len(methods) == 1 else "hybrid"
     p = min(max(1.0 - wrong_mass, 0.0), 1.0)
-    t = cls.mttr_h if wrong_mass > 0 else None
-    methods = {e.method for e in estimated}
-    method = methods.pop() if len(methods) == 1 else "hybrid"
     return PartitionReport(p, math.sqrt(var), t, per_state, method, k)
 
 
@@ -513,6 +507,12 @@ def _forest_wrong_mass(topology: Topology, k: int, q: np.ndarray) -> float:
     down c's component closes, with probability c.sum() of being below
     k.  The wrong mass is the product over the trees, in root order, of
     the root sums, with no 1 - p cancellation.
+
+    The mean least repair time t of a wrong state follows from wrong
+    masses, on any graph: a state needs more than T_j to repair exactly
+    when its failed links of MTTR above T_j alone leave it wrong, so
+    t = T_1 + sum_{j<m} (T_{j+1} - T_j) W_j / W_0 over the class MTTRs
+    T_1 < ... < T_m, W_j the wrong mass with q = 0 where MTTR <= T_j.
     """
     n = topology.n_nodes
     indptr, indices = topology.csr()
@@ -548,10 +548,8 @@ def _partition_tolerance_multiclass(
 ) -> PartitionReport:
     if budget < 1:
         raise SpecError(f"a graph with several link classes is sampled but the budget is {budget}")
-    L = topology.n_links
-    q = _down_probs(topology)
-    N = topology.n_nodes
-    ends, repair = topology.ends, _repair_fn(topology, k)
+    L, N, ends = topology.n_links, topology.n_nodes, topology.ends
+    q, mttr_of = _down_probs(topology), _class_values(topology, lambda c: c.mttr_h)
     step = _chunk_rows(N, L)
     c_lb = _cut_lower_bound(topology, k)
 
@@ -567,7 +565,7 @@ def _partition_tolerance_multiclass(
         bad = rows[_max_comp_rows(ends, N, ~down[rows]) < k]
         n_of += np.bincount(n_failed, minlength=L + 1)
         wrong_of += np.bincount(n_failed[bad], minlength=L + 1)
-        for t in repair(down[bad]).tolist():
+        for t in _repair_times(topology, k, mttr_of, down[bad]).tolist():
             t_sum_total += t
     wrong_total = int(wrong_of.sum())
     p_wrong = wrong_total / budget
@@ -596,9 +594,8 @@ def exact_partition_tolerance_bruteforce(
     if L > BRUTEFORCE_MAX_LINKS:
         raise ResourceLimitError(f"brute force refused for L={L} > {BRUTEFORCE_MAX_LINKS}")
     k = _quorum(topology, k)
-    q = _down_probs(topology)
-    N = topology.n_nodes
-    ends, repair = topology.ends, _repair_fn(topology, k)
+    N, ends = topology.n_nodes, topology.ends
+    q, mttr_of = _down_probs(topology), _class_values(topology, lambda c: c.mttr_h)
     bits = 1 << np.arange(L)
     step = _chunk_rows(N, L)
     wrong_mass = 0.0
@@ -609,7 +606,7 @@ def exact_partition_tolerance_bruteforce(
         for idx in range(L):
             weight *= np.where(failed[:, idx], q[idx], 1.0 - q[idx])
         bad = (weight != 0.0) & (_max_comp_rows(ends, N, ~failed) < k)
-        times = repair(failed[bad])
+        times = _repair_times(topology, k, mttr_of, failed[bad])
         for w, t in zip(weight[bad].tolist(), times.tolist()):
             wrong_mass += w
             t_mass += w * t

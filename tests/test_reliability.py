@@ -38,13 +38,14 @@ from cubenet.reliability import (
     ORDER_SLOTS,
     _arc_lists,
     _algebraic_connectivity_lb,
+    _class_values,
     _critical_counts,
     _cut_lower_bound,
     _edge_connectivity,
     _exact_state,
     _max_comp_rows,
     _max_flow,
-    _repair_fn,
+    _repair_times,
     default_quorum,
 )
 from cubenet.topology import max_component_size
@@ -193,6 +194,12 @@ class TestRepairTime:
     def test_no_repair_needed(self):
         t = build_complete_hypercube(3)
         assert min_repair_time(t, [0], k=5) == 0.0
+
+    def test_unrepairable(self):
+        """Two disjoint links never make a 3-node component, whatever
+        is repaired."""
+        with pytest.raises(NumericError, match="did not restore a good partition"):
+            min_repair_time(_two_links(), [], k=3)
 
     def test_numpy_indices_match_list(self):
         t = build_ring_lattice(8, 2)  # links 0 and 5 are (0,1) and (4,5): a 4/4 split
@@ -544,12 +551,12 @@ class TestForestDP:
         assert report.method == "exact-tree"
 
     def test_only_single_class_forests(self):
-        """Several classes stay on the sampler; so does a graph with
-        fewer links than nodes that is not a forest (a triangle and two
-        isolated nodes)."""
+        """A forest of several classes is exact too; a graph with fewer
+        links than nodes that is not a forest (a triangle and two
+        isolated nodes) is not."""
         mixed = random_forest(np.random.default_rng(5), 10, 1, 3)
         assert len(np.unique(mixed.class_id)) > 1
-        assert partition_tolerance(mixed, budget=50).method == "sampled"
+        assert partition_tolerance(mixed, budget=50).method == "exact-tree"
         sparse = custom_topology(5, [(0, 1), (1, 2), (0, 2)])
         assert partition_tolerance(sparse, k=3, budget=0).method == "exact"
 
@@ -561,6 +568,68 @@ class TestForestDP:
         report = partition_tolerance(t, k=3)
         assert math.isclose(1.0 - report.p, (1 - (1 - q) ** 2) ** 2, rel_tol=1e-9)
         assert report.method == "exact-tree" and report.t == 24.0
+
+    @pytest.mark.parametrize("n_classes", [1, 3])
+    def test_matches_bruteforce(self, n_classes):
+        """The wrong mass equals the enumerated one (the brute force's,
+        before its 1 - p cancellation) and t the brute force's, at rel
+        1e-12, on random relabelled forests with up to 14 links and 1 to
+        3 trees, at every quorum of {2, 3, N/2 + 1} that the largest tree
+        reaches.  t lies between the least and the largest class MTTR,
+        and is the class MTTR itself (==) when there is one class."""
+        checked = 0
+        for seed, n_trees in itertools.product(range(8), (1, 2, 3)):
+            rng = np.random.default_rng((seed, n_trees, n_classes))
+            t = random_forest(rng, int(rng.integers(1, 15)), n_trees, n_classes)
+            n, mttrs = t.n_nodes, _class_values(t, lambda c: c.mttr_h)
+            ks = sorted({2, 3, n // 2 + 1} & set(range(1, max_component_size(t, set()) + 1)))
+            for k, want in zip(ks, wrong_mass_oracle(t, ks)):
+                report = partition_tolerance(t, k=k)
+                wrong = reliability._forest_wrong_mass(t, k, reliability._down_probs(t))
+                assert report.method == "exact-tree" and report.p == 1.0 - wrong
+                assert math.isclose(wrong, want, rel_tol=1e-12), (seed, n_trees, k)
+                _, t_bf = exact_partition_tolerance_bruteforce(t, k=k)
+                assert math.isclose(report.t, t_bf, rel_tol=1e-12), (seed, n_trees, k)
+                assert mttrs.min() <= report.t <= mttrs.max()
+                if n_classes == 1:
+                    assert report.t == mttrs[0]
+                checked += 1
+        assert checked > 50
+
+    def test_t_rounding_past_largest_mttr(self):
+        """Only the 4-node path of MTTR 24 can hold k = 4 nodes, so every
+        wrong state takes 24 h; the two 3-node paths of MTTR 2 and 1 never
+        matter, and W_j / W_0 rounds to 1 + 4e-16 (t would be 24 + 4e-15)."""
+        pairs = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (7, 8), (8, 9)]
+        t = custom_topology(10, pairs, [0, 0, 0, 1, 1, 2, 2], FOREST_CLASSES)
+        assert partition_tolerance(t, k=4).t == 24.0
+
+    def test_relabelling(self):
+        """A forest and its relabelled copy get the same p and t."""
+        for seed in range(10):
+            plain, relabelled = (random_forest(np.random.default_rng(seed), 30, 3, 3, relabel=r)
+                                 for r in (False, True))
+            for k in (2, 3, 6):
+                a, b = partition_tolerance(plain, k=k), partition_tolerance(relabelled, k=k)
+                assert math.isclose(a.p, b.p, rel_tol=1e-12), (seed, k)
+                assert math.isclose(a.t, b.t, rel_tol=1e-12), (seed, k)
+
+    def test_tree4096_three_classes(self):
+        """Exact where the sampler saw no wrong state: 1 - p is about 3e-7."""
+        tree = build_rooted_tree(4096, 12)
+        classes = dict(enumerate(map(LinkClass.standard, (5000, 3000, 420))))
+        cids = np.random.default_rng(0).integers(0, 3, tree.n_links)
+        t = custom_topology(4096, tree.ends.tolist(), cids, classes)
+        report = partition_tolerance(t, budget=2000)
+        assert report.method == "exact-tree" and 0.0 < 1.0 - report.p < 1e-6
+        assert 2.016 < report.t < 24.0
+
+    def test_wrong_mass_rounding_above_one(self):
+        """A 200-node path of q = 1/3 at k = 89 is all but surely wrong:
+        its wrong mass rounds above 1, and p is clamped to 0."""
+        t = custom_topology(200, [(x, x + 1) for x in range(199)], classes={0: FOREST_CLASSES[1]})
+        report = partition_tolerance(t, k=89)
+        assert (report.p, report.t, report.method) == (0.0, 2.0, "exact-tree")
 
 
 class TestConnectivityKernel:
@@ -619,7 +688,8 @@ class TestConnectivityKernel:
             t = _mixed_path()
             failed = np.array([[a, b] for a in (False, True) for b in (False, True)])
         wrong = [row for row in failed if max_component_size(t, set(np.flatnonzero(row))) < k]
-        times = _repair_fn(t, k)(np.array(wrong)).tolist()
+        mttr_of = _class_values(t, lambda c: c.mttr_h)
+        times = _repair_times(t, k, mttr_of, np.array(wrong)).tolist()
         assert len(set(times)) == {2: 1, 3: 2, 11: 3}[k]  # every class MTTR is some row's
         assert times == [min_repair_time(t, np.flatnonzero(row).tolist(), k=k) for row in wrong]
 
