@@ -65,12 +65,15 @@ def _parse_list(value, kind) -> list:
     return [kind(v) for v in str(value).split(",") if v != ""]
 
 
-def _cube_dim(n: int) -> int:
-    """Dimension of the n-node hypercube of a sweep; n must be a power of two."""
-    dim = n.bit_length() - 1
-    if 2**dim != n:
-        raise SpecError(f"sweep sizes must be powers of two, got {n}")
-    return dim
+def _parse_sizes(value) -> list[int]:
+    """The node counts of a sweep's --sizes: at least one, each a power of two."""
+    sizes = _parse_list(value, int)
+    if not sizes:
+        raise SpecError("--sizes needs at least one size")
+    for n in sizes:
+        if 2 ** (n.bit_length() - 1) != n:
+            raise SpecError(f"sweep sizes must be powers of two, got {n}")
+    return sizes
 
 
 def topology_from_spec(spec: dict) -> Topology:
@@ -319,8 +322,8 @@ def cmd_gossip(args):
         rows.append(["total", metrics.total_forwarded])
         params = {"topology": args.topology}
     else:  # sweep
-        sizes = _parse_list(args.sizes, int)
-        topos = [(f"hypercube-{n}", build_complete_hypercube(_cube_dim(n))) for n in sizes]
+        sizes = _parse_sizes(args.sizes)
+        topos = [(f"hypercube-{n}", build_complete_hypercube(n.bit_length() - 1)) for n in sizes]
         rows_out = sweep_sizes(topos, config, seeds=tuple(range(args.seed, args.seed + 3)))
         header = ["label", "N", "mean_total"]
         rows = [[r.label, r.n_nodes, _fmt(r.mean_total)] for r in rows_out]
@@ -352,10 +355,10 @@ def cmd_consensus(args):
                      _fmt(report.tx_per_second)])
         params = {"topology": args.topology}
     else:  # sweep
-        sizes = _parse_list(args.sizes, int)
+        sizes = _parse_sizes(args.sizes)
         topos = []
         for n in sizes:
-            topos.append(("hypercube", build_complete_hypercube(_cube_dim(n))))
+            topos.append(("hypercube", build_complete_hypercube(n.bit_length() - 1)))
             topos.append(("star", build_star(n)))
         rows_out = sweep_consensus(topos, config)
         header = ["kind", "N", "throughput_tps"]

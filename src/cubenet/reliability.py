@@ -6,9 +6,10 @@ any wrong state (edge connectivity and Fiedler's algebraic-connectivity
 bound), an exact DP for forests of any link classes (t from its wrong
 masses), hybrid exact/sampled estimation for other graphs (sampled
 states share one batch of random link orders), the minimum-repair
-strategy (repair everything up to a class MTTR threshold), and the
-hierarchical aggregation as a sum over recursion levels.  Queries over
-many failed-link sets of one graph go through one batched numpy
+strategy (repair every failed link up to a threshold, 0 or a class
+MTTR, whose search also decides which failure sets are wrong), and
+the hierarchical aggregation as a sum over recursion levels.  Queries
+over many failed-link sets of one graph go through one batched numpy
 connectivity kernel; random link orders evolve in lockstep batches.
 """
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericError, ResourceLimitError, SpecError
-from .topology import RecursionSpec, Topology, build_complete_hypercube, max_component_size
+from .topology import RecursionSpec, Topology, build_complete_hypercube
 from .topology import _bfs_levels, _check_run_length, _chunk_rows, _component_roots, _max_comp_rows
 from .topology import resolve_failed_links
 from .unionfind import UnionFind  # noqa: F401  unused; perfbench/tracer.py patches this name
@@ -269,25 +270,27 @@ def _max_flow(s: int, t: int, arcs, head, cap: int) -> int:
 
 
 def _repair_times(topology: Topology, k: int, mttr_of: np.ndarray, failed: np.ndarray):
-    """Least repair time of each row of a (B, L) mask of wrong failed-link
-    sets, link j taking mttr_of[j] hours.
+    """Least repair time of each row of a (B, L) failed-link mask, link j
+    taking mttr_of[j] hours; 0.0 for a row that needs no repair.
 
     The plan repairs every failed link whose MTTR is at most a threshold
-    T; each row gets the smallest class MTTR T that restores a component
-    of k nodes.  A T between two of a row's own failed-link MTTRs leaves
-    the same links failed as the lower one, so searching all class
-    MTTRs in ascending order finds each row's threshold.  Raises
-    `NumericError` if a row is wrong with every link repaired.
+    T.  Each row gets the least T of 0 and the class MTTRs T_1 < ... < T_m
+    that restores a component of k nodes; every MTTR is positive, so T = 0
+    repairs nothing and decides which rows are wrong.  A T between two of
+    a row's failed-link MTTRs leaves the same links failed as the lower
+    one.  Raises `NumericError` if a row is wrong with every link repaired.
     """
     times = np.empty(len(failed))
+    if not len(failed):
+        return times
     todo = np.arange(len(failed))
-    for T in np.unique(mttr_of):
+    for T in [0.0, *np.unique(mttr_of).tolist()]:
         ok = _max_comp_rows(topology.ends, topology.n_nodes, ~(failed[todo] & (mttr_of > T))) >= k
         times[todo[ok]] = T
         todo = todo[~ok]
-    if todo.size:
-        raise NumericError("repairing all failed links did not restore a good partition")
-    return times
+        if not todo.size:
+            return times
+    raise NumericError("repairing all failed links did not restore a good partition")
 
 
 def min_repair_time(topology: Topology, failed_links, k: int | None = None) -> float:
@@ -295,13 +298,11 @@ def min_repair_time(topology: Topology, failed_links, k: int | None = None) -> f
 
     Repairs run in parallel, one MTTR per link; the optimal plan under
     the big-partitions-first strategy repairs every invalid link whose
-    class MTTR lies below a threshold, so the answer is the smallest
-    class-MTTR threshold that restores a good partition.
+    class MTTR lies below a threshold, so the answer is the least
+    threshold, 0 or a class MTTR, that restores a good partition.
     """
     k = _quorum(topology, k)
     failed = resolve_failed_links(topology, failed_links)
-    if max_component_size(topology, failed) >= k:
-        return 0.0
     row = np.isin(np.arange(topology.n_links), list(failed))[None]
     return float(_repair_times(topology, k, _class_values(topology, lambda c: c.mttr_h), row)[0])
 
@@ -454,8 +455,8 @@ def partition_tolerance(
     `_cut_lower_bound`) or when its C(L, i) subsets fit `enum_cap`;
     every other state reads the same `budget` random link orders.
     Other mixed-class topologies sample link states directly, each link
-    down with its class's steady-state probability q, and check
-    connectivity only where at least c_lb links are down.
+    down with its class's steady-state probability q; the repair search
+    picks the wrong ones among the rows with at least c_lb links down.
     """
     k = _quorum(topology, k)
     _check_enum_cap(enum_cap)
@@ -473,10 +474,10 @@ def partition_tolerance(
             W = [_forest_wrong_mass(topology, k, np.where(mttr_of <= x, 0.0, q)) for x in T[:-1]]
             t = min(T[0] + sum((b - a) * w / wrong_mass for a, b, w in zip(T, T[1:], W)), T[-1])
         per_state, var, method = [], 0.0, "exact-tree"
+    elif (cid := _single_class_id(topology)) is None:
+        wrong_mass, var, t, per_state = _sample_link_states(topology, k, budget, seed)
+        method = "sampled"
     else:
-        cid = _single_class_id(topology)
-        if cid is None:
-            return _partition_tolerance_multiclass(topology, k, budget, seed)
         cls = topology.classes[cid]
         pi = binom_pmf_vector(L, cls.steady_down_prob).tolist()
         kept = [(i, pi[i]) for i in range(1, L + 1) if pi[i] >= TAIL_EPS]
@@ -543,14 +544,14 @@ def _down_probs(topology: Topology) -> np.ndarray:
     return _class_values(topology, lambda c: c.steady_down_prob)
 
 
-def _partition_tolerance_multiclass(
-    topology: Topology, k: int, budget: int, seed: int
-) -> PartitionReport:
+def _sample_link_states(topology: Topology, k: int, budget: int, seed: int):
+    """(wrong mass, its variance, t, per-state rows) of `budget` draws of
+    all link states; rows below c_lb failed links skip the repair search."""
     if budget < 1:
         raise SpecError(f"a graph with several link classes is sampled but the budget is {budget}")
-    L, N, ends = topology.n_links, topology.n_nodes, topology.ends
+    L = topology.n_links
     q, mttr_of = _down_probs(topology), _class_values(topology, lambda c: c.mttr_h)
-    step = _chunk_rows(N, L)
+    step = _chunk_rows(topology.n_nodes, L)
     c_lb = _cut_lower_bound(topology, k)
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
@@ -562,15 +563,13 @@ def _partition_tolerance_multiclass(
         down = rng.random((min(step, budget - lo), L)) < q
         n_failed = down.sum(axis=1)
         rows = np.flatnonzero(n_failed >= c_lb)
-        bad = rows[_max_comp_rows(ends, N, ~down[rows]) < k]
+        times = _repair_times(topology, k, mttr_of, down[rows])
         n_of += np.bincount(n_failed, minlength=L + 1)
-        wrong_of += np.bincount(n_failed[bad], minlength=L + 1)
-        for t in _repair_times(topology, k, mttr_of, down[bad]).tolist():
+        wrong_of += np.bincount(n_failed[rows[times > 0]], minlength=L + 1)
+        for t in times.tolist():  # a good row adds its 0.0: the sum is unchanged
             t_sum_total += t
     wrong_total = int(wrong_of.sum())
     p_wrong = wrong_total / budget
-    p = 1.0 - p_wrong
-    se = math.sqrt(p_wrong * (1.0 - p_wrong) / budget)
     per_state = []
     for i in np.flatnonzero(n_of).tolist():
         n = int(n_of[i])
@@ -579,7 +578,7 @@ def _partition_tolerance_multiclass(
             StateEstimate(i, n / budget, pw, math.sqrt(pw * (1 - pw) / n), n, "sampled")
         )
     t = (t_sum_total / wrong_total) if wrong_total else None
-    return PartitionReport(p, se, t, per_state, "sampled", k)
+    return p_wrong, p_wrong * (1.0 - p_wrong) / budget, t, per_state
 
 
 def exact_partition_tolerance_bruteforce(
@@ -594,10 +593,9 @@ def exact_partition_tolerance_bruteforce(
     if L > BRUTEFORCE_MAX_LINKS:
         raise ResourceLimitError(f"brute force refused for L={L} > {BRUTEFORCE_MAX_LINKS}")
     k = _quorum(topology, k)
-    N, ends = topology.n_nodes, topology.ends
     q, mttr_of = _down_probs(topology), _class_values(topology, lambda c: c.mttr_h)
     bits = 1 << np.arange(L)
-    step = _chunk_rows(N, L)
+    step = _chunk_rows(topology.n_nodes, L)
     wrong_mass = 0.0
     t_mass = 0.0
     for lo in range(0, 2**L, step):
@@ -605,9 +603,8 @@ def exact_partition_tolerance_bruteforce(
         weight = np.ones(len(failed))
         for idx in range(L):
             weight *= np.where(failed[:, idx], q[idx], 1.0 - q[idx])
-        bad = (weight != 0.0) & (_max_comp_rows(ends, N, ~failed) < k)
-        times = _repair_times(topology, k, mttr_of, failed[bad])
-        for w, t in zip(weight[bad].tolist(), times.tolist()):
+        times = _repair_times(topology, k, mttr_of, failed)
+        for w, t in zip(weight[times > 0].tolist(), times[times > 0].tolist()):
             wrong_mass += w
             t_mass += w * t
     p = 1.0 - wrong_mass

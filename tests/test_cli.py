@@ -322,6 +322,14 @@ class TestExitCodes:
     def test_bad_sweep_size(self, capsys):
         assert run_cli(["gossip", "sweep", "--sizes", "12", "--cycles", "5"]) == 2
 
+    @pytest.mark.parametrize("command", ["gossip", "consensus"])
+    def test_empty_sweep(self, tmp_path, capsys, command):
+        """A sweep of no sizes is a usage error and writes no CSV."""
+        out = tmp_path / "sweep.csv"
+        assert run_cli([command, "sweep", "--sizes", "", "--out", str(out)]) == 2
+        assert "error: --sizes needs at least one size" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("option, field", [("--bandwidth", "link_bandwidth"),
                                                ("--latency", "link_latency"),
                                                ("--tx-rate", "tx_rate")])

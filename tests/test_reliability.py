@@ -678,20 +678,31 @@ class TestConnectivityKernel:
 
     @pytest.mark.parametrize("three_classes,k", [(False, 2), (False, 3), (True, 11)])
     def test_batched_repair_matches_min_repair_time(self, three_classes, k):
-        """The batched threshold search gives every wrong row the time
-        `min_repair_time` gives it alone: all failure sets of the
-        two-class path, random ones of a three-class 14-node ring."""
+        """The batched threshold search gives every row, good or wrong,
+        the time `min_repair_time` gives it alone, 0.0 exactly for the
+        good ones: all failure sets of the two-class path, random ones of
+        a three-class 14-node ring."""
         if three_classes:
             t = _three_class_ring()
             failed = np.random.default_rng(1).random((300, t.n_links)) < 0.4
         else:
             t = _mixed_path()
             failed = np.array([[a, b] for a in (False, True) for b in (False, True)])
-        wrong = [row for row in failed if max_component_size(t, set(np.flatnonzero(row))) < k]
+        good = [max_component_size(t, set(np.flatnonzero(row))) >= k for row in failed]
+        assert any(good) and not all(good)
+        times = _repair_times(t, k, _class_values(t, lambda c: c.mttr_h), failed).tolist()
+        assert [x == 0.0 for x in times] == good
+        assert len(set(times) - {0.0}) == {2: 1, 3: 2, 11: 3}[k]  # every class MTTR is some row's
+        assert times == [min_repair_time(t, np.flatnonzero(row).tolist(), k=k) for row in failed]
+
+    def test_repair_of_no_rows(self, monkeypatch):
+        """A mask with no rows gives no times and makes no kernel call."""
+        t = _three_class_ring()
         mttr_of = _class_values(t, lambda c: c.mttr_h)
-        times = _repair_times(t, k, mttr_of, np.array(wrong)).tolist()
-        assert len(set(times)) == {2: 1, 3: 2, 11: 3}[k]  # every class MTTR is some row's
-        assert times == [min_repair_time(t, np.flatnonzero(row).tolist(), k=k) for row in wrong]
+        calls = []
+        monkeypatch.setattr(reliability, "_max_comp_rows", lambda *args: calls.append(args))
+        times = _repair_times(t, 11, mttr_of, np.zeros((0, t.n_links), dtype=bool))
+        assert times.shape == (0,) and calls == []
 
 
 def _graph(n, pairs):
@@ -972,7 +983,7 @@ class TestCutBoundWork:
 
     def test_multiclass_rows_checked(self, monkeypatch):
         """4-4 at budget 10000: no sampled state reaches c_lb = 128 failed
-        links, so no row reaches the connectivity kernel."""
+        links, so the connectivity kernel is never called."""
         rows = []
         kernel = reliability._max_comp_rows
 
@@ -984,7 +995,7 @@ class TestCutBoundWork:
         report = partition_tolerance(build_recursive(RecursionSpec.symmetric(4, 2)),
                                      budget=10000, seed=1)
         assert sum(e.n_samples for e in report.per_state) == 10000
-        assert sum(rows) == 0 and report.p == 1.0
+        assert rows == [] and report.p == 1.0
 
     def test_table3_cube_row_draws_no_orders(self, monkeypatch):
         """Every kept state of Table 3's 6-cube row lies below c_lb = 32:
@@ -996,6 +1007,43 @@ class TestCutBoundWork:
         kind, _, spec = cli.TABLE3_N64[2]
         p, neglog, t, method = cli._reliability_columns(kind, 64, 6, spec, 4000, 1)
         assert (p, neglog, t, method) == ("1.0", "inf", "", "exact")
+
+
+def _hot_three_class_ring():
+    """`_three_class_ring` with MTBFs of 40, 30 and 5 h: about a third of
+    its states are wrong, and their repair times take every class MTTR."""
+    classes = {0: LinkClass(5000.0, 40.0, 24.0), 1: LinkClass(3000.0, 30.0, 14.4),
+               2: LinkClass(420.0, 5.0, 2.016)}
+    return dataclasses.replace(_three_class_ring(), classes=classes)
+
+
+class TestMulticlassSampler:
+    @pytest.mark.parametrize("build", [_two_class_cycle, _hot_three_class_ring],
+                             ids=["cycle8-two-class", "ring14-hot"])
+    def test_matches_bruteforce(self, build):
+        """p within 3 stderr of the enumerated value, t within 5 %."""
+        t = build()
+        report = partition_tolerance(t, budget=20000, seed=1)
+        p_exact, t_exact = exact_partition_tolerance_bruteforce(t, k=report.k)
+        assert report.method == "sampled" and 0.0 < p_exact < 1.0
+        assert abs(report.p - p_exact) <= 3 * report.stderr
+        assert report.t == pytest.approx(t_exact, rel=0.05)
+
+    def test_hot_ring_report_pinned(self):
+        """The hot ring's report at seed 1, every per-state row included:
+        letting the repair search pick the wrong rows keeps the random
+        stream and every count."""
+        report = partition_tolerance(_hot_three_class_ring(), budget=20000, seed=1)
+        assert (report.p, report.stderr, report.t, report.k, report.method) == \
+            (0.6691, 0.003327199948905987, 8.864812330010189, 8, "sampled")
+        rows = [(0, 52, 0), (1, 235, 0), (2, 946, 0), (3, 2215, 0), (4, 3653, 59),
+                (5, 4155, 759), (6, 3752, 1650), (7, 2564, 1875), (8, 1477, 1335),
+                (9, 686, 675), (10, 190, 190), (11, 60, 60), (12, 14, 14), (13, 1, 1)]
+        assert report.per_state == [
+            reliability.StateEstimate(i, n / 20000, w / n, math.sqrt(w / n * (1 - w / n) / n),
+                                      n, "sampled")
+            for i, n, w in rows
+        ]
 
 
 def critical_counts_oracle(topology, k, budget, seed):
