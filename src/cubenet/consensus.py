@@ -146,6 +146,27 @@ def _leader_trees(
     return trees
 
 
+def _xor_symmetric(topology: Topology) -> bool:
+    """Whether x -> x ^ s maps the graph and its link classes onto
+    themselves for every node s, and the graph is the hypercube Q_D: N = 2**D,
+    the links have D distinct masks ends[:, 0] ^ ends[:, 1], each joining
+    every node x to x ^ mask (N/2 links, as links do not repeat), and each
+    mask has one class.  On Q_D every FIFO BFS tree, from any node over any
+    neighbor order, is the same ordered tree, the binomial tree: the
+    source's child of rank j heads the subcube of the masks it lists after
+    its own, so induct on D.  With more than D masks leaders differ (on
+    masks {1, 2, 4, 5, 7} leaders 0 and 5 gather at different times).  D
+    masks of rank below D disconnect the graph, which the BFS from node 0
+    reports."""
+    n = topology.n_nodes
+    masks, first, which, counts = np.unique(topology.ends[:, 0] ^ topology.ends[:, 1],
+                                            return_index=True, return_inverse=True,
+                                            return_counts=True)
+    if n & (n - 1) or len(masks) != n.bit_length() - 1 or (counts != n // 2).any():
+        return False
+    return bool((topology.class_id[first][which] == topology.class_id).all())
+
+
 def _next_leaders(leaders: list[int], start: int, k: int) -> list[int]:
     """The first k distinct leaders from round `start` on, in round order."""
     batch: dict[int, None] = {}
@@ -164,7 +185,10 @@ def run_consensus(topology: Topology, config: ConsensusConfig) -> ThroughputRepo
     trees of the next few distinct leaders grow in one BFS (at most
     LEADER_SLOTS adjacency slots over all copies) and their gathers fold
     in one pass; each round then broadcasts its block along its
-    leader's tree.
+    leader's tree.  On a graph that `_xor_symmetric` recognizes as a
+    hypercube every leader's tree is leader 0's, rank for rank, so its
+    broadcast and gather times are leader 0's bit for bit: every round
+    reads the one tree grown from node 0.
     """
     _check_run_length("rounds", config.rounds)
     n = topology.n_nodes
@@ -181,19 +205,20 @@ def run_consensus(topology: Topology, config: ConsensusConfig) -> ThroughputRepo
     leaders = leaders.tolist()
     indptr, indices = topology.csr()
     per_batch = max(1, LEADER_SLOTS // max(1, len(indices)))
+    keys = [0] * len(leaders) if _xor_symmetric(topology) else leaders
     trees: dict[int, tuple[list[Level], float]] = {}
 
     elapsed = 0.0
     committed = 0
     per_round_time: list[float] = []
     per_round_committed: list[int] = []
-    for r, leader in enumerate(leaders):
+    for r, key in enumerate(keys):
         pool = config.tx_rate * elapsed - committed
         block_tx = min(BLOCK_CAP, int(pool))
         block_bytes = HEADER_BYTES + block_tx * TX_SIZE
-        if leader not in trees:
-            trees = _leader_trees(indptr, indices, _next_leaders(leaders, r, per_batch), config)
-        levels, gather = trees[leader]
+        if key not in trees:
+            trees = _leader_trees(indptr, indices, _next_leaders(keys, r, per_batch), config)
+        levels, gather = trees[key]
         round_time = _broadcast(levels, n, block_bytes, config)
         round_time += gather
         elapsed += round_time

@@ -7,6 +7,7 @@ import pytest
 
 from cubenet import (
     ConsensusConfig,
+    LinkClass,
     RecursionSpec,
     broadcast_time,
     build_complete_hypercube,
@@ -370,3 +371,137 @@ class TestMultiSource:
         cfg = ConsensusConfig(rounds=8, leader_policy="rotate:1")  # leaders 0..3 in one batch
         with pytest.raises(ConstructionError, match="cannot reach every node"):
             run_consensus(t, cfg)
+
+
+# -- one tree per hypercube: every leader reuses leader 0's times --------
+
+
+TWO_CLASSES = {0: LinkClass.standard(5000), 1: LinkClass.standard(420)}
+
+
+def _xor_graph(n, masks, class_of=None):
+    """Node x joined to x ^ g for each mask g; link classes from class_of(g)."""
+    pairs = [(x, x ^ g) for g in masks for x in range(n) if x < x ^ g]
+    class_ids = [class_of(x ^ y) if class_of else 0 for x, y in pairs]
+    return custom_topology(n, pairs, class_ids, TWO_CLASSES)
+
+
+def _relabelled(t, seed):
+    perm = np.random.default_rng(seed).permutation(t.n_nodes)
+    return custom_topology(t.n_nodes, perm[t.ends].tolist())
+
+
+def _q4_edited(edit):
+    """Q4 with link 5 removed ("drop") or given class 1 ("reclass")."""
+    pairs = build_complete_hypercube(4).ends.tolist()
+    class_ids = [0] * len(pairs)
+    if edit == "drop":
+        del pairs[5], class_ids[5]
+    else:
+        class_ids[5] = 1
+    return custom_topology(16, pairs, class_ids, TWO_CLASSES)
+
+
+SYMMETRIC_GRAPHS = {
+    "Q6": lambda: build_complete_hypercube(6),
+    "3-3": lambda: build_recursive(RecursionSpec.symmetric(3, 2)),
+    "2-2-2": lambda: build_recursive(RecursionSpec.symmetric(2, 3)),
+    "4-2": lambda: build_recursive(RecursionSpec.semi((4, 2))),
+    "4-4-4": lambda: build_recursive(RecursionSpec.symmetric(4, 3)),
+    "5-4-3": lambda: build_recursive(RecursionSpec.semi((5, 4, 3))),
+    "masks-1-6-4-two-classes": lambda: _xor_graph(8, [1, 6, 4], lambda g: int(g == 6)),
+}
+ASYMMETRIC_GRAPHS = {
+    "relabelled-Q6": lambda: _relabelled(build_complete_hypercube(6), 0),
+    "ring64-6": lambda: build_ring_lattice(64, 6),
+    "tree64": lambda: build_rooted_tree(64),
+    "star16": lambda: build_star(16),
+    "three-K4-on-12": lambda: _xor_graph(12, [1, 2, 3]),  # N not a power of two
+    "Q4-minus-link": lambda: _q4_edited("drop"),
+    "Q4-one-reclassed": lambda: _q4_edited("reclass"),
+    "five-masks-on-8": lambda: _xor_graph(8, [1, 2, 4, 5, 7]),  # more masks than dimensions
+}
+
+
+def _leader_times(t, leaders, config, batch=16):
+    """(broadcast at two payloads, gather) of each leader, from per-leader trees."""
+    indptr, indices = t.csr()
+    times = {}
+    for lo in range(0, len(leaders), batch):
+        trees = consensus._leader_trees(indptr, indices, leaders[lo:lo + batch], config)
+        for leader, (levels, gather) in trees.items():
+            times[leader] = tuple(consensus._broadcast(levels, t.n_nodes, payload, config)
+                                  for payload in (HEADER_BYTES, 240_536)) + (gather,)
+    return times
+
+
+class TestXorSymmetric:
+    @pytest.mark.parametrize("graph", list(SYMMETRIC_GRAPHS))
+    def test_accepts(self, graph):
+        assert consensus._xor_symmetric(SYMMETRIC_GRAPHS[graph]())
+
+    @pytest.mark.parametrize("graph", list(ASYMMETRIC_GRAPHS))
+    def test_rejects(self, graph):
+        assert not consensus._xor_symmetric(ASYMMETRIC_GRAPHS[graph]())
+
+    def test_extra_mask_breaks_leader_invariance(self):
+        """Why the detector wants exactly log2 N masks: this Cayley graph of
+        Z_2^3 is XOR-symmetric, yet its leaders' gather times differ."""
+        t = ASYMMETRIC_GRAPHS["five-masks-on-8"]()
+        times = _leader_times(t, list(range(8)), ConsensusConfig(link_bandwidth=1e8))
+        assert times[5][2] != times[0][2]
+
+    @pytest.mark.parametrize("masks, symmetric", [([1, 2], False), ([1, 2, 3], True)],
+                             ids=["two-4-cycles", "two-K4"])
+    def test_disconnected_raises(self, masks, symmetric):
+        """Nodes 0-3 and 4-7 form two components; with three masks of rank 2
+        the detector accepts the graph and the BFS from node 0 refuses it."""
+        t = _xor_graph(8, masks)
+        assert consensus._xor_symmetric(t) == symmetric
+        for policy in ("random", "hub", "rotate:3"):
+            with pytest.raises(ConstructionError, match="cannot reach every node"):
+                run_consensus(t, ConsensusConfig(rounds=10, leader_policy=policy))
+
+    @pytest.mark.parametrize("latency", sorted(ORACLE_CONFIGS))
+    @pytest.mark.parametrize("graph", ["Q6", "3-3", "2-2-2", "4-2", "4-4-4"])
+    def test_every_leader_equals_leader_zero(self, graph, latency):
+        """The gate for the shortcut: each leader's own BFS tree gives leader
+        0's broadcast and gather times, compared with ==."""
+        t = SYMMETRIC_GRAPHS[graph]()
+        leaders = list(range(t.n_nodes))
+        if t.n_nodes > 64:
+            leaders = [0, *np.random.default_rng(3).choice(t.n_nodes, 64, replace=False).tolist()]
+        times = _leader_times(t, leaders, ORACLE_CONFIGS[latency])
+        assert all(times[leader] == times[0] for leader in leaders)
+
+    @pytest.mark.parametrize("policy", ["random", "hub", "rotate:3"])
+    @pytest.mark.parametrize("graph", ["2-2-2", "4-4-4"])
+    def test_reports_equal_per_leader_path(self, graph, policy, monkeypatch):
+        t = SYMMETRIC_GRAPHS[graph]()
+        cfg = ConsensusConfig(rounds=40, seed=5, link_bandwidth=1e8, link_latency=3.7e-4,
+                              leader_policy=policy)
+        calls = []
+        grow = consensus._leader_trees
+        monkeypatch.setattr(consensus, "_leader_trees",
+                            lambda *args: calls.append(args[2]) or grow(*args))
+        shortcut = run_consensus(t, cfg)
+        assert calls == [[0]]
+        monkeypatch.setattr(consensus, "_xor_symmetric", lambda topology: False)
+        assert run_consensus(t, cfg) == shortcut
+        assert len(calls) > 1 or policy == "hub"
+
+    def test_rounds_match_oracle(self):
+        """The shortcut against the per-leader queue BFS and recursive gather."""
+        t = build_complete_hypercube(5)
+        cfg = ConsensusConfig(rounds=40, seed=7, link_bandwidth=1e8, link_latency=3.7e-4)
+        times, leaders, blocks = _oracle_rounds(t, cfg)
+        report = run_consensus(t, cfg)
+        assert (report.per_round_time, report.leader_history, report.per_round_committed) == (
+            times, leaders, blocks)
+
+    def test_sweep_equals_per_leader_path(self, monkeypatch):
+        cfg = ConsensusConfig(rounds=60, seed=0, link_bandwidth=1e8)
+        cubes = [("cube", build_complete_hypercube(d)) for d in (2, 4, 6, 8)]
+        shortcut = sweep_consensus(cubes, cfg)
+        monkeypatch.setattr(consensus, "_xor_symmetric", lambda topology: False)
+        assert sweep_consensus(cubes, cfg) == shortcut

@@ -524,27 +524,32 @@ class TestSerializationPins:
         assert Topology.from_json(text).to_json() == text
 
 
-# name: (dims of the symmetric recursive graph, CLI arguments after
-# --topology, sha256 of the CSV), as the one-cycle-per-step gossip loop
-# and the one-BFS-per-leader consensus loop wrote them.
+# name: (builder of the topology, CLI arguments after --topology, sha256
+# of the CSV), as the one-cycle-per-step gossip loop and the
+# one-BFS-per-leader consensus loop wrote them.  The 3-3 runs reuse leader
+# 0's tree for every leader; the ring lattice grows one tree per leader.
 OUTPUT_PINS = {
-    "gossip-2-2-2": ((2, 2, 2), ["gossip", "run", "--delay", "0.5", "--seed", "1"],
+    "gossip-2-2-2": (lambda: build_recursive(RecursionSpec.symmetric(2, 3)),
+                     ["gossip", "run", "--delay", "0.5", "--seed", "1"],
                      "ae802a512b17cc22f27898fb0d191c777f77c9fb90cf149de6b70ca73f452036"),
-    "consensus-3-3-random": ((3, 3), ["consensus", "run", "--leader-policy", "random",
-                                      "--seed", "1"],
+    "consensus-3-3-random": (lambda: build_recursive(RecursionSpec.symmetric(3, 2)),
+                             ["consensus", "run", "--leader-policy", "random", "--seed", "1"],
                              "a849df6be9766810fee6df50a2f077e6a550839ed45a2857b5a49f1a140aea6d"),
-    "consensus-3-3-rotate": ((3, 3), ["consensus", "run", "--leader-policy", "rotate:3",
-                                      "--seed", "1"],
+    "consensus-3-3-rotate": (lambda: build_recursive(RecursionSpec.symmetric(3, 2)),
+                             ["consensus", "run", "--leader-policy", "rotate:3", "--seed", "1"],
                              "417b71777cf4d284260131d13c365f96b602ad06f4f090a5b0dc20da35a2a387"),
+    "consensus-ring64-6-random": (lambda: build_ring_lattice(64, 6),
+                                  ["consensus", "run", "--leader-policy", "random", "--seed", "1"],
+                                  "7a6fe5d03aba66798d2d7ccd00c676636bfdeb1e76f7b65548514b6c3ec5dc02"),
 }
 
 
 class TestOutputPins:
     @pytest.mark.parametrize("name", list(OUTPUT_PINS))
     def test_csv_bytes(self, tmp_path, name):
-        dims, argv, csv_sha = OUTPUT_PINS[name]
+        build, argv, csv_sha = OUTPUT_PINS[name]
         topo = tmp_path / "topology.json"
-        topo.write_text(build_recursive(RecursionSpec.symmetric(dims[0], len(dims))).to_json())
+        topo.write_text(build().to_json())
         out = tmp_path / "out.csv"
         assert cli.main([*argv[:2], "--topology", str(topo), *argv[2:], "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
