@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, SpecError
-from .topology import Level, Topology, _bfs_levels, _check_run_length
+from .topology import Level, Topology, _bfs_levels, _check_run_length, _translation_orbits
 
 TX_SIZE = 24  # bytes per transaction
 BLOCK_CAP = 10000  # transactions per block
@@ -148,23 +148,20 @@ def _leader_trees(
 
 def _xor_symmetric(topology: Topology) -> bool:
     """Whether x -> x ^ s maps the graph and its link classes onto
-    themselves for every node s, and the graph is the hypercube Q_D: N = 2**D,
-    the links have D distinct masks ends[:, 0] ^ ends[:, 1], each joining
-    every node x to x ^ mask (N/2 links, as links do not repeat), and each
-    mask has one class.  On Q_D every FIFO BFS tree, from any node over any
-    neighbor order, is the same ordered tree, the binomial tree: the
-    source's child of rank j heads the subcube of the masks it lists after
-    its own, so induct on D.  With more than D masks leaders differ (on
-    masks {1, 2, 4, 5, 7} leaders 0 and 5 gather at different times).  D
-    masks of rank below D disconnect the graph, which the BFS from node 0
-    reports."""
-    n = topology.n_nodes
-    masks, first, which, counts = np.unique(topology.ends[:, 0] ^ topology.ends[:, 1],
-                                            return_index=True, return_inverse=True,
-                                            return_counts=True)
-    if n & (n - 1) or len(masks) != n.bit_length() - 1 or (counts != n // 2).any():
+    themselves for every node s, and the graph is the hypercube Q_D: its
+    translation orbits (`_translation_orbits`) are XOR masks, exactly D
+    of them on N = 2**D nodes, each joining every node x to x ^ mask,
+    and each orbit has one class.  On Q_D every FIFO BFS tree, from any
+    node over any neighbor order, is the same ordered tree, the binomial
+    tree: the source's child of rank j heads the subcube of the masks it
+    lists after its own, so induct on D.  With more than D masks leaders
+    differ (on masks {1, 2, 4, 5, 7} leaders 0 and 5 gather at different
+    times).  D masks of rank below D disconnect the graph, which the BFS
+    from node 0 reports."""
+    orbits = _translation_orbits(topology)
+    if orbits is None or not orbits.xor or len(orbits.first) != topology.n_nodes.bit_length() - 1:
         return False
-    return bool((topology.class_id[first][which] == topology.class_id).all())
+    return bool((topology.class_id[orbits.first][orbits.of_link] == topology.class_id).all())
 
 
 def _next_leaders(leaders: list[int], start: int, k: int) -> list[int]:

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NumericError, ResourceLimitError, SpecError
 from .topology import RecursionSpec, Topology, build_complete_hypercube
 from .topology import _bfs_levels, _check_run_length, _chunk_rows, _component_roots, _max_comp_rows
-from .topology import resolve_failed_links
+from .topology import _translation_orbits, resolve_failed_links
 from .unionfind import UnionFind  # noqa: F401  unused; perfbench/tracer.py patches this name
 
 ENUM_CAP_DEFAULT = 2_000_000
@@ -132,7 +132,12 @@ def _cut_lower_bound(topology: Topology, k: int) -> int:
     solve is skipped when the Rayleigh quotient of the centred BFS
     distances (>= lam2) cannot lift the Fiedler term above kappa, and
     kappa is skipped when the Fiedler term reaches the minimum degree
-    (kappa <= delta).  The bound is kept on the topology, per k.
+    (kappa <= delta).  A graph with translation orbits (see
+    `_translation_orbits`) is vertex-transitive, so kappa = delta when
+    it is connected (Mader 1971; Godsil & Royle, Thm 3.3.1) and 0 when
+    the BFS finds it is not; on Z_2^D lam2 is exact and needs no solve
+    (`_xor_algebraic_connectivity`).  The bound is kept on the topology,
+    per k.
     """
     return topology.memo(("c_lb", k), lambda: _cut_bound(topology, k))
 
@@ -145,13 +150,20 @@ def _cut_bound(topology: Topology, k: int) -> int:
     degree = np.bincount(ends.ravel(), minlength=n)
     delta = int(degree.min())
     half = (n - k + 1) / 2
-    kappa = None
-    rayleigh_term = math.ceil(_distance_rayleigh(topology) * half)
+    rayleigh = _distance_rayleigh(topology)
+    orbits = _translation_orbits(topology)
+    kappa = None if orbits is None else (delta if rayleigh > 0 else 0)
+    rayleigh_term = math.ceil(rayleigh * half)
     if rayleigh_term <= delta:
-        kappa = _edge_connectivity(topology)
+        if kappa is None:
+            kappa = _edge_connectivity(topology)
         if rayleigh_term <= kappa:
             return kappa
-    fiedler = math.ceil(max(_algebraic_connectivity_lb(ends, degree), 0.0) * half)
+    if orbits is not None and orbits.xor:
+        lam2 = _xor_algebraic_connectivity(n, ends[orbits.first, 0] ^ ends[orbits.first, 1])
+    else:
+        lam2 = _algebraic_connectivity_lb(ends, degree)
+    fiedler = math.ceil(max(lam2, 0.0) * half)
     if fiedler >= delta:
         return fiedler
     return max(fiedler, _edge_connectivity(topology) if kappa is None else kappa)
@@ -173,6 +185,21 @@ def _distance_rayleigh(topology: Topology) -> float:
         dist[nodes] = d
     x = dist - dist.mean()
     return float(np.count_nonzero(dist[ends[:, 0]] != dist[ends[:, 1]])) / float(x @ x)
+
+
+def _xor_algebraic_connectivity(n: int, masks: np.ndarray) -> float:
+    """lam2 of the Laplacian of the graph joining every x to x ^ g for
+    each of the link masks `masks` on N = 2**D >= 2 nodes, exactly.
+
+    Character chi of Z_2^D has Laplacian eigenvalue sum over g of
+    1 - (-1)^popcount(chi & g), twice the masks with popcount(chi & g)
+    odd; chi = 0 gives 0, so lam2 is the least over chi != 0.
+    """
+    chi = np.arange(1, n)
+    odd = np.zeros(n - 1, dtype=np.int64)
+    for g in masks.tolist():
+        odd += np.bitwise_count(chi & g) & 1
+    return 2.0 * int(odd.min())
 
 
 def _algebraic_connectivity_lb(ends: np.ndarray, degree: np.ndarray) -> float:
@@ -313,7 +340,12 @@ def _exact_state(
     """Exact P{wrong | i} for 1 <= i <= L, or None when C(L, i) > enum_cap.
 
     `c_lb` is a certified lower bound on the failed links of any wrong
-    state (0 when unknown): every state below it is an exact zero.
+    state (0 when unknown): every state below it is an exact zero.  On a
+    graph with translation orbits (see `_translation_orbits`) the wrong
+    i-subsets that hold link e number the same W(e) for every e of an
+    orbit, so i * #wrong = sum over orbits O of |O| * W(e_O): when
+    #orbits * i < L, the #orbits * C(L-1, i-1) subsets holding some
+    e_O are fewer than the C(L, i) that are otherwise all enumerated.
     """
     if i < c_lb:
         return StateEstimate(i, pi_i, 0.0, 0.0, 0, "exact")
@@ -321,17 +353,35 @@ def _exact_state(
     n_subsets = math.comb(L, i)
     if n_subsets > enum_cap:
         return None
-    ends = topology.ends
-    combos = itertools.combinations(range(L), i)
-    step = _chunk_rows(topology.n_nodes, L)
-    wrong = 0
-    for _ in range(0, n_subsets, step):
-        chunk = itertools.chain.from_iterable(itertools.islice(combos, step))
-        idx = np.fromiter(chunk, dtype=np.intp).reshape(-1, i)
-        failed = np.zeros((len(idx), L), dtype=bool)
-        np.put_along_axis(failed, idx, True, axis=1)
-        wrong += int(np.count_nonzero(_max_comp_rows(ends, topology.n_nodes, ~failed) < k))
+    orbits = _translation_orbits(topology)
+    if orbits is None or len(orbits.first) * i >= L:
+        wrong = _wrong_subsets(topology, k, [], range(L), i)
+    else:
+        total = sum(size * _wrong_subsets(topology, k, [e], [*range(e), *range(e + 1, L)], i - 1)
+                    for e, size in zip(orbits.first.tolist(), orbits.size.tolist()))
+        wrong, rest = divmod(total, i)
+        if rest:
+            raise NumericError(f"orbit sum {total} of wrong {i}-subsets not divisible by {i}")
     return StateEstimate(i, pi_i, wrong / n_subsets, 0.0, n_subsets, "exact")
+
+
+def _wrong_subsets(topology: Topology, k: int, fixed: list[int], pool, r: int) -> int:
+    """Number of wrong failure sets that are the links `fixed` plus an
+    r-subset of the links `pool` (r = 0 gives the one empty subset)."""
+    L, n = topology.n_links, topology.n_nodes
+    n_rows = math.comb(len(pool), r)
+    combos = itertools.combinations(pool, r)
+    step = _chunk_rows(n, L)
+    wrong = 0
+    for lo in range(0, n_rows, step):
+        rows = min(step, n_rows - lo)
+        chunk = itertools.chain.from_iterable(itertools.islice(combos, rows))
+        idx = np.fromiter(chunk, dtype=np.intp, count=rows * r).reshape(rows, r)
+        failed = np.zeros((rows, L), dtype=bool)
+        failed[:, fixed] = True
+        np.put_along_axis(failed, idx, True, axis=1)
+        wrong += int(np.count_nonzero(_max_comp_rows(topology.ends, n, ~failed) < k))
+    return wrong
 
 
 def _estimate_states(

@@ -12,6 +12,7 @@ import json
 import numbers
 from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -790,3 +791,46 @@ def _bfs_levels(indptr: np.ndarray, indices: np.ndarray, sources: list[int]) -> 
         levels.append((nodes, parents, pos - head[parents] + 1))
         frontier = nodes
     return levels
+
+
+# -- translation symmetry -------------------------------------------------
+
+
+class Orbits(NamedTuple):
+    """Link orbits of a node-transitive translation group: orbit o holds
+    size[o] links, first[o] is its first link, and link j lies in orbit
+    of_link[j]."""
+
+    xor: bool  # translations x -> x ^ t (N = 2**D), else x -> x + t (mod N)
+    first: np.ndarray
+    size: np.ndarray
+    of_link: np.ndarray
+
+
+def _translation_orbits(topology: Topology) -> Orbits | None:
+    """The link orbits of the translations of Z_2^D or of Z_N when they
+    map the graph onto itself, read from the link arrays (not `kind`) and
+    kept on the topology; None otherwise.
+
+    XOR: N = 2**D and each mask u ^ v occurs N/2 times.  Circulant: each
+    offset s = min((v - u) mod N, N - (v - u) mod N) occurs N times, or
+    N/2 times when 2s = N.  Links never repeat, so each mask or offset
+    class holds every pair {x, x ^ g} or {x, x + s}; every translation
+    maps each class onto itself and is then an automorphism, transitive
+    on the nodes, whose link orbits are exactly the classes.  XOR is
+    tried first, so a graph of both kinds (the 4-cycle) gets its masks.
+    """
+
+    def find():
+        n = topology.n_nodes
+        u, v = topology.ends.T
+        offset = (v - u) % n
+        keys = [(True, u ^ v)] if not n & (n - 1) else []
+        for xor, key in keys + [(False, np.minimum(offset, n - offset))]:
+            values, first, of_link, size = np.unique(key, return_index=True,
+                                                     return_inverse=True, return_counts=True)
+            if (size == np.where(xor | (2 * values == n), n // 2, n)).all():
+                return Orbits(xor, first, size, of_link)
+        return None
+
+    return topology.memo("orbits", find)

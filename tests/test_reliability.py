@@ -46,9 +46,10 @@ from cubenet.reliability import (
     _max_comp_rows,
     _max_flow,
     _repair_times,
+    _xor_algebraic_connectivity,
     default_quorum,
 )
-from cubenet.topology import max_component_size
+from cubenet.topology import Orbits, _translation_orbits, max_component_size
 from cubenet.unionfind import UnionFind
 from custom_graph import custom_topology
 from markov_oracle import CountChain, binomial_stationary, stationary, transition_matrix
@@ -916,7 +917,9 @@ class TestCutLowerBound:
 
     def test_kept_per_topology_and_quorum(self, monkeypatch):
         """A per-state sweep on one ring computes kappa once: i = 1, 2, 3
-        are certified zeros, and a second quorum computes its own bound."""
+        are certified zeros, and a second quorum computes its own bound.
+        The ring's nodes are permuted, so it has no translation orbits and
+        kappa takes the max-flow."""
         calls = []
         kappa = reliability._edge_connectivity
 
@@ -925,13 +928,185 @@ class TestCutLowerBound:
             return kappa(topology)
 
         monkeypatch.setattr(reliability, "_edge_connectivity", counting)
-        t = build_ring_lattice(768, 4)
+        t = _permuted_ring768()
+        assert _translation_orbits(t) is None
         for i in (1, 2, 3):
             est = state_estimate(t, i, budget=50)
             assert (est.p_wrong, est.n_samples, est.method) == (0.0, 0, "exact")
         assert calls == [768]
         assert _cut_lower_bound(t, 700) == 4 and calls == [768, 768]
-        assert _cut_lower_bound(build_ring_lattice(768, 4), 385) == 4 and len(calls) == 3
+        assert _cut_lower_bound(_permuted_ring768(), 385) == 4 and len(calls) == 3
+
+
+def _permuted_ring768():
+    """ring(768, 4) with its nodes renamed by a fixed random permutation."""
+    label = np.random.default_rng(0).permutation(768)
+    return custom_topology(768, label[build_ring_lattice(768, 4).ends])
+
+
+def _circulant(n, offsets):
+    """Node x joined to x + s (mod n) for each offset s, each pair once."""
+    pairs = {tuple(sorted((x, (x + s) % n))) for s in offsets for x in range(n)}
+    return custom_topology(n, sorted(pairs))
+
+
+def _translation_orbits_oracle(t, xor):
+    """The link orbits of the translations x -> x ^ s (xor) or x -> x + s
+    (mod N), as a set of frozensets of link indices, by mapping every
+    link under every translation; None when one of them is no automorphism."""
+    n = t.n_nodes
+    index = {(a, b): j for j, (a, b) in enumerate(t.ends.tolist())}
+    index.update({(b, a): j for (a, b), j in list(index.items())})
+    orbit_of = [set() for _ in range(t.n_links)]
+    for s in range(n):
+        for j, (a, b) in enumerate(t.ends.tolist()):
+            image = (a ^ s, b ^ s) if xor else ((a + s) % n, (b + s) % n)
+            if image not in index:
+                return None
+            orbit_of[j].add(index[image])
+    return {frozenset(o) for o in orbit_of}
+
+
+def _drop_link(t, j):
+    return custom_topology(t.n_nodes, np.delete(t.ends, j, axis=0))
+
+
+TRANSLATION_GRAPHS = {  # name: (build, XOR group)
+    "C5": (lambda: _circulant(5, [1]), False),
+    "C4": (lambda: build_ring_lattice(4, 2), True),  # also a circulant; masks come first
+    "C16": (lambda: build_ring_lattice(16, 2), False),
+    "ring16-4": (lambda: build_ring_lattice(16, 4), False),
+    "ring12-6": (lambda: build_ring_lattice(12, 6), False),
+    "moebius8": (lambda: _circulant(8, [1, 4]), False),  # offset N/2: an orbit of N/2 links
+    "C8(2)": (lambda: _circulant(8, [2]), True),  # two 4-cycles
+    "C9(3)": (lambda: _circulant(9, [3]), False),  # three triangles
+    "two-K4": (lambda: custom_topology(8, [(x, x ^ g) for g in (1, 2, 3) for x in range(8)
+                                            if x < x ^ g]), True),
+    "cycle64": (lambda: build_ring_lattice(64, 2), False),
+    "ring64-6": (lambda: build_ring_lattice(64, 6), False),
+    **{f"Q{d}": (lambda d=d: build_complete_hypercube(d), True) for d in range(1, 11)},
+    "2-2": (lambda: build_recursive(RecursionSpec.symmetric(2, 2)), True),
+    "3-3": (lambda: build_recursive(RecursionSpec.symmetric(3, 2)), True),
+    "2-2-2": (lambda: build_recursive(RecursionSpec.symmetric(2, 3)), True),
+    "4-2": (lambda: build_recursive(RecursionSpec.semi((4, 2))), True),
+    "3-2-2": (lambda: build_recursive(RecursionSpec.semi((3, 2, 2))), True),
+    "4-4": (lambda: build_recursive(RecursionSpec.symmetric(4, 2)), True),
+}
+NO_TRANSLATION_GRAPHS = {
+    "relabelled-ring16-4": lambda: custom_topology(
+        16, np.random.default_rng(0).permutation(16)[build_ring_lattice(16, 4).ends]),
+    "tree16": lambda: build_rooted_tree(16),
+    "star16": lambda: build_star(16),
+    "ring16-4-minus-link": lambda: _drop_link(build_ring_lattice(16, 4), 0),
+    "Q4-minus-link": lambda: _drop_link(build_complete_hypercube(4), 5),
+    "C8-plus-chord": lambda: custom_topology(8, build_ring_lattice(8, 2).ends.tolist() + [[0, 4]]),
+}
+
+
+class TestTranslationSymmetry:
+    @pytest.mark.parametrize("name", [name for name in TRANSLATION_GRAPHS
+                                      if name not in ("Q9", "Q10")])
+    def test_accepts(self, name):
+        """The detector's orbits are those of the group it names, found by
+        mapping every link under every translation (up to 256 nodes)."""
+        build, xor = TRANSLATION_GRAPHS[name]
+        t = build()
+        orbits = _translation_orbits(t)
+        assert orbits is not None and orbits.xor == xor
+        found = {frozenset(np.flatnonzero(orbits.of_link == o).tolist())
+                 for o in range(len(orbits.first))}
+        assert found == _translation_orbits_oracle(t, xor)
+        assert orbits.first.tolist() == [int(np.flatnonzero(orbits.of_link == o)[0])
+                                         for o in range(len(orbits.first))]
+        assert orbits.size.tolist() == np.bincount(orbits.of_link).tolist()
+        assert _translation_orbits(t) is orbits  # kept on the topology
+
+    @pytest.mark.parametrize("name", list(NO_TRANSLATION_GRAPHS))
+    def test_rejects(self, name):
+        """None exactly when neither group maps the graph onto itself."""
+        t = NO_TRANSLATION_GRAPHS[name]()
+        assert _translation_orbits(t) is None
+        assert _translation_orbits_oracle(t, False) is None
+        assert not t.n_nodes & (t.n_nodes - 1) and _translation_orbits_oracle(t, True) is None
+
+    def test_orbit_shapes(self):
+        """Offset N/2 makes an orbit of N/2 links; each mask one of N/2."""
+        moebius = _translation_orbits(_circulant(8, [1, 4]))
+        assert (moebius.xor, moebius.size.tolist()) == (False, [8, 4])
+        q4 = _translation_orbits(build_complete_hypercube(4))
+        assert (q4.xor, q4.size.tolist()) == (True, [8, 8, 8, 8])
+        assert _translation_orbits(build_ring_lattice(12, 6)).size.tolist() == [12, 12, 12]
+
+    @pytest.mark.parametrize("name", list(TRANSLATION_GRAPHS))
+    def test_cut_bound_without_flow_or_cube_solve(self, name, monkeypatch):
+        """Mader: kappa is the minimum degree on a connected graph with
+        translation orbits (0 on a disconnected one), and on Z_2^D the
+        exact lam2 gives the dense solve's bound.  For every k, c_lb
+        equals max(kappa, ceil(lam2 (N - k + 1) / 2)) from the max-flow
+        and the dense solve, neither of which runs: no max-flow at all,
+        and no solve on an XOR graph."""
+        build, xor = TRANSLATION_GRAPHS[name]
+        t = build()
+        n = t.n_nodes
+        degree = np.bincount(t.ends.ravel(), minlength=n)
+        kappa = _edge_connectivity(t)
+        assert kappa == (int(degree.min()) if t.is_connected() else 0)
+        lam2 = _algebraic_connectivity_lb(t.ends, degree) if n > 1 else 0.0
+        if xor and n > 1:  # the solve less its margin lies within the margin below
+            exact = _xor_algebraic_connectivity(n, np.unique(t.ends[:, 0] ^ t.ends[:, 1]))
+            assert lam2 <= exact <= lam2 + 2e-9 * n * 2 * int(degree.max())
+
+        def refuse(*args):
+            raise AssertionError("refused")
+
+        monkeypatch.setattr(reliability, "_edge_connectivity", refuse)
+        if xor:
+            monkeypatch.setattr(reliability, "_algebraic_connectivity_lb", refuse)
+        got = [_cut_lower_bound(t, k) for k in range(1, n + 1)]
+        assert got == [max(kappa, math.ceil(max(lam2, 0.0) * (n - k + 1) / 2))
+                       for k in range(1, n + 1)]
+
+    @pytest.mark.parametrize("name", ["C16", "ring16-4", "ring12-6", "Q4", "2-2", "C8(2)"])
+    def test_orbit_count_equals_enumeration(self, name, monkeypatch):
+        """For every i with C(L, i) <= 10**5 the per-orbit count of wrong
+        i-subsets gives the full enumeration's state, at two quorums."""
+        t = TRANSLATION_GRAPHS[name][0]()
+        n_orbits = len(_translation_orbits(t).first)
+        states = [i for i in range(1, t.n_links + 1) if math.comb(t.n_links, i) <= 10**5]
+        assert any(n_orbits * i < t.n_links for i in states)
+        for k in (3, default_quorum(t.n_nodes)):
+            by_orbit = [_exact_state(t, i, k, 0, 10**5, math.nan) for i in states]
+            with monkeypatch.context() as m:
+                m.setattr(reliability, "_translation_orbits", lambda topology: None)
+                full = [_exact_state(t, i, k, 0, 10**5, math.nan) for i in states]
+            assert [(e.p_wrong, e.n_samples) for e in by_orbit] == \
+                [(e.p_wrong, e.n_samples) for e in full]
+
+    def test_cycle64_kernel_rows(self, monkeypatch):
+        """The 64-cycle at enum cap 10**5 enumerates i = 2 and 3 (i = 1 lies
+        below c_lb = 2) through one orbit: 63 + 1953 rows, not 43 680."""
+        rows = []
+        kernel = reliability._max_comp_rows
+
+        def counting(ends, n, present):
+            rows.append(len(present))
+            return kernel(ends, n, present)
+
+        monkeypatch.setattr(reliability, "_max_comp_rows", counting)
+        report = partition_tolerance(build_ring_lattice(64, 2), budget=4000, seed=1,
+                                     enum_cap=10**5)
+        exact = [e for e in report.per_state if e.method == "exact" and e.n_samples]
+        assert [(e.i, e.n_samples) for e in exact] == [(2, 2016), (3, 41664)]
+        assert sum(rows) == 2016
+
+    def test_orbit_sum_not_divisible(self, monkeypatch):
+        """A false orbit (link 0 of a 5-node path standing for 3 links)
+        makes an orbit sum that i does not divide: NumericError."""
+        t = custom_topology(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        false = Orbits(False, np.array([0]), np.array([3]), np.zeros(4, dtype=np.int64))
+        monkeypatch.setattr(reliability, "_translation_orbits", lambda topology: false)
+        with pytest.raises(NumericError, match="not divisible"):
+            _exact_state(t, 2, 3, 0, 100, math.nan)
 
 
 def _two_class_cycle():
