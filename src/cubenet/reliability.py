@@ -11,6 +11,13 @@ MTTR, whose search also decides which failure sets are wrong), and
 the hierarchical aggregation as a sum over recursion levels.  Queries
 over many failed-link sets of one graph go through one batched numpy
 connectivity kernel; random link orders evolve in lockstep batches.
+Each order stops at the largest sampled state i_max: its critical
+count is capped there, which leaves every estimate unchanged.  A batch
+with fewer orders than links (ring(768,4), Q12 or ring(4096,12) at
+budget 50) folds each order's first L - i_max links with the
+connectivity kernel before the lockstep steps; a batch with at least
+as many (Table 3's ring(64,6) and Q4, the 64-cycle, at budget 4000)
+only steps.
 """
 from __future__ import annotations
 
@@ -22,7 +29,8 @@ import numpy as np
 
 from .errors import NumericError, ResourceLimitError, SpecError
 from .topology import RecursionSpec, Topology, build_complete_hypercube
-from .topology import _bfs_levels, _check_run_length, _chunk_rows, _component_roots, _max_comp_rows
+from .topology import _bfs_levels, _check_run_length, _chunk_rows, _component_roots, _join_roots
+from .topology import _max_comp_rows
 from .topology import _translation_orbits, resolve_failed_links
 from .unionfind import UnionFind  # noqa: F401  unused; perfbench/tracer.py patches this name
 
@@ -392,7 +400,17 @@ def _estimate_states(
 
     A state is exact below the cut bound c_lb or when its C(L, i)
     subsets fit `enum_cap`; every other state reads the same `budget`
-    random link orders.
+    random link orders.  Those orders are read only through 1[c* <= i]
+    and the sum of pi_i over sampled i >= c*, for sampled i up to the
+    largest, i_max, so their critical counts are capped at i_max + 1:
+    every row and the variance are the same as with the full counts,
+    and an order stops once its first L - i_max links make a k-node
+    component.  On ring(768,4) at budget 50 (i_max = 52, k = 385, every
+    c* >= 122 over seeds 1-20) no order steps past its first L - 52 links:
+    its batch holds fewer orders than links, so the kernel folds those
+    links, while Table 3's ring(64,6) and Q4 and the 64-cycle at budget
+    4000 (at least as many orders as links) step through every link
+    (see `_links_added`).
     """
     c_lb = _cut_lower_bound(topology, k)
     est = [_exact_state(topology, i, k, c_lb, enum_cap, pi_i) for i, pi_i in states]
@@ -402,7 +420,7 @@ def _estimate_states(
     if budget < 1:
         raise SpecError(f"{len(sampled)} states need sampling but the budget is {budget}")
     L = topology.n_links
-    c_star = _critical_counts(topology, k, budget, seed)
+    c_star = _critical_counts(topology, k, budget, seed, max(states[j][0] for j in sampled))
     n_wrong = np.cumsum(np.bincount(c_star, minlength=L + 2))  # orders with c* <= i
     sampled_pi = np.zeros(L + 2)
     for j in sampled:
@@ -417,8 +435,9 @@ def _estimate_states(
     return est, float(np.var(w)) / budget
 
 
-def _critical_counts(topology: Topology, k: int, budget: int, seed) -> np.ndarray:
-    """Critical failure count c* of each of `budget` random link orders.
+def _critical_counts(topology: Topology, k: int, budget: int, seed, cap: int) -> np.ndarray:
+    """Critical failure count c* of each of `budget` random link orders,
+    capped: min(c*, cap + 1) for a cap >= 0.
 
     One order is one graph-evolution pass (Elperin, Gertsbakh &
     Lomonosov 1991): links join an empty union-find in order until some
@@ -427,42 +446,95 @@ def _critical_counts(topology: Topology, k: int, budget: int, seed) -> np.ndarra
     i >= c* = L - added + 1 (c* = 0 when the intact graph has no such
     component, L + 1 when k = 1).  The last i links of a uniform order
     form a uniform i-subset, so 1[c* <= i] is one draw of P{wrong | i}
-    for every i at once.  The orders go through in batches of at most
-    ORDER_SLOTS order (and node) slots, every order of a batch adding
-    its next link at the same step.  Each batch is one draw of uniform
-    column permutations, which reads the stream one `rng.permutation(L)`
-    per order reads.
+    for every i at once.  A caller that reads 1[c* <= i] only for
+    i <= cap learns nothing from c* above cap + 1, and an order with
+    c* > cap is done once its first L - cap links make a k-node
+    component.  The orders go through in batches of at most ORDER_SLOTS
+    order (and node) slots, every order of a batch adding its next link
+    at the same step; a batch with fewer orders than links (ring(768,4),
+    Q12 at budget 50) first folds those L - cap links with the
+    connectivity kernel, and a wider one (ring(64,6), Q4, the 64-cycle
+    at budget 4000) does not (see `_links_added`).  Each batch is one
+    draw of uniform column permutations, which reads the stream one
+    `rng.permutation(L)` per order reads.
     """
     L, n = topology.n_links, topology.n_nodes
-    out = np.full(budget, L + 1, dtype=np.int64)
     if k == 1:
-        return out
+        return np.full(budget, min(L, cap) + 1, dtype=np.int64)
+    out = np.full(budget, L + 1, dtype=np.int64)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     links = np.arange(L, dtype=np.int32)[:, None]
     step = max(1, ORDER_SLOTS // max(n, L))
     for lo in range(0, budget, step):
         batch = rng.permuted(np.broadcast_to(links, (L, min(step, budget - lo))), axis=0)
-        out[lo:lo + batch.shape[1]] -= _links_added(topology.ends, n, k, batch)
+        out[lo:lo + batch.shape[1]] -= _links_added(topology.ends, n, k, batch, cap)
     return out
 
 
-def _links_added(ends: np.ndarray, n: int, k: int, batch: np.ndarray) -> np.ndarray:
+def _links_added(ends: np.ndarray, n: int, k: int, batch: np.ndarray, cap: int) -> np.ndarray:
     """Links each column of an (L, B) batch of link orders adds to an empty
-    graph, up to the one that makes a k-node component (L + 1 if none does).
+    graph, up to the one that makes a k-node component (L + 1 if none
+    does), raised to L - cap: an order that makes one within its first
+    L - cap links reads L - cap.
 
-    Node x of order b is b*n + x in one parent array.  At step j every
-    unfinished order adds link batch[j, b]: both roots are found by
-    pointer chasing, and union by size keeps every tree at most
-    log2(n) deep.
+    Node x of order b is b*n + x.  A narrow batch (B < L) first folds
+    those L - cap links into component labels with the connectivity
+    kernel `_join_roots`, in blocks that end at (k - 1) * 2**j links (no
+    order can finish within fewer than k - 1): an order drops out at the
+    end of the first block that gives it a k-node component.  Only the
+    orders still short of k go on, from their folded labels, through
+    the per-step loop `_add_in_lockstep` over their last cap links.
+    Measured by direct timing of `_critical_counts` on a 2-core Xeon, at
+    50 orders and the cap `partition_tolerance` passes: ring(768,4), cap
+    52, went 0.092 -> 0.015 s (the loop runs no step), Q12, cap 385,
+    0.30 -> 0.08 s, and ring(4096,12), cap 385, 1.06 -> 0.12 s.  The
+    blocks matter on dense graphs: K64 (k = 33, cap 30) at 500 orders
+    takes 0.041 s with them, as the loop alone did, and 0.13 s with one
+    kernel pass over the whole prefix.  A wide batch (B >= L: Table 3's
+    ring(64,6) and Q4 and the 64-cycle, all at 4000 orders) runs the loop
+    from the empty graph, because there the fold does more edge work
+    than the steps it saves: folding them took ring(64,6) from 52 to
+    107 ms, Q4 from 8.5 to 14.6 ms and the 64-cycle from 32 to 46 ms.
     """
     L, B = batch.shape
     ends = np.ascontiguousarray(ends.T)
+    prefix = max(L - cap, 0)
+    if B < L and prefix:
+        live = np.arange(B, dtype=np.int32)
+        label = np.arange(B * n, dtype=np.int32)
+        hi = 0
+        while hi < prefix and live.size:
+            lo, hi = hi, min(max(2 * hi, k - 1), prefix)
+            a, b = ends[:, batch[lo:hi, live]] + live * n
+            label = _join_roots(label, a.ravel(), b.ravel())
+            size = np.bincount(label, minlength=B * n)
+            live = live[size.reshape(B, n)[live].max(1) < k]
+        added = np.full(B, prefix, dtype=np.int64)
+        added[live] = L + 1
+        if live.size:
+            _add_in_lockstep(ends, n, k, batch, prefix, label, size.astype(np.int32), live, added)
+        return added
     added = np.full(B, L + 1, dtype=np.int64)
     parent = np.arange(B * n, dtype=np.int32)
     size = np.ones(B * n, dtype=np.int32)
-    live = np.arange(B)
+    _add_in_lockstep(ends, n, k, batch, 0, parent, size, np.arange(B), added)
+    return np.maximum(added, L - cap, out=added)
+
+
+def _add_in_lockstep(ends, n: int, k: int, batch: np.ndarray, start: int,
+                     parent: np.ndarray, size: np.ndarray, live: np.ndarray,
+                     added: np.ndarray) -> None:
+    """From step `start` on, every order of `live` (columns of the (L, B)
+    `batch`, none with a k-node component yet) adds its next link to the
+    union-find forest `parent`/`size` of all the orders' nodes; an order
+    that makes a k-node component at step j gets added = j + 1.
+
+    Both roots of a link are found by pointer chasing, and union by size
+    keeps every tree at most log2(n) deep.  `ends` is the (2, L) array.
+    """
+    L = batch.shape[0]
     base = live * n
-    for j in range(L):
+    for j in range(start, L):
         x = ends[:, batch[j, live]] + base
         while True:
             up = parent[x]
@@ -481,8 +553,7 @@ def _links_added(ends: np.ndarray, n: int, k: int, batch: np.ndarray) -> np.ndar
             added[live[done]] = j + 1
             live, base = np.delete(live, done), np.delete(base, done)
             if not live.size:
-                break
-    return added
+                return
 
 
 def partition_tolerance(

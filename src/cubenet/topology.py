@@ -673,15 +673,24 @@ def _component_roots(ends: np.ndarray, n: int, present: np.ndarray) -> np.ndarra
     mask, as one (B * n,) array: node x of row b is b*n + x, and its root
     is the least node of its component.
 
-    An absent link is a self-loop.  Each round hooks the larger root of
-    every edge joining two roots to the smaller one, then pointer-jumps
-    until every label is a root (min-label hooking, Shiloach & Vishkin
-    1982); an edge inside one component stays inside it and is dropped.
+    An absent link is a self-loop.
     """
     base = np.arange(0, len(present) * n, n)[:, None]
     a = base + ends[:, 0]
     a, b = a.ravel(), np.where(present, base + ends[:, 1], a).ravel()
-    label = np.arange(len(present) * n)
+    return _join_roots(np.arange(len(present) * n), a, b)
+
+
+def _join_roots(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`label` after adding the edges a[e]-b[e] to the graph it labels:
+    every label is the least node of its component, before and after.
+    The array passed in may be overwritten.
+
+    Each round hooks the larger root of every edge joining two roots to
+    the smaller one, then pointer-jumps until every label is a root
+    (min-label hooking, Shiloach & Vishkin 1982); an edge inside one
+    component stays inside it and is dropped.
+    """
     while a.size:
         la, lb = label[a], label[b]
         cross = la != lb

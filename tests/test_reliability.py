@@ -1244,6 +1244,32 @@ def critical_counts_oracle(topology, k, budget, seed):
     return out
 
 
+def _isolated_cycle64():
+    """A 64-cycle spread at random among 2**14 isolated nodes: 63 orders
+    per lockstep batch, fewer than its 64 links."""
+    label = np.random.default_rng(4).permutation(64 + 2**14).tolist()
+    return _graph(64 + 2**14, [tuple(sorted((label[x], label[(x + 1) % 64]))) for x in range(64)])
+
+
+def _complete_graph(n):
+    return _graph(n, list(itertools.combinations(range(n), 2)))
+
+
+def _assert_capped_counts(topo, k, budget, seed):
+    """`_critical_counts` at caps 0, 1, c_lb, L - k + 1 and L equals the
+    oracle's counts capped at cap + 1."""
+    want = critical_counts_oracle(topo, k, budget, seed)
+    L = topo.n_links
+    for cap in (0, 1, _cut_lower_bound(topo, k), L - k + 1, L):
+        got = _critical_counts(topo, k, budget, seed, cap)
+        assert np.array_equal(got, np.minimum(want, cap + 1)), cap
+    return want
+
+
+def _batch_orders(topo, budget):
+    return min(budget, ORDER_SLOTS // max(topo.n_nodes, topo.n_links))
+
+
 class TestCriticalCounts:
     @pytest.mark.parametrize(
         "topo",
@@ -1253,30 +1279,96 @@ class TestCriticalCounts:
     )
     @pytest.mark.parametrize("quorum", ["default", "all"])
     def test_matches_oracle(self, topo, quorum):
+        """Wide batches: at least as many orders as links."""
         k = default_quorum(topo.n_nodes) if quorum == "default" else topo.n_nodes
-        got = _critical_counts(topo, k, 400, (7, 3))
-        assert np.array_equal(got, critical_counts_oracle(topo, k, 400, (7, 3)))
+        assert _batch_orders(topo, 400) >= topo.n_links
+        _assert_capped_counts(topo, k, 400, (7, 3))
 
     def test_across_batches(self):
-        """A budget over two lockstep batches reads the orders in sequence:
-        a 64-cycle spread at random among 2**14 isolated nodes."""
-        label = np.random.default_rng(4).permutation(64 + 2**14).tolist()
-        t = _graph(64 + 2**14, [tuple(sorted((label[x], label[(x + 1) % 64]))) for x in range(64)])
+        """A budget over two lockstep batches reads the orders in sequence."""
+        t = _isolated_cycle64()
         rows = ORDER_SLOTS // max(t.n_nodes, t.n_links)
         budget = 2 * rows + 5
-        assert 1 < rows < budget // 2
-        got = _critical_counts(t, 20, budget, 11)
-        assert np.array_equal(got, critical_counts_oracle(t, 20, budget, 11))
+        assert 1 < rows < budget // 2 and rows < t.n_links
+        got = _assert_capped_counts(t, 20, budget, 11)
         assert len(set(got.tolist())) > 1
 
+    @pytest.mark.parametrize("topo, budget", [(build_ring_lattice(768, 4), 50),
+                                              (_complete_graph(24), 100)],
+                             ids=["ring768-4", "K24"])
+    @pytest.mark.parametrize("quorum", ["default", "all"])
+    def test_narrow_batches(self, topo, budget, quorum):
+        """Fewer orders than links: the prefixes are folded by the kernel."""
+        k = default_quorum(topo.n_nodes) if quorum == "default" else topo.n_nodes
+        assert _batch_orders(topo, budget) < topo.n_links
+        _assert_capped_counts(topo, k, budget, (7, 3))
+
+    def test_ring768_work(self, monkeypatch):
+        """ring(768,4) at budget 50: the sampled states end at 52 and k = 385,
+        so every order is done within its first 1484 links.  The kernel
+        folds them in blocks ending at 384, 768 and 1484 links, and the
+        per-step loop runs no step."""
+        t = build_ring_lattice(768, 4)
+        caps, blocks = [], []
+        counts, join_roots = reliability._critical_counts, reliability._join_roots
+
+        def capped(topo, k, budget, seed, cap):
+            caps.append((k, cap))
+            return counts(topo, k, budget, seed, cap)
+
+        def folding(label, a, b):
+            blocks.append(a.size // np.unique(a // t.n_nodes).size)
+            return join_roots(label, a, b)
+
+        def refuse(*args):
+            raise AssertionError("per-step loop ran")
+
+        monkeypatch.setattr(reliability, "_critical_counts", capped)
+        monkeypatch.setattr(reliability, "_join_roots", folding)
+        monkeypatch.setattr(reliability, "_add_in_lockstep", refuse)
+        partition_tolerance(t, budget=50, seed=1)
+        assert caps == [(385, 52)]
+        assert np.cumsum(blocks).tolist() == [384, 768, 1484]
+
     def test_no_k_component(self):
-        assert _critical_counts(_two_links(), 3, 50, 0).tolist() == [0] * 50
+        assert _critical_counts(_two_links(), 3, 50, 0, 2).tolist() == [0] * 50
+        for cap in (0, 10, 64):  # narrow batches
+            assert _critical_counts(_isolated_cycle64(), 65, 100, 0, cap).tolist() == [0] * 100
 
     def test_quorum_one(self):
         t = build_ring_lattice(16, 4)
-        got = _critical_counts(t, 1, 50, 0)
+        got = _critical_counts(t, 1, 50, 0, t.n_links)
         assert got.tolist() == [t.n_links + 1] * 50
         assert np.array_equal(got, critical_counts_oracle(t, 1, 50, 0))
+        assert _critical_counts(t, 1, 50, 0, 5).tolist() == [6] * 50
+
+    @pytest.mark.parametrize("topo, budget, enum_cap", [
+        (build_ring_lattice(768, 4), 50, reliability.ENUM_CAP_DEFAULT),
+        (build_ring_lattice(64, 6), 4000, reliability.ENUM_CAP_DEFAULT),
+        (build_complete_hypercube(4), 4000, reliability.ENUM_CAP_DEFAULT),
+        (build_ring_lattice(64, 2), 4000, 100000),
+    ], ids=["ring768-4", "ring64-6", "Q4", "cycle64"])
+    def test_cap_leaves_estimates(self, topo, budget, enum_cap, monkeypatch):
+        """Every per-state row and the variance equal those read from the
+        uncapped counts (cap = L)."""
+        L = topo.n_links
+        (cls,) = topo.classes.values()
+        pi = reliability.binom_pmf_vector(L, cls.steady_down_prob).tolist()
+        states = [(i, pi[i]) for i in range(1, L + 1) if pi[i] >= reliability.TAIL_EPS]
+        k = default_quorum(topo.n_nodes)
+        caps = []
+        counts = reliability._critical_counts
+
+        def capped(topo, k, budget, seed, cap):
+            caps.append(cap)
+            return counts(topo, k, budget, seed, cap)
+
+        monkeypatch.setattr(reliability, "_critical_counts", capped)
+        got = reliability._estimate_states(topo, k, states, budget, 5, enum_cap)
+        monkeypatch.setattr(reliability, "_critical_counts",
+                            lambda topo, k, budget, seed, cap: counts(topo, k, budget, seed, L))
+        assert got == reliability._estimate_states(topo, k, states, budget, 5, enum_cap)
+        assert caps == [max(e.i for e in got[0] if e.method == "sampled")] and caps[0] < L
 
 
 def test_analysis_runs_without_networkx():
