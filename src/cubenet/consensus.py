@@ -182,10 +182,13 @@ def run_consensus(topology: Topology, config: ConsensusConfig) -> ThroughputRepo
     trees of the next few distinct leaders grow in one BFS (at most
     LEADER_SLOTS adjacency slots over all copies) and their gathers fold
     in one pass; each round then broadcasts its block along its
-    leader's tree.  On a graph that `_xor_symmetric` recognizes as a
-    hypercube every leader's tree is leader 0's, rank for rank, so its
-    broadcast and gather times are leader 0's bit for bit: every round
-    reads the one tree grown from node 0.
+    leader's tree.  A broadcast time depends only on the tree and the
+    block size, so it is computed once per (leader, block bytes) of the
+    current batch: the blocks of a run settle to a few sizes (three in
+    200 default rounds on 4-4-4).  On a graph that `_xor_symmetric`
+    recognizes as a hypercube every leader's tree is leader 0's, rank
+    for rank, so its broadcast and gather times are leader 0's bit for
+    bit: every round reads the one tree grown from node 0.
     """
     _check_run_length("rounds", config.rounds)
     n = topology.n_nodes
@@ -204,6 +207,7 @@ def run_consensus(topology: Topology, config: ConsensusConfig) -> ThroughputRepo
     per_batch = max(1, LEADER_SLOTS // max(1, len(indices)))
     keys = [0] * len(leaders) if _xor_symmetric(topology) else leaders
     trees: dict[int, tuple[list[Level], float]] = {}
+    sent: dict[tuple[int, int], float] = {}  # broadcast time per (key, block bytes) in `trees`
 
     elapsed = 0.0
     committed = 0
@@ -215,9 +219,11 @@ def run_consensus(topology: Topology, config: ConsensusConfig) -> ThroughputRepo
         block_bytes = HEADER_BYTES + block_tx * TX_SIZE
         if key not in trees:
             trees = _leader_trees(indptr, indices, _next_leaders(keys, r, per_batch), config)
+            sent = {}
         levels, gather = trees[key]
-        round_time = _broadcast(levels, n, block_bytes, config)
-        round_time += gather
+        if (key, block_bytes) not in sent:
+            sent[key, block_bytes] = _broadcast(levels, n, block_bytes, config)
+        round_time = sent[key, block_bytes] + gather
         elapsed += round_time
         committed += block_tx
         per_round_time.append(round_time)

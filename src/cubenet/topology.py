@@ -11,7 +11,6 @@ import itertools
 import json
 import numbers
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from .errors import ConstructionError, ResourceLimitError, SpecError
 from .unionfind import UnionFind  # noqa: F401  unused; perfbench/tracer.py patches this name
 
-SERIALIZATION_VERSION = 1
+SERIALIZATION_VERSION = 2
 
 # Digital optical cable indicators per distance: (MTBF hours, MTTR hours).
 STANDARD_LINK_SPECS: dict[float, tuple[float, float]] = {
@@ -269,11 +268,9 @@ class Topology:
     @property
     def links(self) -> list[Link]:
         """Link objects, one per row; perfbench/tracer.py is their only reader."""
-        return self.memo("links", lambda: [Link(*row) for row in self._link_rows()])
-
-    def _link_rows(self) -> list[list[int]]:
-        """[u, v, class_id, level] of every link, as Python ints."""
-        return np.column_stack((self.ends, self.class_id, self.level)).tolist()
+        return self.memo("links", lambda: [
+            Link(*row) for row in np.column_stack((self.ends, self.class_id, self.level)).tolist()
+        ])
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Sorted adjacency: node u's neighbours, ascending, are
@@ -309,6 +306,8 @@ class Topology:
     # -- serialization --------------------------------------------------
 
     def to_dict(self) -> dict:
+        """The version-2 document: the class table, one label row per node,
+        and one integer list per link field (`_LINK_COLUMNS`)."""
         return {
             "version": SERIALIZATION_VERSION,
             "kind": self.kind,
@@ -323,11 +322,9 @@ class Topology:
                 }
                 for cid, c in sorted(self.classes.items())
             ],
-            "nodes": [{"flat": x, "levels": lab} for x, lab in enumerate(self.labels.tolist())],
-            "links": [
-                {"u": u, "v": v, "class_id": c, "level": lvl}
-                for u, v, c, lvl in self._link_rows()
-            ],
+            "labels": self.labels.tolist(),
+            "links": dict(zip(_LINK_COLUMNS, (*self.ends.T.tolist(), self.class_id.tolist(),
+                                              self.level.tolist()))),
         }
 
     def to_json(self) -> str:
@@ -335,6 +332,12 @@ class Topology:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Topology":
+        """Read a version-2 document, or a version-1 one (one object per
+        node and per link) through `_columns_of_v1`; SpecError on anything
+        but Python ints in the class ids, and equal-length lists of them in
+        the labels and the link columns."""
+        if doc.get("version") == 1:
+            doc = _columns_of_v1(doc)
         if doc.get("version") != SERIALIZATION_VERSION:
             raise SpecError(f"unsupported topology document version {doc.get('version')!r}")
         classes = {
@@ -343,18 +346,24 @@ class Topology:
         }
         if len(classes) != len(doc["classes"]):
             raise SpecError("class ids must be distinct")
-        nodes = doc["nodes"]
-        if doc["N"] != len(nodes):
-            raise SpecError(f"N={doc['N']!r} but the document lists {len(nodes)} nodes")
-        if [nd["flat"] for nd in nodes] != list(range(len(nodes))):
-            raise SpecError("node flat numbers must run 0, 1, ..., N-1 in order")
+        _check_int_rows("class ids", [list(classes)])
+        labels = doc["labels"]
+        if doc["N"] != len(labels):
+            raise SpecError(f"N={doc['N']!r} but the document lists {len(labels)} nodes")
+        columns = [doc["links"][name] for name in _LINK_COLUMNS]
+        _check_int_rows("node labels", labels)
+        _check_int_rows("link columns", columns)
+        width = set(map(len, labels))
+        if len(width) > 1 or 0 in width:
+            raise SpecError("node labels must be non-empty and all of one length")
+        if len(set(map(len, columns))) > 1:
+            raise SpecError("link columns must all have one length")
         try:
-            labels = _label_array([nd["levels"] for nd in nodes])
-            fields = itertools.chain.from_iterable(map(_LINK_FIELDS, doc["links"]))
-            rows = np.fromiter(fields, dtype=np.int32, count=4 * len(doc["links"])).reshape(-1, 4)
+            labels = np.array(labels, dtype=np.int32).reshape(len(labels), max(width, default=1))
+            u, v, class_id, level = np.array(columns, dtype=np.int32)
         except OverflowError as exc:
             raise SpecError(f"topology document number out of range: {exc}") from None
-        return cls(doc["kind"], labels, rows[:, :2], rows[:, 2], rows[:, 3], classes,
+        return cls(doc["kind"], labels, np.column_stack((u, v)), class_id, level, classes,
                    dict(doc.get("meta", {})))
 
     @classmethod
@@ -362,15 +371,29 @@ class Topology:
         return cls.from_dict(json.loads(text))
 
 
-_LINK_FIELDS = itemgetter("u", "v", "class_id", "level")
+_LINK_COLUMNS = ("u", "v", "class_id", "level")
 
 
-def _label_array(levels: list) -> np.ndarray:
-    """(N, r) int32 array of N node labels, each r >= 1 digits long."""
-    width = {len(lab) for lab in levels}
-    if len(width) > 1 or 0 in width:
-        raise SpecError("node labels must be non-empty and all of one length")
-    return np.array(levels, dtype=np.int32).reshape(len(levels), max(width, default=1))
+def _columns_of_v1(doc: dict) -> dict:
+    """The version-2 form of a version-1 document, whose nodes are
+    `{"flat", "levels"}` objects in flat order and whose links are
+    `{"u", "v", "class_id", "level"}` objects."""
+    nodes = doc["nodes"]
+    if [nd["flat"] for nd in nodes] != list(range(len(nodes))):
+        raise SpecError("node flat numbers must run 0, 1, ..., N-1 in order")
+    links = doc["links"]
+    return dict(doc, version=SERIALIZATION_VERSION, labels=[nd["levels"] for nd in nodes],
+                links={name: [lk[name] for lk in links] for name in _LINK_COLUMNS})
+
+
+def _check_int_rows(what: str, rows: list) -> None:
+    """SpecError unless `rows` is a list of lists of Python ints: JSON
+    null, floats, strings and booleans (a bool is an int to numpy) are refused."""
+    if not set(map(type, rows)) <= {list}:
+        raise SpecError(f"{what} must be lists of integers")
+    kinds = set(map(type, itertools.chain.from_iterable(rows))) - {int}
+    if kinds:
+        raise SpecError(f"{what} must hold integers, not {sorted(k.__name__ for k in kinds)}")
 
 
 def _flat_topology(kind: str, ids: np.ndarray, ends: np.ndarray, meta: dict) -> Topology:

@@ -505,3 +505,58 @@ class TestXorSymmetric:
         shortcut = sweep_consensus(cubes, cfg)
         monkeypatch.setattr(consensus, "_xor_symmetric", lambda topology: False)
         assert sweep_consensus(cubes, cfg) == shortcut
+
+
+# -- one broadcast per distinct block size of a batch ---------------------
+
+
+def _unmemoised_rounds(topology, config, leaders):
+    """`run_consensus`'s round loop over `leaders` with a `_broadcast` call
+    every round, in the same tree batches and with the same XOR shortcut."""
+    n = topology.n_nodes
+    indptr, indices = topology.csr()
+    per_batch = max(1, consensus.LEADER_SLOTS // max(1, len(indices)))
+    keys = [0] * config.rounds if consensus._xor_symmetric(topology) else leaders
+    trees, elapsed, committed, times, blocks = {}, 0.0, 0, [], []
+    for r, key in enumerate(keys):
+        block_tx = min(BLOCK_CAP, int(config.tx_rate * elapsed - committed))
+        if key not in trees:
+            trees = consensus._leader_trees(indptr, indices,
+                                            consensus._next_leaders(keys, r, per_batch), config)
+        levels, gather = trees[key]
+        round_time = consensus._broadcast(levels, n, HEADER_BYTES + block_tx * TX_SIZE, config)
+        round_time += gather
+        elapsed += round_time
+        committed += block_tx
+        times.append(round_time)
+        blocks.append(block_tx)
+    return times, blocks, committed / elapsed, elapsed
+
+
+class TestBroadcastPerBlockSize:
+    @pytest.mark.parametrize("policy", ["random", "rotate:50"])
+    def test_one_call_per_block_size(self, policy, monkeypatch):
+        """4-4-4 at the defaults sends three block sizes in 200 rounds, all
+        over leader 0's tree."""
+        calls = []
+        send = consensus._broadcast
+        monkeypatch.setattr(consensus, "_broadcast",
+                            lambda levels, n, payload, cfg: calls.append(payload)
+                            or send(levels, n, payload, cfg))
+        t = SYMMETRIC_GRAPHS["4-4-4"]()
+        report = run_consensus(t, ConsensusConfig(rounds=200, seed=1, leader_policy=policy))
+        assert len(calls) == len(set(calls)) == 3
+        assert set(calls) == {HEADER_BYTES + b * TX_SIZE for b in report.per_round_committed}
+
+    @pytest.mark.parametrize("policy", ["random", "hub", "rotate:3"])
+    @pytest.mark.parametrize("graph", ["2-2-2", "4-4-4", "ring64-6"])
+    def test_reports_equal_unmemoised(self, graph, policy, monkeypatch):
+        """Bit for bit, also across several tree batches of the ring."""
+        t = {**SYMMETRIC_GRAPHS, **ASYMMETRIC_GRAPHS}[graph]()
+        cfg = ConsensusConfig(rounds=200, seed=1, link_bandwidth=1e8, link_latency=3.7e-4,
+                              leader_policy=policy)
+        if graph == "ring64-6":
+            monkeypatch.setattr(consensus, "LEADER_SLOTS", 5 * 2 * t.n_links)
+        report = run_consensus(t, cfg)  # its leader list is checked by TestOracle
+        assert (report.per_round_time, report.per_round_committed, report.tx_per_second,
+                report.elapsed_s) == _unmemoised_rounds(t, cfg, report.leader_history)
