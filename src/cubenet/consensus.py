@@ -73,12 +73,17 @@ def _trees(indptr: np.ndarray, indices: np.ndarray, sources: list[int]) -> list[
     return levels
 
 
-def _broadcast(levels: list[Level], n: int, payload_bytes: float, config: ConsensusConfig) -> float:
+def _broadcast(levels: list[Level], k: int, n: int, payload_bytes: float,
+               config: ConsensusConfig) -> np.ndarray:
+    """The time at which the last node of each of the k copies in `levels`
+    (copy j holds the node ids [j*n, (j+1)*n)) holds the payload."""
     transfer = payload_bytes * 8.0 / config.link_bandwidth + config.link_latency
-    arrival = np.zeros(n)
+    arrival = np.zeros(k * n)
     for nodes, parents, ranks in levels:
-        arrival[nodes] = arrival[parents] + ranks * transfer
-    return float(arrival.max())
+        step = ranks * transfer
+        step += arrival[parents]
+        arrival[nodes] = step
+    return arrival.reshape(k, n).max(axis=1)
 
 
 def _gather(levels: list[Level], n: int, roots, config: ConsensusConfig) -> np.ndarray:
@@ -91,7 +96,7 @@ def _gather(levels: list[Level], n: int, roots, config: ConsensusConfig) -> np.n
         transfer = VOTE_BYTES * size[nodes] * 8.0 / config.link_bandwidth
         transfer += config.link_latency
         # fold each parent's children in rank order; a parent has one child per rank
-        by_rank = np.argsort(ranks, kind="stable")
+        by_rank = np.argsort(ranks)
         bounds = np.cumsum(np.bincount(ranks)).tolist()  # no rank 0: bounds[0] == 0
         for lo, hi in zip(bounds, bounds[1:]):
             sel = by_rank[lo:hi]
@@ -109,7 +114,7 @@ def broadcast_time(topology: Topology, source: int, payload_bytes: float, config
     transfer times after the node itself finished receiving.
     """
     levels = _trees(*topology.csr(), [source])
-    return _broadcast(levels, topology.n_nodes, payload_bytes, config)
+    return float(_broadcast(levels, 1, topology.n_nodes, payload_bytes, config)[0])
 
 
 def gather_time(topology: Topology, root: int, config: ConsensusConfig) -> float:
@@ -121,29 +126,6 @@ def gather_time(topology: Topology, root: int, config: ConsensusConfig) -> float
     """
     levels = _trees(*topology.csr(), [root])
     return float(_gather(levels, topology.n_nodes, root, config))
-
-
-def _leader_trees(
-    indptr: np.ndarray, indices: np.ndarray, leaders: list[int], config: ConsensusConfig
-) -> dict[int, tuple[list[Level], float]]:
-    """Each leader's BFS levels, in its own node ids, and its gather time,
-    from one BFS and one gather over a copy of the graph per leader."""
-    k, n = len(leaders), len(indptr) - 1
-    levels = _trees(indptr, indices, leaders)
-    offsets = n * np.arange(k + 1)
-    gathers = _gather(levels, k * n, np.add(leaders, offsets[:-1]), config).tolist()
-    # each level holds the copies in order, so copy j's slice lies in [j*n, (j+1)*n)
-    cuts = [np.searchsorted(nodes, offsets).tolist() for nodes, _, _ in levels]
-    trees = {}
-    for j, (leader, offset, gather) in enumerate(zip(leaders, offsets.tolist(), gathers)):
-        own = []
-        for (nodes, parents, ranks), cut in zip(levels, cuts):
-            lo, hi = cut[j], cut[j + 1]
-            if lo == hi:  # this copy's tree ended a level above
-                break
-            own.append((nodes[lo:hi] - offset, parents[lo:hi] - offset, ranks[lo:hi]))
-        trees[leader] = (own, gather)
-    return trees
 
 
 def _xor_symmetric(topology: Topology) -> bool:
@@ -164,31 +146,22 @@ def _xor_symmetric(topology: Topology) -> bool:
     return bool((topology.class_id[orbits.first][orbits.of_link] == topology.class_id).all())
 
 
-def _next_leaders(leaders: list[int], start: int, k: int) -> list[int]:
-    """The first k distinct leaders from round `start` on, in round order."""
-    batch: dict[int, None] = {}
-    for r in range(start, len(leaders)):
-        batch[leaders[r]] = None
-        if len(batch) == k:
-            break
-    return list(batch)
-
-
 def run_consensus(topology: Topology, config: ConsensusConfig) -> ThroughputReport:
     """Round loop: pick leader, pack pending transactions up to the block
     cap, broadcast the block, collect votes, commit.
 
-    A leader's tree and gather time do not depend on the block, so the
-    trees of the next few distinct leaders grow in one BFS (at most
-    LEADER_SLOTS adjacency slots over all copies) and their gathers fold
-    in one pass; each round then broadcasts its block along its
-    leader's tree.  A broadcast time depends only on the tree and the
-    block size, so it is computed once per (leader, block bytes) of the
-    current batch: the blocks of a run settle to a few sizes (three in
-    200 default rounds on 4-4-4).  On a graph that `_xor_symmetric`
-    recognizes as a hypercube every leader's tree is leader 0's, rank
-    for rank, so its broadcast and gather times are leader 0's bit for
-    bit: every round reads the one tree grown from node 0.
+    A leader's tree and gather time do not depend on the block, so each
+    batch of rounds grows the trees of its distinct leaders as copies of
+    the graph in one BFS (at most LEADER_SLOTS adjacency slots over all
+    copies) and folds their gathers in one pass.  A broadcast time
+    depends only on the tree and the block size, so each block size of
+    the batch is broadcast once over every copy at once, and a round
+    reads its leader's copy: the blocks of a run settle to a few sizes
+    (three in 200 default rounds on 4-4-4).  On a graph that
+    `_xor_symmetric` recognizes as a hypercube every leader's tree is
+    leader 0's, rank for rank, so its broadcast and gather times are
+    leader 0's bit for bit: every round reads the one tree grown from
+    node 0.
     """
     _check_run_length("rounds", config.rounds)
     n = topology.n_nodes
@@ -206,8 +179,8 @@ def run_consensus(topology: Topology, config: ConsensusConfig) -> ThroughputRepo
     indptr, indices = topology.csr()
     per_batch = max(1, LEADER_SLOTS // max(1, len(indices)))
     keys = [0] * len(leaders) if _xor_symmetric(topology) else leaders
-    trees: dict[int, tuple[list[Level], float]] = {}
-    sent: dict[tuple[int, int], float] = {}  # broadcast time per (key, block bytes) in `trees`
+    copy: dict[int, int] = {}  # leader -> its copy in the current batch
+    sent: dict[int, list[float]] = {}  # block bytes -> each copy's broadcast time
 
     elapsed = 0.0
     committed = 0
@@ -217,13 +190,20 @@ def run_consensus(topology: Topology, config: ConsensusConfig) -> ThroughputRepo
         pool = config.tx_rate * elapsed - committed
         block_tx = min(BLOCK_CAP, int(pool))
         block_bytes = HEADER_BYTES + block_tx * TX_SIZE
-        if key not in trees:
-            trees = _leader_trees(indptr, indices, _next_leaders(keys, r, per_batch), config)
+        if key not in copy:
+            copy, ahead = {}, r  # the next per_batch distinct leaders -> their copies
+            while ahead < len(keys) and len(copy) < per_batch:
+                copy.setdefault(keys[ahead], len(copy))
+                ahead += 1
+            k = len(copy)
+            levels = _trees(indptr, indices, list(copy))
+            gathers = _gather(levels, k * n, np.add(list(copy), n * np.arange(k)), config).tolist()
+            # float ranks, converted once per batch instead of once per broadcast
+            levels = [(nodes, parents, ranks.astype(float)) for nodes, parents, ranks in levels]
             sent = {}
-        levels, gather = trees[key]
-        if (key, block_bytes) not in sent:
-            sent[key, block_bytes] = _broadcast(levels, n, block_bytes, config)
-        round_time = sent[key, block_bytes] + gather
+        if block_bytes not in sent:
+            sent[block_bytes] = _broadcast(levels, k, n, block_bytes, config).tolist()
+        round_time = sent[block_bytes][copy[key]] + gathers[copy[key]]
         elapsed += round_time
         committed += block_tx
         per_round_time.append(round_time)

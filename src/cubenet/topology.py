@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -46,6 +47,11 @@ class LinkClass:
     mttr_h: float
 
     def __post_init__(self):
+        for name in ("distance_km", "mtbf_h", "mttr_h"):
+            value = getattr(self, name)  # from a document: maybe null, a string or Infinity
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and -math.inf < value < math.inf):
+                raise SpecError(f"{name} must be a finite number, got {value!r}")
         if self.mtbf_h <= 0 or self.mttr_h <= 0:
             raise SpecError("MTBF and MTTR must be positive")
         if self.mtbf_h < self.mttr_h:
@@ -228,6 +234,8 @@ class Topology:
         bad link, as a scan in link order checks each for a self-loop, a
         dangling end, a repeat of an earlier link and an unknown class, in
         that order."""
+        if not isinstance(self.kind, str):
+            raise SpecError(f"kind must be a string, got {self.kind!r}")
         for name in ("labels", "ends", "class_id", "level"):
             arr = np.asarray(getattr(self, name), dtype=np.int32)
             arr.flags.writeable = False
@@ -335,36 +343,39 @@ class Topology:
         """Read a version-2 document, or a version-1 one (one object per
         node and per link) through `_columns_of_v1`; SpecError on anything
         but Python ints in the class ids, and equal-length lists of them in
-        the labels and the link columns."""
-        if doc.get("version") == 1:
-            doc = _columns_of_v1(doc)
-        if doc.get("version") != SERIALIZATION_VERSION:
-            raise SpecError(f"unsupported topology document version {doc.get('version')!r}")
-        classes = {
-            c["class_id"]: LinkClass(c["distance_km"], c["mtbf_h"], c["mttr_h"])
-            for c in doc["classes"]
-        }
-        if len(classes) != len(doc["classes"]):
-            raise SpecError("class ids must be distinct")
-        _check_int_rows("class ids", [list(classes)])
-        labels = doc["labels"]
-        if doc["N"] != len(labels):
-            raise SpecError(f"N={doc['N']!r} but the document lists {len(labels)} nodes")
-        columns = [doc["links"][name] for name in _LINK_COLUMNS]
-        _check_int_rows("node labels", labels)
-        _check_int_rows("link columns", columns)
-        width = set(map(len, labels))
-        if len(width) > 1 or 0 in width:
-            raise SpecError("node labels must be non-empty and all of one length")
-        if len(set(map(len, columns))) > 1:
-            raise SpecError("link columns must all have one length")
+        the labels and the link columns, and on a value of the wrong JSON
+        type where the reader expects an object, a list or a number."""
         try:
+            if doc.get("version") == 1:
+                doc = _columns_of_v1(doc)
+            if doc.get("version") != SERIALIZATION_VERSION:
+                raise SpecError(f"unsupported topology document version {doc.get('version')!r}")
+            classes = {
+                c["class_id"]: LinkClass(c["distance_km"], c["mtbf_h"], c["mttr_h"])
+                for c in doc["classes"]
+            }
+            if len(classes) != len(doc["classes"]):
+                raise SpecError("class ids must be distinct")
+            _check_int_rows("class ids", [list(classes)])
+            labels = doc["labels"]
+            if doc["N"] != len(labels):
+                raise SpecError(f"N={doc['N']!r} but the document lists {len(labels)} nodes")
+            columns = [doc["links"][name] for name in _LINK_COLUMNS]
+            _check_int_rows("node labels", labels)
+            _check_int_rows("link columns", columns)
+            width = set(map(len, labels))
+            if len(width) > 1 or 0 in width:
+                raise SpecError("node labels must be non-empty and all of one length")
+            if len(set(map(len, columns))) > 1:
+                raise SpecError("link columns must all have one length")
             labels = np.array(labels, dtype=np.int32).reshape(len(labels), max(width, default=1))
             u, v, class_id, level = np.array(columns, dtype=np.int32)
+            return cls(doc["kind"], labels, np.column_stack((u, v)), class_id, level, classes,
+                       dict(doc.get("meta", {})))
         except OverflowError as exc:
             raise SpecError(f"topology document number out of range: {exc}") from None
-        return cls(doc["kind"], labels, np.column_stack((u, v)), class_id, level, classes,
-                   dict(doc.get("meta", {})))
+        except (AttributeError, TypeError) as exc:  # a list where an object belongs, say
+            raise SpecError(f"malformed topology document: {exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "Topology":

@@ -310,6 +310,11 @@ class TestConsensusCli:
         assert "std:hypercube" in kinds and "std:star" in kinds
 
 
+def _class_edit(doc, **fields):
+    """`doc` with its first link class's `fields` replaced."""
+    return dict(doc, classes=[dict(doc["classes"][0], **fields)])
+
+
 class TestExitCodes:
     def test_missing_file(self, capsys):
         assert run_cli(["topo", "stats", "--topology", "/nonexistent.json"]) == 2
@@ -417,6 +422,42 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "must hold integers" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: dict(doc, links=[]), "malformed topology document: "),
+        (lambda doc: dict(doc, meta=[1]), "malformed topology document: "),
+        (lambda doc: dict(doc, labels=5), "malformed topology document: "),
+        (lambda doc: _class_edit(doc, mtbf_h=None), "mtbf_h must be a finite number, got None"),
+        (lambda doc: [], "malformed topology document: "),
+        (lambda doc: dict(doc, kind=5), "kind must be a string, got 5"),
+        (lambda doc: _class_edit(doc, distance_km="x"),
+         "distance_km must be a finite number, got 'x'"),
+        (lambda doc: _class_edit(doc, mttr_h=True), "mttr_h must be a finite number, got True"),
+        (lambda doc: _class_edit(doc, mtbf_h=float("inf")), "mtbf_h must be a finite number, got inf"),
+        (lambda doc: dict(doc, classes=[[0]]), "malformed topology document: "),
+        (lambda doc: dict(to_dict_v1(build_ring_lattice(6, 2)), nodes=5),
+         "malformed topology document: "),
+        (lambda doc: dict(to_dict_v1(build_ring_lattice(6, 2)), links=["a"]),
+         "malformed topology document: "),
+    ], ids=["links-list", "meta-list", "labels-int", "mtbf-null", "top-level-list", "kind-int",
+            "distance-string", "mttr-bool", "mtbf-infinite", "class-list", "v1-nodes-int",
+            "v1-link-string"])
+    def test_malformed_document_structure(self, tmp_path, capsys, edit, message):
+        """A value of the wrong JSON type is a usage error, not a traceback
+        (TypeError, AttributeError) or a silent success."""
+        topo = tmp_path / "bad.json"
+        topo.write_text(json.dumps(edit(build_ring_lattice(6, 2).to_dict())))
+        assert run_cli(["topo", "stats", "--topology", str(topo)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["topo", "stats"], ["analyze", "partition"]],
+                             ids=["topo-stats", "analyze-partition"])
+    def test_directory_as_topology(self, tmp_path, capsys, argv):
+        """Any OSError opening the file is a usage error, not only a missing file."""
+        assert run_cli([*argv, "--topology", str(tmp_path)]) == 2
+        assert "Is a directory" in capsys.readouterr().err
 
     def test_flat_size_guard(self, tmp_path, capsys):
         spec = tmp_path / "ring.json"

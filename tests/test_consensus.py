@@ -298,8 +298,8 @@ class TestOracle:
                               leader_policy=policy)
         times, leaders, blocks = _oracle_rounds(t, cfg)
         batches = []
-        grow = consensus._leader_trees
-        monkeypatch.setattr(consensus, "_leader_trees",
+        grow = consensus._trees
+        monkeypatch.setattr(consensus, "_trees",
                             lambda *args: batches.append(args[2]) or grow(*args))
         for per_batch in (None, 3):
             if per_batch is not None:
@@ -364,6 +364,20 @@ class TestMultiSource:
             for a, b in zip(level, expected):
                 assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("graph", ["ring64-6", "tree40-3", "star64"])
+    def test_each_copy_broadcasts_as_its_leader_alone(self, graph):
+        """A round reads its leader's time from the batch's broadcast: copy j's
+        time equals `broadcast_time` from sources[j] alone, compared with ==."""
+        t = {"ring64-6": lambda: build_ring_lattice(64, 6),
+             "tree40-3": lambda: build_rooted_tree(40, 3),
+             "star64": lambda: build_star(64)}[graph]()
+        sources = [7, 0, 39, 21, 0, 2]
+        cfg = ORACLE_CONFIGS["latency"]
+        levels = consensus._trees(*t.csr(), sources)
+        for payload in (HEADER_BYTES, 240_536):
+            times = consensus._broadcast(levels, len(sources), t.n_nodes, payload, cfg).tolist()
+            assert times == [broadcast_time(t, s, payload, cfg) for s in sources]
+
     def test_batch_with_unreachable_source_raises(self):
         t = custom_topology(4, [(0, 1), (2, 3)])
         with pytest.raises(ConstructionError, match="cannot reach every node"):
@@ -424,14 +438,18 @@ ASYMMETRIC_GRAPHS = {
 
 
 def _leader_times(t, leaders, config, batch=16):
-    """(broadcast at two payloads, gather) of each leader, from per-leader trees."""
-    indptr, indices = t.csr()
+    """(broadcast at two payloads, gather) of each leader, read from its own
+    copy in batches of `batch` leader trees."""
+    n = t.n_nodes
     times = {}
     for lo in range(0, len(leaders), batch):
-        trees = consensus._leader_trees(indptr, indices, leaders[lo:lo + batch], config)
-        for leader, (levels, gather) in trees.items():
-            times[leader] = tuple(consensus._broadcast(levels, t.n_nodes, payload, config)
-                                  for payload in (HEADER_BYTES, 240_536)) + (gather,)
+        chunk = leaders[lo:lo + batch]
+        levels = consensus._trees(*t.csr(), chunk)
+        sends = [consensus._broadcast(levels, len(chunk), n, payload, config).tolist()
+                 for payload in (HEADER_BYTES, 240_536)]
+        roots = np.add(chunk, n * np.arange(len(chunk)))
+        gathers = consensus._gather(levels, len(chunk) * n, roots, config).tolist()
+        times.update(zip(chunk, zip(*sends, gathers)))
     return times
 
 
@@ -481,8 +499,8 @@ class TestXorSymmetric:
         cfg = ConsensusConfig(rounds=40, seed=5, link_bandwidth=1e8, link_latency=3.7e-4,
                               leader_policy=policy)
         calls = []
-        grow = consensus._leader_trees
-        monkeypatch.setattr(consensus, "_leader_trees",
+        grow = consensus._trees
+        monkeypatch.setattr(consensus, "_trees",
                             lambda *args: calls.append(args[2]) or grow(*args))
         shortcut = run_consensus(t, cfg)
         assert calls == [[0]]
@@ -511,21 +529,15 @@ class TestXorSymmetric:
 
 
 def _unmemoised_rounds(topology, config, leaders):
-    """`run_consensus`'s round loop over `leaders` with a `_broadcast` call
-    every round, in the same tree batches and with the same XOR shortcut."""
-    n = topology.n_nodes
-    indptr, indices = topology.csr()
-    per_batch = max(1, consensus.LEADER_SLOTS // max(1, len(indices)))
+    """`run_consensus`'s round loop over `leaders` with the same XOR
+    shortcut, but with one tree per round grown from its leader alone and
+    a `broadcast_time` and a `gather_time` call every round."""
     keys = [0] * config.rounds if consensus._xor_symmetric(topology) else leaders
-    trees, elapsed, committed, times, blocks = {}, 0.0, 0, [], []
-    for r, key in enumerate(keys):
+    elapsed, committed, times, blocks = 0.0, 0, [], []
+    for key in keys:
         block_tx = min(BLOCK_CAP, int(config.tx_rate * elapsed - committed))
-        if key not in trees:
-            trees = consensus._leader_trees(indptr, indices,
-                                            consensus._next_leaders(keys, r, per_batch), config)
-        levels, gather = trees[key]
-        round_time = consensus._broadcast(levels, n, HEADER_BYTES + block_tx * TX_SIZE, config)
-        round_time += gather
+        round_time = broadcast_time(topology, key, HEADER_BYTES + block_tx * TX_SIZE, config)
+        round_time += gather_time(topology, key, config)
         elapsed += round_time
         committed += block_tx
         times.append(round_time)
@@ -541,8 +553,8 @@ class TestBroadcastPerBlockSize:
         calls = []
         send = consensus._broadcast
         monkeypatch.setattr(consensus, "_broadcast",
-                            lambda levels, n, payload, cfg: calls.append(payload)
-                            or send(levels, n, payload, cfg))
+                            lambda levels, k, n, payload, cfg: calls.append(payload)
+                            or send(levels, k, n, payload, cfg))
         t = SYMMETRIC_GRAPHS["4-4-4"]()
         report = run_consensus(t, ConsensusConfig(rounds=200, seed=1, leader_policy=policy))
         assert len(calls) == len(set(calls)) == 3

@@ -49,6 +49,14 @@ class TestLinkClass:
         with pytest.raises(SpecError):
             LinkClass(100, mtbf_h=2000, mttr_h=0.5)  # mu > 1
 
+    @pytest.mark.parametrize("field", ["distance_km", "mtbf_h", "mttr_h"])
+    @pytest.mark.parametrize("value", [None, "5", True, float("nan"), float("inf")])
+    def test_rejects_non_numbers(self, field, value):
+        """A document's class fields reach LinkClass as parsed JSON."""
+        fields = {"distance_km": 100.0, "mtbf_h": 20.0, "mttr_h": 2.0, field: value}
+        with pytest.raises(SpecError, match=f"{field} must be a finite number"):
+            LinkClass(**fields)
+
 
 class TestCompleteHypercube:
     @pytest.mark.parametrize("dim,nodes,links", [(3, 8, 12), (0, 1, 0), (5, 32, 80)])
@@ -599,6 +607,13 @@ OUTPUT_PINS = {
     "consensus-ring64-6-random": (lambda: build_ring_lattice(64, 6),
                                   ["consensus", "run", "--leader-policy", "random", "--seed", "1"],
                                   "7a6fe5d03aba66798d2d7ccd00c676636bfdeb1e76f7b65548514b6c3ec5dc02"),
+    "consensus-ring64-6-rotate": (lambda: build_ring_lattice(64, 6),
+                                  ["consensus", "run", "--leader-policy", "rotate:3", "--seed", "1"],
+                                  "37e7dda46d6095fca4e150cbffc80416f8d38c900f956404a3c06fe77b9e221a"),
+    # 16 leaders per batch at the default LEADER_SLOTS: the run spans about 13 batches
+    "consensus-tree4096-12-random": (lambda: build_rooted_tree(4096, 12),
+                                     ["consensus", "run", "--leader-policy", "random", "--seed", "1"],
+                                     "ef612de05c55e5d462376fe08800fe8698f051f5f5ef2436bf4ea2de29ee69e9"),
 }
 
 
