@@ -73,17 +73,18 @@ def _trees(indptr: np.ndarray, indices: np.ndarray, sources: list[int]) -> list[
     return levels
 
 
-def _broadcast(levels: list[Level], k: int, n: int, payload_bytes: float,
-               config: ConsensusConfig) -> np.ndarray:
-    """The time at which the last node of each of the k copies in `levels`
-    (copy j holds the node ids [j*n, (j+1)*n)) holds the payload."""
-    transfer = payload_bytes * 8.0 / config.link_bandwidth + config.link_latency
-    arrival = np.zeros(k * n)
+def _transfer(payload_bytes: float, config: ConsensusConfig) -> float:
+    """The time one tree edge takes to carry `payload_bytes`."""
+    return payload_bytes * 8.0 / config.link_bandwidth + config.link_latency
+
+
+def _rank_depth(levels: list[Level], k: int, n: int) -> list[int]:
+    """The largest root-to-node sum of child ranks in each of the k copies
+    in `levels` (copy j holds the node ids [j*n, (j+1)*n))."""
+    depth = np.zeros(k * n, dtype=np.int64)
     for nodes, parents, ranks in levels:
-        step = ranks * transfer
-        step += arrival[parents]
-        arrival[nodes] = step
-    return arrival.reshape(k, n).max(axis=1)
+        depth[nodes] = depth[parents] + ranks
+    return depth.reshape(k, n).max(axis=1).tolist()
 
 
 def _gather(levels: list[Level], n: int, roots, config: ConsensusConfig) -> np.ndarray:
@@ -111,10 +112,13 @@ def broadcast_time(topology: Topology, source: int, payload_bytes: float, config
 
     Each tree edge costs payload*8/bandwidth + latency, and a node
     serializes its outgoing transfers, so its i-th child receives i
-    transfer times after the node itself finished receiving.
+    transfer times after the node itself finished receiving.  A node x
+    thus holds the payload after transfer * R(x), where R(x) sums the
+    child ranks on the tree path from the source to x, and the last node
+    after transfer * max R.
     """
     levels = _trees(*topology.csr(), [source])
-    return float(_broadcast(levels, 1, topology.n_nodes, payload_bytes, config)[0])
+    return _transfer(payload_bytes, config) * _rank_depth(levels, 1, topology.n_nodes)[0]
 
 
 def gather_time(topology: Topology, root: int, config: ConsensusConfig) -> float:
@@ -150,18 +154,16 @@ def run_consensus(topology: Topology, config: ConsensusConfig) -> ThroughputRepo
     """Round loop: pick leader, pack pending transactions up to the block
     cap, broadcast the block, collect votes, commit.
 
-    A leader's tree and gather time do not depend on the block, so each
-    batch of rounds grows the trees of its distinct leaders as copies of
-    the graph in one BFS (at most LEADER_SLOTS adjacency slots over all
-    copies) and folds their gathers in one pass.  A broadcast time
-    depends only on the tree and the block size, so each block size of
-    the batch is broadcast once over every copy at once, and a round
-    reads its leader's copy: the blocks of a run settle to a few sizes
-    (three in 200 default rounds on 4-4-4).  On a graph that
-    `_xor_symmetric` recognizes as a hypercube every leader's tree is
-    leader 0's, rank for rank, so its broadcast and gather times are
-    leader 0's bit for bit: every round reads the one tree grown from
-    node 0.
+    A leader's tree does not depend on the block, so before the first
+    round each distinct leader's largest rank sum R (see `broadcast_time`)
+    and gather time are computed once: the leaders, in order of first
+    appearance, go in batches that grow their trees as copies of the
+    graph in one BFS (at most LEADER_SLOTS adjacency slots over all
+    copies) and fold their gathers in one pass.  A round then takes
+    transfer(block) * R + gather.  On a graph that `_xor_symmetric`
+    recognizes as a hypercube every leader's tree is leader 0's, rank for
+    rank, so its times are leader 0's bit for bit: only node 0's tree is
+    grown.
     """
     _check_run_length("rounds", config.rounds)
     n = topology.n_nodes
@@ -179,31 +181,24 @@ def run_consensus(topology: Topology, config: ConsensusConfig) -> ThroughputRepo
     indptr, indices = topology.csr()
     per_batch = max(1, LEADER_SLOTS // max(1, len(indices)))
     keys = [0] * len(leaders) if _xor_symmetric(topology) else leaders
-    copy: dict[int, int] = {}  # leader -> its copy in the current batch
-    sent: dict[int, list[float]] = {}  # block bytes -> each copy's broadcast time
+    distinct = list(dict.fromkeys(keys))
+    cost: dict[int, tuple[int, float]] = {}  # leader -> (R, gather time)
+    for lo in range(0, len(distinct), per_batch):
+        batch = distinct[lo:lo + per_batch]
+        levels = _trees(indptr, indices, batch)
+        roots = np.add(batch, n * np.arange(len(batch)))
+        gathers = _gather(levels, len(batch) * n, roots, config).tolist()
+        cost.update(zip(batch, zip(_rank_depth(levels, len(batch), n), gathers)))
 
     elapsed = 0.0
     committed = 0
     per_round_time: list[float] = []
     per_round_committed: list[int] = []
-    for r, key in enumerate(keys):
+    for key in keys:
         pool = config.tx_rate * elapsed - committed
         block_tx = min(BLOCK_CAP, int(pool))
-        block_bytes = HEADER_BYTES + block_tx * TX_SIZE
-        if key not in copy:
-            copy, ahead = {}, r  # the next per_batch distinct leaders -> their copies
-            while ahead < len(keys) and len(copy) < per_batch:
-                copy.setdefault(keys[ahead], len(copy))
-                ahead += 1
-            k = len(copy)
-            levels = _trees(indptr, indices, list(copy))
-            gathers = _gather(levels, k * n, np.add(list(copy), n * np.arange(k)), config).tolist()
-            # float ranks, converted once per batch instead of once per broadcast
-            levels = [(nodes, parents, ranks.astype(float)) for nodes, parents, ranks in levels]
-            sent = {}
-        if block_bytes not in sent:
-            sent[block_bytes] = _broadcast(levels, k, n, block_bytes, config).tolist()
-        round_time = sent[block_bytes][copy[key]] + gathers[copy[key]]
+        depth, gather = cost[key]
+        round_time = _transfer(HEADER_BYTES + block_tx * TX_SIZE, config) * depth + gather
         elapsed += round_time
         committed += block_tx
         per_round_time.append(round_time)

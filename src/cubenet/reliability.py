@@ -144,13 +144,9 @@ def _cut_lower_bound(topology: Topology, k: int) -> int:
     `_translation_orbits`) is vertex-transitive, so kappa = delta when
     it is connected (Mader 1971; Godsil & Royle, Thm 3.3.1) and 0 when
     the BFS finds it is not; on Z_2^D lam2 is exact and needs no solve
-    (`_xor_algebraic_connectivity`).  The bound is kept on the topology,
-    per k.
+    (`_xor_algebraic_connectivity`).  The quorum-free facts (the Rayleigh
+    quotient, lam2 and the max-flow kappa) are kept on the topology.
     """
-    return topology.memo(("c_lb", k), lambda: _cut_bound(topology, k))
-
-
-def _cut_bound(topology: Topology, k: int) -> int:
     n = topology.n_nodes
     if n > DENSE_MAX_NODES:
         return 0
@@ -158,23 +154,23 @@ def _cut_bound(topology: Topology, k: int) -> int:
     degree = np.bincount(ends.ravel(), minlength=n)
     delta = int(degree.min())
     half = (n - k + 1) / 2
-    rayleigh = _distance_rayleigh(topology)
+    rayleigh = topology.memo("rayleigh", lambda: _distance_rayleigh(topology))
     orbits = _translation_orbits(topology)
-    kappa = None if orbits is None else (delta if rayleigh > 0 else 0)
+
+    def kappa() -> int:
+        if orbits is not None:
+            return delta if rayleigh > 0 else 0
+        return topology.memo("kappa", lambda: _edge_connectivity(topology))
+
     rayleigh_term = math.ceil(rayleigh * half)
-    if rayleigh_term <= delta:
-        if kappa is None:
-            kappa = _edge_connectivity(topology)
-        if rayleigh_term <= kappa:
-            return kappa
+    if rayleigh_term <= delta and rayleigh_term <= kappa():
+        return kappa()
     if orbits is not None and orbits.xor:
         lam2 = _xor_algebraic_connectivity(n, ends[orbits.first, 0] ^ ends[orbits.first, 1])
     else:
-        lam2 = _algebraic_connectivity_lb(ends, degree)
+        lam2 = topology.memo("lam2", lambda: _algebraic_connectivity_lb(ends, degree))
     fiedler = math.ceil(max(lam2, 0.0) * half)
-    if fiedler >= delta:
-        return fiedler
-    return max(fiedler, _edge_connectivity(topology) if kappa is None else kappa)
+    return fiedler if fiedler >= delta else max(fiedler, kappa())
 
 
 def _distance_rayleigh(topology: Topology) -> float:

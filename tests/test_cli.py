@@ -309,6 +309,12 @@ class TestConsensusCli:
         kinds = [r[0] for r in rows[1:]]
         assert "std:hypercube" in kinds and "std:star" in kinds
 
+    def test_run_requires_topology(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["consensus", "run", "--rounds", "5"])
+        assert exc.value.code == 2
+        assert "consensus run requires --topology" in capsys.readouterr().err
+
 
 def _class_edit(doc, **fields):
     """`doc` with its first link class's `fields` replaced."""
@@ -341,6 +347,21 @@ class TestExitCodes:
         spec.write_text(json.dumps({"kind": "moebius", "n": 8}))
         assert run_cli(["topo", "build", "--spec", str(spec)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("kind=ring\nn 8\n", "bad spec line 'n 8'; expected key=value"),
+        ("n=8\n", "spec needs a 'kind'"),
+        ("kind=torus\nn=8\n", "unknown topology kind 'torus'"),
+        ("mode=symmetric\ndims=2,3\n", "symmetric mode needs one repeated dimension"),
+        ("mode=asymmetric\ndims=2,2\n", "unsupported recursion mode 'asymmetric'"),
+    ], ids=["no-equals", "no-kind", "unknown-kind", "unequal-dims", "asymmetric"])
+    def test_bad_key_value_spec(self, tmp_path, capsys, text, message):
+        spec = tmp_path / "bad.spec"
+        spec.write_text(text)
+        assert run_cli(["topo", "build", "--spec", str(spec),
+                        "--out", str(tmp_path / "bad.topology.json")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "doc",
@@ -388,6 +409,13 @@ class TestExitCodes:
         code = run_cli(["analyze", "partition", "--topology", str(topo), "--budget", "0"])
         assert code == 2
         assert "budget is 0" in capsys.readouterr().err
+
+    def test_sampled_states_zero_budget(self, tmp_path, capsys):
+        topo = tmp_path / "ring64.json"
+        topo.write_text(build_ring_lattice(64, 6).to_json())
+        code = run_cli(["analyze", "partition", "--topology", str(topo), "--budget", "0"])
+        assert code == 2
+        assert "need sampling but the budget is 0" in capsys.readouterr().err
 
     def test_graph_without_links(self, tmp_path, capsys):
         topo = tmp_path / "bare.json"

@@ -205,19 +205,23 @@ def _oracle_children(topology, source):
     return children
 
 
-def _oracle_broadcast(topology, source, payload_bytes, config):
+def _oracle_units(topology, source):
+    """The most transfer times any node waits: a node's i-th child receives
+    i transfers after the node itself."""
     children = _oracle_children(topology, source)
-    transfer = payload_bytes * 8.0 / config.link_bandwidth + config.link_latency
-    arrival = [0.0] * topology.n_nodes
+    units = [0] * topology.n_nodes
     order = deque([source])
-    latest = 0.0
     while order:
         u = order.popleft()
         for idx, c in enumerate(children[u], start=1):
-            arrival[c] = arrival[u] + idx * transfer
-            latest = max(latest, arrival[c])
+            units[c] = units[u] + idx
             order.append(c)
-    return latest
+    return max(units)
+
+
+def _oracle_broadcast(topology, source, payload_bytes, config):
+    transfer = payload_bytes * 8.0 / config.link_bandwidth + config.link_latency
+    return _oracle_units(topology, source) * transfer
 
 
 def _oracle_gather(topology, root, config):
@@ -366,22 +370,30 @@ class TestMultiSource:
 
     @pytest.mark.parametrize("graph", ["ring64-6", "tree40-3", "star64"])
     def test_each_copy_broadcasts_as_its_leader_alone(self, graph):
-        """A round reads its leader's time from the batch's broadcast: copy j's
-        time equals `broadcast_time` from sources[j] alone, compared with ==."""
+        """A round reads its leader's rank sum from the batch: copy j's equals
+        the oracle's from sources[j] alone, and times the transfer it is
+        `broadcast_time`, compared with ==."""
         t = {"ring64-6": lambda: build_ring_lattice(64, 6),
              "tree40-3": lambda: build_rooted_tree(40, 3),
              "star64": lambda: build_star(64)}[graph]()
         sources = [7, 0, 39, 21, 0, 2]
         cfg = ORACLE_CONFIGS["latency"]
-        levels = consensus._trees(*t.csr(), sources)
+        depths = consensus._rank_depth(consensus._trees(*t.csr(), sources), len(sources), t.n_nodes)
+        assert depths == [_oracle_units(t, s) for s in sources]
         for payload in (HEADER_BYTES, 240_536):
-            times = consensus._broadcast(levels, len(sources), t.n_nodes, payload, cfg).tolist()
-            assert times == [broadcast_time(t, s, payload, cfg) for s in sources]
+            transfer = consensus._transfer(payload, cfg)
+            assert [transfer * d for d in depths] == [broadcast_time(t, s, payload, cfg)
+                                                      for s in sources]
 
-    def test_batch_with_unreachable_source_raises(self):
+    def test_batch_with_unreachable_source_raises(self, monkeypatch):
+        """Also in `run_consensus`, where it is raised before any round."""
+        def refuse(*args):
+            raise AssertionError("a round ran")
+
         t = custom_topology(4, [(0, 1), (2, 3)])
         with pytest.raises(ConstructionError, match="cannot reach every node"):
             consensus._trees(*t.csr(), [0, 1, 2])
+        monkeypatch.setattr(consensus, "_transfer", refuse)
         cfg = ConsensusConfig(rounds=8, leader_policy="rotate:1")  # leaders 0..3 in one batch
         with pytest.raises(ConstructionError, match="cannot reach every node"):
             run_consensus(t, cfg)
@@ -438,18 +450,16 @@ ASYMMETRIC_GRAPHS = {
 
 
 def _leader_times(t, leaders, config, batch=16):
-    """(broadcast at two payloads, gather) of each leader, read from its own
+    """(largest rank sum, gather time) of each leader, read from its own
     copy in batches of `batch` leader trees."""
     n = t.n_nodes
     times = {}
     for lo in range(0, len(leaders), batch):
         chunk = leaders[lo:lo + batch]
         levels = consensus._trees(*t.csr(), chunk)
-        sends = [consensus._broadcast(levels, len(chunk), n, payload, config).tolist()
-                 for payload in (HEADER_BYTES, 240_536)]
         roots = np.add(chunk, n * np.arange(len(chunk)))
         gathers = consensus._gather(levels, len(chunk) * n, roots, config).tolist()
-        times.update(zip(chunk, zip(*sends, gathers)))
+        times.update(zip(chunk, zip(consensus._rank_depth(levels, len(chunk), n), gathers)))
     return times
 
 
@@ -467,7 +477,7 @@ class TestXorSymmetric:
         Z_2^3 is XOR-symmetric, yet its leaders' gather times differ."""
         t = ASYMMETRIC_GRAPHS["five-masks-on-8"]()
         times = _leader_times(t, list(range(8)), ConsensusConfig(link_bandwidth=1e8))
-        assert times[5][2] != times[0][2]
+        assert times[5][1] != times[0][1]
 
     @pytest.mark.parametrize("masks, symmetric", [([1, 2], False), ([1, 2, 3], True)],
                              ids=["two-4-cycles", "two-K4"])
@@ -525,7 +535,7 @@ class TestXorSymmetric:
         assert sweep_consensus(cubes, cfg) == shortcut
 
 
-# -- one broadcast per distinct block size of a batch ---------------------
+# -- one cost per distinct leader, computed before the first round ---------
 
 
 def _unmemoised_rounds(topology, config, leaders):
@@ -545,20 +555,35 @@ def _unmemoised_rounds(topology, config, leaders):
     return times, blocks, committed / elapsed, elapsed
 
 
-class TestBroadcastPerBlockSize:
-    @pytest.mark.parametrize("policy", ["random", "rotate:50"])
-    def test_one_call_per_block_size(self, policy, monkeypatch):
-        """4-4-4 at the defaults sends three block sizes in 200 rounds, all
-        over leader 0's tree."""
+class TestLeaderCosts:
+    @pytest.mark.parametrize("graph, policy", [
+        ("4-4-4", "random"), ("4-4-4", "rotate:50"), ("2-2-2", "rotate:3"),
+        ("ring64-6", "random"), ("ring64-6", "rotate:3"),
+    ])
+    def test_each_leader_grown_once(self, graph, policy, monkeypatch):
+        """Each distinct leader's tree is grown once per run, in chunks of
+        at most 3 leaders in order of first appearance, also when a leader
+        comes back after later ones; a hypercube grows node 0's tree alone."""
+        t = {**SYMMETRIC_GRAPHS, **ASYMMETRIC_GRAPHS}[graph]()
+        monkeypatch.setattr(consensus, "LEADER_SLOTS", 3 * 2 * t.n_links)
         calls = []
-        send = consensus._broadcast
-        monkeypatch.setattr(consensus, "_broadcast",
-                            lambda levels, k, n, payload, cfg: calls.append(payload)
-                            or send(levels, k, n, payload, cfg))
-        t = SYMMETRIC_GRAPHS["4-4-4"]()
+        grow = consensus._trees
+        monkeypatch.setattr(consensus, "_trees",
+                            lambda *args: calls.append(args[2]) or grow(*args))
         report = run_consensus(t, ConsensusConfig(rounds=200, seed=1, leader_policy=policy))
-        assert len(calls) == len(set(calls)) == 3
-        assert set(calls) == {HEADER_BYTES + b * TX_SIZE for b in report.per_round_committed}
+        if consensus._xor_symmetric(t):
+            assert calls == [[0]]
+        else:
+            history = report.leader_history
+            distinct = list(dict.fromkeys(history))
+            assert calls == [distinct[lo:lo + 3] for lo in range(0, len(distinct), 3)]
+            runs = 1 + sum(a != b for a, b in zip(history, history[1:]))
+            assert runs > len(distinct)  # some leader comes back after another
+
+
+class TestBroadcastPerBlockSize:
+    """Every round equals a fresh `broadcast_time` of its block size plus
+    `gather_time` from its leader (leader 0 on a hypercube)."""
 
     @pytest.mark.parametrize("policy", ["random", "hub", "rotate:3"])
     @pytest.mark.parametrize("graph", ["2-2-2", "4-4-4", "ring64-6"])

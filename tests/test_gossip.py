@@ -17,6 +17,7 @@ from cubenet import (
 from cubenet import gossip
 from cubenet.errors import SpecError
 from cubenet.gossip import linear_fit_r2
+from custom_graph import custom_topology
 
 
 class TestConfig:
@@ -38,6 +39,11 @@ class TestRunGossip:
         m = run_gossip(t, cfg)
         assert m.total_forwarded == 2 * 4 * 16 * 100
         assert (m.forwarded_per_cycle == 2 * 4 * 16).all()
+
+    def test_isolated_node_rejected(self):
+        t = custom_topology(4, [(0, 1), (1, 2)])
+        with pytest.raises(SpecError, match="at least one neighbor"):
+            run_gossip(t, GossipConfig(cycles=5))
 
     def test_fanout_clipped_by_degree(self):
         t = build_ring_lattice(8, 2)

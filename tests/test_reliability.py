@@ -23,6 +23,7 @@ from cubenet import (
     RecursionSpec,
     analyze_hierarchical,
     build_complete_hypercube,
+    build_incomplete_hypercube,
     build_recursive,
     build_ring_lattice,
     build_rooted_tree,
@@ -49,7 +50,7 @@ from cubenet.reliability import (
     _xor_algebraic_connectivity,
     default_quorum,
 )
-from cubenet.topology import Orbits, _translation_orbits, max_component_size
+from cubenet.topology import DomainGraph, Orbits, _translation_orbits, max_component_size
 from cubenet.unionfind import UnionFind
 from custom_graph import custom_topology
 from markov_oracle import CountChain, binomial_stationary, stationary, transition_matrix
@@ -917,9 +918,9 @@ class TestCutLowerBound:
 
     def test_kept_per_topology_and_quorum(self, monkeypatch):
         """A per-state sweep on one ring computes kappa once: i = 1, 2, 3
-        are certified zeros, and a second quorum computes its own bound.
-        The ring's nodes are permuted, so it has no translation orbits and
-        kappa takes the max-flow."""
+        are certified zeros, and a second quorum reuses it.  The ring's
+        nodes are permuted, so it has no translation orbits and kappa
+        takes the max-flow."""
         calls = []
         kappa = reliability._edge_connectivity
 
@@ -934,8 +935,23 @@ class TestCutLowerBound:
             est = state_estimate(t, i, budget=50)
             assert (est.p_wrong, est.n_samples, est.method) == (0.0, 0, "exact")
         assert calls == [768]
-        assert _cut_lower_bound(t, 700) == 4 and calls == [768, 768]
-        assert _cut_lower_bound(_permuted_ring768(), 385) == 4 and len(calls) == 3
+        assert _cut_lower_bound(t, 700) == 4 and calls == [768]
+        assert _cut_lower_bound(_permuted_ring768(), 385) == 4 and calls == [768, 768]
+
+    def test_quorum_free_facts_computed_once(self, monkeypatch):
+        """On an incomplete 8-cube of 200 nodes (no translation orbits) three
+        quorums run the BFS Rayleigh quotient and the dense solve once."""
+        t = build_incomplete_hypercube(8, present_nodes=range(200))
+        assert _translation_orbits(t) is None
+        calls = []
+        for name in ("_distance_rayleigh", "_algebraic_connectivity_lb", "_edge_connectivity"):
+            monkeypatch.setattr(reliability, name,
+                                lambda *args, _f=getattr(reliability, name), _name=name:
+                                calls.append(_name) or _f(*args))
+        assert [_cut_lower_bound(t, k) for k in (101, 120, 150)] == [55, 45, 28]
+        assert calls == ["_distance_rayleigh", "_algebraic_connectivity_lb"]
+        monkeypatch.undo()
+        assert [cut_bound_unchecked(t, k) for k in (101, 120, 150)] == [55, 45, 28]
 
 
 def _permuted_ring768():
@@ -1473,6 +1489,19 @@ class TestErrors:
                 exact_partition_tolerance_bruteforce(t, k=k)
             with pytest.raises(SpecError):
                 min_repair_time(t, [0, 1], k=k)
+
+    def test_sampled_states_need_a_budget(self):
+        with pytest.raises(SpecError, match="need sampling but the budget is 0"):
+            partition_tolerance(build_ring_lattice(64, 6), budget=0)
+
+    def test_aggregation_refuses_asymmetric_spec(self):
+        spec = RecursionSpec.asymmetric((2, {(a,): DomainGraph(2, ((0, 1),)) for a in range(4)}))
+        with pytest.raises(SpecError, match="symmetric or semi-symmetric"):
+            analyze_hierarchical(spec)
+
+    def test_unknown_failed_link(self):
+        with pytest.raises(SpecError, match=r"no link \(0, 4\)"):
+            min_repair_time(build_ring_lattice(64, 6), [(0, 4)])
 
     def test_negative_enum_cap(self):
         """A negative cap is an error, not a cap of 0, at every entry point

@@ -149,6 +149,11 @@ class TestRecursive:
         neighbors_00 = {label[v] for v in indices[indptr[0]:indptr[1]].tolist()}
         assert {"10", "30"} <= neighbors_00
 
+    def test_disconnected_domain_rejected(self):
+        spec = RecursionSpec.asymmetric(({(): DomainGraph(3, ((0, 1),))},))
+        with pytest.raises(ConstructionError, match="recursive topology is disconnected"):
+            build_recursive(spec)
+
     def test_semi_4_3(self):
         t = build_recursive(RecursionSpec.semi((4, 3)))
         assert (t.n_nodes, t.n_links) == (128, 448)
@@ -606,10 +611,10 @@ OUTPUT_PINS = {
                              "417b71777cf4d284260131d13c365f96b602ad06f4f090a5b0dc20da35a2a387"),
     "consensus-ring64-6-random": (lambda: build_ring_lattice(64, 6),
                                   ["consensus", "run", "--leader-policy", "random", "--seed", "1"],
-                                  "7a6fe5d03aba66798d2d7ccd00c676636bfdeb1e76f7b65548514b6c3ec5dc02"),
+                                  "157b9892f636a4dcb80681589487b04e61c783722ec0dc495222002cfb634636"),
     "consensus-ring64-6-rotate": (lambda: build_ring_lattice(64, 6),
                                   ["consensus", "run", "--leader-policy", "rotate:3", "--seed", "1"],
-                                  "37e7dda46d6095fca4e150cbffc80416f8d38c900f956404a3c06fe77b9e221a"),
+                                  "f3955993aeb53a8b9b6c9b606ac170efdb5d6e5ba5a7d31e2000e18a0645980c"),
     # 16 leaders per batch at the default LEADER_SLOTS: the run spans about 13 batches
     "consensus-tree4096-12-random": (lambda: build_rooted_tree(4096, 12),
                                      ["consensus", "run", "--leader-policy", "random", "--seed", "1"],
