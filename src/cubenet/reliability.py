@@ -450,19 +450,25 @@ def _critical_counts(topology: Topology, k: int, budget: int, seed, cap: int) ->
     at the same step; a batch with fewer orders than links (ring(768,4),
     Q12 at budget 50) first folds those L - cap links with the
     connectivity kernel, and a wider one (ring(64,6), Q4, the 64-cycle
-    at budget 4000) does not (see `_links_added`).  Each batch is one
-    draw of uniform column permutations, which reads the stream one
-    `rng.permutation(L)` per order reads.
+    at budget 4000) does not (see `_links_added`).  A batch is an int32
+    (L, B) array of uniform column permutations, drawn `_chunk_rows`
+    orders at a time at pointer width, where numpy's shuffle is fastest
+    (ring(64,6)'s 4000 orders: 11 ms, against 17 ms at int32); the
+    chunks read the stream in order, as one `rng.permutation(L)` per
+    order does, and only a chunk is ever held at pointer width.
     """
     L, n = topology.n_links, topology.n_nodes
     if k == 1:
         return np.full(budget, min(L, cap) + 1, dtype=np.int64)
     out = np.full(budget, L + 1, dtype=np.int64)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    links = np.arange(L, dtype=np.int32)[:, None]
-    step = max(1, ORDER_SLOTS // max(n, L))
+    links = np.arange(L, dtype=np.intp)[:, None]
+    step, chunk = max(1, ORDER_SLOTS // max(n, L)), _chunk_rows(n, L)
     for lo in range(0, budget, step):
-        batch = rng.permuted(np.broadcast_to(links, (L, min(step, budget - lo))), axis=0)
+        batch = np.empty((L, min(step, budget - lo)), dtype=np.int32)
+        for c in range(0, batch.shape[1], chunk):
+            part = batch[:, c:c + chunk]
+            part[...] = rng.permuted(np.broadcast_to(links, part.shape), axis=0)
         out[lo:lo + batch.shape[1]] -= _links_added(topology.ends, n, k, batch, cap)
     return out
 
@@ -489,8 +495,8 @@ def _links_added(ends: np.ndarray, n: int, k: int, batch: np.ndarray, cap: int) 
     kernel pass over the whole prefix.  A wide batch (B >= L: Table 3's
     ring(64,6) and Q4 and the 64-cycle, all at 4000 orders) runs the loop
     from the empty graph, because there the fold does more edge work
-    than the steps it saves: folding them took ring(64,6) from 52 to
-    107 ms, Q4 from 8.5 to 14.6 ms and the 64-cycle from 32 to 46 ms.
+    than the steps it saves: folding them took ring(64,6) from 25 to
+    72 ms, Q4 from 4.0 to 10.9 ms and the 64-cycle from 16 to 34 ms.
     """
     L, B = batch.shape
     ends = np.ascontiguousarray(ends.T)
@@ -513,7 +519,7 @@ def _links_added(ends: np.ndarray, n: int, k: int, batch: np.ndarray, cap: int) 
     added = np.full(B, L + 1, dtype=np.int64)
     parent = np.arange(B * n, dtype=np.int32)
     size = np.ones(B * n, dtype=np.int32)
-    _add_in_lockstep(ends, n, k, batch, 0, parent, size, np.arange(B), added)
+    _add_in_lockstep(ends, n, k, batch, 0, parent, size, np.arange(B, dtype=np.int32), added)
     return np.maximum(added, L - cap, out=added)
 
 
@@ -527,24 +533,28 @@ def _add_in_lockstep(ends, n: int, k: int, batch: np.ndarray, start: int,
 
     Both roots of a link are found by pointer chasing, and union by size
     keeps every tree at most log2(n) deep.  `ends` is the (2, L) array.
+    Every gather is a `take` from a 1-D array (or along the link axis of
+    `ends`): at 4000 live orders `ends[:, batch[j, live]]` takes 49 us,
+    the `take` 12 us.  `live` and its node offsets stay int32.
     """
     L = batch.shape[0]
     base = live * n
     for j in range(start, L):
-        x = ends[:, batch[j, live]] + base
+        x = np.take(ends, batch[j].take(live), axis=1) + base
         while True:
-            up = parent[x]
+            up = parent.take(x)
             if np.array_equal(up, x):
                 break
             x = up
         a, b = x
         join = np.flatnonzero(a != b)
-        a, b = a[join], b[join]
-        big = np.where(size[a] >= size[b], a, b)
-        small = a + b - big
-        parent[small] = big
-        size[big] += size[small]
-        done = join[size[big] >= k]
+        a, b = a.take(join), b.take(join)
+        sa, sb = size.take(a), size.take(b)
+        big = np.where(sa >= sb, a, b)
+        parent[a + b - big] = big
+        sa += sb  # an order joins at most one pair per step: no root is twice in `big`
+        size[big] = sa
+        done = join[sa >= k]
         if done.size:
             added[live[done]] = j + 1
             live, base = np.delete(live, done), np.delete(base, done)

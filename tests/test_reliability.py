@@ -1319,6 +1319,61 @@ class TestCriticalCounts:
         assert _batch_orders(topo, budget) < topo.n_links
         _assert_capped_counts(topo, k, budget, (7, 3))
 
+    @pytest.mark.parametrize("rows", [7, 1])
+    @pytest.mark.parametrize("topo, budget, k", [
+        (build_ring_lattice(64, 6), 400, default_quorum(64)),
+        (build_ring_lattice(768, 4), 50, default_quorum(768)),
+        (_complete_graph(24), 100, default_quorum(24)),
+        (_isolated_cycle64(), 2 * (ORDER_SLOTS // (64 + 2**14)) + 5, 20),
+    ], ids=["ring64-6", "ring768-4", "K24", "cycle64-isolated"])
+    def test_chunked_draws(self, topo, budget, k, rows, monkeypatch):
+        """Drawing a batch's orders a few columns at a time reads the stream
+        as one `rng.permutation(L)` per order: 7 divides none of the wide
+        batch of 400, the narrow batches of 50 and 100, or the last of the
+        isolated cycle's three batches (5 orders)."""
+        monkeypatch.setattr(reliability, "_chunk_rows", lambda n_nodes, n_links: rows)
+        _assert_capped_counts(topo, k, budget, (7, 3))
+
+    def test_batch_stays_int32(self, monkeypatch):
+        """Table 3's ring(64,6) at budget 4000 hands `_links_added` one
+        int32 (192, 4000) batch, 3 MB.  The orders are drawn at pointer
+        width, where the shuffle is fastest, but only a chunk at a time:
+        a whole batch drawn at int64 is 6 MB and raised the peak RSS of a
+        `tables 3 --reliability` run by about 3 MB."""
+        batches = []
+        links_added = reliability._links_added
+
+        def spy(ends, n, k, batch, cap):
+            batches.append((batch.dtype, batch.shape))
+            return links_added(ends, n, k, batch, cap)
+
+        monkeypatch.setattr(reliability, "_links_added", spy)
+        partition_tolerance(build_ring_lattice(64, 6), budget=4000)
+        assert batches == [(np.dtype(np.int32), (192, 4000))]
+
+    @pytest.mark.parametrize(
+        "topo", [build_ring_lattice(16, 4), build_complete_hypercube(4), build_rooted_tree(16, 3)],
+        ids=["ring16-4", "Q4", "tree16-3"],
+    )
+    def test_lockstep_union_find(self, topo):
+        """With k = n every order of a wide batch runs to the link that
+        spans the graph.  Each root's size is then the number of nodes that
+        chase to it, and `added` matches the oracle's orders."""
+        L, n, B = topo.n_links, topo.n_nodes, 40
+        rng = np.random.default_rng(np.random.SeedSequence(3))
+        batch = np.stack([rng.permutation(L) for _ in range(B)], axis=1).astype(np.int32)
+        parent = np.arange(B * n, dtype=np.int32)
+        size = np.ones(B * n, dtype=np.int32)
+        added = np.full(B, L + 1, dtype=np.int64)
+        reliability._add_in_lockstep(np.ascontiguousarray(topo.ends.T), n, n, batch, 0, parent,
+                                     size, np.arange(B, dtype=np.int32), added)
+        roots = parent
+        while not np.array_equal(parent[roots], roots):
+            roots = parent[roots]
+        is_root = parent == np.arange(B * n)
+        assert np.array_equal(size[is_root], np.bincount(roots, minlength=B * n)[is_root])
+        assert np.array_equal(L + 1 - added, critical_counts_oracle(topo, n, B, 3))
+
     def test_ring768_work(self, monkeypatch):
         """ring(768,4) at budget 50: the sampled states end at 52 and k = 385,
         so every order is done within its first 1484 links.  The kernel
