@@ -20,13 +20,10 @@ from .topology import (  # noqa: F401
     build_rooted_tree,
     build_star,
     closed_form_link_count,
-    connected_components,
 )
 from .reliability import (  # noqa: F401
     PartitionReport,
     analyze_hierarchical,
-    exact_partition_tolerance_bruteforce,
-    min_repair_time,
     partition_tolerance,
 )
 from .gossip import GossipConfig, GossipMetrics, run_gossip, sweep_sizes  # noqa: F401
@@ -34,6 +31,7 @@ from .consensus import (  # noqa: F401
     ConsensusConfig,
     ThroughputReport,
     broadcast_time,
+    gather_time,
     run_consensus,
     sweep_consensus,
 )

@@ -139,15 +139,3 @@ def sweep_sizes(
         rows.append(SweepRow(label, topo.n_nodes, float(np.mean(totals))))
     return rows
 
-
-def linear_fit_r2(xs, ys) -> float:
-    """R^2 of the least-squares line through (xs, ys)."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    coeffs = np.polyfit(xs, ys, 1)
-    pred = np.polyval(coeffs, xs)
-    ss_res = float(np.sum((ys - pred) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    if ss_tot == 0.0:
-        return 1.0
-    return 1.0 - ss_res / ss_tot

@@ -27,16 +27,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericError, ResourceLimitError, SpecError
+from .errors import NumericError, SpecError
 from .topology import RecursionSpec, Topology, build_complete_hypercube
 from .topology import _bfs_levels, _check_run_length, _chunk_rows, _component_roots, _join_roots
-from .topology import _max_comp_rows
-from .topology import _translation_orbits, resolve_failed_links
+from .topology import _max_comp_rows, _translation_orbits
 from .unionfind import UnionFind  # noqa: F401  unused; perfbench/tracer.py patches this name
 
 ENUM_CAP_DEFAULT = 2_000_000
 TAIL_EPS = 1e-12  # single-class states with pi_i below this are skipped
-BRUTEFORCE_MAX_LINKS = 22
 UNDERFLOW_FLOOR = 1e-300
 DENSE_MAX_NODES = 2048  # no cut bound (kappa, Fiedler) above this many nodes
 ORDER_SLOTS = 2**20  # order (and node) slots per lockstep batch: 4 MB per int32 array
@@ -322,20 +320,6 @@ def _repair_times(topology: Topology, k: int, mttr_of: np.ndarray, failed: np.nd
         if not todo.size:
             return times
     raise NumericError("repairing all failed links did not restore a good partition")
-
-
-def min_repair_time(topology: Topology, failed_links, k: int | None = None) -> float:
-    """Least parallel-repair time restoring a component of size >= k.
-
-    Repairs run in parallel, one MTTR per link; the optimal plan under
-    the big-partitions-first strategy repairs every invalid link whose
-    class MTTR lies below a threshold, so the answer is the least
-    threshold, 0 or a class MTTR, that restores a good partition.
-    """
-    k = _quorum(topology, k)
-    failed = resolve_failed_links(topology, failed_links)
-    row = np.isin(np.arange(topology.n_links), list(failed))[None]
-    return float(_repair_times(topology, k, _class_values(topology, lambda c: c.mttr_h), row)[0])
 
 
 def _exact_state(
@@ -706,37 +690,6 @@ def _sample_link_states(topology: Topology, k: int, budget: int, seed: int):
         )
     t = (t_sum_total / wrong_total) if wrong_total else None
     return p_wrong, p_wrong * (1.0 - p_wrong) / budget, t, per_state
-
-
-def exact_partition_tolerance_bruteforce(
-    topology: Topology, k: int | None = None
-) -> tuple[float, float | None]:
-    """Exact (p, t) by full enumeration of the 2^L link-state vectors.
-
-    Each link is down with its steady-state probability
-    lambda/(lambda+mu); desk-scale oracle, L <= 22 only.
-    """
-    L = topology.n_links
-    if L > BRUTEFORCE_MAX_LINKS:
-        raise ResourceLimitError(f"brute force refused for L={L} > {BRUTEFORCE_MAX_LINKS}")
-    k = _quorum(topology, k)
-    q, mttr_of = _down_probs(topology), _class_values(topology, lambda c: c.mttr_h)
-    bits = 1 << np.arange(L)
-    step = _chunk_rows(topology.n_nodes, L)
-    wrong_mass = 0.0
-    t_mass = 0.0
-    for lo in range(0, 2**L, step):
-        failed = (np.arange(lo, min(lo + step, 2**L))[:, None] & bits) != 0
-        weight = np.ones(len(failed))
-        for idx in range(L):
-            weight *= np.where(failed[:, idx], q[idx], 1.0 - q[idx])
-        times = _repair_times(topology, k, mttr_of, failed)
-        for w, t in zip(weight[times > 0].tolist(), times[times > 0].tolist()):
-            wrong_mass += w
-            t_mass += w * t
-    p = 1.0 - wrong_mass
-    t = (t_mass / wrong_mass) if wrong_mass > 0 else None
-    return p, t
 
 
 # -- hierarchical aggregation ------------------------------------------

@@ -298,10 +298,6 @@ class Topology:
     def degrees(self) -> np.ndarray:
         return np.diff(self.csr()[0])
 
-    def link_index(self) -> dict[tuple[int, int], int]:
-        lo, hi = np.sort(self.ends, axis=1).T.tolist()
-        return {key: j for j, key in enumerate(zip(lo, hi))}
-
     def class_census(self) -> dict[int, int]:
         census = {cid: 0 for cid in sorted(self.classes)}
         ids, counts = np.unique(self.class_id, return_counts=True)
@@ -340,14 +336,11 @@ class Topology:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Topology":
-        """Read a version-2 document, or a version-1 one (one object per
-        node and per link) through `_columns_of_v1`; SpecError on anything
-        but Python ints in the class ids, and equal-length lists of them in
-        the labels and the link columns, and on a value of the wrong JSON
-        type where the reader expects an object, a list or a number."""
+        """Read a version-2 document; SpecError on any other version, on
+        anything but Python ints in the class ids, and equal-length lists of
+        them in the labels and the link columns, and on a value of the wrong
+        JSON type where the reader expects an object, a list or a number."""
         try:
-            if doc.get("version") == 1:
-                doc = _columns_of_v1(doc)
             if doc.get("version") != SERIALIZATION_VERSION:
                 raise SpecError(f"unsupported topology document version {doc.get('version')!r}")
             classes = {
@@ -383,18 +376,6 @@ class Topology:
 
 
 _LINK_COLUMNS = ("u", "v", "class_id", "level")
-
-
-def _columns_of_v1(doc: dict) -> dict:
-    """The version-2 form of a version-1 document, whose nodes are
-    `{"flat", "levels"}` objects in flat order and whose links are
-    `{"u", "v", "class_id", "level"}` objects."""
-    nodes = doc["nodes"]
-    if [nd["flat"] for nd in nodes] != list(range(len(nodes))):
-        raise SpecError("node flat numbers must run 0, 1, ..., N-1 in order")
-    links = doc["links"]
-    return dict(doc, version=SERIALIZATION_VERSION, labels=[nd["levels"] for nd in nodes],
-                links={name: [lk[name] for lk in links] for name in _LINK_COLUMNS})
 
 
 def _check_int_rows(what: str, rows: list) -> None:
@@ -675,25 +656,6 @@ def build_star(n: int) -> Topology:
                           {})
 
 
-def resolve_failed_links(topology: Topology, failed_links) -> set[int]:
-    """Normalize failures given as link indices or (u, v) flat pairs."""
-    failed: set[int] = set()
-    index = None
-    for item in failed_links:
-        if isinstance(item, numbers.Integral):
-            if not 0 <= item < topology.n_links:
-                raise SpecError(f"link index {item} out of range")
-            failed.add(int(item))
-        else:
-            if index is None:
-                index = topology.link_index()
-            key = tuple(sorted(item))
-            if key not in index:
-                raise SpecError(f"no link {key} in topology")
-            failed.add(index[key])
-    return failed
-
-
 # -- connectivity ---------------------------------------------------------
 
 
@@ -750,31 +712,10 @@ def _max_comp_rows(ends: np.ndarray, n: int, present: np.ndarray) -> np.ndarray:
     return out
 
 
-def _present_row(topology: Topology, failed: set[int]) -> np.ndarray:
-    """(1, L) present-link mask with the `failed` link indices absent."""
-    present = np.ones((1, topology.n_links), dtype=bool)
-    present[0, list(failed)] = False
-    return present
-
-
-def connected_components(topology: Topology, failed_links=()) -> list[list[int]]:
-    """Components of the graph with the failed links removed.
-
-    Ordered by size descending, ties broken by smallest member; nodes
-    within a component are sorted ascending.
-    """
-    failed = resolve_failed_links(topology, failed_links)
-    roots = _component_roots(topology.ends, topology.n_nodes, _present_row(topology, failed))
-    members = np.argsort(roots, kind="stable")
-    starts = np.flatnonzero(np.diff(roots[members], prepend=-1))
-    comps = [c.tolist() for c in np.split(members, starts[1:])]
-    comps.sort(key=lambda c: (-len(c), c[0]))
-    return comps
-
-
 def max_component_size(topology: Topology, failed_link_indices: set[int]) -> int:
     """Largest component size with the given link indices failed (fast path)."""
-    present = _present_row(topology, failed_link_indices)
+    present = np.ones((1, topology.n_links), dtype=bool)
+    present[0, list(failed_link_indices)] = False
     return int(_max_comp_rows(topology.ends, topology.n_nodes, present)[0])
 
 

@@ -26,7 +26,6 @@ from cubenet import (
     build_rooted_tree,
     build_star,
     closed_form_link_count,
-    exact_partition_tolerance_bruteforce,
     partition_tolerance,
     run_consensus,
     run_gossip,
@@ -34,7 +33,8 @@ from cubenet import (
 )
 from cubenet.cli import main as cli_main, table3_rows
 from cubenet.consensus import cross_size_std, sweep_consensus
-from cubenet.gossip import linear_fit_r2
+from bruteforce_oracle import exact_partition_tolerance_bruteforce
+from linear_fit import linear_fit_r2
 from markov_oracle import CountChain, binomial_stationary, stationary
 
 RATE_PAIRS = [

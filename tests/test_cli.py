@@ -6,8 +6,8 @@ import pytest
 
 from cubenet import Topology, build_ring_lattice, build_star, cli
 from cubenet.cli import main
+from cubenet.errors import SpecError
 from custom_graph import custom_topology
-from document_v1 import to_dict_v1, to_json_v1
 
 
 def run_cli(argv):
@@ -67,38 +67,6 @@ class TestTopoBuild:
     def test_stats(self, cube_topology, capsys):
         assert run_cli(["topo", "stats", "--topology", cube_topology]) == 0
         assert "N=8 L=12 degree=3..3" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("spec", [
-        {"kind": "hypercube", "dim": 3},
-        {"kind": "recursive", "mode": "semi", "dims": [2, 1], "classes": [5000, 420]},
-        {"kind": "ring", "n": 64, "degree": 6},
-    ], ids=["cube3", "rec2-1", "ring64-6"])
-    def test_version_1_file_gives_same_outputs(self, tmp_path, capsys, spec):
-        """`topo stats`, `consensus run` and `gossip run` print and write the
-        same bytes from a built (version-2) file and from a version-1 file
-        of the same graph."""
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(spec))
-        v2 = tmp_path / "v2.json"
-        assert run_cli(["topo", "build", "--spec", str(spec_path), "--out", str(v2)]) == 0
-        assert json.loads(v2.read_text())["version"] == 2
-        v1 = tmp_path / "v1.json"
-        v1.write_text(to_json_v1(Topology.from_json(v2.read_text())) + "\n")
-        capsys.readouterr()
-        outputs = {}
-        for name, path in (("v1", v1), ("v2", v2)):
-            stats = run_cli(["topo", "stats", "--topology", str(path)])
-            csvs = []
-            for argv in (["consensus", "run", "--rounds", "50", "--leader-policy", "random"],
-                         ["gossip", "run", "--cycles", "50", "--delay", "0.3"]):
-                out = tmp_path / f"{name}-{argv[0]}.csv"
-                assert run_cli([*argv[:2], "--topology", str(path), *argv[2:], "--seed", "3",
-                                "--out", str(out)]) == 0
-                csvs.append(out.read_bytes())
-            printed = capsys.readouterr()
-            outputs[name] = (stats, printed.out, printed.err, csvs)
-        assert outputs["v1"] == outputs["v2"]
-        assert outputs["v2"][0] == 0 and outputs["v2"][1].startswith("N=")
 
 
 # Table 3's rows in order, with the baseline degree of each block.
@@ -429,19 +397,14 @@ class TestExitCodes:
         assert (summary[6], summary[7], summary[8], summary[10]) == \
             ("summary", "1.0", "", "exact-tree")
 
-    @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("field, value", [("u", None), ("v", "3"), ("u", 1.5), ("label", 0.5)],
                              ids=["u-null", "v-string", "u-float", "label-float"])
-    def test_malformed_document_number(self, tmp_path, capsys, version, field, value):
+    def test_malformed_document_number(self, tmp_path, capsys, field, value):
         """A link end or label digit that is not a JSON integer is a usage
         error, not a traceback or a silent conversion."""
-        t = build_ring_lattice(6, 2)
-        doc = to_dict_v1(t) if version == 1 else t.to_dict()
+        doc = build_ring_lattice(6, 2).to_dict()
         if field == "label":
-            labels = [nd["levels"] for nd in doc["nodes"]] if version == 1 else doc["labels"]
-            labels[0][0] = value
-        elif version == 1:
-            doc["links"][0][field] = value
+            doc["labels"][0][0] = value
         else:
             doc["links"][field][0] = value
         topo = tmp_path / "bad.json"
@@ -463,13 +426,8 @@ class TestExitCodes:
         (lambda doc: _class_edit(doc, mttr_h=True), "mttr_h must be a finite number, got True"),
         (lambda doc: _class_edit(doc, mtbf_h=float("inf")), "mtbf_h must be a finite number, got inf"),
         (lambda doc: dict(doc, classes=[[0]]), "malformed topology document: "),
-        (lambda doc: dict(to_dict_v1(build_ring_lattice(6, 2)), nodes=5),
-         "malformed topology document: "),
-        (lambda doc: dict(to_dict_v1(build_ring_lattice(6, 2)), links=["a"]),
-         "malformed topology document: "),
     ], ids=["links-list", "meta-list", "labels-int", "mtbf-null", "top-level-list", "kind-int",
-            "distance-string", "mttr-bool", "mtbf-infinite", "class-list", "v1-nodes-int",
-            "v1-link-string"])
+            "distance-string", "mttr-bool", "mtbf-infinite", "class-list"])
     def test_malformed_document_structure(self, tmp_path, capsys, edit, message):
         """A value of the wrong JSON type is a usage error, not a traceback
         (TypeError, AttributeError) or a silent success."""
@@ -479,6 +437,24 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert message in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
+
+    def test_version_1_document(self, tmp_path, capsys):
+        """A version-1 document (one object per node and per link) is
+        refused by its version: SpecError naming it, exit 2 and no
+        traceback from `topo stats` and `analyze`."""
+        doc = {"version": 1, "kind": "custom", "N": 2, "meta": {},
+               "classes": [{"class_id": 0, "distance_km": 5000.0, "mtbf_h": 2190.0, "mttr_h": 24.0}],
+               "nodes": [{"flat": 0, "levels": [0]}, {"flat": 1, "levels": [1]}],
+               "links": [{"u": 0, "v": 1, "class_id": 0, "level": 1}]}
+        with pytest.raises(SpecError, match="unsupported topology document version 1"):
+            Topology.from_dict(doc)
+        topo = tmp_path / "v1.json"
+        topo.write_text(json.dumps(doc))
+        for argv in (["topo", "stats"], ["analyze", "partition"]):
+            assert run_cli([*argv, "--topology", str(topo)]) == 2
+            captured = capsys.readouterr()
+            assert "unsupported topology document version 1" in captured.err
+            assert "Traceback" not in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("argv", [["topo", "stats"], ["analyze", "partition"]],
                              ids=["topo-stats", "analyze-partition"])

@@ -30,6 +30,7 @@ from cubenet.consensus import (
 from cubenet.errors import ConstructionError, SpecError
 from cubenet.topology import _bfs_levels
 from custom_graph import custom_topology
+from linear_fit import linear_fit_r2
 
 
 class TestConfig:
@@ -171,8 +172,6 @@ class TestSweep:
 
     def test_hub_round_time_linear_in_n(self):
         """Star rounds are hub-serialized, so round time grows ~linearly."""
-        from cubenet.gossip import linear_fit_r2
-
         cfg = ConsensusConfig(rounds=30, seed=0, link_bandwidth=1e8, leader_policy="hub")
         ns, times = [], []
         for d in (3, 4, 5, 6):

@@ -16,8 +16,8 @@ from cubenet import (
 )
 from cubenet import gossip
 from cubenet.errors import SpecError
-from cubenet.gossip import linear_fit_r2
 from custom_graph import custom_topology
+from linear_fit import linear_fit_r2
 
 
 class TestConfig:

@@ -28,8 +28,6 @@ from cubenet import (
     build_ring_lattice,
     build_rooted_tree,
     build_star,
-    exact_partition_tolerance_bruteforce,
-    min_repair_time,
     partition_tolerance,
 )
 import cubenet
@@ -52,6 +50,7 @@ from cubenet.reliability import (
 )
 from cubenet.topology import DomainGraph, Orbits, _translation_orbits, max_component_size
 from cubenet.unionfind import UnionFind
+from bruteforce_oracle import exact_partition_tolerance_bruteforce
 from custom_graph import custom_topology
 from markov_oracle import CountChain, binomial_stationary, stationary, transition_matrix
 
@@ -178,10 +177,16 @@ class TestConditionalWrongProb:
             assert abs(mc.p_wrong - exact.p_wrong) <= 4 * max(mc.stderr, 1e-9)
 
 
+def min_repair_time(topology, failed: list[int], k: int) -> float:
+    """`_repair_times` of the one failure set that fails the links `failed`."""
+    row = np.isin(np.arange(topology.n_links), failed)[None]
+    return float(_repair_times(topology, k, _class_values(topology, lambda c: c.mttr_h), row)[0])
+
+
 class TestRepairTime:
     def test_single_class_is_class_mttr(self):
-        t = build_star(4)
-        assert min_repair_time(t, [(0, 1), (0, 2)], k=3) == 24.0
+        t = build_star(4)  # links 0 and 1 are (0, 1) and (0, 2)
+        assert min_repair_time(t, [0, 1], k=3) == 24.0
 
     def test_multiclass_picks_cheapest_sufficient(self):
         # path 0-1-2 with a slow link (MTTR 24) and a fast link (MTTR 2.016);
@@ -202,10 +207,6 @@ class TestRepairTime:
         is repaired."""
         with pytest.raises(NumericError, match="did not restore a good partition"):
             min_repair_time(_two_links(), [], k=3)
-
-    def test_numpy_indices_match_list(self):
-        t = build_ring_lattice(8, 2)  # links 0 and 5 are (0,1) and (4,5): a 4/4 split
-        assert min_repair_time(t, np.array([0, 5])) == min_repair_time(t, [0, 5]) == 24.0
 
 
 def _mixed_path():
@@ -440,7 +441,7 @@ def per_tree_wrong_mass(topology, k, q):
     root sums multiply in root order."""
     n = topology.n_nodes
     indptr, indices = (a.tolist() for a in topology.csr())
-    link = topology.link_index()
+    link = {(lo, hi): j for j, (lo, hi) in enumerate(np.sort(topology.ends, axis=1).tolist())}
     seen = [False] * n
     dist = [np.array([0.0, 1.0])[:k] for _ in range(n)]
     wrong = 1.0
@@ -1449,6 +1450,7 @@ def test_analysis_runs_without_networkx():
         "import sys\n"
         "sys.modules['networkx'] = None\n"
         "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
         "from cubenet import *\n"
         "from cubenet import reliability\n"
         "t = build_ring_lattice(16, 4)\n"
@@ -1457,9 +1459,9 @@ def test_analysis_runs_without_networkx():
         "spec = RecursionSpec.symmetric(2, 2)\n"
         "mixed = build_recursive(spec)\n"
         "partition_tolerance(mixed, budget=50, seed=0)\n"
-        "min_repair_time(mixed, range(mixed.n_links))\n"
+        "reliability._repair_times(mixed, 9, reliability._class_values(mixed, lambda c: c.mttr_h),\n"
+        "                          np.ones((1, mixed.n_links), dtype=bool))\n"
         "analyze_hierarchical(spec, budget=50, seed=0)\n"
-        "exact_partition_tolerance_bruteforce(build_ring_lattice(6, 2))\n"
         "run_gossip(mixed, GossipConfig(cycles=3, seed=0))\n"
         "run_consensus(mixed, ConsensusConfig(rounds=3, seed=0))\n"
     )
@@ -1542,8 +1544,6 @@ class TestErrors:
                 partition_tolerance(t, k=k, budget=0)
             with pytest.raises(SpecError):
                 exact_partition_tolerance_bruteforce(t, k=k)
-            with pytest.raises(SpecError):
-                min_repair_time(t, [0, 1], k=k)
 
     def test_sampled_states_need_a_budget(self):
         with pytest.raises(SpecError, match="need sampling but the budget is 0"):
@@ -1553,10 +1553,6 @@ class TestErrors:
         spec = RecursionSpec.asymmetric((2, {(a,): DomainGraph(2, ((0, 1),)) for a in range(4)}))
         with pytest.raises(SpecError, match="symmetric or semi-symmetric"):
             analyze_hierarchical(spec)
-
-    def test_unknown_failed_link(self):
-        with pytest.raises(SpecError, match=r"no link \(0, 4\)"):
-            min_repair_time(build_ring_lattice(64, 6), [(0, 4)])
 
     def test_negative_enum_cap(self):
         """A negative cap is an error, not a cap of 0, at every entry point

@@ -20,13 +20,11 @@ from cubenet import (
     build_rooted_tree,
     build_star,
     closed_form_link_count,
-    connected_components,
 )
 from cubenet import cli, topology
 from cubenet.errors import ConstructionError, ResourceLimitError, SpecError
-from cubenet.topology import _gray_hypercube_edges
+from cubenet.topology import _component_roots, _gray_hypercube_edges
 from custom_graph import custom_topology
-from document_v1 import to_dict_v1, to_json_v1
 
 
 def _pairs(t: Topology) -> set[tuple[int, int]]:
@@ -317,38 +315,40 @@ class TestTable3Census:
         assert tuple(census[cid] for cid in sorted(census)) == expected
 
 
+def _roots(t: Topology, failed) -> list[int]:
+    """`_component_roots` of t with the link indices `failed` absent."""
+    present = np.ones((1, t.n_links), dtype=bool)
+    present[0, list(failed)] = False
+    return _component_roots(t.ends, t.n_nodes, present).tolist()
+
+
 class TestComponents:
     def test_intact(self):
-        t = build_complete_hypercube(3)
-        assert [len(c) for c in connected_components(t)] == [8]
+        assert _roots(build_complete_hypercube(3), []) == [0] * 8
 
     def test_isolated_vertex(self):
-        t = build_complete_hypercube(3)
-        comps = connected_components(t, [(0, 1), (0, 2), (0, 4)])
-        assert [len(c) for c in comps] == [7, 1]
+        t = build_complete_hypercube(3)  # links 0, 1, 2 are node 0's
+        assert _roots(t, [0, 1, 2]) == [0] + [1] * 7
 
     def test_path_split(self):
         t = build_rooted_tree(3, 2)  # path 0-1, 0-2
-        comps = connected_components(t, [(0, 1)])
-        assert [len(c) for c in comps] == [2, 1]
-
-    def test_numpy_indices_match_list(self):
-        t = build_complete_hypercube(3)
-        mask = np.zeros(t.n_links, dtype=bool)
-        mask[[0, 1, 2]] = True
-        assert connected_components(t, np.flatnonzero(mask)) == connected_components(t, [0, 1, 2])
-
-    def test_numpy_index_out_of_range(self):
-        with pytest.raises(SpecError):
-            connected_components(build_complete_hypercube(3), np.array([12]))
+        assert _roots(t, [0]) == [0, 1, 0]
 
     @settings(max_examples=25, deadline=None)
     @given(fail=st.sets(st.integers(0, 11), max_size=12))
     def test_partition_property(self, fail):
+        """Every node's root is the least node of its component, found by
+        relaxing each present link until no label changes."""
         t = build_complete_hypercube(3)
-        comps = connected_components(t, fail)
-        flat = sorted(x for c in comps for x in c)
-        assert flat == list(range(8))
+        label = list(range(8))
+        changed = True
+        while changed:
+            changed = False
+            for j, (u, v) in enumerate(t.ends.tolist()):
+                if j not in fail and label[u] != label[v]:
+                    label[u] = label[v] = min(label[u], label[v])
+                    changed = True
+        assert _roots(t, fail) == label
 
 
 class TestSerialization:
@@ -389,15 +389,13 @@ def test_class_ids_are_table_keys():
 
 def test_node_id_requires_levels():
     """A document whose node labels have no digits, or a row with none, is
-    refused, in either version."""
+    refused."""
     for empty in (range(4), [0]):
-        v1, v2 = to_dict_v1(build_star(4)), build_star(4).to_dict()
+        doc = build_star(4).to_dict()
         for x in empty:
-            v1["nodes"][x]["levels"] = []
-            v2["labels"][x] = []
-        for doc in (v1, v2):
-            with pytest.raises(SpecError, match="node labels must be non-empty"):
-                Topology.from_dict(doc)
+            doc["labels"][x] = []
+        with pytest.raises(SpecError, match="node labels must be non-empty"):
+            Topology.from_dict(doc)
 
 
 _MESH = DomainGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
@@ -407,157 +405,120 @@ _ASYM_TRIANGLE = RecursionSpec.asymmetric(
     ({(): DomainGraph(3, ((0, 1), (1, 2), (0, 2)))}, {(a,): _PATH3 for a in range(3)}, 1)
 )
 
-# name: (builder, sha256 of the version-1 document (`to_json_v1`), sha256
-# of the version-2 document (`to_json()`), sha256 of the [u, v, class_id,
-# level] link sequence), the version-1 and link hashes as the per-link
-# object builders produced them: trees, ring lattices, the star and cubes
+# name: (builder, sha256 of the document (`to_json()`), sha256 of the [u,
+# v, class_id, level] link sequence), the link hash as the per-link
+# object builders produced it: trees, ring lattices, the star and cubes
 # serialised before; Table 3's twelve graphs; the benchmark's analyze and
 # protocols graphs (full and toy size, and the 12-cube probe); every other
 # builder, asymmetric included.
 SERIALIZATION_PINS = {
     "tree1": (lambda: build_rooted_tree(1, 3),
-        "e58dd9b13f8b81d72bda77ab175470c0776f183b2fb9bcf7adea15de2e29e548",
         "f80d324772d82ab67be95cf938d595b7a8faf1786b4912c57f35a0ef4e42e795",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     "tree64-6": (lambda: build_rooted_tree(64, 6),
-        "6f1da2663930deaaf17b0e7c73ea73c5be25be84d659426bd59f67cbb97869fc",
         "b6d07e88b132c2a6cff09d2cee4dbeb4ff0b75b32d3055880b6a8e488860cc7e",
         "337986bb23ef1c717932bc6627ce40cb690b2dc41446e2c455e3c535f4707566"),
     "tree4096-12": (lambda: build_rooted_tree(4096, 12),
-        "1b8b729c536afda713eeaa02ac9ba40f5c5429f37906ccf0d9910b0a88852d4a",
         "6532a3718d296321b90920081f5a88e741f8448cfdaf6674fa2e2dda10453e2d",
         "43b61c15561201e2e07b6463efb44b51bf1ba167982a505484aa7761141144db"),
     "tree40-3": (lambda: build_rooted_tree(40, 3),
-        "9efc52051ed09f35e2750c8c2c558f42fb232ed8a7f60f9353b327c13d4027fc",
         "65583f188b275a473019ad8ee3e64560082bb9201e50db50b26996a6db9b4143",
         "705faa07c43a2aacc533ea151735a049d9173d7d31bfc98883a85996dacc405e"),
     "tree10-2": (lambda: build_rooted_tree(10, 2),
-        "7d34b84fc5b7291762ce040d62cc9d97edff942241b500660ba9ed0a76286d11",
         "b49aea040dd54dbcb165a770291f4e77d34ec103914038fc498327b106fd94e5",
         "8ce4f25817541e6cf5ce6f1fb77e663a1bba5d608016452b9af5404a8d91112f"),
     "ring5-4": (lambda: build_ring_lattice(5, 4),
-        "cf56c3a908c48908f3d52a1ccd98b020642e2bb3e2d4058ee42556054f975af0",
         "00153aa39f2b246b54cd499885834d26b073e595ac829f07a9faea5a996bbfeb",
         "397f4eb852cdd974c96345a0544cd0d59533ecdc52ed273f8a93fb06d201d6e4"),
     "ring5-2": (lambda: build_ring_lattice(5, 2),
-        "ee6f3af5bd0f8372e8900ddffb73af288d57407217796c22fca2358626cfe94a",
         "91fc20af02470b13f9734d78f7f316509e0ce1f3620dee40392eee0ec2ca3d3f",
         "dad019f724f95ed0b5b561aea2c0a171ef9ba609aae6be64997a44d4ae0c484f"),
     "ring64-6": (lambda: build_ring_lattice(64, 6),
-        "23b89914f835a7bc7a906f3bfb1d91eb6d4f9e0f8fa3155f0d226977d6736d10",
         "d8eebe960f3619bff1fd0a5db3f8ca142cf59c455cd3503f09ee53f2320677b0",
         "cb282e6ff523e3ca26ae5afc2321af79d83fa131e35f4790b984610c3c4a4d06"),
     "ring768-4": (lambda: build_ring_lattice(768, 4),
-        "be605f58d3a94e5d5296fe3c3eabda50c058c42f259e78b6c05fb9006d4ca231",
         "ab0e04db931ead7c394f571e2a3042924840a7c0b6750d23c6059baffba56e1c",
         "387f47f56f948959774a7405b250f455fe2213adbfc306ad8687281acc017275"),
     "ring4096-12": (lambda: build_ring_lattice(4096, 12),
-        "7fef3fb4a56e8ebe89247242e59042e5dcbaf9170033fc7f4fb82d923e8d4c00",
         "e90144ed25038f8f410e13f8243cfbfb0148ef688ff2f37cfc3627a83b56f5be",
         "fb0e9774e8f5925fd70fb40b22c568324685c23d6ac0a14fa54a6a349912b075"),
     "ring7-6": (lambda: build_ring_lattice(7, 6),
-        "cd8c7cadb4134aabcee635791796e55e8d8a657a8c0e5eea3d94b474d2d712ca",
         "f5f317b9a2663ca5bfff495c6d75ca9f5c44d9389e19aa1aceca3350d08ccddb",
         "621c69265c653af25d23b362386df0eca6ea304ce899f1dae6a31bd13a0979e4"),
     "ring8-2-420": (lambda: dataclasses.replace(build_ring_lattice(8, 2),
                                                 classes={0: LinkClass.standard(420.0)}),
-        "327e70fba483c045228a9a7ea8985b370c14f17dc4aad5e03a6383cae082254d",
         "76c38fb98462fc4bccfa930cb4b183792665c55f7b4baa6ab0d1bf92cacac8d4",
         "de2b546090a490a5778e462d18a941e5fe7dc88bcfc501e6adf4cfdf45d9fbbd"),
     "ring64-2": (lambda: build_ring_lattice(64, 2),
-        "8390e6e4c7fa4d643745875cf0d7daee3e14864409fc2a2507ffc9246628fee7",
         "1398ec12951f95f8ffa6079b566215e4d25e84ebdbb65da3ec3eda981bfbe219",
         "f7d66400361fa88b4678b44039eeebca5039dce9439d22272ad00e31c6ff52f1"),
     "ring48-4": (lambda: build_ring_lattice(48, 4),
-        "138ef6d7b316939538cbf4a8ba59ef580fb5a731bbffcf488177650aa2233405",
         "efa59fa606307627e640732a91d6d6f626286f2e99952dc88897046eb9517ab0",
         "1e7bf5424d9bc94276bb42bed478e2de7eb2ada4d6b8aa492667b719c9472ac8"),
     "ring16-2": (lambda: build_ring_lattice(16, 2),
-        "9670117bb8f90dad5e8a684ee491c93a581af5141dcc9151e9170b040c577891",
         "2024abc59a1ce55484441ea8d15e617e2484a50ff05b6f3884f37d7835a58b92",
         "fbfa430dd8f716c408f322cc56116738791740a94c7b2a067147ad3c62986a1c"),
     "star9": (lambda: build_star(9),
-        "95fca16f0bb809f2f563f62d55af88f2e10d93969384119fdbb656983f168769",
         "c132717ef311e5392cbc77ac98b16a7f29a69bb3d96913258a8f1c53960bf487",
         "4bc7b4520d95fd74065e8498b29fc8982c7d73df768e2d7ecad1843537867464"),
     "cube0": (lambda: build_complete_hypercube(0),
-        "e85a3b7be9949c94a952ad55d6c8089d6c42e0351ae5e201e7372b62b17bd21e",
         "9f18b3a92bdcb859ea9d3521110c168907b280d7fd49fcbc947ca644099ea356",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     "cube6": (lambda: build_complete_hypercube(6),
-        "d243ccf76e9d847de4844b888eae9be4ec2df7be453966bde05334101c489f0d",
         "162a635fdb6fa8d180bf3e2793d8cdc7baec533d3eb17ca03def0ff570485bbd",
         "76da44276192b0dd75e4677164b994363c515193a663524a4dcf7c239a60fb44"),
     "cube12": (lambda: build_complete_hypercube(12),
-        "67e5e6134fdbca6469fea7c96d0558885b75c3a7018c734d7aa8d3b5c1830ba9",
         "2f0239c36090a64f5b15d1a692a2233d2634d858632152263ffcdb2c0dcb1fc3",
         "227ea999dc1b6489b1dc38a3312cb6bab13b7723a3a7a0577e5c2e6b32fe0919"),
     "incomplete4-15": (lambda: build_incomplete_hypercube(4, present_nodes=set(range(15))),
-        "a0d7764eee0d697659a9912ff8a0d034afcfc6d5f7515efd6e9d53ef9128b8a0",
         "982f781f7d37ca8b0630c6cd3fd9857041df5ee81709bb8549e9363e88c04ef9",
         "e8c873308f9a7721f1c1f1c565a7ba9af6f07a32755b21dff265a2a9eedabf46"),
     "incomplete5-rm": (lambda: build_incomplete_hypercube(5, removed_links=[(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]),
-        "d7137584b80f4bb7712b772875da44223d9a6d25fe39b13d9f250c6af657edb7",
         "a1b34b54264a0597516582ac21402fea5bfbb66cf283bd02cae6a72904c2984f",
         "932c80b6e0ccf53511fefcc2aeab14f82228c37b8eb0ee2a1652aa84936379e4"),
     "incomplete4-mix": (lambda: build_incomplete_hypercube(4, present_nodes=[0, 1, 2, 3, 5, 6, 7, 9, 11, 13, 15], removed_links=[(1, 3)]),
-        "6cbfee02cf3c1baf3719e07a4da1a82e0b07adf3d0bc56313123f2d43f38b9be",
         "610a4fb6bf4c15154f24883cf3b5684d7eeaa8f61920de7cea39511f66bc765e",
         "2eddc64dcd6b1e1681a42ee35f0a792b1cf76d9b03d1450d8896c2073b321b1f"),
     "rec6": (lambda: build_recursive(RecursionSpec.symmetric(6, 1)),
-        "f9c8124ab841a42b66651ac4b59d7d1815ee8fa7067dc1e17f016ee6e35e79b8",
         "1e08017044a4f86e9f94aa3c90497d5b0b2449ee186368c970ae105245150080",
         "cb13845e36348bfad65f11eb12c415bb6da6bd0e317afc93d9849512ea81c070"),
     "rec3-3": (lambda: build_recursive(RecursionSpec.symmetric(3, 2)),
-        "189ed1c0b76d639658870f08ed0391d9ab87ce2c137d2f20bf8173a59dff9b72",
         "4fbd630ff688d919dd9fe8be70c6fbb20876451845a36f2e958fd7d2bdc90173",
         "c7d140148dc4e9088560f2c36ffda45f69e305415691c3da93f956ab9838893c"),
     "rec2-2-2": (lambda: build_recursive(RecursionSpec.symmetric(2, 3)),
-        "88e8169f756755dab967ab6b810c60b84f4dba6f2e82e83e8602e96a9140f32e",
         "9bf286e57b79f8f5c1c701caef50bead2fb2c12a7462df510065f9832ce9a273",
         "d9d730955d914f0eed4639d26cb5591d763878db6bfd2a5d523a175825b99e01"),
     "rec4-2": (lambda: build_recursive(RecursionSpec.semi((4, 2))),
-        "33467f858a58147bee5b91dc9962518338c707acc6dbb0c03c9952679e252207",
         "e77f83bcc93607d9c32c3130023851dbb29395452a9c6d80ecd494cfb3b07776",
         "847fdff8702a02080adc192c38e26b9dcc5c264655bff23548341ce70c94763f"),
     "rec12": (lambda: build_recursive(RecursionSpec.symmetric(12, 1)),
-        "7bb1d685b5a350f8711ed612830c1c2a9d81f9c18b99562b310e80e641401ba5",
         "78dce29a5d7e2a57f3db2a43e5cf2eb250a0d6d2e20020c5cfd658336052014f",
         "84123f14c200eedaa70069eb43f76e980bb1599605297367856f6bb8c4c4be75"),
     "rec6-6": (lambda: build_recursive(RecursionSpec.symmetric(6, 2)),
-        "31c4bb1cb0a28769d435146c6eceb7b0f822cdd1083811340f2305e1be1098d7",
         "d4e559b5413ae610adfe2389bb0042202c36b5ca87c981096d2952dd6f369567",
         "d2376cbc22b400d6cc6d2b1dd9e297a875f822fce7adc6ec2956e413ac6bd0a9"),
     "rec4-4-4": (lambda: build_recursive(RecursionSpec.symmetric(4, 3)),
-        "149ee9d385842ccfdd009717dc439411beb5049c981c813a0de9b2c73a20a932",
         "33dce3e43a28be91cd98ddc9578d1bd101cd093bb3f4670882556bb034b7eb45",
         "6eb6e419532bac9d64265a14632801ddfd9e9dd2818f80628a30d1104629d9b6"),
     "rec5-4-3": (lambda: build_recursive(RecursionSpec.semi((5, 4, 3))),
-        "079d921ef662584876f8c8499c374a9f052cad7b448581ce584632664f549bc4",
         "8ae0f0488e67a2d24870ff4777923e38367e0cba0bbfcf296bd7d0336c15b2a5",
         "d725b1337fed89263345da888037703960b1f96d0752bc7917847a6f705d5467"),
     "rec4-4": (lambda: build_recursive(RecursionSpec.symmetric(4, 2)),
-        "6a2f52405e51b1643d5a580d1ec40b8636c168ae03b944e3eeb2e2e9ee94a85f",
         "7f0f2b28835ad2a7838066282a885b6ad5095c04f9c50c901e77abe7b09ae580",
         "e7cfa18327eebcf786849748b048f4be56546f453a842e8d0c28b303d643543c"),
     "rec2-2": (lambda: build_recursive(RecursionSpec.symmetric(2, 2)),
-        "d49048e61c6847f6585bbfa14db0fce4009937f667a3a0c5e5fd1c6d02d5043a",
         "3d38e99ccecb05287a74e0085d2ed5b250f2f949376b7b7d4497fab414bf44da",
         "18d56c1b19d334af897eaa6439857829aeb38c272b11d30b765cbd3f75657579"),
     "rec1-3-2": (lambda: build_recursive(RecursionSpec.semi((1, 3, 2))),
-        "702d2d44cb867f5e1dc34c97558985135d82527a96f5144a4459088ee501c18e",
         "545a03eff93ed43e0762729652ef89eee4ae3247b1313d60d907854cd3f203e7",
         "20a36b1ad86adb774c23fe2cec580da7c5b21c486854c6be22d6e2f65d14432e"),
     "rec3-1-2": (lambda: build_recursive(RecursionSpec.semi((3, 1, 2))),
-        "ee68eb0c2683a693b417d54052bc4eb295eeb0c9329bac664d2fb6185c5d3f32",
         "8a54370bfe1f7da1c7f63a133c6efe2e2be42e44eb804a53a963f0a7368ea941",
         "547fff2325369a660bdfe888a262d072945443f634636da2360e4982dc6bfde2"),
     "asym-mesh": (lambda: build_recursive(_ASYM_MESH),
-        "4c924486c69b1726fb869f19de876c60749ace77ba8bfe02daf07355893a6e48",
         "d0a76640763243fdd2862c39bd77de8330da416089449091af630dfe78a0ccfe",
         "0cabc59a72d837318cc761df23582aa6a5ff124588039ae4076492785d9700ff"),
     "asym-tri": (lambda: build_recursive(_ASYM_TRIANGLE),
-        "d5d4eeeaad5d9966e56ee75ed6b90069f59b52b45fda033acf108901ffbc1911",
         "fb01358dcc9db731841bcb8da8a708a897a3fb04cb15b5eb50ce9ee139ebd49c",
         "31a916b55fbde0a399526f4245f30ce57989f8e983bbaf55851f6de0b9663d72"),
 }
@@ -579,20 +540,17 @@ def _assert_same_topology(got: Topology, want: Topology) -> None:
 class TestSerializationPins:
     @pytest.mark.parametrize("name", list(SERIALIZATION_PINS))
     def test_bytes_and_link_order(self, name):
-        """Both versions' bytes are pinned, and each reads back to the
-        builder's arrays; a version-1 document re-serialises as version 2."""
-        build, v1_sha, v2_sha, links_sha = SERIALIZATION_PINS[name]
+        """The document's bytes are pinned, and it reads back to the
+        builder's arrays and bytes."""
+        build, doc_sha, links_sha = SERIALIZATION_PINS[name]
         t = build()
         rows = np.column_stack((t.ends, t.class_id, t.level)).tolist()
         assert _sha256(json.dumps(rows, separators=(",", ":"))) == links_sha
         text = t.to_json()
-        assert _sha256(text) == v2_sha
-        v1 = to_json_v1(t)
-        assert _sha256(v1) == v1_sha
-        for doc in (v1, text):
-            back = Topology.from_json(doc)
-            _assert_same_topology(back, t)
-            assert back.to_json() == text
+        assert _sha256(text) == doc_sha
+        back = Topology.from_json(text)
+        _assert_same_topology(back, t)
+        assert back.to_json() == text
 
 
 # name: (builder of the topology, CLI arguments after --topology, sha256
@@ -857,35 +815,24 @@ class TestArrays:
         assert dataclasses.replace(cube, classes=other).classes == other
 
     @pytest.mark.parametrize(
-        "edit_v1, edit_v2, message",
+        "edit, message",
         [
-            (lambda doc: doc["nodes"].reverse(), None, "node flat numbers must run"),
-            (lambda doc: doc["nodes"][1]["levels"].append(0),
-             lambda doc: doc["labels"][1].append(0), "node labels must be non-empty and all of one"),
-            (lambda doc: doc["links"][0].update(u=2**40),
-             lambda doc: doc["links"].update(u=[2**40, *doc["links"]["u"][1:]]),
+            (lambda doc: doc["labels"][1].append(0), "node labels must be non-empty and all of one"),
+            (lambda doc: doc["links"].update(u=[2**40, *doc["links"]["u"][1:]]),
              "number out of range"),
-            (lambda doc: doc.update(N=99), lambda doc: doc.update(N=99),
-             "N=99 but the document lists 6 nodes"),
+            (lambda doc: doc.update(N=99), "N=99 but the document lists 6 nodes"),
             (lambda doc: doc["classes"].append(dict(doc["classes"][0], mttr_h=2.0)),
-             lambda doc: doc["classes"].append(dict(doc["classes"][0], mttr_h=2.0)),
              "class ids must be distinct"),
-            (None, lambda doc: doc["links"]["level"].pop(), "link columns must all have one length"),
+            (lambda doc: doc["links"]["level"].pop(), "link columns must all have one length"),
         ],
-        ids=["flat-order", "ragged-labels", "out-of-range", "node-count", "repeated-class",
-             "unequal-columns"],
+        ids=["ragged-labels", "out-of-range", "node-count", "repeated-class", "unequal-columns"],
     )
-    def test_from_dict_rejects(self, edit_v1, edit_v2, message):
-        """Each version's form of one fault gives the same message; version
-        1 alone numbers its nodes, and version 2 alone has link columns."""
-        t = build_ring_lattice(6, 2)
-        for edit, doc in ((edit_v1, to_dict_v1(t)), (edit_v2, t.to_dict())):
-            if edit is not None:
-                edit(doc)
-                with pytest.raises(SpecError, match=message):
-                    Topology.from_dict(doc)
+    def test_from_dict_rejects(self, edit, message):
+        doc = build_ring_lattice(6, 2).to_dict()
+        edit(doc)
+        with pytest.raises(SpecError, match=message):
+            Topology.from_dict(doc)
 
-    @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize(
         "field, index, value",
         [("u", 0, None), ("v", 0, "3"), ("u", 1, 1.5), ("v", 2, 3.0), ("class_id", 0, True),
@@ -894,34 +841,26 @@ class TestArrays:
         ids=["u-null", "v-string", "u-float", "v-integral-float", "class-bool", "level-bool",
              "label-float", "label-null", "label-string", "label-bool", "label-not-a-row"],
     )
-    def test_from_dict_refuses_non_integers(self, version, field, index, value):
+    def test_from_dict_refuses_non_integers(self, field, index, value):
         """JSON null, floats (also integral ones), strings and booleans in a
         link field or a label are refused, not truncated or converted."""
-        t = build_ring_lattice(6, 2)
-        doc = to_dict_v1(t) if version == 1 else t.to_dict()
-        if version == 1:
-            obj, key = (doc["nodes"][index], "levels") if field == "labels" else (doc["links"][index], field)
-        else:
-            obj, key = (doc["labels"] if field == "labels" else doc["links"][field]), index
-        obj[key] = value
+        doc = build_ring_lattice(6, 2).to_dict()
+        (doc["labels"] if field == "labels" else doc["links"][field])[index] = value
         with pytest.raises(SpecError, match="must (hold integers|be lists of integers)"):
             Topology.from_dict(doc)
 
-    @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("value", [1.0, True, "1"])
-    def test_from_dict_refuses_non_integer_class_id(self, version, value):
+    def test_from_dict_refuses_non_integer_class_id(self, value):
         """Each of these keys would pass for class 1 (`1.0 == True == 1`)
         or fail later with a less direct message."""
         t = custom_topology(3, [(0, 1), (1, 2)], [1, 1], {1: LinkClass.standard(5000)})
-        doc = to_dict_v1(t) if version == 1 else t.to_dict()
+        doc = t.to_dict()
         doc["classes"][0]["class_id"] = value
         with pytest.raises(SpecError, match="class ids must hold integers"):
             Topology.from_dict(doc)
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_document_without_links(self, version):
+    def test_document_without_links(self):
         t = custom_topology(3, [])
-        doc = to_dict_v1(t) if version == 1 else t.to_dict()
-        back = Topology.from_dict(json.loads(json.dumps(doc)))
+        back = Topology.from_dict(json.loads(t.to_json()))
         _assert_same_topology(back, t)
         assert back.ends.shape == (0, 2)
