@@ -76,18 +76,28 @@ def _parse_sizes(value) -> list[int]:
     return sizes
 
 
+def _spec_int(value, key: str) -> int:
+    """A spec's integer: an int that is not a bool, or an integer string.
+    str() of a float, a bool or None is no integer literal, so int() of
+    it refuses them all."""
+    try:
+        return int(str(value))
+    except ValueError:
+        raise SpecError(f"spec {key} must be an integer, got {value!r}") from None
+
+
 def topology_from_spec(spec: dict) -> Topology:
     kind = spec.get("kind", "recursive" if "mode" in spec or "dims" in spec else None)
     if kind is None:
         raise SpecError("spec needs a 'kind' (or 'mode'/'dims' for recursive)")
     if kind == "hypercube":
-        return build_complete_hypercube(int(spec["dim"]))
+        return build_complete_hypercube(_spec_int(spec["dim"], "dim"))
     if kind == "tree":
-        return build_rooted_tree(int(spec["n"]), int(spec.get("degree", 3)))
+        return build_rooted_tree(_spec_int(spec["n"], "n"), _spec_int(spec.get("degree", 3), "degree"))
     if kind == "ring":
-        return build_ring_lattice(int(spec["n"]), int(spec["degree"]))
+        return build_ring_lattice(_spec_int(spec["n"], "n"), _spec_int(spec["degree"], "degree"))
     if kind == "star":
-        return build_star(int(spec["n"]))
+        return build_star(_spec_int(spec["n"], "n"))
     if kind == "recursive":
         return build_recursive(recursion_spec_from_dict(spec))
     raise SpecError(f"unknown topology kind {kind!r}")
@@ -95,7 +105,7 @@ def topology_from_spec(spec: dict) -> Topology:
 
 def recursion_spec_from_dict(spec: dict) -> RecursionSpec:
     mode = str(spec.get("mode", "symmetric"))
-    dims = _parse_list(spec["dims"], int)
+    dims = _parse_list(spec["dims"], lambda d: _spec_int(d, "dims"))
     distances = _parse_list(spec["classes"], float) if "classes" in spec else None
     if mode in ("symmetric", "sym", "completely-symmetric"):
         if len(set(dims)) != 1:

@@ -13,11 +13,11 @@ over many failed-link sets of one graph go through one batched numpy
 connectivity kernel; random link orders evolve in lockstep batches.
 Each order stops at the largest sampled state i_max: its critical
 count is capped there, which leaves every estimate unchanged.  A batch
-with fewer orders than links (ring(768,4), Q12 or ring(4096,12) at
-budget 50) folds each order's first L - i_max links with the
-connectivity kernel before the lockstep steps; a batch with at least
-as many (Table 3's ring(64,6) and Q4, the 64-cycle, at budget 4000)
-only steps.
+with fewer orders than links (ring(768,4) or ring(4096,12) at budget
+50) folds each order's first L - i_max links with the connectivity
+kernel before the lockstep steps; a batch with at least as many
+(Table 3's ring(64,6) and Q4, the 64-cycle, at budget 4000) only
+steps.
 """
 from __future__ import annotations
 
@@ -30,13 +30,13 @@ import numpy as np
 from .errors import NumericError, SpecError
 from .topology import RecursionSpec, Topology, build_complete_hypercube
 from .topology import _bfs_levels, _check_run_length, _chunk_rows, _component_roots, _join_roots
-from .topology import _max_comp_rows, _translation_orbits
+from .topology import Orbits, _max_comp_rows, _translation_orbits
 from .unionfind import UnionFind  # noqa: F401  unused; perfbench/tracer.py patches this name
 
 ENUM_CAP_DEFAULT = 2_000_000
 TAIL_EPS = 1e-12  # single-class states with pi_i below this are skipped
 UNDERFLOW_FLOOR = 1e-300
-DENSE_MAX_NODES = 2048  # no cut bound (kappa, Fiedler) above this many nodes
+DENSE_MAX_NODES = 2048  # no cut bound above this many nodes without translation orbits
 ORDER_SLOTS = 2**20  # order (and node) slots per lockstep batch: 4 MB per int32 array
 
 
@@ -126,82 +126,68 @@ def _class_values(topology: Topology, value) -> np.ndarray:
 
 def _cut_lower_bound(topology: Topology, k: int) -> int:
     """Certified c_lb: every wrong state (largest component below k, for
-    1 <= k <= N) fails at least c_lb links; 0 above DENSE_MAX_NODES.
+    1 <= k <= N) fails at least c_lb links.
 
     c_lb = max(kappa, ceil(lam2 * (N - k + 1) / 2)).  A wrong state
     splits the nodes into parts of s_j <= k - 1 nodes and fails every
     link between parts, and each part has at least lam2 s_j (N - s_j) / N
     boundary links (Fiedler 1973; Mohar 1989), so it fails at least
-    half their sum >= lam2 (N - k + 1) / 2 links.  lam2, the second
-    least Laplacian eigenvalue, comes from a dense solve less a
-    backward-error margin.  Two exact checks keep the bound cheap: the
-    solve is skipped when the Rayleigh quotient of the centred BFS
-    distances (>= lam2) cannot lift the Fiedler term above kappa, and
-    kappa is skipped when the Fiedler term reaches the minimum degree
-    (kappa <= delta).  A graph with translation orbits (see
-    `_translation_orbits`) is vertex-transitive, so kappa = delta when
-    it is connected (Mader 1971; Godsil & Royle, Thm 3.3.1) and 0 when
-    the BFS finds it is not; on Z_2^D lam2 is exact and needs no solve
-    (`_xor_algebraic_connectivity`).  The quorum-free facts (the Rayleigh
-    quotient, lam2 and the max-flow kappa) are kept on the topology.
+    half their sum >= lam2 (N - k + 1) / 2 links.  lam2 is the second
+    least Laplacian eigenvalue.  A graph with translation orbits (see
+    `_translation_orbits`) takes lam2 from its character sums at any N
+    (`_character_lam2`), and it is vertex-transitive, so kappa = delta
+    when it is connected, lam2 > 0 (Mader 1971; Godsil & Royle, Thm
+    3.3.1), and 0 when it is not.  Every other graph has no bound above
+    DENSE_MAX_NODES; below, lam2 comes from a dense solve less a
+    backward-error margin, and the max-flow kappa is skipped when the
+    Fiedler term reaches the minimum degree (kappa <= delta).  The
+    quorum-free facts (lam2 and the max-flow kappa) are kept on the
+    topology.
     """
-    n = topology.n_nodes
-    if n > DENSE_MAX_NODES:
-        return 0
-    ends = topology.ends
+    n, ends = topology.n_nodes, topology.ends
     degree = np.bincount(ends.ravel(), minlength=n)
     delta = int(degree.min())
     half = (n - k + 1) / 2
-    rayleigh = topology.memo("rayleigh", lambda: _distance_rayleigh(topology))
     orbits = _translation_orbits(topology)
-
-    def kappa() -> int:
-        if orbits is not None:
-            return delta if rayleigh > 0 else 0
-        return topology.memo("kappa", lambda: _edge_connectivity(topology))
-
-    rayleigh_term = math.ceil(rayleigh * half)
-    if rayleigh_term <= delta and rayleigh_term <= kappa():
-        return kappa()
-    if orbits is not None and orbits.xor:
-        lam2 = _xor_algebraic_connectivity(n, ends[orbits.first, 0] ^ ends[orbits.first, 1])
-    else:
-        lam2 = topology.memo("lam2", lambda: _algebraic_connectivity_lb(ends, degree))
+    if orbits is not None:
+        lam2 = topology.memo("lam2", lambda: _character_lam2(n, ends, orbits))
+        return max(math.ceil(lam2 * half), delta) if lam2 > 0 else 0
+    if n > DENSE_MAX_NODES:
+        return 0
+    lam2 = topology.memo("lam2", lambda: _algebraic_connectivity_lb(ends, degree))
     fiedler = math.ceil(max(lam2, 0.0) * half)
-    return fiedler if fiedler >= delta else max(fiedler, kappa())
+    if fiedler >= delta:
+        return fiedler
+    return max(fiedler, topology.memo("kappa", lambda: _edge_connectivity(topology)))
 
 
-def _distance_rayleigh(topology: Topology) -> float:
-    """Rayleigh quotient of the BFS distances from node 0, centred: an
-    upper bound on lam2; 0 when the graph is disconnected (lam2 = 0).
+def _character_lam2(n: int, ends: np.ndarray, orbits: Orbits) -> float:
+    """lam2 of the Laplacian of a graph with translation orbits, from the
+    character sums of its abelian group (Godsil & Royle, Algebraic Graph
+    Theory); 0 on one node.
 
-    BFS distances differ by at most one along a link, so the quotient's
-    numerator counts the links whose ends lie at different distances.
+    Character j != 0 has Laplacian eigenvalue the sum of one term per
+    orbit; j = 0 gives 0.  On Z_2^D the orbit of mask g adds
+    1 - (-1)^popcount(j & g), so lam2 is twice the least count of masks
+    with popcount(j & g) odd, exactly.  On Z_N the orbit of offset s adds
+    2 - 2 cos(2 pi j s / N) = 4 sin^2(pi ((j s) mod N) / N), half that
+    when 2s = N (one link per node).  Reducing j s mod N keeps the lam2
+    of a disconnected circulant exactly 0, and lam2 is returned less
+    1e-9 of itself, far above the few roundings of each nonnegative term
+    and of their sum.
     """
-    n, ends = topology.n_nodes, topology.ends
-    levels = _bfs_levels(*topology.csr(), [0])
-    if n < 2 or 1 + sum(len(nodes) for nodes, _, _ in levels) < n:
+    if n < 2:
         return 0.0
-    dist = np.zeros(n, dtype=np.int64)
-    for d, (nodes, _, _) in enumerate(levels, start=1):
-        dist[nodes] = d
-    x = dist - dist.mean()
-    return float(np.count_nonzero(dist[ends[:, 0]] != dist[ends[:, 1]])) / float(x @ x)
-
-
-def _xor_algebraic_connectivity(n: int, masks: np.ndarray) -> float:
-    """lam2 of the Laplacian of the graph joining every x to x ^ g for
-    each of the link masks `masks` on N = 2**D >= 2 nodes, exactly.
-
-    Character chi of Z_2^D has Laplacian eigenvalue sum over g of
-    1 - (-1)^popcount(chi & g), twice the masks with popcount(chi & g)
-    odd; chi = 0 gives 0, so lam2 is the least over chi != 0.
-    """
-    chi = np.arange(1, n)
-    odd = np.zeros(n - 1, dtype=np.int64)
-    for g in masks.tolist():
-        odd += np.bitwise_count(chi & g) & 1
-    return 2.0 * int(odd.min())
+    u, v = ends[orbits.first].T
+    j = np.arange(1, n)
+    eig = np.zeros(n - 1)
+    if orbits.xor:
+        for g in (u ^ v).tolist():
+            eig += 2 * (np.bitwise_count(j & g) & 1)
+        return float(eig.min())
+    for s in ((v - u) % n).tolist():
+        eig += (2 if 2 * s == n else 4) * np.sin(np.pi * (j * s % n) / n) ** 2
+    return float(eig.min()) * (1 - 1e-9)
 
 
 def _algebraic_connectivity_lb(ends: np.ndarray, degree: np.ndarray) -> float:
@@ -216,7 +202,7 @@ def _algebraic_connectivity_lb(ends: np.ndarray, degree: np.ndarray) -> float:
 
 
 def _edge_connectivity(topology: Topology) -> int:
-    """Exact edge connectivity; 0 (no certified bound) above DENSE_MAX_NODES.
+    """Exact edge connectivity.
 
     kappa = min(delta, min over t in D of the max s-t flow), where s has
     minimum degree delta and D is any dominating set containing s: when
@@ -227,8 +213,6 @@ def _edge_connectivity(topology: Topology) -> int:
     stops once it reaches the least cut found so far.
     """
     n = topology.n_nodes
-    if n > DENSE_MAX_NODES:
-        return 0
     arcs, head = _arc_lists(topology)
     closed = [[x] + [head[a] for a in arcs[x]] for x in range(n)]
     s = min(range(n), key=lambda x: len(arcs[x]))

@@ -322,7 +322,13 @@ class TestExitCodes:
         ("kind=torus\nn=8\n", "unknown topology kind 'torus'"),
         ("mode=symmetric\ndims=2,3\n", "symmetric mode needs one repeated dimension"),
         ("mode=asymmetric\ndims=2,2\n", "unsupported recursion mode 'asymmetric'"),
-    ], ids=["no-equals", "no-kind", "unknown-kind", "unequal-dims", "asymmetric"])
+        ("kind=ring\nn=8\ndegree=2.5\n", "spec degree must be an integer, got '2.5'"),
+        ('{"kind": "ring", "n": 8, "degree": 2.5}', "spec degree must be an integer, got 2.5"),
+        ('{"kind": "tree", "n": 7.9}', "spec n must be an integer, got 7.9"),
+        ('{"kind": "recursive", "dims": [2.7, 2]}', "spec dims must be an integer, got 2.7"),
+        ('{"kind": "hypercube", "dim": true}', "spec dim must be an integer, got True"),
+    ], ids=["no-equals", "no-kind", "unknown-kind", "unequal-dims", "asymmetric", "float-string",
+            "float-degree", "float-n", "float-dims", "bool-dim"])
     def test_bad_key_value_spec(self, tmp_path, capsys, text, message):
         spec = tmp_path / "bad.spec"
         spec.write_text(text)

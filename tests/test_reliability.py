@@ -37,6 +37,7 @@ from cubenet.reliability import (
     ORDER_SLOTS,
     _arc_lists,
     _algebraic_connectivity_lb,
+    _character_lam2,
     _class_values,
     _critical_counts,
     _cut_lower_bound,
@@ -45,7 +46,6 @@ from cubenet.reliability import (
     _max_comp_rows,
     _max_flow,
     _repair_times,
-    _xor_algebraic_connectivity,
     default_quorum,
 )
 from cubenet.topology import DomainGraph, Orbits, _translation_orbits, max_component_size
@@ -324,7 +324,8 @@ class TestPartitionTolerance:
         assert math.isclose(report.stderr, sampled[0].pi_i * sampled[0].stderr, rel_tol=1e-12)
 
     def test_cube12_analysable(self):
-        """L = 24576: the closed-form steady state has no dense-matrix limit."""
+        """L = 24576: the closed-form steady state has no dense-matrix limit,
+        and every kept state lies below c_lb = 2048, so all are exact zeros."""
         from scipy.stats import binom
 
         t = build_complete_hypercube(12)
@@ -333,7 +334,9 @@ class TestPartitionTolerance:
         i = np.array([e.i for e in report.per_state])
         pi = np.array([e.pi_i for e in report.per_state])
         np.testing.assert_allclose(pi, binom.pmf(i, t.n_links, Q5000), rtol=1e-9, atol=1e-300)
-        assert any(e.method == "sampled" for e in report.per_state)
+        kept = [e for e in report.per_state if e.method != "skipped"]
+        assert kept and all(e.method == "exact" and e.p_wrong == 0.0 for e in kept)
+        assert (report.method, report.p) == ("exact", 1.0)
 
     def test_disconnected_graph_raises(self):
         t = custom_topology(4, [(0, 1), (2, 3)])
@@ -783,8 +786,12 @@ class TestEdgeConnectivity:
         assert _edge_connectivity(build()) == kappa
 
     def test_no_bound_above_2048_nodes(self):
+        """The max-flow has no size guard; the cut bound of a graph without
+        translation orbits stops above DENSE_MAX_NODES."""
         assert _edge_connectivity(build_ring_lattice(2048, 2)) == 2
-        assert _edge_connectivity(build_ring_lattice(2049, 2)) == 0
+        t = _permuted_ring(2049, 2)
+        assert _translation_orbits(t) is None
+        assert _cut_lower_bound(t, 1025) == 0
 
     def test_ring_flow_count(self, monkeypatch):
         """The greedy dominating set of ring(768, 4) takes the node that
@@ -829,8 +836,8 @@ def min_wrong_cuts(n, pairs):
 
 
 def cut_bound_unchecked(topology, k):
-    """`_cut_lower_bound` without its two shortcuts: kappa and the
-    Fiedler term are both always computed."""
+    """`_cut_lower_bound` with nothing skipped or closed-form: kappa from
+    the max-flow and the Fiedler term from the dense solve, always."""
     n = topology.n_nodes
     ends = topology.ends
     degree = np.bincount(ends.ravel(), minlength=n)
@@ -895,15 +902,19 @@ class TestCutLowerBound:
         assert _cut_lower_bound(t, k) == c_lb
         assert cut_bound_unchecked(t, k) == c_lb
 
-    def test_rayleigh_check_skips_the_solve(self, monkeypatch):
-        """On the rings the BFS Rayleigh quotient already caps the
-        Fiedler term at kappa, so no dense eigenvalue solve runs."""
+    def test_translation_graphs_do_no_dense_work(self, monkeypatch):
+        """Graphs with translation orbits, above DENSE_MAX_NODES too, take
+        lam2 from character sums and kappa = delta: no BFS, no dense solve
+        and no max-flow runs."""
         def refuse(*args):
-            raise AssertionError("dense solve")
+            raise AssertionError("refused")
 
-        monkeypatch.setattr(reliability, "_algebraic_connectivity_lb", refuse)
-        assert _cut_lower_bound(build_ring_lattice(768, 4), 385) == 4
-        assert _cut_lower_bound(build_ring_lattice(64, 2), 33) == 2
+        for name in ("_bfs_levels", "_algebraic_connectivity_lb", "_edge_connectivity"):
+            monkeypatch.setattr(reliability, name, refuse)
+        for t, c_lb in [(build_complete_hypercube(12), 2048), (build_complete_hypercube(14), 8192),
+                        (build_ring_lattice(4096, 12), 12), (build_ring_lattice(768, 4), 4),
+                        (build_ring_lattice(64, 2), 2)]:
+            assert _cut_lower_bound(t, default_quorum(t.n_nodes)) == c_lb
 
     def test_fiedler_term_skips_kappa(self, monkeypatch):
         """On Q8 as a graph the Fiedler term reaches the minimum degree,
@@ -915,7 +926,25 @@ class TestCutLowerBound:
         assert _cut_lower_bound(build_recursive(RecursionSpec.symmetric(4, 2)), 129) == 128
 
     def test_no_bound_above_dense_limit(self):
-        assert _cut_lower_bound(build_complete_hypercube(12), 2049) == 0
+        """Only a graph without translation orbits loses its bound above
+        DENSE_MAX_NODES."""
+        assert _cut_lower_bound(build_complete_hypercube(12), 2049) == 2048
+        t = _permuted_ring(4096, 12)
+        assert _translation_orbits(t) is None
+        assert _cut_lower_bound(t, 2049) == 0
+
+    @pytest.mark.parametrize("name", list(CUT_BOUND_GRAPHS))
+    def test_same_bound_without_orbits(self, name, monkeypatch):
+        """Relabelled at random and seen without translation orbits (Q1 and
+        Q2 keep theirs under every labelling), each graph takes the dense
+        solve and the max-flow, and gets the same c_lb at every quorum."""
+        g = CUT_BOUND_GRAPHS[name][0]()
+        n = g.n_nodes
+        h = custom_topology(n, np.random.default_rng(1).permutation(n)[g.ends])
+        assert n <= 4 or _translation_orbits(h) is None
+        want = [_cut_lower_bound(g, k) for k in range(1, n + 1)]
+        monkeypatch.setattr(reliability, "_translation_orbits", lambda topology: None)
+        assert [_cut_lower_bound(h, k) for k in range(1, n + 1)] == want
 
     def test_kept_per_topology_and_quorum(self, monkeypatch):
         """A per-state sweep on one ring computes kappa once: i = 1, 2, 3
@@ -930,35 +959,35 @@ class TestCutLowerBound:
             return kappa(topology)
 
         monkeypatch.setattr(reliability, "_edge_connectivity", counting)
-        t = _permuted_ring768()
+        t = _permuted_ring(768, 4)
         assert _translation_orbits(t) is None
         for i in (1, 2, 3):
             est = state_estimate(t, i, budget=50)
             assert (est.p_wrong, est.n_samples, est.method) == (0.0, 0, "exact")
         assert calls == [768]
         assert _cut_lower_bound(t, 700) == 4 and calls == [768]
-        assert _cut_lower_bound(_permuted_ring768(), 385) == 4 and calls == [768, 768]
+        assert _cut_lower_bound(_permuted_ring(768, 4), 385) == 4 and calls == [768, 768]
 
     def test_quorum_free_facts_computed_once(self, monkeypatch):
         """On an incomplete 8-cube of 200 nodes (no translation orbits) three
-        quorums run the BFS Rayleigh quotient and the dense solve once."""
+        quorums run the dense solve once."""
         t = build_incomplete_hypercube(8, present_nodes=range(200))
         assert _translation_orbits(t) is None
         calls = []
-        for name in ("_distance_rayleigh", "_algebraic_connectivity_lb", "_edge_connectivity"):
+        for name in ("_algebraic_connectivity_lb", "_edge_connectivity"):
             monkeypatch.setattr(reliability, name,
                                 lambda *args, _f=getattr(reliability, name), _name=name:
                                 calls.append(_name) or _f(*args))
         assert [_cut_lower_bound(t, k) for k in (101, 120, 150)] == [55, 45, 28]
-        assert calls == ["_distance_rayleigh", "_algebraic_connectivity_lb"]
+        assert calls == ["_algebraic_connectivity_lb"]
         monkeypatch.undo()
         assert [cut_bound_unchecked(t, k) for k in (101, 120, 150)] == [55, 45, 28]
 
 
-def _permuted_ring768():
-    """ring(768, 4) with its nodes renamed by a fixed random permutation."""
-    label = np.random.default_rng(0).permutation(768)
-    return custom_topology(768, label[build_ring_lattice(768, 4).ends])
+def _permuted_ring(n, degree):
+    """ring(n, degree) with its nodes renamed by a fixed random permutation."""
+    label = np.random.default_rng(0).permutation(n)
+    return custom_topology(n, label[build_ring_lattice(n, degree).ends])
 
 
 def _circulant(n, offsets):
@@ -1057,31 +1086,66 @@ class TestTranslationSymmetry:
     @pytest.mark.parametrize("name", list(TRANSLATION_GRAPHS))
     def test_cut_bound_without_flow_or_cube_solve(self, name, monkeypatch):
         """Mader: kappa is the minimum degree on a connected graph with
-        translation orbits (0 on a disconnected one), and on Z_2^D the
-        exact lam2 gives the dense solve's bound.  For every k, c_lb
+        translation orbits (0 on a disconnected one), and the character
+        sums' lam2 gives the dense solve's bound.  For every k, c_lb
         equals max(kappa, ceil(lam2 (N - k + 1) / 2)) from the max-flow
-        and the dense solve, neither of which runs: no max-flow at all,
-        and no solve on an XOR graph."""
-        build, xor = TRANSLATION_GRAPHS[name]
+        and the dense solve, neither of which runs."""
+        build, _ = TRANSLATION_GRAPHS[name]
         t = build()
         n = t.n_nodes
         degree = np.bincount(t.ends.ravel(), minlength=n)
         kappa = _edge_connectivity(t)
         assert kappa == (int(degree.min()) if t.is_connected() else 0)
         lam2 = _algebraic_connectivity_lb(t.ends, degree) if n > 1 else 0.0
-        if xor and n > 1:  # the solve less its margin lies within the margin below
-            exact = _xor_algebraic_connectivity(n, np.unique(t.ends[:, 0] ^ t.ends[:, 1]))
-            assert lam2 <= exact <= lam2 + 2e-9 * n * 2 * int(degree.max())
+        if n > 1:  # the solve less its margin lies within the margin below
+            closed = _character_lam2(n, t.ends, _translation_orbits(t))
+            assert lam2 <= closed <= lam2 + 2e-9 * n * 2 * int(degree.max())
 
         def refuse(*args):
             raise AssertionError("refused")
 
         monkeypatch.setattr(reliability, "_edge_connectivity", refuse)
-        if xor:
-            monkeypatch.setattr(reliability, "_algebraic_connectivity_lb", refuse)
+        monkeypatch.setattr(reliability, "_algebraic_connectivity_lb", refuse)
         got = [_cut_lower_bound(t, k) for k in range(1, n + 1)]
         assert got == [max(kappa, math.ceil(max(lam2, 0.0) * (n - k + 1) / 2))
                        for k in range(1, n + 1)]
+
+    @pytest.mark.parametrize("offsets", [
+        *[(n, range(1, degree // 2 + 1)) for n, degree in [
+            (3, 2), (5, 2), (5, 4), (6, 2), (7, 6), (8, 2), (8, 4), (9, 4), (12, 6), (16, 2),
+            (16, 4), (32, 4), (48, 4), (64, 2), (64, 6), (64, 20), (768, 4), (2048, 2)]],
+        (8, [1, 4]), (6, [2, 3])],
+        ids=lambda offsets: f"C{offsets[0]}({','.join(map(str, offsets[1]))})")
+    def test_circulant_lam2_matches_eigvalsh(self, offsets):
+        """On the suite's connected circulants of at most 2048 nodes (its
+        ring lattices, the Moebius ladder and the prism C_6(2, 3), whose
+        lam2 comes from the offset N/2) the character sums less their
+        margin lie below the dense eigenvalue, and within twice the
+        margin of it."""
+        n = offsets[0]
+        t = _circulant(*offsets)
+        orbits = _translation_orbits(t)
+        assert not orbits.xor
+        lap = np.diag(np.bincount(t.ends.ravel(), minlength=n).astype(float))
+        np.add.at(lap, (t.ends[:, 0], t.ends[:, 1]), -1.0)
+        np.add.at(lap, (t.ends[:, 1], t.ends[:, 0]), -1.0)
+        eig = float(np.linalg.eigvalsh(lap)[1])
+        closed = _character_lam2(n, t.ends, orbits)
+        assert closed <= eig <= closed * (1 + 2e-9)
+
+    def test_disconnected_lam2_is_zero(self):
+        """C_8(2) (two 4-cycles, by its offset or by its masks) and masks
+        {1, 2} on 8 nodes (two 4-cycles), C_9(3) (three triangles): lam2
+        is exactly 0, and so is c_lb at every quorum."""
+        masks12 = custom_topology(8, [(x, x ^ g) for g in (1, 2) for x in range(8) if x < x ^ g])
+        c8_2 = _circulant(8, [2])
+        by_offset = Orbits(False, np.array([0]), np.array([8]), np.zeros(8, dtype=np.int64))
+        assert _character_lam2(8, c8_2.ends, by_offset) == 0.0
+        for t in (c8_2, masks12, _circulant(9, [3])):
+            orbits = _translation_orbits(t)
+            assert orbits.xor == (t.n_nodes == 8)
+            assert _character_lam2(t.n_nodes, t.ends, orbits) == 0.0
+            assert [_cut_lower_bound(t, k) for k in range(1, t.n_nodes + 1)] == [0] * t.n_nodes
 
     @pytest.mark.parametrize("name", ["C16", "ring16-4", "ring12-6", "Q4", "2-2", "C8(2)"])
     def test_orbit_count_equals_enumeration(self, name, monkeypatch):
