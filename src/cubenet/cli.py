@@ -76,14 +76,16 @@ def _parse_sizes(value) -> list[int]:
     return sizes
 
 
-def _spec_int(value, key: str) -> int:
-    """A spec's integer: an int that is not a bool, or an integer string.
-    str() of a float, a bool or None is no integer literal, so int() of
-    it refuses them all."""
+def _spec_number(value, key: str, kind=int):
+    """A spec's number of type `kind`: a number that is not a bool, or its
+    string.  str() of a bool, None, a list or an object is no number
+    literal, and str() of a float is no integer literal, so kind() of it
+    refuses them all."""
     try:
-        return int(str(value))
+        return kind(str(value))
     except ValueError:
-        raise SpecError(f"spec {key} must be an integer, got {value!r}") from None
+        what = "an integer" if kind is int else "a number"
+        raise SpecError(f"spec {key} must be {what}, got {value!r}") from None
 
 
 def topology_from_spec(spec: dict) -> Topology:
@@ -91,13 +93,14 @@ def topology_from_spec(spec: dict) -> Topology:
     if kind is None:
         raise SpecError("spec needs a 'kind' (or 'mode'/'dims' for recursive)")
     if kind == "hypercube":
-        return build_complete_hypercube(_spec_int(spec["dim"], "dim"))
+        return build_complete_hypercube(_spec_number(spec["dim"], "dim"))
     if kind == "tree":
-        return build_rooted_tree(_spec_int(spec["n"], "n"), _spec_int(spec.get("degree", 3), "degree"))
+        return build_rooted_tree(_spec_number(spec["n"], "n"),
+                                 _spec_number(spec.get("degree", 3), "degree"))
     if kind == "ring":
-        return build_ring_lattice(_spec_int(spec["n"], "n"), _spec_int(spec["degree"], "degree"))
+        return build_ring_lattice(_spec_number(spec["n"], "n"), _spec_number(spec["degree"], "degree"))
     if kind == "star":
-        return build_star(_spec_int(spec["n"], "n"))
+        return build_star(_spec_number(spec["n"], "n"))
     if kind == "recursive":
         return build_recursive(recursion_spec_from_dict(spec))
     raise SpecError(f"unknown topology kind {kind!r}")
@@ -105,8 +108,9 @@ def topology_from_spec(spec: dict) -> Topology:
 
 def recursion_spec_from_dict(spec: dict) -> RecursionSpec:
     mode = str(spec.get("mode", "symmetric"))
-    dims = _parse_list(spec["dims"], lambda d: _spec_int(d, "dims"))
-    distances = _parse_list(spec["classes"], float) if "classes" in spec else None
+    dims = _parse_list(spec["dims"], lambda d: _spec_number(d, "dims"))
+    distances = (_parse_list(spec["classes"], lambda d: _spec_number(d, "classes", float))
+                 if "classes" in spec else None)
     if mode in ("symmetric", "sym", "completely-symmetric"):
         if len(set(dims)) != 1:
             raise SpecError("symmetric mode needs one repeated dimension")

@@ -50,6 +50,18 @@ class TestTopoBuild:
         assert (topo.n_nodes, topo.n_links) == (32, 80)
         assert {c.distance_km for c in topo.classes.values()} == {5000.0, 3000.0}
 
+    @pytest.mark.parametrize("text, nodes, links", [
+        ('{"kind": "star", "n": 5}', 5, 4),
+        ("# a 3-cube\nkind=hypercube\n\n  # the dimension\ndim=3\n", 8, 12),
+    ], ids=["json-star", "key-value-comments"])
+    def test_spec_kinds(self, tmp_path, text, nodes, links):
+        spec = tmp_path / "t.spec"
+        spec.write_text(text)
+        out = tmp_path / "t.json"
+        assert run_cli(["topo", "build", "--spec", str(spec), "--out", str(out)]) == 0
+        topo = Topology.from_json(out.read_text())
+        assert (topo.n_nodes, topo.n_links) == (nodes, links)
+
     def test_manifest_sidecar(self, tmp_path, cube_spec):
         out = tmp_path / "t.json"
         run_cli(["topo", "build", "--spec", cube_spec, "--out", str(out)])
@@ -327,8 +339,15 @@ class TestExitCodes:
         ('{"kind": "tree", "n": 7.9}', "spec n must be an integer, got 7.9"),
         ('{"kind": "recursive", "dims": [2.7, 2]}', "spec dims must be an integer, got 2.7"),
         ('{"kind": "hypercube", "dim": true}', "spec dim must be an integer, got True"),
+        ('{"kind": "recursive", "dims": [2, 2], "classes": [null, 3000]}',
+         "spec classes must be a number, got None"),
+        ('{"kind": "recursive", "dims": [2, 2], "classes": [{}, 3000]}',
+         "spec classes must be a number, got {}"),
+        ('{"kind": "recursive", "dims": [2, 2], "classes": [[1], 3000]}',
+         "spec classes must be a number, got [1]"),
     ], ids=["no-equals", "no-kind", "unknown-kind", "unequal-dims", "asymmetric", "float-string",
-            "float-degree", "float-n", "float-dims", "bool-dim"])
+            "float-degree", "float-n", "float-dims", "bool-dim", "null-class", "object-class",
+            "list-class"])
     def test_bad_key_value_spec(self, tmp_path, capsys, text, message):
         spec = tmp_path / "bad.spec"
         spec.write_text(text)

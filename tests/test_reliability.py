@@ -35,6 +35,7 @@ from cubenet import cli, reliability
 from cubenet.errors import NumericError, ResourceLimitError, SpecError
 from cubenet.reliability import (
     ORDER_SLOTS,
+    PartitionReport,
     _arc_lists,
     _algebraic_connectivity_lb,
     _character_lam2,
@@ -46,6 +47,7 @@ from cubenet.reliability import (
     _max_comp_rows,
     _max_flow,
     _repair_times,
+    binom_pmf_vector,
     default_quorum,
 )
 from cubenet.topology import DomainGraph, Orbits, _translation_orbits, max_component_size
@@ -79,6 +81,9 @@ def transition_prob(i: int, j: int, L: int, lam: float, mu: float) -> float:
 
 
 class TestCountChain:
+    def test_pmf_of_certain_failure(self):
+        assert binom_pmf_vector(5, 1.0).tolist() == [0.0] * 5 + [1.0]
+
     def test_rates_from_class(self):
         c = LinkClass.standard(5000)
         chain = CountChain(12, c.lam, c.mu)
@@ -1629,6 +1634,14 @@ class TestErrors:
         for call in calls:
             with pytest.raises(SpecError, match="enum_cap"):
                 call()
+
+    @pytest.mark.parametrize("p, t, message", [
+        (1.5, None, r"partition tolerance probability 1.5 outside \[0,1\]"),
+        (0.5, -1.0, "negative repair time"),
+    ], ids=["p-above-1", "negative-t"])
+    def test_report_checks(self, p, t, message):
+        with pytest.raises(NumericError, match=message):
+            PartitionReport(p=p, stderr=0.0, t=t, per_state=[], method="exact", k=1)
 
     def test_multiclass_zero_budget(self):
         t = build_recursive(RecursionSpec.symmetric(2, 2))

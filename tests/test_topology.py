@@ -47,6 +47,19 @@ class TestLinkClass:
         with pytest.raises(SpecError):
             LinkClass(100, mtbf_h=2000, mttr_h=0.5)  # mu > 1
 
+    @pytest.mark.parametrize("mtbf, mttr, message", [
+        (0.0, 1.0, "MTBF and MTTR must be positive"),
+        (-5.0, 1.0, "MTBF and MTTR must be positive"),
+        (1.0, 1.0, r"1/MTBF must be a valid per-hour probability in \(0,1\)"),
+    ], ids=["zero-mtbf", "negative-mtbf", "unit-mtbf"])
+    def test_rejects_rates(self, mtbf, mttr, message):
+        with pytest.raises(SpecError, match=message):
+            LinkClass(100, mtbf_h=mtbf, mttr_h=mttr)
+
+    def test_standard_unknown_distance(self):
+        with pytest.raises(SpecError, match="no standard link indicators for 123 km"):
+            LinkClass.standard(123)
+
     @pytest.mark.parametrize("field", ["distance_km", "mtbf_h", "mttr_h"])
     @pytest.mark.parametrize("value", [None, "5", True, float("nan"), float("inf")])
     def test_rejects_non_numbers(self, field, value):
@@ -299,6 +312,44 @@ class TestBaselines:
         t = build_star(n)
         assert t.n_links == n - 1
         assert t.degrees()[0] == n - 1
+
+
+def _two_domains(r):
+    """An asymmetric level with explicit domains below prefixes 0..r-1."""
+    return {(a,): DomainGraph(2, ((0, 1),)) for a in range(r)}
+
+
+class TestRejects:
+    """The specs, documents and builder arguments each check refuses."""
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: DomainGraph(0, ()), SpecError, "domain must contain at least one node"),
+        (lambda: DomainGraph(3, ((1, 1),)), SpecError, r"bad domain edge \(1,1\) for n=3"),
+        (lambda: RecursionSpec("torus", (2,), (LinkClass.standard(5000),)), SpecError,
+         "unknown recursion mode 'torus'"),
+        (lambda: RecursionSpec("semi", (), ()), SpecError, "needs at least one level"),
+        (lambda: RecursionSpec("symmetric", (2, 3), (LinkClass.standard(5000),) * 2), SpecError,
+         "completely symmetric mode requires one fixed dimension"),
+        (lambda: RecursionSpec("semi", (1, _two_domains(2)), (LinkClass.standard(5000),) * 2),
+         SpecError, "semi-symmetric mode requires per-level hypercube dimensions"),
+        (lambda: RecursionSpec.asymmetric((1, _two_domains(2))).dims, SpecError,
+         "asymmetric spec has no uniform dimension list"),
+        (lambda: RecursionSpec.symmetric(2, 4), SpecError,
+         r"4 levels need an explicit class assignment \(defaults cover 3\)"),
+        (lambda: Topology("empty", np.zeros((0, 1)), np.zeros((0, 2)), np.zeros(0), np.zeros(0), {}),
+         ConstructionError, "topology must contain at least one node"),
+        (lambda: build_recursive(RecursionSpec.asymmetric((1, _two_domains(1)))), SpecError,
+         r"no explicit domain topology for prefix \(1,\)"),
+        (lambda: build_rooted_tree(0), SpecError, "need at least one node"),
+        (lambda: build_rooted_tree(5, 1), SpecError, "degree must be at least 2"),
+        (lambda: build_ring_lattice(4, 4), SpecError, r"ring lattice requires 2 <= degree < n"),
+        (lambda: build_star(1), SpecError, "star needs at least 2 nodes"),
+    ], ids=["empty-domain", "domain-self-loop", "unknown-mode", "no-levels", "symmetric-two-dims",
+            "semi-mapping-level", "asymmetric-dims", "four-default-levels", "no-nodes",
+            "missing-prefix", "tree-no-nodes", "tree-degree-1", "ring-degree-n", "star-one-node"])
+    def test_raises(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make()
 
 
 class TestTable3Census:
@@ -554,13 +605,14 @@ class TestSerializationPins:
 
 
 # name: (builder of the topology, CLI arguments after --topology, sha256
-# of the CSV), as the one-cycle-per-step gossip loop and the
-# one-BFS-per-leader consensus loop wrote them.  The 3-3 runs reuse leader
-# 0's tree for every leader; the ring lattice grows one tree per leader.
+# of the CSV).  The gossip pin is the one binomial draw per cycle; the
+# consensus pins are as the one-BFS-per-leader loop wrote them.  The 3-3
+# runs reuse leader 0's tree for every leader; the ring lattice grows one
+# tree per leader.
 OUTPUT_PINS = {
     "gossip-2-2-2": (lambda: build_recursive(RecursionSpec.symmetric(2, 3)),
                      ["gossip", "run", "--delay", "0.5", "--seed", "1"],
-                     "ae802a512b17cc22f27898fb0d191c777f77c9fb90cf149de6b70ca73f452036"),
+                     "35842eab6deebc3237c05042af25238ead6a4fcc0f577282735061e3b1e08d62"),
     "consensus-3-3-random": (lambda: build_recursive(RecursionSpec.symmetric(3, 2)),
                              ["consensus", "run", "--leader-policy", "random", "--seed", "1"],
                              "a849df6be9766810fee6df50a2f077e6a550839ed45a2857b5a49f1a140aea6d"),
