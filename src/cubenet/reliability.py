@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericError, SpecError
-from .topology import RecursionSpec, Topology, build_complete_hypercube
+from .topology import KERNEL_SLOTS, RecursionSpec, Topology, build_complete_hypercube
 from .topology import _bfs_levels, _check_run_length, _chunk_rows, _component_roots, _join_roots
 from .topology import Orbits, _max_comp_rows, _translation_orbits
 from .unionfind import UnionFind  # noqa: F401  unused; perfbench/tracer.py patches this name
@@ -549,9 +549,9 @@ def partition_tolerance(
     are skipped.  A state is exact below the cut bound c_lb (see
     `_cut_lower_bound`) or when its C(L, i) subsets fit `enum_cap`;
     every other state reads the same `budget` random link orders.
-    Other mixed-class topologies sample link states directly, each link
-    down with its class's steady-state probability q; the repair search
-    picks the wrong ones among the rows with at least c_lb links down.
+    Other mixed-class topologies draw each class's failure count per
+    row (`_sample_link_states`); only rows with at least c_lb failures
+    place them and go to the repair search, which picks the wrong ones.
     """
     k = _quorum(topology, k)
     _check_enum_cap(enum_cap)
@@ -641,28 +641,47 @@ def _down_probs(topology: Topology) -> np.ndarray:
 
 def _sample_link_states(topology: Topology, k: int, budget: int, seed: int):
     """(wrong mass, its variance, t, per-state rows) of `budget` draws of
-    all link states; rows below c_lb failed links skip the repair search."""
+    all link states, each link down with its class's steady-state q.
+
+    A row fails n_c links of class c, the Binomial(|M_c|, q_c) cdf
+    inverted at a uniform of the stream (seed, 0), in blocks whose
+    uniforms and counts fit KERNEL_SLOTS.  Rows below c_lb failures are
+    good; a `_chunk_rows` chunk with one at or above draws keys from the
+    stream (seed, 1, its first row), and such a row fails the n_c
+    least-key links of each class, a uniform subset, for `_repair_times`.
+    So c_lb changes no draw, and a more reliable class fails a subset.
+    """
     if budget < 1:
         raise SpecError(f"a graph with several link classes is sampled but the budget is {budget}")
     L = topology.n_links
     q, mttr_of = _down_probs(topology), _class_values(topology, lambda c: c.mttr_h)
     step = _chunk_rows(topology.n_nodes, L)
     c_lb = _cut_lower_bound(topology, k)
+    members = [np.flatnonzero(topology.class_id == c) for c in np.unique(topology.class_id)]
+    cdfs = [np.cumsum(binom_pmf_vector(m.size, q[m[0]]))[:-1] for m in members]
+    block = step * max(1, KERNEL_SLOTS // (2 * step * len(cdfs)))
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     n_of = np.zeros(L + 1, dtype=np.int64)
     wrong_of = np.zeros(L + 1, dtype=np.int64)
     t_sum_total = 0.0
-    # One (rows, L) draw reads the same stream as `rows` draws of L.
-    for lo in range(0, budget, step):
-        down = rng.random((min(step, budget - lo), L)) < q
-        n_failed = down.sum(axis=1)
-        rows = np.flatnonzero(n_failed >= c_lb)
-        times = _repair_times(topology, k, mttr_of, down[rows])
+    for start in range(0, budget, block):
+        counts = [np.searchsorted(cdf, x, "right")  # blocks read the stream in order
+                  for cdf, x in zip(cdfs, rng.random((min(block, budget - start), len(cdfs))).T)]
+        n_failed = sum(counts)
         n_of += np.bincount(n_failed, minlength=L + 1)
-        wrong_of += np.bincount(n_failed[rows[times > 0]], minlength=L + 1)
-        for t in times.tolist():  # a good row adds its 0.0: the sum is unchanged
-            t_sum_total += t
+        for lo in np.unique(np.flatnonzero(n_failed >= c_lb) // step * step).tolist():
+            rows = lo + np.flatnonzero(n_failed[lo:lo + step] >= c_lb)
+            place = np.random.default_rng(np.random.SeedSequence((seed, 1, start + lo)))
+            down = np.empty((rows.size, L), dtype=bool)
+            for links, n_c in zip(members, counts):
+                keys = place.random((min(step, n_failed.size - lo), links.size))[rows - lo]
+                edge = np.append(np.sort(keys, axis=1), np.ones((rows.size, 1)), axis=1)
+                down[:, links] = keys < np.take_along_axis(edge, n_c[rows, None], axis=1)
+            times = _repair_times(topology, k, mttr_of, down)
+            wrong_of += np.bincount(n_failed[rows[times > 0]], minlength=L + 1)
+            for t in times.tolist():  # a good row adds its 0.0: the sum is unchanged
+                t_sum_total += t
     wrong_total = int(wrong_of.sum())
     p_wrong = wrong_total / budget
     per_state = []

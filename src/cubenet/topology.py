@@ -337,7 +337,7 @@ class Topology:
     @classmethod
     def from_dict(cls, doc: dict) -> "Topology":
         """Read a version-2 document; SpecError on any other version, on
-        anything but Python ints in the class ids, and equal-length lists of
+        anything but Python ints in N and the class ids, and equal-length lists of
         them in the labels and the link columns, and on a value of the wrong
         JSON type where the reader expects an object, a list or a number."""
         try:
@@ -351,8 +351,9 @@ class Topology:
                 raise SpecError("class ids must be distinct")
             _check_int_rows("class ids", [list(classes)])
             labels = doc["labels"]
-            if doc["N"] != len(labels):
-                raise SpecError(f"N={doc['N']!r} but the document lists {len(labels)} nodes")
+            if type(doc["N"]) is not int or doc["N"] != len(labels):  # True == 1 and 2.0 == 2
+                raise SpecError(f"N={doc['N']!r} but the document lists {len(labels)} nodes: "
+                                "N must be that integer")
             columns = [doc["links"][name] for name in _LINK_COLUMNS]
             _check_int_rows("node labels", labels)
             _check_int_rows("link columns", columns)

@@ -463,6 +463,22 @@ class TestExitCodes:
         assert message in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("n, value", [(6, 6.0), (1, True)], ids=["N-float", "N-bool"])
+    def test_node_count_not_an_int(self, tmp_path, capsys, n, value):
+        """N equal to the node count but not a Python int (6.0 == 6 and
+        True == 1) is a usage error from `topo stats` and `analyze`."""
+        doc = (build_ring_lattice(6, 2) if n == 6 else custom_topology(1, [])).to_dict()
+        topo = tmp_path / "n.json"
+        topo.write_text(json.dumps(doc))
+        assert run_cli(["topo", "stats", "--topology", str(topo)]) == 0
+        capsys.readouterr()
+        topo.write_text(json.dumps(dict(doc, N=value)))
+        for argv in (["topo", "stats"], ["analyze", "partition"]):
+            assert run_cli([*argv, "--topology", str(topo)]) == 2
+            captured = capsys.readouterr()
+            assert f"N={value!r} but the document lists {n} nodes" in captured.err
+            assert "Traceback" not in captured.err and captured.out == ""
+
     def test_version_1_document(self, tmp_path, capsys):
         """A version-1 document (one object per node and per link) is
         refused by its version: SpecError naming it, exit 2 and no

@@ -1278,6 +1278,15 @@ def _hot_three_class_ring():
     return dataclasses.replace(_three_class_ring(), classes=classes)
 
 
+def _alternating_ring():
+    """ring(64,6) whose links alternate between MTBFs of 2.0 h and 2.2 h
+    (MTTR 2 h, links down about half the time): p is near 0.97 at budget
+    400, and every row reaches the repair search (c_lb = 6)."""
+    t = build_ring_lattice(64, 6)
+    classes = {0: LinkClass(5000.0, 2.0, 2.0), 1: LinkClass(5000.0, 2.2, 2.0)}
+    return dataclasses.replace(t, class_id=np.arange(t.n_links) % 2, classes=classes)
+
+
 class TestMulticlassSampler:
     @pytest.mark.parametrize("build", [_two_class_cycle, _hot_three_class_ring],
                              ids=["cycle8-two-class", "ring14-hot"])
@@ -1292,19 +1301,66 @@ class TestMulticlassSampler:
 
     def test_hot_ring_report_pinned(self):
         """The hot ring's report at seed 1, every per-state row included:
-        letting the repair search pick the wrong rows keeps the random
-        stream and every count."""
+        pins the per-class failure counts and the failed links placed in
+        each chunk (the brute force gives p = 0.674619, t = 8.8649)."""
         report = partition_tolerance(_hot_three_class_ring(), budget=20000, seed=1)
         assert (report.p, report.stderr, report.t, report.k, report.method) == \
-            (0.6691, 0.003327199948905987, 8.864812330010189, 8, "sampled")
-        rows = [(0, 52, 0), (1, 235, 0), (2, 946, 0), (3, 2215, 0), (4, 3653, 59),
-                (5, 4155, 759), (6, 3752, 1650), (7, 2564, 1875), (8, 1477, 1335),
-                (9, 686, 675), (10, 190, 190), (11, 60, 60), (12, 14, 14), (13, 1, 1)]
+            (0.6731, 0.0033168990789591416, 8.812236157847531, 8, "sampled")
+        rows = [(0, 36, 0), (1, 279, 0), (2, 990, 0), (3, 2217, 0), (4, 3613, 79),
+                (5, 4216, 759), (6, 3728, 1671), (7, 2548, 1813), (8, 1429, 1287),
+                (9, 639, 624), (10, 229, 229), (11, 65, 65), (12, 10, 10), (13, 1, 1)]
         assert report.per_state == [
             reliability.StateEstimate(i, n / 20000, w / n, math.sqrt(w / n * (1 - w / n) / n),
                                       n, "sampled")
             for i, n, w in rows
         ]
+
+    @pytest.mark.parametrize("build", [_alternating_ring, _hot_three_class_ring],
+                             ids=["ring64-alternating", "ring14-hot"])
+    def test_better_class_never_lowers_p(self, build):
+        """Common random numbers: at one seed, a class with a longer MTBF
+        fails in every row a subset of the links it failed, so p never
+        drops (and somewhere rises)."""
+        t = build()
+        rises = 0
+        for seed in range(15):
+            base = partition_tolerance(t, budget=400, seed=seed).p
+            for c, cls in t.classes.items():
+                better = dataclasses.replace(cls, mtbf_h=1.1 * cls.mtbf_h)
+                p = partition_tolerance(dataclasses.replace(t, classes={**t.classes, c: better}),
+                                        budget=400, seed=seed).p
+                assert p >= base, (seed, c, base, p)
+                rises += p > base
+        assert rises > 0
+
+    def test_failure_count_distribution(self):
+        """Each state's share of rows matches the exact convolution of the
+        classes' Binomial(|M_c|, q_c) laws within 5 sigma."""
+        from scipy.stats import binom
+
+        t, budget = _hot_three_class_ring(), 20000
+        exact = np.ones(1)
+        for c, cls in t.classes.items():
+            size = int(np.count_nonzero(t.class_id == c))
+            exact = np.convolve(exact, binom.pmf(np.arange(size + 1), size, cls.steady_down_prob))
+        seen = np.zeros(t.n_links + 1)
+        for e in partition_tolerance(t, budget=budget, seed=1).per_state:
+            seen[e.i] = e.n_samples / budget
+        sigma = np.sqrt(exact * (1 - exact) / budget)
+        assert np.all(np.abs(seen - exact) <= 5 * sigma + 1e-12), np.c_[seen, exact]
+
+    @pytest.mark.parametrize("build", [_two_class_cycle, _hot_three_class_ring],
+                             ids=["cycle8-two-class", "ring14-hot"])
+    def test_report_unchanged_by_count_block(self, monkeypatch, build):
+        """The count uniforms read the stream in row order and each chunk
+        places from its own stream, so a block of one chunk of rows (here
+        5 or 10 blocks, not 3 or 5) gives the same report."""
+        t = build()
+        wide = partition_tolerance(t, budget=20000, seed=3)
+        monkeypatch.setattr(reliability, "KERNEL_SLOTS", 1)
+        narrow = partition_tolerance(t, budget=20000, seed=3)
+        assert (wide.per_state, wide.p, wide.stderr, wide.t) == \
+            (narrow.per_state, narrow.p, narrow.stderr, narrow.t)
 
 
 def critical_counts_oracle(topology, k, budget, seed):
