@@ -7,7 +7,7 @@ connected, labeled `Topology` whose links carry a distance class.
 """
 from __future__ import annotations
 
-import itertools
+import binascii
 import json
 import math
 import numbers
@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConstructionError, ResourceLimitError, SpecError
 from .unionfind import UnionFind  # noqa: F401  unused; perfbench/tracer.py patches this name
 
-SERIALIZATION_VERSION = 2
+SERIALIZATION_VERSION = 3
 
 # Digital optical cable indicators per distance: (MTBF hours, MTTR hours).
 STANDARD_LINK_SPECS: dict[float, tuple[float, float]] = {
@@ -290,7 +290,7 @@ class Topology:
             dst = np.concatenate((ends[:, 1], ends[:, 0]))
             indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
             np.cumsum(np.bincount(src, minlength=self.n_nodes), out=indptr[1:])
-            indices = dst[np.lexsort((dst, src))]
+            indices = np.sort(src * self.n_nodes + dst) % self.n_nodes  # one key: (src, dst)
             indptr.flags.writeable = indices.flags.writeable = False
             return indptr, indices
         return self.memo("csr", build)
@@ -310,25 +310,17 @@ class Topology:
     # -- serialization --------------------------------------------------
 
     def to_dict(self) -> dict:
-        """The version-2 document: the class table, one label row per node,
-        and one integer list per link field (`_LINK_COLUMNS`)."""
+        """The version-3 document: JSON fields, and each integer array as base64
+        int32 columns (`_LINK_COLUMNS`, then one column per label digit)."""
         return {
             "version": SERIALIZATION_VERSION,
             "kind": self.kind,
             "N": self.n_nodes,
             "meta": self.meta,
-            "classes": [
-                {
-                    "class_id": cid,
-                    "distance_km": c.distance_km,
-                    "mtbf_h": c.mtbf_h,
-                    "mttr_h": c.mttr_h,
-                }
-                for cid, c in sorted(self.classes.items())
-            ],
-            "labels": self.labels.tolist(),
-            "links": dict(zip(_LINK_COLUMNS, (*self.ends.T.tolist(), self.class_id.tolist(),
-                                              self.level.tolist()))),
+            "classes": [{"class_id": cid, **vars(c)} for cid, c in sorted(self.classes.items())],
+            "labels": [_to_base64(digit) for digit in self.labels.T],
+            "links": dict(zip(_LINK_COLUMNS, map(_to_base64, (*self.ends.T, self.class_id,
+                                                              self.level)))),
         }
 
     def to_json(self) -> str:
@@ -336,37 +328,34 @@ class Topology:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Topology":
-        """Read a version-2 document; SpecError on any other version, on
-        anything but Python ints in N and the class ids, and equal-length lists of
-        them in the labels and the link columns, and on a value of the wrong
-        JSON type where the reader expects an object, a list or a number."""
+        """Read a version-3 document; SpecError on any other version, on N or
+        class ids that are not Python ints, on a column that `_from_base64`
+        refuses, on no label column or one of a length other than N, on link
+        columns of unequal length, and on a value of the wrong JSON type."""
         try:
             if doc.get("version") != SERIALIZATION_VERSION:
-                raise SpecError(f"unsupported topology document version {doc.get('version')!r}")
-            classes = {
-                c["class_id"]: LinkClass(c["distance_km"], c["mtbf_h"], c["mttr_h"])
-                for c in doc["classes"]
-            }
+                raise SpecError(f"unsupported topology document version {doc.get('version')!r}; "
+                                "rebuild the file with `topo build`")
+            classes = {c["class_id"]: LinkClass(c["distance_km"], c["mtbf_h"], c["mttr_h"])
+                       for c in doc["classes"]}
             if len(classes) != len(doc["classes"]):
                 raise SpecError("class ids must be distinct")
-            _check_int_rows("class ids", [list(classes)])
-            labels = doc["labels"]
-            if type(doc["N"]) is not int or doc["N"] != len(labels):  # True == 1 and 2.0 == 2
-                raise SpecError(f"N={doc['N']!r} but the document lists {len(labels)} nodes: "
-                                "N must be that integer")
-            columns = [doc["links"][name] for name in _LINK_COLUMNS]
-            _check_int_rows("node labels", labels)
-            _check_int_rows("link columns", columns)
-            width = set(map(len, labels))
-            if len(width) > 1 or 0 in width:
-                raise SpecError("node labels must be non-empty and all of one length")
+            if any(type(cid) is not int for cid in classes):  # True == 1.0 == 1
+                raise SpecError("class ids must hold integers")
+            labels = [_from_base64("label column", col) for col in doc["labels"]]
+            if not labels:
+                raise SpecError("node labels must be non-empty: one column per digit")
+            wrong = [len(d) for d in labels if type(doc["N"]) is not int or len(d) != doc["N"]]
+            if wrong:
+                raise SpecError(f"N={doc['N']!r} but the document lists {wrong[0]} nodes: N must "
+                                "be that integer, the length of every label column")
+            columns = [_from_base64(f"link column {c}", doc["links"][c]) for c in _LINK_COLUMNS]
             if len(set(map(len, columns))) > 1:
                 raise SpecError("link columns must all have one length")
-            labels = np.array(labels, dtype=np.int32).reshape(len(labels), max(width, default=1))
-            u, v, class_id, level = np.array(columns, dtype=np.int32)
-            return cls(doc["kind"], labels, np.column_stack((u, v)), class_id, level, classes,
-                       dict(doc.get("meta", {})))
-        except OverflowError as exc:
+            u, v, class_id, level = columns
+            return cls(doc["kind"], np.column_stack(labels), np.column_stack((u, v)), class_id,
+                       level, classes, dict(doc.get("meta", {})))
+        except OverflowError as exc:  # a class field such as 10**400
             raise SpecError(f"topology document number out of range: {exc}") from None
         except (AttributeError, TypeError) as exc:  # a list where an object belongs, say
             raise SpecError(f"malformed topology document: {exc}") from None
@@ -379,14 +368,22 @@ class Topology:
 _LINK_COLUMNS = ("u", "v", "class_id", "level")
 
 
-def _check_int_rows(what: str, rows: list) -> None:
-    """SpecError unless `rows` is a list of lists of Python ints: JSON
-    null, floats, strings and booleans (a bool is an int to numpy) are refused."""
-    if not set(map(type, rows)) <= {list}:
-        raise SpecError(f"{what} must be lists of integers")
-    kinds = set(map(type, itertools.chain.from_iterable(rows))) - {int}
-    if kinds:
-        raise SpecError(f"{what} must hold integers, not {sorted(k.__name__ for k in kinds)}")
+def _to_base64(words: np.ndarray) -> str:
+    return binascii.b2a_base64(words.astype("<i4").tobytes(), newline=False).decode("ascii")
+
+
+def _from_base64(what: str, text) -> np.ndarray:
+    """The int32 words of one column; SpecError unless it is a string of
+    strict base64 (padding only at the end) holding whole words."""
+    if type(text) is not str:
+        raise SpecError(f"{what} must be a base64 string, got {type(text).__name__}")
+    try:
+        raw = binascii.a2b_base64(text, strict_mode=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise SpecError(f"{what} is not valid base64: {exc}") from None
+    if len(raw) % 4:
+        raise SpecError(f"{what} holds {len(raw)} bytes, not whole int32 words")
+    return np.frombuffer(raw, "<i4")
 
 
 def _flat_topology(kind: str, ids: np.ndarray, ends: np.ndarray, meta: dict) -> Topology:

@@ -425,18 +425,19 @@ class TestExitCodes:
     @pytest.mark.parametrize("field, value", [("u", None), ("v", "3"), ("u", 1.5), ("label", 0.5)],
                              ids=["u-null", "v-string", "u-float", "label-float"])
     def test_malformed_document_number(self, tmp_path, capsys, field, value):
-        """A link end or label digit that is not a JSON integer is a usage
-        error, not a traceback or a silent conversion."""
+        """A link or label column that is a JSON number, null or a string
+        that is not base64 is a usage error, not a traceback or a silent
+        conversion."""
         doc = build_ring_lattice(6, 2).to_dict()
         if field == "label":
-            doc["labels"][0][0] = value
+            doc["labels"][0] = value
         else:
-            doc["links"][field][0] = value
+            doc["links"][field] = value
         topo = tmp_path / "bad.json"
         topo.write_text(json.dumps(doc))
         assert run_cli(["topo", "stats", "--topology", str(topo)]) == 2
         captured = capsys.readouterr()
-        assert "must hold integers" in captured.err and "Traceback" not in captured.err
+        assert "base64" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("edit, message", [
@@ -495,6 +496,22 @@ class TestExitCodes:
             assert run_cli([*argv, "--topology", str(topo)]) == 2
             captured = capsys.readouterr()
             assert "unsupported topology document version 1" in captured.err
+            assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_version_2_document(self, tmp_path, capsys):
+        """A version-2 document (JSON integer lists) is refused by its
+        version, with a hint to rebuild it: exit 2 and no traceback from
+        `topo stats` and `analyze`."""
+        doc = {"version": 2, "kind": "custom", "N": 2, "meta": {},
+               "classes": [{"class_id": 0, "distance_km": 5000.0, "mtbf_h": 2190.0, "mttr_h": 24.0}],
+               "labels": [[0], [1]], "links": {"u": [0], "v": [1], "class_id": [0], "level": [1]}}
+        topo = tmp_path / "v2.json"
+        topo.write_text(json.dumps(doc))
+        for argv in (["topo", "stats"], ["analyze", "partition"]):
+            assert run_cli([*argv, "--topology", str(topo)]) == 2
+            captured = capsys.readouterr()
+            assert "unsupported topology document version 2; rebuild the file with `topo build`" \
+                in captured.err
             assert "Traceback" not in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("argv", [["topo", "stats"], ["analyze", "partition"]],

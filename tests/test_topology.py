@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import hashlib
 import itertools
@@ -439,14 +440,52 @@ def test_class_ids_are_table_keys():
 
 
 def test_node_id_requires_levels():
-    """A document whose node labels have no digits, or a row with none, is
-    refused."""
-    for empty in (range(4), [0]):
-        doc = build_star(4).to_dict()
-        for x in empty:
-            doc["labels"][x] = []
-        with pytest.raises(SpecError, match="node labels must be non-empty"):
-            Topology.from_dict(doc)
+    """A document with no label column (no digit per node) is refused."""
+    doc = build_star(4).to_dict()
+    doc["labels"] = []
+    with pytest.raises(SpecError, match="node labels must be non-empty"):
+        Topology.from_dict(doc)
+
+
+def _column(words) -> str:
+    """A document column: base64 of little-endian int32 words."""
+    return base64.b64encode(np.asarray(list(words), "<i4").tobytes()).decode()
+
+
+_INT32 = st.integers(-2**31, 2**31 - 1)
+
+
+@st.composite
+def _custom_graphs(draw):
+    """custom_topology graphs with any int32 label digits (width 1-4),
+    levels and class ids (gaps and negatives), and possibly no links."""
+    n = draw(st.integers(1, 9))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(1, max(n - 1, 1)))
+    pairs = draw(st.lists(pair.map(lambda p: (p[0], (p[0] + p[1]) % n)),
+                          unique_by=frozenset, max_size=12 if n > 1 else 0))
+    ids = sorted(draw(st.sets(_INT32, min_size=1, max_size=3)))
+    class_ids = [draw(st.sampled_from(ids)) for _ in pairs]
+    classes = {cid: LinkClass.standard(draw(st.sampled_from([5000, 3000, 420]))) for cid in ids}
+    t = custom_topology(n, pairs, class_ids, classes)
+    width = draw(st.integers(1, 4))
+    labels = draw(st.lists(_INT32, min_size=n * width, max_size=n * width))
+    levels = draw(st.lists(_INT32, min_size=len(pairs), max_size=len(pairs)))
+    return dataclasses.replace(t, labels=np.reshape(labels, (n, width)), level=levels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_custom_graphs())
+def test_document_round_trip(t):
+    """Every topology reads back from its document to equal arrays and
+    identical bytes, and each column is its array's little-endian int32
+    words."""
+    text = t.to_json()
+    doc = json.loads(text)
+    assert doc["labels"] == [_column(digit) for digit in t.labels.T]
+    assert doc["links"]["u"] == _column(t.ends[:, 0])
+    back = Topology.from_json(text)
+    _assert_same_topology(back, t)
+    assert back.to_json() == text
 
 
 _MESH = DomainGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
@@ -464,113 +503,113 @@ _ASYM_TRIANGLE = RecursionSpec.asymmetric(
 # builder, asymmetric included.
 SERIALIZATION_PINS = {
     "tree1": (lambda: build_rooted_tree(1, 3),
-        "f80d324772d82ab67be95cf938d595b7a8faf1786b4912c57f35a0ef4e42e795",
+        "982c405007b7723a3594a0d312df04c1def87a0b0ce020f5c2dcc1958ea986e3",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     "tree64-6": (lambda: build_rooted_tree(64, 6),
-        "b6d07e88b132c2a6cff09d2cee4dbeb4ff0b75b32d3055880b6a8e488860cc7e",
+        "1c7ef78e2291f273bddcacef0182509be45e96bf7dce4dcd46888fa33f256132",
         "337986bb23ef1c717932bc6627ce40cb690b2dc41446e2c455e3c535f4707566"),
     "tree4096-12": (lambda: build_rooted_tree(4096, 12),
-        "6532a3718d296321b90920081f5a88e741f8448cfdaf6674fa2e2dda10453e2d",
+        "f7725cbc9085ad4ccaa9e45379afacb8c3e0642896c72a528e660b5620c6a389",
         "43b61c15561201e2e07b6463efb44b51bf1ba167982a505484aa7761141144db"),
     "tree40-3": (lambda: build_rooted_tree(40, 3),
-        "65583f188b275a473019ad8ee3e64560082bb9201e50db50b26996a6db9b4143",
+        "d30eed7393de75116792ca1534a5eb90e4d904bbf3ef4a5c11eb7a97da226200",
         "705faa07c43a2aacc533ea151735a049d9173d7d31bfc98883a85996dacc405e"),
     "tree10-2": (lambda: build_rooted_tree(10, 2),
-        "b49aea040dd54dbcb165a770291f4e77d34ec103914038fc498327b106fd94e5",
+        "d88864facd7a021218d124bd862424d5ccf225fd59ad052c2ac1460617265ef6",
         "8ce4f25817541e6cf5ce6f1fb77e663a1bba5d608016452b9af5404a8d91112f"),
     "ring5-4": (lambda: build_ring_lattice(5, 4),
-        "00153aa39f2b246b54cd499885834d26b073e595ac829f07a9faea5a996bbfeb",
+        "02225146816807af0ca9233b4578a49df0eeeddf7491e11fa127733e0bccd65a",
         "397f4eb852cdd974c96345a0544cd0d59533ecdc52ed273f8a93fb06d201d6e4"),
     "ring5-2": (lambda: build_ring_lattice(5, 2),
-        "91fc20af02470b13f9734d78f7f316509e0ce1f3620dee40392eee0ec2ca3d3f",
+        "9fd7fd528153ec87e390e17c9c64f9a1880fef94732fe4fe7ad8182aacb57fd9",
         "dad019f724f95ed0b5b561aea2c0a171ef9ba609aae6be64997a44d4ae0c484f"),
     "ring64-6": (lambda: build_ring_lattice(64, 6),
-        "d8eebe960f3619bff1fd0a5db3f8ca142cf59c455cd3503f09ee53f2320677b0",
+        "498408cfcf51ec5f38bcbc654186d618a6c5a8b18081f7356701c7da816178b9",
         "cb282e6ff523e3ca26ae5afc2321af79d83fa131e35f4790b984610c3c4a4d06"),
     "ring768-4": (lambda: build_ring_lattice(768, 4),
-        "ab0e04db931ead7c394f571e2a3042924840a7c0b6750d23c6059baffba56e1c",
+        "4adf738a1ea413b1aacd83c0ad0c365addab43ec286dfb41feef780d17db81d8",
         "387f47f56f948959774a7405b250f455fe2213adbfc306ad8687281acc017275"),
     "ring4096-12": (lambda: build_ring_lattice(4096, 12),
-        "e90144ed25038f8f410e13f8243cfbfb0148ef688ff2f37cfc3627a83b56f5be",
+        "567c2e5c833451b2a8730bf89166bf9b81efd189c8924f3e651ece7087e7d7a9",
         "fb0e9774e8f5925fd70fb40b22c568324685c23d6ac0a14fa54a6a349912b075"),
     "ring7-6": (lambda: build_ring_lattice(7, 6),
-        "f5f317b9a2663ca5bfff495c6d75ca9f5c44d9389e19aa1aceca3350d08ccddb",
+        "0422fd90b0ec6acfd796004b441bb4db0db6ab675997cf7f07430e5d4d48387f",
         "621c69265c653af25d23b362386df0eca6ea304ce899f1dae6a31bd13a0979e4"),
     "ring8-2-420": (lambda: dataclasses.replace(build_ring_lattice(8, 2),
                                                 classes={0: LinkClass.standard(420.0)}),
-        "76c38fb98462fc4bccfa930cb4b183792665c55f7b4baa6ab0d1bf92cacac8d4",
+        "15ca8abccab6d6ccce58ad8cc8d61bebde81ec457d8ee46d75d5e9ef6d389230",
         "de2b546090a490a5778e462d18a941e5fe7dc88bcfc501e6adf4cfdf45d9fbbd"),
     "ring64-2": (lambda: build_ring_lattice(64, 2),
-        "1398ec12951f95f8ffa6079b566215e4d25e84ebdbb65da3ec3eda981bfbe219",
+        "221277beacf1039990788cb9a1272bfda5c6b410091833b7b8709ce13f8df857",
         "f7d66400361fa88b4678b44039eeebca5039dce9439d22272ad00e31c6ff52f1"),
     "ring48-4": (lambda: build_ring_lattice(48, 4),
-        "efa59fa606307627e640732a91d6d6f626286f2e99952dc88897046eb9517ab0",
+        "cfdc9d7833100295a0ce44ab2954d8d37594747b1ff5911591bd21c910428780",
         "1e7bf5424d9bc94276bb42bed478e2de7eb2ada4d6b8aa492667b719c9472ac8"),
     "ring16-2": (lambda: build_ring_lattice(16, 2),
-        "2024abc59a1ce55484441ea8d15e617e2484a50ff05b6f3884f37d7835a58b92",
+        "afc5a7a9dc48943558fbedba40fe45e4f2396050f1440d6ec65794f519ee9706",
         "fbfa430dd8f716c408f322cc56116738791740a94c7b2a067147ad3c62986a1c"),
     "star9": (lambda: build_star(9),
-        "c132717ef311e5392cbc77ac98b16a7f29a69bb3d96913258a8f1c53960bf487",
+        "884d4609264e5b3da986c0b14e4761964f86df295cdcaaa4f5fbbc71b6f68d35",
         "4bc7b4520d95fd74065e8498b29fc8982c7d73df768e2d7ecad1843537867464"),
     "cube0": (lambda: build_complete_hypercube(0),
-        "9f18b3a92bdcb859ea9d3521110c168907b280d7fd49fcbc947ca644099ea356",
+        "e670e7fc8564e88818b5b7ebcb3045f49c155c3a2e900b312a6d30ec45d5cec2",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     "cube6": (lambda: build_complete_hypercube(6),
-        "162a635fdb6fa8d180bf3e2793d8cdc7baec533d3eb17ca03def0ff570485bbd",
+        "4433288003abe9e47967b02ea891e70c2cf7b2b588ff00aa0f82afc0ec834a9b",
         "76da44276192b0dd75e4677164b994363c515193a663524a4dcf7c239a60fb44"),
     "cube12": (lambda: build_complete_hypercube(12),
-        "2f0239c36090a64f5b15d1a692a2233d2634d858632152263ffcdb2c0dcb1fc3",
+        "8e43dbcd2ccd6e5692e770fc931a85902ca98ac5b66138d2a0637e7b614e6240",
         "227ea999dc1b6489b1dc38a3312cb6bab13b7723a3a7a0577e5c2e6b32fe0919"),
     "incomplete4-15": (lambda: build_incomplete_hypercube(4, present_nodes=set(range(15))),
-        "982f781f7d37ca8b0630c6cd3fd9857041df5ee81709bb8549e9363e88c04ef9",
+        "2268c593dc944fa1bc9f642dc44eab91f5c158b462e22a0134ed48462be26b95",
         "e8c873308f9a7721f1c1f1c565a7ba9af6f07a32755b21dff265a2a9eedabf46"),
     "incomplete5-rm": (lambda: build_incomplete_hypercube(5, removed_links=[(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]),
-        "a1b34b54264a0597516582ac21402fea5bfbb66cf283bd02cae6a72904c2984f",
+        "7456f476dbfafb18c476a1563d7e3300346ba52bcef5c841c89243e51156f55c",
         "932c80b6e0ccf53511fefcc2aeab14f82228c37b8eb0ee2a1652aa84936379e4"),
     "incomplete4-mix": (lambda: build_incomplete_hypercube(4, present_nodes=[0, 1, 2, 3, 5, 6, 7, 9, 11, 13, 15], removed_links=[(1, 3)]),
-        "610a4fb6bf4c15154f24883cf3b5684d7eeaa8f61920de7cea39511f66bc765e",
+        "d52e0f97fccba5455dbc4f31309372524ad6e48fde13132f48a5219da25b3f45",
         "2eddc64dcd6b1e1681a42ee35f0a792b1cf76d9b03d1450d8896c2073b321b1f"),
     "rec6": (lambda: build_recursive(RecursionSpec.symmetric(6, 1)),
-        "1e08017044a4f86e9f94aa3c90497d5b0b2449ee186368c970ae105245150080",
+        "2c78555fefcfe29be63a55cac74356ccf39fe7ecd1fcb7ddad09151b29a48dda",
         "cb13845e36348bfad65f11eb12c415bb6da6bd0e317afc93d9849512ea81c070"),
     "rec3-3": (lambda: build_recursive(RecursionSpec.symmetric(3, 2)),
-        "4fbd630ff688d919dd9fe8be70c6fbb20876451845a36f2e958fd7d2bdc90173",
+        "133f70353f66dfdac0297ee242a49000be71e726eab4ba093e49142a11fa56aa",
         "c7d140148dc4e9088560f2c36ffda45f69e305415691c3da93f956ab9838893c"),
     "rec2-2-2": (lambda: build_recursive(RecursionSpec.symmetric(2, 3)),
-        "9bf286e57b79f8f5c1c701caef50bead2fb2c12a7462df510065f9832ce9a273",
+        "5fd33663050bf49648b5ab46bca5c15623720ec61a4444a5132a562b3dc7d5bf",
         "d9d730955d914f0eed4639d26cb5591d763878db6bfd2a5d523a175825b99e01"),
     "rec4-2": (lambda: build_recursive(RecursionSpec.semi((4, 2))),
-        "e77f83bcc93607d9c32c3130023851dbb29395452a9c6d80ecd494cfb3b07776",
+        "25189b43f9aebb212c1efdced420173d4986467a8bcf993402fc5f68a85cdfec",
         "847fdff8702a02080adc192c38e26b9dcc5c264655bff23548341ce70c94763f"),
     "rec12": (lambda: build_recursive(RecursionSpec.symmetric(12, 1)),
-        "78dce29a5d7e2a57f3db2a43e5cf2eb250a0d6d2e20020c5cfd658336052014f",
+        "c7f5874c9e5fab2a940a0eb91ba7e9dcdbba19de2b244e2aa82f7159259ca14c",
         "84123f14c200eedaa70069eb43f76e980bb1599605297367856f6bb8c4c4be75"),
     "rec6-6": (lambda: build_recursive(RecursionSpec.symmetric(6, 2)),
-        "d4e559b5413ae610adfe2389bb0042202c36b5ca87c981096d2952dd6f369567",
+        "99054bad1c448265464ae868333dc56e7f837c165d8857dfb492480cdd2f185d",
         "d2376cbc22b400d6cc6d2b1dd9e297a875f822fce7adc6ec2956e413ac6bd0a9"),
     "rec4-4-4": (lambda: build_recursive(RecursionSpec.symmetric(4, 3)),
-        "33dce3e43a28be91cd98ddc9578d1bd101cd093bb3f4670882556bb034b7eb45",
+        "9a2f1003c4499133a8dd58f13166889e6bebaf3ea6b480a84b1d38cb37e05da7",
         "6eb6e419532bac9d64265a14632801ddfd9e9dd2818f80628a30d1104629d9b6"),
     "rec5-4-3": (lambda: build_recursive(RecursionSpec.semi((5, 4, 3))),
-        "8ae0f0488e67a2d24870ff4777923e38367e0cba0bbfcf296bd7d0336c15b2a5",
+        "e39470c592aafec7aefe0386f1c92a3a5a9e294391311a0ccc387d9e5ba29395",
         "d725b1337fed89263345da888037703960b1f96d0752bc7917847a6f705d5467"),
     "rec4-4": (lambda: build_recursive(RecursionSpec.symmetric(4, 2)),
-        "7f0f2b28835ad2a7838066282a885b6ad5095c04f9c50c901e77abe7b09ae580",
+        "fab1982f6a233d553de39ca29c775791eaed0ec17dcb15761b1d1899513eca82",
         "e7cfa18327eebcf786849748b048f4be56546f453a842e8d0c28b303d643543c"),
     "rec2-2": (lambda: build_recursive(RecursionSpec.symmetric(2, 2)),
-        "3d38e99ccecb05287a74e0085d2ed5b250f2f949376b7b7d4497fab414bf44da",
+        "2bfff27be46b0cbbcba7cbf641bc29697a4a4344a3d1c54e4851c1ba4a06177d",
         "18d56c1b19d334af897eaa6439857829aeb38c272b11d30b765cbd3f75657579"),
     "rec1-3-2": (lambda: build_recursive(RecursionSpec.semi((1, 3, 2))),
-        "545a03eff93ed43e0762729652ef89eee4ae3247b1313d60d907854cd3f203e7",
+        "63e2602dd1a8fa295116961f46b037b91a74710851b3c856e9a595ffaeb2259f",
         "20a36b1ad86adb774c23fe2cec580da7c5b21c486854c6be22d6e2f65d14432e"),
     "rec3-1-2": (lambda: build_recursive(RecursionSpec.semi((3, 1, 2))),
-        "8a54370bfe1f7da1c7f63a133c6efe2e2be42e44eb804a53a963f0a7368ea941",
+        "9bb0f51599f16dcb01acbc4bf4b88455932c40aa46608f092a24e97b4641636d",
         "547fff2325369a660bdfe888a262d072945443f634636da2360e4982dc6bfde2"),
     "asym-mesh": (lambda: build_recursive(_ASYM_MESH),
-        "d0a76640763243fdd2862c39bd77de8330da416089449091af630dfe78a0ccfe",
+        "5abc8636db09f41cffb5d23154689049585fd6478d1229a9de4ad417f4300613",
         "0cabc59a72d837318cc761df23582aa6a5ff124588039ae4076492785d9700ff"),
     "asym-tri": (lambda: build_recursive(_ASYM_TRIANGLE),
-        "fb01358dcc9db731841bcb8da8a708a897a3fb04cb15b5eb50ce9ee139ebd49c",
+        "5f55c08d843c325f34fb134705d5280dc6b271bd5271c6a5e4990eaee4ad2eab",
         "31a916b55fbde0a399526f4245f30ce57989f8e983bbaf55851f6de0b9663d72"),
 }
 
@@ -602,6 +641,25 @@ class TestSerializationPins:
         back = Topology.from_json(text)
         _assert_same_topology(back, t)
         assert back.to_json() == text
+
+    @pytest.mark.parametrize("name", list(SERIALIZATION_PINS))
+    def test_csr_matches_lexsort(self, name):
+        _assert_csr_is_lexsort(SERIALIZATION_PINS[name][0]())
+
+    def test_csr_of_unsorted_ends(self):
+        _assert_csr_is_lexsort(custom_topology(6, [(5, 0), (3, 1), (0, 3), (4, 2), (2, 0), (5, 1),
+                                                   (4, 3)]))
+
+
+def _assert_csr_is_lexsort(t: Topology) -> None:
+    """csr() equals the two-key construction: every link in both
+    directions, destinations sorted by (source, destination) with lexsort."""
+    ends = t.ends.astype(np.intp)
+    src = np.concatenate((ends[:, 0], ends[:, 1]))
+    dst = np.concatenate((ends[:, 1], ends[:, 0]))
+    indptr, indices = t.csr()
+    assert indices.dtype == dst.dtype and np.array_equal(indices, dst[np.lexsort((dst, src))])
+    assert np.array_equal(indptr, np.searchsorted(np.sort(src), np.arange(t.n_nodes + 1)))
 
 
 # name: (builder of the topology, CLI arguments after --topology, sha256
@@ -869,15 +927,18 @@ class TestArrays:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda doc: doc["labels"][1].append(0), "node labels must be non-empty and all of one"),
-            (lambda doc: doc["links"].update(u=[2**40, *doc["links"]["u"][1:]]),
-             "number out of range"),
+            (lambda doc: doc["labels"].append(_column(range(5))), "N=6 but the document lists 5 nodes"),
+            (lambda doc: doc["classes"][0].update(mtbf_h=10**400), "number out of range"),
             (lambda doc: doc.update(N=99), "N=99 but the document lists 6 nodes"),
             (lambda doc: doc["classes"].append(dict(doc["classes"][0], mttr_h=2.0)),
              "class ids must be distinct"),
-            (lambda doc: doc["links"]["level"].pop(), "link columns must all have one length"),
+            (lambda doc: doc["links"].update(level=_column(range(5))),
+             "link columns must all have one length"),
+            (lambda doc: doc["links"].update(u="AAA=AAAA"), "link column u is not valid base64"),
+            (lambda doc: doc["links"].update(v="AAAAAAA="), "link column v holds 5 bytes, not whole"),
         ],
-        ids=["ragged-labels", "out-of-range", "node-count", "repeated-class", "unequal-columns"],
+        ids=["ragged-labels", "out-of-range", "node-count", "repeated-class", "unequal-columns",
+             "inner-padding", "partial-word"],
     )
     def test_from_dict_rejects(self, edit, message):
         doc = build_ring_lattice(6, 2).to_dict()
@@ -886,19 +947,22 @@ class TestArrays:
             Topology.from_dict(doc)
 
     @pytest.mark.parametrize(
-        "field, index, value",
-        [("u", 0, None), ("v", 0, "3"), ("u", 1, 1.5), ("v", 2, 3.0), ("class_id", 0, True),
-         ("level", 3, False), ("labels", 2, [0.5]), ("labels", 0, [None]), ("labels", 1, ["1"]),
-         ("labels", 4, [True]), ("labels", 5, 5)],
+        "field, value",
+        [("u", None), ("v", "3"), ("u", 1.5), ("v", 3.0), ("class_id", True), ("level", False),
+         ("labels", 0.5), ("labels", None), ("labels", "1"), ("labels", True), ("labels", 5)],
         ids=["u-null", "v-string", "u-float", "v-integral-float", "class-bool", "level-bool",
              "label-float", "label-null", "label-string", "label-bool", "label-not-a-row"],
     )
-    def test_from_dict_refuses_non_integers(self, field, index, value):
-        """JSON null, floats (also integral ones), strings and booleans in a
-        link field or a label are refused, not truncated or converted."""
+    def test_from_dict_refuses_non_integers(self, field, value):
+        """JSON null, a number, a boolean or a string that is not base64, in
+        place of a link or label column of int32 words, is refused, not
+        converted."""
         doc = build_ring_lattice(6, 2).to_dict()
-        (doc["labels"] if field == "labels" else doc["links"][field])[index] = value
-        with pytest.raises(SpecError, match="must (hold integers|be lists of integers)"):
+        if field == "labels":
+            doc["labels"][0] = value
+        else:
+            doc["links"][field] = value
+        with pytest.raises(SpecError, match="must be a base64 string|is not valid base64"):
             Topology.from_dict(doc)
 
     @pytest.mark.parametrize("value", [1.0, True, "1"])
