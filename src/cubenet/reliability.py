@@ -716,7 +716,7 @@ def analyze_hierarchical(spec: RecursionSpec, budget: int = 20000,
     repair-time average weighted by those terms.  The sum is a
     union-style first-order expansion and may exceed 1; p is then 0.
     """
-    if spec.mode == "asymmetric":
+    if not all(isinstance(d, int) for d in spec.levels):
         raise SpecError("hierarchical aggregation needs a symmetric or semi-symmetric spec")
     raw = t_mass = 0.0
     reach = 1.0  # prod_{j<m} 2^{d_j} p_j

@@ -94,7 +94,6 @@ class Link:
     u: int
     v: int
     class_id: int
-    level: int = 1
 
 
 @dataclass(frozen=True)
@@ -142,33 +141,30 @@ def _gray_hypercube_edges(dim: int) -> np.ndarray:
 class RecursionSpec:
     """Per-level description of a hierarchical recursive topology.
 
-    `levels` entries are hypercube dimensions (int), or, in asymmetric
-    mode, a mapping from the parent prefix tuple to an explicit
-    `DomainGraph`.  `classes` holds one link class per level, in level
-    order: the links of recursion level m (1-based, level 1 = outermost
-    interconnection links) belong to `classes[m - 1]`, class id m - 1.
+    `levels` entries are hypercube dimensions (int) or mappings from the
+    parent prefix tuple to an explicit `DomainGraph`; a spec with such a
+    mapping is asymmetric.  `classes` holds one link class per level, in
+    level order: the links of recursion level m (1-based, level 1 =
+    outermost interconnection links) belong to `classes[m - 1]`, class
+    id m - 1.
     """
 
-    mode: str  # "symmetric" | "semi" | "asymmetric"
     levels: tuple
     classes: tuple[LinkClass, ...]
 
     def __post_init__(self):
-        if self.mode not in ("symmetric", "semi", "asymmetric"):
-            raise SpecError(f"unknown recursion mode {self.mode!r}")
         r = len(self.levels)
         if r < 1:
             raise SpecError("recursion spec needs at least one level")
+        if r > MAX_HYPERCUBE_DIM:  # each level past 20 passes the node guard or adds nothing
+            raise ResourceLimitError(f"{r} levels exceed the guard of {MAX_HYPERCUBE_DIM}")
         if len(self.classes) != r:
             raise SpecError(f"expected {r} link classes, one per level, got {len(self.classes)}")
-        if self.mode == "symmetric":
-            dims = set(self.levels)
-            if len(dims) != 1 or not isinstance(self.levels[0], int):
-                raise SpecError("completely symmetric mode requires one fixed dimension")
-        if self.mode == "semi" and not all(isinstance(d, int) for d in self.levels):
-            raise SpecError("semi-symmetric mode requires per-level hypercube dimensions")
-        if any(isinstance(d, int) and d < 0 for d in self.levels):
-            raise SpecError("recursion dimensions must be non-negative")
+        for d in self.levels:
+            if isinstance(d, int):
+                _check_dim(d)
+            elif not isinstance(d, dict):  # such as a numpy integer
+                raise SpecError(f"a level must be an int dimension or a dict of domains, got {d!r}")
 
     @property
     def r(self) -> int:
@@ -176,7 +172,7 @@ class RecursionSpec:
 
     @property
     def dims(self) -> tuple[int, ...]:
-        if self.mode == "asymmetric":
+        if not _integer_from(self, 1):
             raise SpecError("asymmetric spec has no uniform dimension list")
         return tuple(self.levels)
 
@@ -193,16 +189,16 @@ class RecursionSpec:
 
     @classmethod
     def symmetric(cls, dim: int, levels: int, distances=None) -> "RecursionSpec":
-        return cls("symmetric", (dim,) * levels, cls._default_classes(levels, distances))
+        return cls((dim,) * levels, cls._default_classes(levels, distances))
 
     @classmethod
     def semi(cls, dims, distances=None) -> "RecursionSpec":
         dims = tuple(dims)
-        return cls("semi", dims, cls._default_classes(len(dims), distances))
+        return cls(dims, cls._default_classes(len(dims), distances))
 
     @classmethod
     def asymmetric(cls, levels, distances=None) -> "RecursionSpec":
-        return cls("asymmetric", tuple(levels), cls._default_classes(len(levels), distances))
+        return cls(tuple(levels), cls._default_classes(len(levels), distances))
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,8 +207,8 @@ class Topology:
 
     Node x is labeled by row x of `labels`, its hierarchical number (one
     digit per recursion level, most significant first).  Link j joins
-    the flat nodes `ends[j]`, belongs to link class `class_id[j]` and to
-    recursion level `level[j]` (1 for flat graphs).  A topology is valid
+    the flat nodes `ends[j]` and belongs to link class `class_id[j]`; a
+    recursive topology's level-m links are class m - 1.  A topology is valid
     by construction: `__post_init__`, which `dataclasses.replace` runs
     too, freezes the arrays and checks them against `classes`.  Because
     the arrays cannot be written, data derived from them is computed
@@ -224,9 +220,7 @@ class Topology:
     labels: np.ndarray  # (N, r) int32
     ends: np.ndarray  # (L, 2) int32
     class_id: np.ndarray  # (L,) int32
-    level: np.ndarray  # (L,) int32
     classes: dict[int, LinkClass]
-    meta: dict = field(default_factory=dict)
     _memo: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -236,7 +230,7 @@ class Topology:
         that order."""
         if not isinstance(self.kind, str):
             raise SpecError(f"kind must be a string, got {self.kind!r}")
-        for name in ("labels", "ends", "class_id", "level"):
+        for name in ("labels", "ends", "class_id"):
             arr = np.asarray(getattr(self, name), dtype=np.int32)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -277,7 +271,7 @@ class Topology:
     def links(self) -> list[Link]:
         """Link objects, one per row; perfbench/tracer.py is their only reader."""
         return self.memo("links", lambda: [
-            Link(*row) for row in np.column_stack((self.ends, self.class_id, self.level)).tolist()
+            Link(*row) for row in np.column_stack((self.ends, self.class_id)).tolist()
         ])
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -316,11 +310,9 @@ class Topology:
             "version": SERIALIZATION_VERSION,
             "kind": self.kind,
             "N": self.n_nodes,
-            "meta": self.meta,
             "classes": [{"class_id": cid, **vars(c)} for cid, c in sorted(self.classes.items())],
             "labels": [_to_base64(digit) for digit in self.labels.T],
-            "links": dict(zip(_LINK_COLUMNS, map(_to_base64, (*self.ends.T, self.class_id,
-                                                              self.level)))),
+            "links": dict(zip(_LINK_COLUMNS, map(_to_base64, (*self.ends.T, self.class_id)))),
         }
 
     def to_json(self) -> str:
@@ -330,8 +322,9 @@ class Topology:
     def from_dict(cls, doc: dict) -> "Topology":
         """Read a version-3 document; SpecError on any other version, on N or
         class ids that are not Python ints, on a column that `_from_base64`
-        refuses, on no label column or one of a length other than N, on link
-        columns of unequal length, and on a value of the wrong JSON type."""
+        refuses, on labels that are not a non-empty list of columns of length
+        N, on link columns of unequal length, and on a value of the wrong JSON
+        type.  Other keys, such as an earlier writer's `level` and `meta`, are ignored."""
         try:
             if doc.get("version") != SERIALIZATION_VERSION:
                 raise SpecError(f"unsupported topology document version {doc.get('version')!r}; "
@@ -342,6 +335,9 @@ class Topology:
                 raise SpecError("class ids must be distinct")
             if any(type(cid) is not int for cid in classes):  # True == 1.0 == 1
                 raise SpecError("class ids must hold integers")
+            if type(doc["labels"]) is not list:  # a JSON object would iterate its keys
+                raise SpecError("malformed topology document: labels must be a list of columns, "
+                                f"got {type(doc['labels']).__name__}")
             labels = [_from_base64("label column", col) for col in doc["labels"]]
             if not labels:
                 raise SpecError("node labels must be non-empty: one column per digit")
@@ -352,9 +348,9 @@ class Topology:
             columns = [_from_base64(f"link column {c}", doc["links"][c]) for c in _LINK_COLUMNS]
             if len(set(map(len, columns))) > 1:
                 raise SpecError("link columns must all have one length")
-            u, v, class_id, level = columns
+            u, v, class_id = columns
             return cls(doc["kind"], np.column_stack(labels), np.column_stack((u, v)), class_id,
-                       level, classes, dict(doc.get("meta", {})))
+                       classes)
         except OverflowError as exc:  # a class field such as 10**400
             raise SpecError(f"topology document number out of range: {exc}") from None
         except (AttributeError, TypeError) as exc:  # a list where an object belongs, say
@@ -365,7 +361,7 @@ class Topology:
         return cls.from_dict(json.loads(text))
 
 
-_LINK_COLUMNS = ("u", "v", "class_id", "level")
+_LINK_COLUMNS = ("u", "v", "class_id")
 
 
 def _to_base64(words: np.ndarray) -> str:
@@ -386,12 +382,11 @@ def _from_base64(what: str, text) -> np.ndarray:
     return np.frombuffer(raw, "<i4")
 
 
-def _flat_topology(kind: str, ids: np.ndarray, ends: np.ndarray, meta: dict) -> Topology:
+def _flat_topology(kind: str, ids: np.ndarray, ends: np.ndarray) -> Topology:
     """Validated topology on nodes labeled by `ids`, one link per row of
     `ends`, every link in one 5000 km class."""
-    L = len(ends)
-    return Topology(kind, np.reshape(ids, (-1, 1)), ends, np.zeros(L), np.ones(L),
-                    {0: LinkClass.standard(5000.0)}, meta)
+    return Topology(kind, np.reshape(ids, (-1, 1)), ends, np.zeros(len(ends)),
+                    {0: LinkClass.standard(5000.0)})
 
 
 def _check_size(kind: str, n_nodes: int, n_links: int) -> None:
@@ -422,8 +417,7 @@ def _check_dim(dim: int) -> None:
 def build_complete_hypercube(dim: int) -> Topology:
     """dim-dimensional hypercube: 2^dim nodes, links at Hamming distance 1."""
     _check_dim(dim)
-    return _flat_topology("complete-hypercube", np.arange(2**dim), _hypercube_edges(dim),
-                          {"dim": dim})
+    return _flat_topology("complete-hypercube", np.arange(2**dim), _hypercube_edges(dim))
 
 
 def build_incomplete_hypercube(
@@ -458,8 +452,7 @@ def build_incomplete_hypercube(
     if removed:
         keep &= ~np.isin(edges[:, 0].astype(np.int64) << dim | edges[:, 1],
                          [a << dim | b for a, b in removed])
-    topo = _flat_topology("incomplete-hypercube", ordered, ends[keep],
-                          {"dim": dim, "removed_links": sorted(removed)})
+    topo = _flat_topology("incomplete-hypercube", ordered, ends[keep])
     if not topo.is_connected():
         raise ConstructionError("incomplete hypercube is disconnected; retry with other removals")
     return topo
@@ -476,16 +469,7 @@ def build_recursive(spec: RecursionSpec) -> Topology:
     checked against the size guard before anything is allocated.
     """
     _check_size("recursive topology", *_count_below(spec, 1, ()))
-    labels, ends, level = _build_below(spec, 1, ())
-    topo = Topology(
-        "recursive",
-        labels,
-        ends,
-        level - 1,
-        level,
-        dict(enumerate(spec.classes)),
-        {"mode": spec.mode, "levels": [lv if isinstance(lv, int) else "explicit" for lv in spec.levels]},
-    )
+    topo = Topology("recursive", *_build_below(spec, 1, ()), dict(enumerate(spec.classes)))
     if not topo.is_connected():
         raise ConstructionError("recursive topology is disconnected")
     return topo
@@ -552,8 +536,9 @@ def _count_below(spec: RecursionSpec, m: int, prefix: tuple[int, ...]) -> tuple[
 
 def _build_below(spec: RecursionSpec, m: int, prefix: tuple[int, ...]
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Labels (digits m..r), link ends and link levels of the level-m
-    domain below `prefix`, nodes numbered in lexicographic label order.
+    """Labels (digits m..r), link ends and link class ids of the level-m
+    domain below `prefix`, nodes numbered in lexicographic label order;
+    the level-m links are class m - 1.
 
     Subdomain a is the block of nodes from start[a].  The links are
     those of each subdomain a in turn, shifted by start[a], then, for
@@ -571,12 +556,12 @@ def _build_below(spec: RecursionSpec, m: int, prefix: tuple[int, ...]
     else:
         n_local, local_edges = dom.n, np.array(dom.edges, dtype=np.int32).reshape(-1, 2)
     if _integer_from(spec, m + 1):
-        sub_labels, sub_ends, sub_level = _build_below(spec, m + 1, prefix + (0,))
+        sub_labels, sub_ends, sub_class = _build_below(spec, m + 1, prefix + (0,))
         size = np.full(n_local, len(sub_labels), dtype=np.int32)
         n_sub_links = np.full(n_local, len(sub_ends), dtype=np.int32)
         sub_labels = np.tile(sub_labels, (n_local, 1))
         sub_ends = np.tile(sub_ends, (n_local, 1))
-        sub_level = np.tile(sub_level, n_local)
+        sub_class = np.tile(sub_class, n_local)
     else:
         subs = [_build_below(spec, m + 1, prefix + (a,)) for a in range(n_local)]
         for a, b in local_edges.tolist():
@@ -585,29 +570,25 @@ def _build_below(spec: RecursionSpec, m: int, prefix: tuple[int, ...]
                     f"cannot interconnect domains {prefix + (a,)} and {prefix + (b,)}: "
                     "unequal local suffix sets"
                 )
-        sub_labels, sub_ends, sub_level = zip(*subs)
+        sub_labels, sub_ends, sub_class = zip(*subs)
         size = np.fromiter(map(len, sub_labels), np.int32, n_local)
         n_sub_links = np.fromiter(map(len, sub_ends), np.int32, n_local)
-        sub_labels, sub_ends, sub_level = map(np.concatenate, (sub_labels, sub_ends, sub_level))
+        sub_labels, sub_ends, sub_class = map(np.concatenate, (sub_labels, sub_ends, sub_class))
     start = np.cumsum(size, dtype=np.int32) - size
     run = size[local_edges[:, 0]]  # suffixes bridged along each level-m edge
     suffix = np.arange(run.sum(), dtype=np.int32) - np.repeat(np.cumsum(run, dtype=np.int32) - run, run)
     labels = np.column_stack((np.repeat(np.arange(n_local, dtype=np.int32), size), sub_labels))
     ends = np.concatenate((sub_ends + np.repeat(start, n_sub_links)[:, None],
                            start[np.repeat(local_edges, run, axis=0)] + suffix[:, None]))
-    level = np.concatenate((sub_level, np.full(len(suffix), m, dtype=np.int32)))
-    return labels, ends, level
+    class_id = np.concatenate((sub_class, np.full(len(suffix), m - 1, dtype=np.int32)))
+    return labels, ends, class_id
 
 
 def closed_form_link_count(spec: RecursionSpec) -> tuple[int, int]:
-    """(node count, link count) from the closed forms for symmetric specs.
-
-    Completely symmetric: L = 2^(r*dim - 1) * r * dim.
-    Semi-symmetric:       L = 2^(sum(dims) - 1) * sum(dims).
-    """
-    if spec.mode == "asymmetric":
-        raise SpecError("asymmetric recursion has no closed-form link count")
-    return _count_below(spec, 1, ())
+    """(nodes, links) of an integer-dims spec in closed form: 2^D nodes and
+    2^D * D / 2 links, D = sum(dims); SpecError for an asymmetric spec."""
+    D = sum(spec.dims)
+    return 2**D, 2**D * D // 2
 
 
 def build_rooted_tree(n: int, degree: int = 3) -> Topology:
@@ -625,8 +606,7 @@ def build_rooted_tree(n: int, degree: int = 3) -> Topology:
     _check_size("rooted tree", n, n - 1)
     child = np.arange(1, n, dtype=np.int32)
     parent = np.maximum((child - 2) // (degree - 1), 0)
-    return _flat_topology("rooted-tree", np.arange(n), np.stack([parent, child], axis=1),
-                          {"degree": degree})
+    return _flat_topology("rooted-tree", np.arange(n), np.stack([parent, child], axis=1))
 
 
 def build_ring_lattice(n: int, degree: int) -> Topology:
@@ -640,8 +620,7 @@ def build_ring_lattice(n: int, degree: int) -> Topology:
     j = (i + np.arange(1, degree // 2 + 1, dtype=np.int32)) % n
     lo, hi = np.minimum(i, j).ravel(), np.maximum(i, j).ravel()
     order = np.lexsort((hi, lo))
-    return _flat_topology("ring-lattice", np.arange(n), np.stack([lo[order], hi[order]], axis=1),
-                          {"degree": degree})
+    return _flat_topology("ring-lattice", np.arange(n), np.stack([lo[order], hi[order]], axis=1))
 
 
 def build_star(n: int) -> Topology:
@@ -650,8 +629,7 @@ def build_star(n: int) -> Topology:
         raise SpecError("star needs at least 2 nodes")
     _check_size("star", n, n - 1)
     leaves = np.arange(1, n)
-    return _flat_topology("star", np.arange(n), np.stack([np.zeros_like(leaves), leaves], axis=1),
-                          {})
+    return _flat_topology("star", np.arange(n), np.stack([np.zeros_like(leaves), leaves], axis=1))
 
 
 # -- connectivity ---------------------------------------------------------

@@ -13,12 +13,11 @@ from cubenet.topology import LinkClass, Topology
 
 def custom_topology(n, pairs, class_ids=None, classes=None) -> Topology:
     """Topology "custom" on nodes 0..n-1, each labeled by its own number:
-    link j joins pairs[j], has class class_ids[j] (default 0) and level 1.
+    link j joins pairs[j] and has class class_ids[j] (default 0).
     `classes` defaults to one 5000 km class with id 0."""
     ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     if class_ids is None:
         class_ids = np.zeros(len(ends))
     if classes is None:
         classes = {0: LinkClass.standard(5000)}
-    return Topology("custom", np.arange(n).reshape(-1, 1), ends, class_ids,
-                    np.ones(len(ends)), dict(classes))
+    return Topology("custom", np.arange(n).reshape(-1, 1), ends, class_ids, dict(classes))

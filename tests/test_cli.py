@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -442,7 +443,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: dict(doc, links=[]), "malformed topology document: "),
-        (lambda doc: dict(doc, meta=[1]), "malformed topology document: "),
         (lambda doc: dict(doc, labels=5), "malformed topology document: "),
         (lambda doc: _class_edit(doc, mtbf_h=None), "mtbf_h must be a finite number, got None"),
         (lambda doc: [], "malformed topology document: "),
@@ -452,7 +452,7 @@ class TestExitCodes:
         (lambda doc: _class_edit(doc, mttr_h=True), "mttr_h must be a finite number, got True"),
         (lambda doc: _class_edit(doc, mtbf_h=float("inf")), "mtbf_h must be a finite number, got inf"),
         (lambda doc: dict(doc, classes=[[0]]), "malformed topology document: "),
-    ], ids=["links-list", "meta-list", "labels-int", "mtbf-null", "top-level-list", "kind-int",
+    ], ids=["links-list", "labels-int", "mtbf-null", "top-level-list", "kind-int",
             "distance-string", "mttr-bool", "mtbf-infinite", "class-list"])
     def test_malformed_document_structure(self, tmp_path, capsys, edit, message):
         """A value of the wrong JSON type is a usage error, not a traceback
@@ -527,6 +527,24 @@ class TestExitCodes:
         assert run_cli(["topo", "build", "--spec", str(spec), "--out",
                         str(tmp_path / "ring.topology.json")]) == 2
         assert "1048577 nodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "recursive", "dims": [20000]}, "dim=20000 exceeds the guard of 20"),
+        ({"kind": "recursive", "dims": [10**12]}, "dim=1000000000000 exceeds the guard of 20"),
+        ({"kind": "recursive", "dims": [0] * 1100, "classes": [5000] * 1100},
+         "1100 levels exceed the guard of 20"),
+    ], ids=["dim-20000", "dim-10e12", "1100-levels"])
+    def test_oversized_recursive_spec(self, tmp_path, capsys, doc, message):
+        """Refused by the spec before the build counts anything: no 2**dim
+        integer is formed and no recursion runs per level."""
+        spec = tmp_path / "big.json"
+        spec.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code = run_cli(["topo", "build", "--spec", str(spec), "--out",
+                        str(tmp_path / "big.topology.json")])
+        assert code == 2 and time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [["gossip", "run", "--cycles"],
                                       ["consensus", "run", "--rounds"],

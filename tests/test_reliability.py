@@ -1208,7 +1208,7 @@ def _unreliable_2_2():
     """2-2 with links down 40 % and 33 % of the time: c_lb = 8 at k = 9
     splits the sampled states, and some of those above it are wrong."""
     classes = (LinkClass(5000.0, 3.0, 2.0), LinkClass(3000.0, 3.0, 1.5))
-    return build_recursive(RecursionSpec("symmetric", (2, 2), classes))
+    return build_recursive(RecursionSpec((2, 2), classes))
 
 
 class TestCutBoundWork:
@@ -1635,7 +1635,7 @@ class TestAggregation:
         """Links down about half the time: the level sum exceeds 1, so p
         is clamped to 0."""
         classes = (LinkClass(5000.0, 2.0, 1.9), LinkClass(3000.0, 2.0, 1.9))
-        spec = RecursionSpec("semi", (3, 2), classes)
+        spec = RecursionSpec((3, 2), classes)
         r1, r2 = _level_reports(spec, 200, 0)
         assert (1 - r1.p) + 8 * r1.p * (1 - r2.p) > 1
         assert analyze_hierarchical(spec, budget=200, seed=0).p == 0.0
@@ -1648,10 +1648,20 @@ class TestAggregation:
         results = []
         for dists in ((100.0, 50.0), (5000.0, 420.0)):
             classes = tuple(LinkClass(d, *r) for d, r in zip(dists, rates))
-            spec = RecursionSpec("semi", (3, 2), classes)
+            spec = RecursionSpec((3, 2), classes)
             results.append(analyze_hierarchical(spec, budget=200, seed=0))
         assert results[0] == results[1]
         assert 0.0 < results[0].p < 1.0
+
+    def test_explicit_domains_refused(self):
+        """A spec is asymmetric by its levels: an explicit domain map is
+        refused, and int levels through the asymmetric constructor are
+        the semi-symmetric spec."""
+        two = cubenet.DomainGraph(2, ((0, 1),))
+        with pytest.raises(SpecError, match="needs a symmetric or semi-symmetric spec"):
+            analyze_hierarchical(RecursionSpec.asymmetric((1, {(0,): two, (1,): two})))
+        assert analyze_hierarchical(RecursionSpec.asymmetric((3, 2)), budget=200) == \
+            analyze_hierarchical(RecursionSpec.semi((3, 2)), budget=200)
 
     def test_hierarchical_4_2_repair(self):
         result = analyze_hierarchical(RecursionSpec.semi((4, 2)), budget=2000, seed=0)

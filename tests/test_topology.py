@@ -208,7 +208,6 @@ class TestRecursive:
     def test_level_classes(self):
         t = build_recursive(RecursionSpec.symmetric(2, 3))
         assert t.class_census() == {0: 64, 1: 64, 2: 64}
-        assert np.bincount(t.level).tolist() == [0, 64, 64, 64]
 
     def test_asymmetric_equal_domains(self):
         mesh = DomainGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
@@ -217,6 +216,13 @@ class TestRecursive:
         assert t.n_nodes == 16
         # 4 domains x 6 mesh links + 4 parent links x 4 suffixes
         assert t.n_links == 24 + 16
+
+    def test_integer_asymmetric_spec_is_semi(self):
+        """A spec's kind is read from its levels: with only int levels the
+        asymmetric constructor makes the semi-symmetric spec."""
+        spec = RecursionSpec.asymmetric((2, 3))
+        assert spec == RecursionSpec.semi((2, 3))
+        assert spec.dims == (2, 3) and closed_form_link_count(spec) == (32, 80)
 
     @pytest.mark.parametrize(
         "make",
@@ -237,7 +243,7 @@ class TestRecursive:
     def test_one_class_per_level(self, n_classes):
         classes = (LinkClass.standard(5000),) * n_classes
         with pytest.raises(SpecError, match="expected 2 link classes"):
-            RecursionSpec("semi", (3, 2), classes)
+            RecursionSpec((3, 2), classes)
         with pytest.raises(SpecError, match="expected 2 link classes"):
             RecursionSpec.semi((3, 2), [5000.0] * n_classes)
 
@@ -283,7 +289,7 @@ class TestClosedForms:
         # per-level recurrence terms: level m contributes 2^(sum-1) * dim_m
         total = sum(dims)
         for m, dim in enumerate(dims, start=1):
-            assert np.count_nonzero(topo.level == m) == 2 ** (total - 1) * dim
+            assert np.count_nonzero(topo.class_id == m - 1) == 2 ** (total - 1) * dim
 
 
 class TestBaselines:
@@ -326,18 +332,18 @@ class TestRejects:
     @pytest.mark.parametrize("make, error, message", [
         (lambda: DomainGraph(0, ()), SpecError, "domain must contain at least one node"),
         (lambda: DomainGraph(3, ((1, 1),)), SpecError, r"bad domain edge \(1,1\) for n=3"),
-        (lambda: RecursionSpec("torus", (2,), (LinkClass.standard(5000),)), SpecError,
-         "unknown recursion mode 'torus'"),
-        (lambda: RecursionSpec("semi", (), ()), SpecError, "needs at least one level"),
-        (lambda: RecursionSpec("symmetric", (2, 3), (LinkClass.standard(5000),) * 2), SpecError,
-         "completely symmetric mode requires one fixed dimension"),
-        (lambda: RecursionSpec("semi", (1, _two_domains(2)), (LinkClass.standard(5000),) * 2),
-         SpecError, "semi-symmetric mode requires per-level hypercube dimensions"),
+        (lambda: RecursionSpec((), ()), SpecError, "needs at least one level"),
+        (lambda: RecursionSpec.semi(np.array([2, 2])), SpecError,
+         "a level must be an int dimension or a dict of domains"),
+        (lambda: RecursionSpec.semi((2, 21)), ResourceLimitError,
+         "dim=21 exceeds the guard of 20"),
+        (lambda: RecursionSpec.symmetric(0, 21, [5000.0] * 21), ResourceLimitError,
+         "21 levels exceed the guard of 20"),
         (lambda: RecursionSpec.asymmetric((1, _two_domains(2))).dims, SpecError,
          "asymmetric spec has no uniform dimension list"),
         (lambda: RecursionSpec.symmetric(2, 4), SpecError,
          r"4 levels need an explicit class assignment \(defaults cover 3\)"),
-        (lambda: Topology("empty", np.zeros((0, 1)), np.zeros((0, 2)), np.zeros(0), np.zeros(0), {}),
+        (lambda: Topology("empty", np.zeros((0, 1)), np.zeros((0, 2)), np.zeros(0), {}),
          ConstructionError, "topology must contain at least one node"),
         (lambda: build_recursive(RecursionSpec.asymmetric((1, _two_domains(1)))), SpecError,
          r"no explicit domain topology for prefix \(1,\)"),
@@ -345,8 +351,8 @@ class TestRejects:
         (lambda: build_rooted_tree(5, 1), SpecError, "degree must be at least 2"),
         (lambda: build_ring_lattice(4, 4), SpecError, r"ring lattice requires 2 <= degree < n"),
         (lambda: build_star(1), SpecError, "star needs at least 2 nodes"),
-    ], ids=["empty-domain", "domain-self-loop", "unknown-mode", "no-levels", "symmetric-two-dims",
-            "semi-mapping-level", "asymmetric-dims", "four-default-levels", "no-nodes",
+    ], ids=["empty-domain", "domain-self-loop", "no-levels", "numpy-level", "dim-over-guard",
+            "levels-over-guard", "asymmetric-dims", "four-default-levels", "no-nodes",
             "missing-prefix", "tree-no-nodes", "tree-degree-1", "ring-degree-n", "star-one-node"])
     def test_raises(self, make, error, message):
         with pytest.raises(error, match=message):
@@ -457,8 +463,8 @@ _INT32 = st.integers(-2**31, 2**31 - 1)
 
 @st.composite
 def _custom_graphs(draw):
-    """custom_topology graphs with any int32 label digits (width 1-4),
-    levels and class ids (gaps and negatives), and possibly no links."""
+    """custom_topology graphs with any int32 label digits (width 1-4) and
+    class ids (gaps and negatives), and possibly no links."""
     n = draw(st.integers(1, 9))
     pair = st.tuples(st.integers(0, n - 1), st.integers(1, max(n - 1, 1)))
     pairs = draw(st.lists(pair.map(lambda p: (p[0], (p[0] + p[1]) % n)),
@@ -469,8 +475,7 @@ def _custom_graphs(draw):
     t = custom_topology(n, pairs, class_ids, classes)
     width = draw(st.integers(1, 4))
     labels = draw(st.lists(_INT32, min_size=n * width, max_size=n * width))
-    levels = draw(st.lists(_INT32, min_size=len(pairs), max_size=len(pairs)))
-    return dataclasses.replace(t, labels=np.reshape(labels, (n, width)), level=levels)
+    return dataclasses.replace(t, labels=np.reshape(labels, (n, width)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -496,120 +501,121 @@ _ASYM_TRIANGLE = RecursionSpec.asymmetric(
 )
 
 # name: (builder, sha256 of the document (`to_json()`), sha256 of the [u,
-# v, class_id, level] link sequence), the link hash as the per-link
-# object builders produced it: trees, ring lattices, the star and cubes
+# v, class_id, level] link sequence, with level = class_id + 1), the link
+# hash as the per-link object builders produced it, when each link stored
+# its recursion level (1 for flat graphs): trees, ring lattices, the star and cubes
 # serialised before; Table 3's twelve graphs; the benchmark's analyze and
 # protocols graphs (full and toy size, and the 12-cube probe); every other
 # builder, asymmetric included.
 SERIALIZATION_PINS = {
     "tree1": (lambda: build_rooted_tree(1, 3),
-        "982c405007b7723a3594a0d312df04c1def87a0b0ce020f5c2dcc1958ea986e3",
+        "303058a44a2b6f255bad9df53539d4d5646f26b99d91ef415d97d06ec824585e",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     "tree64-6": (lambda: build_rooted_tree(64, 6),
-        "1c7ef78e2291f273bddcacef0182509be45e96bf7dce4dcd46888fa33f256132",
+        "a70c04c0021cf1ae7fd346dd422a50e4f086c9f073eb65137e5f325f66a0935a",
         "337986bb23ef1c717932bc6627ce40cb690b2dc41446e2c455e3c535f4707566"),
     "tree4096-12": (lambda: build_rooted_tree(4096, 12),
-        "f7725cbc9085ad4ccaa9e45379afacb8c3e0642896c72a528e660b5620c6a389",
+        "e8497333e48a1b37a74b76bec29ebd550fe93150dd53b08eb44a71dfa5abfa1f",
         "43b61c15561201e2e07b6463efb44b51bf1ba167982a505484aa7761141144db"),
     "tree40-3": (lambda: build_rooted_tree(40, 3),
-        "d30eed7393de75116792ca1534a5eb90e4d904bbf3ef4a5c11eb7a97da226200",
+        "6c1b22fcfabba8a28772a73b6cc40d555991141a7679c2ca3a762f0791882728",
         "705faa07c43a2aacc533ea151735a049d9173d7d31bfc98883a85996dacc405e"),
     "tree10-2": (lambda: build_rooted_tree(10, 2),
-        "d88864facd7a021218d124bd862424d5ccf225fd59ad052c2ac1460617265ef6",
+        "cbc4e06b876cf584036f6d4572523a098b682d54ee33b23e958a236b3a7c9aeb",
         "8ce4f25817541e6cf5ce6f1fb77e663a1bba5d608016452b9af5404a8d91112f"),
     "ring5-4": (lambda: build_ring_lattice(5, 4),
-        "02225146816807af0ca9233b4578a49df0eeeddf7491e11fa127733e0bccd65a",
+        "fe60e8706a0938d5141b77a375c1bef138d5ed00b5055071c47673382cc2b8f8",
         "397f4eb852cdd974c96345a0544cd0d59533ecdc52ed273f8a93fb06d201d6e4"),
     "ring5-2": (lambda: build_ring_lattice(5, 2),
-        "9fd7fd528153ec87e390e17c9c64f9a1880fef94732fe4fe7ad8182aacb57fd9",
+        "d2cc7d6d2c656a421af0370e286bb3c3e2e93ee9b749c665aae5f8f51a7a90f2",
         "dad019f724f95ed0b5b561aea2c0a171ef9ba609aae6be64997a44d4ae0c484f"),
     "ring64-6": (lambda: build_ring_lattice(64, 6),
-        "498408cfcf51ec5f38bcbc654186d618a6c5a8b18081f7356701c7da816178b9",
+        "af27952342c136397d124c7e516516f59e56c4e0bcd6a0ed3bcef445bea9daae",
         "cb282e6ff523e3ca26ae5afc2321af79d83fa131e35f4790b984610c3c4a4d06"),
     "ring768-4": (lambda: build_ring_lattice(768, 4),
-        "4adf738a1ea413b1aacd83c0ad0c365addab43ec286dfb41feef780d17db81d8",
+        "25e7a2d4a53366562b74e536c8b49c9a9c88d2b34145e1a86acdaf7b5a7e633a",
         "387f47f56f948959774a7405b250f455fe2213adbfc306ad8687281acc017275"),
     "ring4096-12": (lambda: build_ring_lattice(4096, 12),
-        "567c2e5c833451b2a8730bf89166bf9b81efd189c8924f3e651ece7087e7d7a9",
+        "83353b47e5c08280d034f3c9b19dcf389966876987f042e00d3af26426945670",
         "fb0e9774e8f5925fd70fb40b22c568324685c23d6ac0a14fa54a6a349912b075"),
     "ring7-6": (lambda: build_ring_lattice(7, 6),
-        "0422fd90b0ec6acfd796004b441bb4db0db6ab675997cf7f07430e5d4d48387f",
+        "77a65b93ca1960c154b7aaaa60c21a9339999e27d43971d3c71e6ef1f26fa662",
         "621c69265c653af25d23b362386df0eca6ea304ce899f1dae6a31bd13a0979e4"),
     "ring8-2-420": (lambda: dataclasses.replace(build_ring_lattice(8, 2),
                                                 classes={0: LinkClass.standard(420.0)}),
-        "15ca8abccab6d6ccce58ad8cc8d61bebde81ec457d8ee46d75d5e9ef6d389230",
+        "3806cc7e8de10f0d07b6a9ac4cc0acb9635bf776d00a8fa42cc2cfb130d01edc",
         "de2b546090a490a5778e462d18a941e5fe7dc88bcfc501e6adf4cfdf45d9fbbd"),
     "ring64-2": (lambda: build_ring_lattice(64, 2),
-        "221277beacf1039990788cb9a1272bfda5c6b410091833b7b8709ce13f8df857",
+        "2c6c06cc953cbaf1c80e2fecaf099ee64f6f919653c5fc1f31446bc28b248f19",
         "f7d66400361fa88b4678b44039eeebca5039dce9439d22272ad00e31c6ff52f1"),
     "ring48-4": (lambda: build_ring_lattice(48, 4),
-        "cfdc9d7833100295a0ce44ab2954d8d37594747b1ff5911591bd21c910428780",
+        "7b19d3ef595bc2217810374aaac81a9d9379589503ec36f2f1975d63e27d7f39",
         "1e7bf5424d9bc94276bb42bed478e2de7eb2ada4d6b8aa492667b719c9472ac8"),
     "ring16-2": (lambda: build_ring_lattice(16, 2),
-        "afc5a7a9dc48943558fbedba40fe45e4f2396050f1440d6ec65794f519ee9706",
+        "28c99bb3801d64768fda38d07a1e967488993f2a4298dcbda7639d3969cdf055",
         "fbfa430dd8f716c408f322cc56116738791740a94c7b2a067147ad3c62986a1c"),
     "star9": (lambda: build_star(9),
-        "884d4609264e5b3da986c0b14e4761964f86df295cdcaaa4f5fbbc71b6f68d35",
+        "1af5c6d30d61082f811b071de908d4f426e7532d1c20c5aab0c4a296abbe84e9",
         "4bc7b4520d95fd74065e8498b29fc8982c7d73df768e2d7ecad1843537867464"),
     "cube0": (lambda: build_complete_hypercube(0),
-        "e670e7fc8564e88818b5b7ebcb3045f49c155c3a2e900b312a6d30ec45d5cec2",
+        "3badcb4e5929b2a51a418be95ab6d5280ba102bb00720901b12d4acaa8f47405",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     "cube6": (lambda: build_complete_hypercube(6),
-        "4433288003abe9e47967b02ea891e70c2cf7b2b588ff00aa0f82afc0ec834a9b",
+        "363aecbba4c30b5c7593f2bef3f348bf5c1cb453182f754c391a1ca8ec65eff0",
         "76da44276192b0dd75e4677164b994363c515193a663524a4dcf7c239a60fb44"),
     "cube12": (lambda: build_complete_hypercube(12),
-        "8e43dbcd2ccd6e5692e770fc931a85902ca98ac5b66138d2a0637e7b614e6240",
+        "314c7c4e4d8318cbfa96522f594585f72897b9d7d01c808f00db33ac3ce8a2cd",
         "227ea999dc1b6489b1dc38a3312cb6bab13b7723a3a7a0577e5c2e6b32fe0919"),
     "incomplete4-15": (lambda: build_incomplete_hypercube(4, present_nodes=set(range(15))),
-        "2268c593dc944fa1bc9f642dc44eab91f5c158b462e22a0134ed48462be26b95",
+        "f5e90f619515a1caeb36b1e8c36be4382c1a74e8b9845fd397767ced674dbc40",
         "e8c873308f9a7721f1c1f1c565a7ba9af6f07a32755b21dff265a2a9eedabf46"),
     "incomplete5-rm": (lambda: build_incomplete_hypercube(5, removed_links=[(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]),
-        "7456f476dbfafb18c476a1563d7e3300346ba52bcef5c841c89243e51156f55c",
+        "a984001f6cda68e9522c5196830ed68e79fc51d584797dd6b8da103d198b6ea5",
         "932c80b6e0ccf53511fefcc2aeab14f82228c37b8eb0ee2a1652aa84936379e4"),
     "incomplete4-mix": (lambda: build_incomplete_hypercube(4, present_nodes=[0, 1, 2, 3, 5, 6, 7, 9, 11, 13, 15], removed_links=[(1, 3)]),
-        "d52e0f97fccba5455dbc4f31309372524ad6e48fde13132f48a5219da25b3f45",
+        "891d1537c5fdf2e250270e92584b7dac2d15bfbd50cc05f6d416b5f0fd08216d",
         "2eddc64dcd6b1e1681a42ee35f0a792b1cf76d9b03d1450d8896c2073b321b1f"),
     "rec6": (lambda: build_recursive(RecursionSpec.symmetric(6, 1)),
-        "2c78555fefcfe29be63a55cac74356ccf39fe7ecd1fcb7ddad09151b29a48dda",
+        "a569d19f40077a746d962db427897c53c2551c04b0380d76b0a775a966d23772",
         "cb13845e36348bfad65f11eb12c415bb6da6bd0e317afc93d9849512ea81c070"),
     "rec3-3": (lambda: build_recursive(RecursionSpec.symmetric(3, 2)),
-        "133f70353f66dfdac0297ee242a49000be71e726eab4ba093e49142a11fa56aa",
+        "5993bca03450dbe98c944a17872589a3b9377ad0a11afc15abfc86ef46373f07",
         "c7d140148dc4e9088560f2c36ffda45f69e305415691c3da93f956ab9838893c"),
     "rec2-2-2": (lambda: build_recursive(RecursionSpec.symmetric(2, 3)),
-        "5fd33663050bf49648b5ab46bca5c15623720ec61a4444a5132a562b3dc7d5bf",
+        "5daab295dde77ec18a63597357b07d2dab2bbcefb8c65ac35b33a11bfbb778f7",
         "d9d730955d914f0eed4639d26cb5591d763878db6bfd2a5d523a175825b99e01"),
     "rec4-2": (lambda: build_recursive(RecursionSpec.semi((4, 2))),
-        "25189b43f9aebb212c1efdced420173d4986467a8bcf993402fc5f68a85cdfec",
+        "6f514e5693ba1fc9a7f6f519e7c973c401cbbd81cf4ab3300ecfdccebf4586c0",
         "847fdff8702a02080adc192c38e26b9dcc5c264655bff23548341ce70c94763f"),
     "rec12": (lambda: build_recursive(RecursionSpec.symmetric(12, 1)),
-        "c7f5874c9e5fab2a940a0eb91ba7e9dcdbba19de2b244e2aa82f7159259ca14c",
+        "40b509b4067b0efee2302af5379efcacfda566c336c95d8d56664bb79f611dde",
         "84123f14c200eedaa70069eb43f76e980bb1599605297367856f6bb8c4c4be75"),
     "rec6-6": (lambda: build_recursive(RecursionSpec.symmetric(6, 2)),
-        "99054bad1c448265464ae868333dc56e7f837c165d8857dfb492480cdd2f185d",
+        "cbaf346928cf43cd3f3aa7931821da2b4c8d1f061ea576136af78841bcae0307",
         "d2376cbc22b400d6cc6d2b1dd9e297a875f822fce7adc6ec2956e413ac6bd0a9"),
     "rec4-4-4": (lambda: build_recursive(RecursionSpec.symmetric(4, 3)),
-        "9a2f1003c4499133a8dd58f13166889e6bebaf3ea6b480a84b1d38cb37e05da7",
+        "2fb4e8967d7306ff8e318fb8bfccc6a987a6cca88b6d96886d450f8cd3d88de8",
         "6eb6e419532bac9d64265a14632801ddfd9e9dd2818f80628a30d1104629d9b6"),
     "rec5-4-3": (lambda: build_recursive(RecursionSpec.semi((5, 4, 3))),
-        "e39470c592aafec7aefe0386f1c92a3a5a9e294391311a0ccc387d9e5ba29395",
+        "aecc573d48abb4961b1fad619108f1f7aa92440d43a129f9583b88df138f1788",
         "d725b1337fed89263345da888037703960b1f96d0752bc7917847a6f705d5467"),
     "rec4-4": (lambda: build_recursive(RecursionSpec.symmetric(4, 2)),
-        "fab1982f6a233d553de39ca29c775791eaed0ec17dcb15761b1d1899513eca82",
+        "43c86cc6203d8ebed17373ccec5f34ec998103a43e41686e99cb9012351bbdbe",
         "e7cfa18327eebcf786849748b048f4be56546f453a842e8d0c28b303d643543c"),
     "rec2-2": (lambda: build_recursive(RecursionSpec.symmetric(2, 2)),
-        "2bfff27be46b0cbbcba7cbf641bc29697a4a4344a3d1c54e4851c1ba4a06177d",
+        "8945c8ba73f54e4e8ccce1351e3a30130806ee5434867972fb4f71d35909077f",
         "18d56c1b19d334af897eaa6439857829aeb38c272b11d30b765cbd3f75657579"),
     "rec1-3-2": (lambda: build_recursive(RecursionSpec.semi((1, 3, 2))),
-        "63e2602dd1a8fa295116961f46b037b91a74710851b3c856e9a595ffaeb2259f",
+        "da344599c0d7943181017b0793ded5ffaf109647cbf5268c71b286b488cba430",
         "20a36b1ad86adb774c23fe2cec580da7c5b21c486854c6be22d6e2f65d14432e"),
     "rec3-1-2": (lambda: build_recursive(RecursionSpec.semi((3, 1, 2))),
-        "9bb0f51599f16dcb01acbc4bf4b88455932c40aa46608f092a24e97b4641636d",
+        "71aab163e83a6f4f846cf167c016b65ec8bd6c4579ca839f902d41660f95d8cd",
         "547fff2325369a660bdfe888a262d072945443f634636da2360e4982dc6bfde2"),
     "asym-mesh": (lambda: build_recursive(_ASYM_MESH),
-        "5abc8636db09f41cffb5d23154689049585fd6478d1229a9de4ad417f4300613",
+        "ca8b0f8666ae4ba5a1f701488349c20f064abcfa6ab57b16e7e807752c888ee4",
         "0cabc59a72d837318cc761df23582aa6a5ff124588039ae4076492785d9700ff"),
     "asym-tri": (lambda: build_recursive(_ASYM_TRIANGLE),
-        "5f55c08d843c325f34fb134705d5280dc6b271bd5271c6a5e4990eaee4ad2eab",
+        "2f40385a812481ef85f4319a97e814e744bbbae8c129ae5e74b6e14785f406b9",
         "31a916b55fbde0a399526f4245f30ce57989f8e983bbaf55851f6de0b9663d72"),
 }
 
@@ -620,11 +626,10 @@ def _sha256(text: str) -> str:
 
 def _assert_same_topology(got: Topology, want: Topology) -> None:
     assert got.kind == want.kind
-    for name in ("labels", "ends", "class_id", "level"):
+    for name in ("labels", "ends", "class_id"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
     assert got.classes == want.classes
-    assert got.meta == json.loads(json.dumps(want.meta))  # JSON has lists, not tuples
 
 
 class TestSerializationPins:
@@ -634,7 +639,7 @@ class TestSerializationPins:
         builder's arrays and bytes."""
         build, doc_sha, links_sha = SERIALIZATION_PINS[name]
         t = build()
-        rows = np.column_stack((t.ends, t.class_id, t.level)).tolist()
+        rows = np.column_stack((t.ends, t.class_id, t.class_id + 1)).tolist()
         assert _sha256(json.dumps(rows, separators=(",", ":"))) == links_sha
         text = t.to_json()
         assert _sha256(text) == doc_sha
@@ -649,6 +654,30 @@ class TestSerializationPins:
     def test_csr_of_unsorted_ends(self):
         _assert_csr_is_lexsort(custom_topology(6, [(5, 0), (3, 1), (0, 3), (4, 2), (2, 0), (5, 1),
                                                    (4, 3)]))
+
+
+# build_recursive(RecursionSpec.semi((1, 1))) as written when a document
+# also held each link's recursion level and a `meta` object.
+_LEVEL_META_DOCUMENT = (
+    '{"N":4,"classes":[{"class_id":0,"distance_km":5000.0,"mtbf_h":2190.0,"mttr_h":24.0},'
+    '{"class_id":1,"distance_km":3000.0,"mtbf_h":3650.0,"mttr_h":14.4}],"kind":"recursive",'
+    '"labels":["AAAAAAAAAAABAAAAAQAAAA==","AAAAAAEAAAAAAAAAAQAAAA=="],'
+    '"links":{"class_id":"AQAAAAEAAAAAAAAAAAAAAA==","level":"AgAAAAIAAAABAAAAAQAAAA==",'
+    '"u":"AAAAAAIAAAAAAAAAAQAAAA==","v":"AQAAAAMAAAACAAAAAwAAAA=="},'
+    '"meta":{"levels":[1,1],"mode":"semi"},"version":3}'
+)
+
+
+def test_document_with_level_and_meta_loads():
+    """Such a document loads to the arrays the builder makes now: its
+    `level` column was class_id + 1 on every link, and both it and
+    `meta` are ignored."""
+    doc = json.loads(_LEVEL_META_DOCUMENT)
+    back = Topology.from_dict(doc)
+    want = build_recursive(RecursionSpec.semi((1, 1)))
+    _assert_same_topology(back, want)
+    assert doc["links"]["level"] == _column(want.class_id + 1)
+    assert "level" not in json.loads(back.to_json())["links"] and "meta" not in back.to_dict()
 
 
 def _assert_csr_is_lexsort(t: Topology) -> None:
@@ -714,18 +743,22 @@ class TestSizeGuard:
             monkeypatch.setattr(topology, name, refuse)
 
     @pytest.mark.parametrize(
-        "spec",
+        "make, message",
         [
-            RecursionSpec.semi((7, 7, 7)),
-            RecursionSpec.symmetric(21, 1),
-            RecursionSpec.asymmetric(({(): DomainGraph(2**20 + 1, ())},)),
-            RecursionSpec.asymmetric((11, {(a,): DomainGraph(2**10, ()) for a in range(2**11)})),
+            (lambda: RecursionSpec.semi((7, 7, 7)), "2097152 nodes"),
+            (lambda: RecursionSpec.symmetric(21, 1), "dim=21 exceeds the guard of 20"),
+            (lambda: RecursionSpec.asymmetric(({(): DomainGraph(2**20 + 1, ())},)),
+             "1048577 nodes"),
+            (lambda: RecursionSpec.asymmetric(
+                (11, {(a,): DomainGraph(2**10, ()) for a in range(2**11)})), "nodes"),
         ],
         ids=["7-7-7", "21", "one-domain", "11-then-explicit"],
     )
-    def test_too_many_nodes(self, no_expansion, spec):
-        with pytest.raises(ResourceLimitError, match="nodes"):
-            build_recursive(spec)
+    def test_too_many_nodes(self, no_expansion, make, message):
+        """Case `21`, a dimension over the hypercube guard, is refused by
+        the spec itself, before the build counts anything."""
+        with pytest.raises(ResourceLimitError, match=message):
+            build_recursive(make())
 
     def test_too_many_links(self, no_expansion):
         """K_100 over 13-cubes: 819200 nodes, within the node guard, but
@@ -769,10 +802,11 @@ class TestFlatSizeGuard:
 
 
 def expand_oracle(spec):
-    """Labels, link ends and link levels of any spec, by depth-first
-    expansion over suffix tuples: the construction read off the paper."""
+    """Labels, link ends and link class ids of any spec, by depth-first
+    expansion over suffix tuples: the construction read off the paper,
+    where recursion level m's links are class m - 1."""
     def expand(m, prefix):
-        """Suffix tuples and links (as suffix pairs + level) below `prefix`."""
+        """Suffix tuples and links (as suffix pairs + class id) below `prefix`."""
         if m > spec.r:
             return [()], []
         dom = topology._domain(spec, m, prefix)
@@ -785,19 +819,19 @@ def expand_oracle(spec):
             sub_suffixes, sub_links = expand(m + 1, prefix + (a,))
             subs[a] = sub_suffixes
             suffixes.extend((a,) + s for s in sub_suffixes)
-            links.extend(((a,) + su, (a,) + sv, lvl) for su, sv, lvl in sub_links)
+            links.extend(((a,) + su, (a,) + sv, cid) for su, sv, cid in sub_links)
         for a, b in local_edges:
             if set(subs[a]) != set(subs[b]):
                 raise ConstructionError(
                     f"cannot interconnect domains {prefix + (a,)} and {prefix + (b,)}: "
                     "unequal local suffix sets"
                 )
-            links.extend(((a,) + s, (b,) + s, m) for s in subs[a])
+            links.extend(((a,) + s, (b,) + s, m - 1) for s in subs[a])
         return suffixes, links
 
     labels, raw_links = expand(1, ())
     flat_of = {lab: i for i, lab in enumerate(labels)}
-    rows = [(flat_of[lu], flat_of[lv], lvl) for lu, lv, lvl in raw_links]
+    rows = [(flat_of[lu], flat_of[lv], cid) for lu, lv, cid in raw_links]
     rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
     return np.array(labels, dtype=np.int64), rows[:, :2], rows[:, 2]
 
@@ -856,10 +890,10 @@ class TestRecursionOracle:
     @given(spec=mixed_specs())
     def test_build_and_count_match_expansion(self, spec):
         t = build_recursive(spec)
-        labels, ends, level = expand_oracle(spec)
+        labels, ends, class_id = expand_oracle(spec)
         assert np.array_equal(t.labels, labels)
         assert np.array_equal(t.ends, ends)
-        assert np.array_equal(t.level, level)
+        assert np.array_equal(t.class_id, class_id)
         assert topology._count_below(spec, 1, ()) == (t.n_nodes, t.n_links)
 
     @settings(max_examples=30, deadline=None)
@@ -878,22 +912,22 @@ class TestRecursionOracle:
     )
     def test_fixed_specs_match_expansion(self, spec):
         t = build_recursive(spec)
-        for got, want in zip((t.labels, t.ends, t.level), expand_oracle(spec)):
+        for got, want in zip((t.labels, t.ends, t.class_id), expand_oracle(spec)):
             assert np.array_equal(got, want)
 
 
 class TestArrays:
     def test_read_only(self):
         t = build_recursive(RecursionSpec.symmetric(2, 2))
-        for arr in (t.labels, t.ends, t.class_id, t.level, *t.csr()):
+        for arr in (t.labels, t.ends, t.class_id, *t.csr()):
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
             t.ends[0, 0] = 5
 
     def test_views_match_arrays(self):
         t = build_recursive(RecursionSpec.semi((2, 1)))
-        assert [(lk.u, lk.v, lk.class_id, lk.level) for lk in t.links] == \
-            [tuple(r) for r in np.column_stack((t.ends, t.class_id, t.level)).tolist()]
+        assert [(lk.u, lk.v, lk.class_id) for lk in t.links] == \
+            [tuple(r) for r in np.column_stack((t.ends, t.class_id)).tolist()]
 
     def test_csr_is_sorted_adjacency(self):
         t = build_ring_lattice(9, 4)
@@ -932,13 +966,15 @@ class TestArrays:
             (lambda doc: doc.update(N=99), "N=99 but the document lists 6 nodes"),
             (lambda doc: doc["classes"].append(dict(doc["classes"][0], mttr_h=2.0)),
              "class ids must be distinct"),
-            (lambda doc: doc["links"].update(level=_column(range(5))),
+            (lambda doc: doc["links"].update(class_id=_column([0] * 5)),
              "link columns must all have one length"),
             (lambda doc: doc["links"].update(u="AAA=AAAA"), "link column u is not valid base64"),
             (lambda doc: doc["links"].update(v="AAAAAAA="), "link column v holds 5 bytes, not whole"),
+            (lambda doc: doc.update(labels={doc["labels"][0]: "x"}),
+             "labels must be a list of columns, got dict"),
         ],
         ids=["ragged-labels", "out-of-range", "node-count", "repeated-class", "unequal-columns",
-             "inner-padding", "partial-word"],
+             "inner-padding", "partial-word", "labels-object"],
     )
     def test_from_dict_rejects(self, edit, message):
         doc = build_ring_lattice(6, 2).to_dict()
@@ -948,9 +984,9 @@ class TestArrays:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("u", None), ("v", "3"), ("u", 1.5), ("v", 3.0), ("class_id", True), ("level", False),
+        [("u", None), ("v", "3"), ("u", 1.5), ("v", 3.0), ("class_id", True), ("class_id", False),
          ("labels", 0.5), ("labels", None), ("labels", "1"), ("labels", True), ("labels", 5)],
-        ids=["u-null", "v-string", "u-float", "v-integral-float", "class-bool", "level-bool",
+        ids=["u-null", "v-string", "u-float", "v-integral-float", "class-bool", "class-false",
              "label-float", "label-null", "label-string", "label-bool", "label-not-a-row"],
     )
     def test_from_dict_refuses_non_integers(self, field, value):
