@@ -92,17 +92,21 @@ def topology_from_spec(spec: dict) -> Topology:
     kind = spec.get("kind", "recursive" if "mode" in spec or "dims" in spec else None)
     if kind is None:
         raise SpecError("spec needs a 'kind' (or 'mode'/'dims' for recursive)")
-    if kind == "hypercube":
-        return build_complete_hypercube(_spec_number(spec["dim"], "dim"))
-    if kind == "tree":
-        return build_rooted_tree(_spec_number(spec["n"], "n"),
-                                 _spec_number(spec.get("degree", 3), "degree"))
-    if kind == "ring":
-        return build_ring_lattice(_spec_number(spec["n"], "n"), _spec_number(spec["degree"], "degree"))
-    if kind == "star":
-        return build_star(_spec_number(spec["n"], "n"))
-    if kind == "recursive":
-        return build_recursive(recursion_spec_from_dict(spec))
+    try:
+        if kind == "hypercube":
+            return build_complete_hypercube(_spec_number(spec["dim"], "dim"))
+        if kind == "tree":
+            return build_rooted_tree(_spec_number(spec["n"], "n"),
+                                     _spec_number(spec.get("degree", 3), "degree"))
+        if kind == "ring":
+            return build_ring_lattice(_spec_number(spec["n"], "n"),
+                                      _spec_number(spec["degree"], "degree"))
+        if kind == "star":
+            return build_star(_spec_number(spec["n"], "n"))
+        if kind == "recursive":
+            return build_recursive(recursion_spec_from_dict(spec))
+    except KeyError as exc:
+        raise SpecError(f"{kind} spec has no key {exc}") from None
     raise SpecError(f"unknown topology kind {kind!r}")
 
 

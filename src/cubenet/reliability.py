@@ -468,26 +468,21 @@ def _links_added(ends: np.ndarray, n: int, k: int, batch: np.ndarray, cap: int) 
     """
     L, B = batch.shape
     ends = np.ascontiguousarray(ends.T)
-    prefix = max(L - cap, 0)
-    if B < L and prefix:
-        live = np.arange(B, dtype=np.int32)
-        label = np.arange(B * n, dtype=np.int32)
-        hi = 0
-        while hi < prefix and live.size:
-            lo, hi = hi, min(max(2 * hi, k - 1), prefix)
-            a, b = ends[:, batch[lo:hi, live]] + live * n
-            label = _join_roots(label, a.ravel(), b.ravel())
-            size = np.bincount(label, minlength=B * n)
-            live = live[size.reshape(B, n)[live].max(1) < k]
-        added = np.full(B, prefix, dtype=np.int64)
-        added[live] = L + 1
-        if live.size:
-            _add_in_lockstep(ends, n, k, batch, prefix, label, size.astype(np.int32), live, added)
-        return added
-    added = np.full(B, L + 1, dtype=np.int64)
-    parent = np.arange(B * n, dtype=np.int32)
+    prefix = max(L - cap, 0) if B < L else 0
+    live = np.arange(B, dtype=np.int32)
+    label = np.arange(B * n, dtype=np.int32)
     size = np.ones(B * n, dtype=np.int32)
-    _add_in_lockstep(ends, n, k, batch, 0, parent, size, np.arange(B, dtype=np.int32), added)
+    hi = 0
+    while hi < prefix and live.size:
+        lo, hi = hi, min(max(2 * hi, k - 1), prefix)
+        a, b = ends[:, batch[lo:hi, live]] + live * n
+        label = _join_roots(label, a.ravel(), b.ravel())
+        size = np.bincount(label, minlength=B * n).astype(np.int32)
+        live = live[size.reshape(B, n)[live].max(1) < k]
+    added = np.full(B, prefix, dtype=np.int64)
+    added[live] = L + 1
+    if live.size:
+        _add_in_lockstep(ends, n, k, batch, prefix, label, size, live, added)
     return np.maximum(added, L - cap, out=added)
 
 

@@ -323,8 +323,9 @@ class Topology:
         """Read a version-3 document; SpecError on any other version, on N or
         class ids that are not Python ints, on a column that `_from_base64`
         refuses, on labels that are not a non-empty list of columns of length
-        N, on link columns of unequal length, and on a value of the wrong JSON
-        type.  Other keys, such as an earlier writer's `level` and `meta`, are ignored."""
+        N, on link columns of unequal length, on a missing key and on a value of
+        the wrong JSON type.  Other keys, such as an earlier writer's `level`
+        and `meta`, are ignored."""
         try:
             if doc.get("version") != SERIALIZATION_VERSION:
                 raise SpecError(f"unsupported topology document version {doc.get('version')!r}; "
@@ -355,6 +356,8 @@ class Topology:
             raise SpecError(f"topology document number out of range: {exc}") from None
         except (AttributeError, TypeError) as exc:  # a list where an object belongs, say
             raise SpecError(f"malformed topology document: {exc}") from None
+        except KeyError as exc:
+            raise SpecError(f"malformed topology document: no key {exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "Topology":
@@ -420,42 +423,16 @@ def build_complete_hypercube(dim: int) -> Topology:
     return _flat_topology("complete-hypercube", np.arange(2**dim), _hypercube_edges(dim))
 
 
-def build_incomplete_hypercube(
-    dim: int,
-    present_nodes=None,
-    removed_links=(),
-) -> Topology:
-    """Induced subgraph of the complete hypercube minus explicit links.
-
-    The result must stay connected; a disconnected outcome raises
-    `ConstructionError` so the caller can retry with other removals.
-    """
+def build_incomplete_hypercube(n: int) -> Topology:
+    """Katseff's incomplete hypercube I(n): Q_d, d = ceil(log2 n), induced
+    on nodes 0..n-1.  It is connected, as each node x > 0 links to x with
+    its highest bit cleared."""
+    if n < 1:
+        raise SpecError("incomplete hypercube needs at least one node")
+    dim = (n - 1).bit_length()
     _check_dim(dim)
-    if present_nodes is None:
-        ordered = np.arange(2**dim)
-    else:
-        ordered = np.unique(np.asarray(list(present_nodes)))
-        if not ordered.size:
-            raise SpecError("present_nodes must not be empty")
-        if ordered.dtype.kind not in "iu" or ordered[0] < 0 or ordered[-1] >= 2**dim:
-            raise SpecError("present_nodes must be hypercube node ids")
-    # (a, b) with a < b is an edge iff b is in range and a ^ b is a power of two
-    removed = {tuple(sorted(pair)) for pair in removed_links}
-    if not all(0 <= a < b < 2**dim and (a ^ b) & ((a ^ b) - 1) == 0 for a, b in removed):
-        raise SpecError("removed_links must be hypercube edges")
     edges = _hypercube_edges(dim)
-
-    flat_of = np.full(2**dim, -1)
-    flat_of[ordered] = np.arange(len(ordered))
-    ends = flat_of[edges]
-    keep = (ends >= 0).all(axis=1)
-    if removed:
-        keep &= ~np.isin(edges[:, 0].astype(np.int64) << dim | edges[:, 1],
-                         [a << dim | b for a, b in removed])
-    topo = _flat_topology("incomplete-hypercube", ordered, ends[keep])
-    if not topo.is_connected():
-        raise ConstructionError("incomplete hypercube is disconnected; retry with other removals")
-    return topo
+    return _flat_topology("incomplete-hypercube", np.arange(n), edges[edges[:, 1] < n])
 
 
 def build_recursive(spec: RecursionSpec) -> Topology:

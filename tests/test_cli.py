@@ -346,9 +346,10 @@ class TestExitCodes:
          "spec classes must be a number, got {}"),
         ('{"kind": "recursive", "dims": [2, 2], "classes": [[1], 3000]}',
          "spec classes must be a number, got [1]"),
+        ('{"kind": "ring", "degree": 2}', "ring spec has no key 'n'"),
     ], ids=["no-equals", "no-kind", "unknown-kind", "unequal-dims", "asymmetric", "float-string",
             "float-degree", "float-n", "float-dims", "bool-dim", "null-class", "object-class",
-            "list-class"])
+            "list-class", "ring-no-n"])
     def test_bad_key_value_spec(self, tmp_path, capsys, text, message):
         spec = tmp_path / "bad.spec"
         spec.write_text(text)
@@ -452,8 +453,16 @@ class TestExitCodes:
         (lambda doc: _class_edit(doc, mttr_h=True), "mttr_h must be a finite number, got True"),
         (lambda doc: _class_edit(doc, mtbf_h=float("inf")), "mtbf_h must be a finite number, got inf"),
         (lambda doc: dict(doc, classes=[[0]]), "malformed topology document: "),
+        (lambda doc: {key: doc[key] for key in doc if key != "N"},
+         "malformed topology document: no key 'N'"),
+        (lambda doc: dict(doc, classes=[{key: doc["classes"][0][key] for key in doc["classes"][0]
+                                         if key != "mttr_h"}]),
+         "malformed topology document: no key 'mttr_h'"),
+        (lambda doc: dict(doc, links={"v": doc["links"]["v"], "class_id": doc["links"]["class_id"]}),
+         "malformed topology document: no key 'u'"),
     ], ids=["links-list", "labels-int", "mtbf-null", "top-level-list", "kind-int",
-            "distance-string", "mttr-bool", "mtbf-infinite", "class-list"])
+            "distance-string", "mttr-bool", "mtbf-infinite", "class-list", "no-N", "no-mttr",
+            "no-links-u"])
     def test_malformed_document_structure(self, tmp_path, capsys, edit, message):
         """A value of the wrong JSON type is a usage error, not a traceback
         (TypeError, AttributeError) or a silent success."""

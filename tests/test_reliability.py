@@ -976,7 +976,7 @@ class TestCutLowerBound:
     def test_quorum_free_facts_computed_once(self, monkeypatch):
         """On an incomplete 8-cube of 200 nodes (no translation orbits) three
         quorums run the dense solve once."""
-        t = build_incomplete_hypercube(8, present_nodes=range(200))
+        t = build_incomplete_hypercube(200)
         assert _translation_orbits(t) is None
         calls = []
         for name in ("_algebraic_connectivity_lb", "_edge_connectivity"):
@@ -987,6 +987,20 @@ class TestCutLowerBound:
         assert calls == ["_algebraic_connectivity_lb"]
         monkeypatch.undo()
         assert [cut_bound_unchecked(t, k) for k in (101, 120, 150)] == [55, 45, 28]
+
+    @pytest.mark.parametrize("n, c_lb", [(48, (12, 8)), (100, (28, 19)), (200, (55, 37))])
+    def test_incomplete_cube_relabelling(self, n, c_lb):
+        """I(n) with its nodes renamed at random, links in the same order,
+        gets the same dense-path bound and the same report, field for
+        field, at the majority quorum and at floor(2n/3) + 1."""
+        t = build_incomplete_hypercube(n)
+        relabelled = custom_topology(n, np.random.default_rng(n).permutation(n)[t.ends])
+        assert _translation_orbits(t) is None and _translation_orbits(relabelled) is None
+        for k, bound in zip((n // 2 + 1, 2 * n // 3 + 1), c_lb):
+            assert _cut_lower_bound(t, k) == _cut_lower_bound(relabelled, k) == bound
+            a, b = (partition_tolerance(g, k, budget=4000, seed=0) for g in (t, relabelled))
+            assert (a.p, a.stderr, a.t, a.method, a.per_state) == \
+                (b.p, b.stderr, b.t, b.method, b.per_state)
 
 
 def _permuted_ring(n, degree):

@@ -101,55 +101,32 @@ class TestCompleteHypercube:
 
 class TestIncompleteHypercube:
     def test_drop_one_node(self):
-        t = build_incomplete_hypercube(4, present_nodes=set(range(15)))
-        # enumeration of Hamming-1 pairs among the 15 remaining ids
+        t = build_incomplete_hypercube(15)
+        # enumeration of Hamming-1 pairs among the ids 0..14
         assert (t.n_nodes, t.n_links) == (15, 28)
 
     def test_no_removals_equals_complete(self):
-        full = build_complete_hypercube(3)
-        t = build_incomplete_hypercube(3)
-        assert _pairs(t) == _pairs(full)
+        """I(2^d) drops no node: the complete d-cube, link for link."""
+        for dim in range(8):
+            full, t = build_complete_hypercube(dim), build_incomplete_hypercube(2**dim)
+            assert np.array_equal(t.ends, full.ends) and np.array_equal(t.labels, full.labels)
 
-    def test_five_removed_links(self):
-        removed = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
-        t = build_incomplete_hypercube(5, removed_links=removed)
-        assert (t.n_nodes, t.n_links) == (32, 75)
+    def test_connected_with_popcount_links(self):
+        """I(n) is connected, and node v links to one smaller id per set bit
+        of v (v with that bit cleared)."""
+        for n in range(1, 600):
+            t = build_incomplete_hypercube(n)
+            assert t.is_connected(), n
+            assert t.n_links == sum(bin(v).count("1") for v in range(n)), n
 
     def test_dimension_checks(self):
-        """Negative dimensions are spec errors, as for the complete cube;
-        only dimensions past the guard are resource limits."""
-        with pytest.raises(SpecError, match="non-negative"):
-            build_incomplete_hypercube(-1)
+        """No nodes is a spec error; only dimensions past the guard
+        (n > 2^20) are resource limits."""
+        for n in (0, -1):
+            with pytest.raises(SpecError, match="at least one node"):
+                build_incomplete_hypercube(n)
         with pytest.raises(ResourceLimitError, match="guard"):
-            build_incomplete_hypercube(21)
-
-    def test_disconnected_rejected(self):
-        # removing all three links of node 0 isolates it
-        with pytest.raises(ConstructionError):
-            build_incomplete_hypercube(3, removed_links=[(0, 1), (0, 2), (0, 4)])
-
-    @pytest.mark.parametrize(
-        "kwargs,message",
-        [
-            ({"removed_links": [(0, 3)]}, "removed_links must be hypercube edges"),
-            ({"removed_links": [(5, 5)]}, "removed_links must be hypercube edges"),
-            ({"removed_links": [(16, 0)]}, "removed_links must be hypercube edges"),
-            ({"removed_links": [(-1, 0)]}, "removed_links must be hypercube edges"),
-            ({"present_nodes": [0, 1, 16]}, "present_nodes must be hypercube node ids"),
-            ({"present_nodes": [-1, 0]}, "present_nodes must be hypercube node ids"),
-            ({"present_nodes": []}, "present_nodes must not be empty"),
-        ],
-        ids=["non-edge", "self-pair", "out-of-range-pair", "negative-pair",
-             "out-of-range-node", "negative-node", "no-nodes"],
-    )
-    def test_rejects_non_hypercube_items(self, kwargs, message):
-        with pytest.raises(SpecError, match=message):
-            build_incomplete_hypercube(4, **kwargs)
-
-    def test_duplicate_present_nodes(self):
-        t = build_incomplete_hypercube(3, present_nodes=[3, 1, 0, 1, 2, 3])
-        assert t.labels.ravel().tolist() == [0, 1, 2, 3]
-        assert (t.n_nodes, t.n_links) == (4, 4)
+            build_incomplete_hypercube(2**20 + 1)
 
 
 class TestRecursive:
@@ -500,6 +477,19 @@ _ASYM_TRIANGLE = RecursionSpec.asymmetric(
     ({(): DomainGraph(3, ((0, 1), (1, 2), (0, 2)))}, {(a,): _PATH3 for a in range(3)}, 1)
 )
 
+
+def _hamming_topology(ids, removed) -> Topology:
+    """An "incomplete-hypercube" document no builder makes: node x labeled
+    by the hypercube id ids[x] (ascending, gaps allowed), links between
+    ids at Hamming distance 1 in ascending order, less the id pairs in
+    `removed`."""
+    ids = list(ids)
+    pairs = [(x, y) for x, a in enumerate(ids) for y, b in enumerate(ids)
+             if x < y and bin(a ^ b).count("1") == 1 and (a, b) not in removed]
+    return Topology("incomplete-hypercube", np.reshape(ids, (-1, 1)), pairs,
+                    np.zeros(len(pairs)), {0: LinkClass.standard(5000.0)})
+
+
 # name: (builder, sha256 of the document (`to_json()`), sha256 of the [u,
 # v, class_id, level] link sequence, with level = class_id + 1), the link
 # hash as the per-link object builders produced it, when each link stored
@@ -566,13 +556,13 @@ SERIALIZATION_PINS = {
     "cube12": (lambda: build_complete_hypercube(12),
         "314c7c4e4d8318cbfa96522f594585f72897b9d7d01c808f00db33ac3ce8a2cd",
         "227ea999dc1b6489b1dc38a3312cb6bab13b7723a3a7a0577e5c2e6b32fe0919"),
-    "incomplete4-15": (lambda: build_incomplete_hypercube(4, present_nodes=set(range(15))),
+    "incomplete4-15": (lambda: build_incomplete_hypercube(15),
         "f5e90f619515a1caeb36b1e8c36be4382c1a74e8b9845fd397767ced674dbc40",
         "e8c873308f9a7721f1c1f1c565a7ba9af6f07a32755b21dff265a2a9eedabf46"),
-    "incomplete5-rm": (lambda: build_incomplete_hypercube(5, removed_links=[(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]),
+    "incomplete5-rm": (lambda: _hamming_topology(range(32), [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]),
         "a984001f6cda68e9522c5196830ed68e79fc51d584797dd6b8da103d198b6ea5",
         "932c80b6e0ccf53511fefcc2aeab14f82228c37b8eb0ee2a1652aa84936379e4"),
-    "incomplete4-mix": (lambda: build_incomplete_hypercube(4, present_nodes=[0, 1, 2, 3, 5, 6, 7, 9, 11, 13, 15], removed_links=[(1, 3)]),
+    "incomplete4-mix": (lambda: _hamming_topology([0, 1, 2, 3, 5, 6, 7, 9, 11, 13, 15], [(1, 3)]),
         "891d1537c5fdf2e250270e92584b7dac2d15bfbd50cc05f6d416b5f0fd08216d",
         "2eddc64dcd6b1e1681a42ee35f0a792b1cf76d9b03d1450d8896c2073b321b1f"),
     "rec6": (lambda: build_recursive(RecursionSpec.symmetric(6, 1)),
