@@ -11,13 +11,9 @@ MTTR, whose search also decides which failure sets are wrong), and
 the hierarchical aggregation as a sum over recursion levels.  Queries
 over many failed-link sets of one graph go through one batched numpy
 connectivity kernel; random link orders evolve in lockstep batches.
-Each order stops at the largest sampled state i_max: its critical
-count is capped there, which leaves every estimate unchanged.  A batch
-with fewer orders than links (ring(768,4) or ring(4096,12) at budget
-50) folds each order's first L - i_max links with the connectivity
-kernel before the lockstep steps; a batch with at least as many
-(Table 3's ring(64,6) and Q4, the 64-cycle, at budget 4000) only
-steps.
+Critical counts are capped at the largest sampled state i_max, which
+leaves every estimate unchanged, so only each order's last i_max links
+are drawn; the rest join first, a spanning BFS forest a level a step.
 """
 from __future__ import annotations
 
@@ -368,13 +364,10 @@ def _estimate_states(
     and the sum of pi_i over sampled i >= c*, for sampled i up to the
     largest, i_max, so their critical counts are capped at i_max + 1:
     every row and the variance are the same as with the full counts,
-    and an order stops once its first L - i_max links make a k-node
-    component.  On ring(768,4) at budget 50 (i_max = 52, k = 385, every
-    c* >= 122 over seeds 1-20) no order steps past its first L - 52 links:
-    its batch holds fewer orders than links, so the kernel folds those
-    links, while Table 3's ring(64,6) and Q4 and the 64-cycle at budget
-    4000 (at least as many orders as links) step through every link
-    (see `_links_added`).
+    and only each order's last i_max links are drawn.  At seed 1 no
+    order steps through that tail on Table 3's ring(64,6) (i_max = 18,
+    budget 4000) or Q4 (i_max = 10), or on ring(768,4) at budget 50,
+    while 3993 of the 64-cycle's 4000 do (i_max = 12; `_links_added`).
     """
     c_lb = _cut_lower_bound(topology, k)
     est = [_exact_state(topology, i, k, c_lb, enum_cap, pi_i) for i, pi_i in states]
@@ -411,99 +404,112 @@ def _critical_counts(topology: Topology, k: int, budget: int, seed, cap: int) ->
     component, L + 1 when k = 1).  The last i links of a uniform order
     form a uniform i-subset, so 1[c* <= i] is one draw of P{wrong | i}
     for every i at once.  A caller that reads 1[c* <= i] only for
-    i <= cap learns nothing from c* above cap + 1, and an order with
-    c* > cap is done once its first L - cap links make a k-node
-    component.  The orders go through in batches of at most ORDER_SLOTS
-    order (and node) slots, every order of a batch adding its next link
-    at the same step; a batch with fewer orders than links (ring(768,4),
-    Q12 at budget 50) first folds those L - cap links with the
-    connectivity kernel, and a wider one (ring(64,6), Q4, the 64-cycle
-    at budget 4000) does not (see `_links_added`).  A batch is an int32
-    (L, B) array of uniform column permutations, drawn `_chunk_rows`
-    orders at a time at pointer width, where numpy's shuffle is fastest
-    (ring(64,6)'s 4000 orders: 11 ms, against 17 ms at int32); the
-    chunks read the stream in order, as one `rng.permutation(L)` per
-    order does, and only a chunk is ever held at pointer width.
+    i <= cap learns nothing from c* above cap + 1, which depends only on
+    the order's last cap links, in order, and the set of the others: only
+    that tail is drawn (`_failed_tails`), in batches of at most
+    ORDER_SLOTS order (and node) slots (see `_links_added`).
     """
     L, n = topology.n_links, topology.n_nodes
+    cap = min(cap, L)
     if k == 1:
-        return np.full(budget, min(L, cap) + 1, dtype=np.int64)
-    out = np.full(budget, L + 1, dtype=np.int64)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    links = np.arange(L, dtype=np.intp)[:, None]
-    step, chunk = max(1, ORDER_SLOTS // max(n, L)), _chunk_rows(n, L)
+        return np.full(budget, cap + 1, dtype=np.int64)
+    out = np.empty(budget, dtype=np.int64)
+    step = max(1, ORDER_SLOTS // max(n, L))
     for lo in range(0, budget, step):
-        batch = np.empty((L, min(step, budget - lo)), dtype=np.int32)
-        for c in range(0, batch.shape[1], chunk):
-            part = batch[:, c:c + chunk]
-            part[...] = rng.permuted(np.broadcast_to(links, part.shape), axis=0)
-        out[lo:lo + batch.shape[1]] -= _links_added(topology.ends, n, k, batch, cap)
+        tails = _failed_tails(seed, lo, min(step, budget - lo), L, cap)
+        out[lo:lo + tails.shape[1]] = L + 1 - _links_added(topology, k, tails)
     return out
 
 
-def _links_added(ends: np.ndarray, n: int, k: int, batch: np.ndarray, cap: int) -> np.ndarray:
-    """Links each column of an (L, B) batch of link orders adds to an empty
-    graph, up to the one that makes a k-node component (L + 1 if none
-    does), raised to L - cap: an order that makes one within its first
-    L - cap links reads L - cap.
+def _failed_tails(seed, lo: int, B: int, L: int, cap: int) -> np.ndarray:
+    """(cap, B) int32: column b lists the last cap links of uniform random
+    link order lo + b, last first: a Fisher-Yates shuffle from the back
+    for cap positions t, each one `rng.integers(0, L - t, size=B)` call
+    on the stream of `seed` spawned at `lo`, so a larger cap extends
+    every tail.  ring(64,6)'s 4000 orders at cap 18 take 72 000 draws,
+    where full permutations took 764 000."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(lo,)))
+    perm, cols = np.repeat(np.arange(L, dtype=np.int32)[:, None], B, axis=1), np.arange(B)
+    for t in range(cap):
+        pick = rng.integers(0, L - t, size=B)
+        perm[L - 1 - t], perm[pick, cols] = perm[pick, cols], perm[L - 1 - t].copy()
+    return perm[::-1][:cap].copy()
 
-    Node x of order b is b*n + x.  A narrow batch (B < L) first folds
-    those L - cap links into component labels with the connectivity
-    kernel `_join_roots`, in blocks that end at (k - 1) * 2**j links (no
-    order can finish within fewer than k - 1): an order drops out at the
-    end of the first block that gives it a k-node component.  Only the
-    orders still short of k go on, from their folded labels, through
-    the per-step loop `_add_in_lockstep` over their last cap links.
-    Measured by direct timing of `_critical_counts` on a 2-core Xeon, at
-    50 orders and the cap `partition_tolerance` passes: ring(768,4), cap
-    52, went 0.092 -> 0.015 s (the loop runs no step), Q12, cap 385,
-    0.30 -> 0.08 s, and ring(4096,12), cap 385, 1.06 -> 0.12 s.  The
-    blocks matter on dense graphs: K64 (k = 33, cap 30) at 500 orders
-    takes 0.041 s with them, as the loop alone did, and 0.13 s with one
-    kernel pass over the whole prefix.  A wide batch (B >= L: Table 3's
-    ring(64,6) and Q4 and the 64-cycle, all at 4000 orders) runs the loop
-    from the empty graph, because there the fold does more edge work
-    than the steps it saves: folding them took ring(64,6) from 25 to
-    72 ms, Q4 from 4.0 to 10.9 ms and the 64-cycle from 16 to 34 ms.
-    """
-    L, B = batch.shape
-    ends = np.ascontiguousarray(ends.T)
-    prefix = max(L - cap, 0) if B < L else 0
-    live = np.arange(B, dtype=np.int32)
-    label = np.arange(B * n, dtype=np.int32)
-    size = np.ones(B * n, dtype=np.int32)
-    hi = 0
+
+def _links_added(topology: Topology, k: int, tails: np.ndarray) -> np.ndarray:
+    """Links each order adds to an empty graph, up to the one that makes
+    a k-node component (L + 1 if none does), raised to L - cap: order b
+    adds the links off column b of the (cap, B) `tails` in any order,
+    then that column's, from its last row up.
+
+    Node x of order b is b*n + x.  The BFS forest of `_spanning_forest`
+    joins first, one level per vectorized step (a node takes its
+    parent's root unless its link failed).  The other R links follow in
+    one shared arrangement, each order's failed ones as self-loops: a
+    batch of at least R orders steps through them (`_add_in_lockstep`),
+    a narrower one folds them with `_join_roots` in blocks ending at
+    (k - 1) * 2**j links.  An order leaves once it has a k-node
+    component; the rest step through their tails.  On a 2-core Xeon,
+    against full orders: ring(64,6) at 4000 orders, cap 18, 25 -> 6 ms;
+    Q4, cap 10, 3.7 -> 2.7 ms; the 64-cycle, cap 12, 14 -> 5.5 ms; at 50
+    orders, cap 385, Q12 57 -> 10 ms and ring(4096,12) 77 -> 28 ms."""
+    L, n = topology.n_links, topology.n_nodes
+    cap, B = tails.shape
+    levels, rest = _spanning_forest(topology)[1:]
+    failed = np.zeros((L, B), dtype=bool)
+    failed[tails, np.arange(B)] = True
+    label = np.arange(0, B * n, n, dtype=np.int32) + np.arange(n, dtype=np.int32)[:, None]
+    for nodes, parents, links in levels:  # label[x, b]: the root of node x of order b
+        label[nodes] = np.where(failed[links], label[nodes], label[parents])
+    label = label.T.ravel()
+    size = _component_sizes(label, n)
+    live = np.flatnonzero(size.reshape(B, n).max(1) < k).astype(np.int32)
+    R = rest.size  # batch row j is link L - R - cap + j + 1 of each order
+    batch = np.concatenate((np.where(failed[rest][:, live], L, rest[:, None]), tails[::-1, live]))
+    del failed
+    ends = np.pad(topology.ends.T, ((0, 0), (0, 1)))
+    prefix, hi = (R if B < R else 0), 0
     while hi < prefix and live.size:
         lo, hi = hi, min(max(2 * hi, k - 1), prefix)
-        a, b = ends[:, batch[lo:hi, live]] + live * n
+        a, b = ends[:, batch[lo:hi]] + live * n
         label = _join_roots(label, a.ravel(), b.ravel())
-        size = np.bincount(label, minlength=B * n).astype(np.int32)
-        live = live[size.reshape(B, n)[live].max(1) < k]
+        size = _component_sizes(label, n)
+        short = size.reshape(B, n)[live].max(1) < k
+        live, batch = live[short], batch[:, short]
     added = np.full(B, prefix, dtype=np.int64)
-    added[live] = L + 1
+    added[live] = R + cap + 1
     if live.size:
         _add_in_lockstep(ends, n, k, batch, prefix, label, size, live, added)
-    return np.maximum(added, L - cap, out=added)
+    return np.maximum(added + (L - R - cap), L - cap, out=added)
+
+
+def _component_sizes(label: np.ndarray, n: int) -> np.ndarray:
+    """int32 node count at each root of a (B * n,) array of roots, each in
+    its own order's n slots, counted KERNEL_SLOTS slots at a time."""
+    size, step = np.empty_like(label), max(1, KERNEL_SLOTS // n) * n
+    for lo in range(0, label.size, step):
+        part = label[lo:lo + step]
+        size[lo:lo + step] = np.bincount(part - lo, minlength=part.size)
+    return size
 
 
 def _add_in_lockstep(ends, n: int, k: int, batch: np.ndarray, start: int,
                      parent: np.ndarray, size: np.ndarray, live: np.ndarray,
                      added: np.ndarray) -> None:
-    """From step `start` on, every order of `live` (columns of the (L, B)
-    `batch`, none with a k-node component yet) adds its next link to the
-    union-find forest `parent`/`size` of all the orders' nodes; an order
-    that makes a k-node component at step j gets added = j + 1.
+    """From row `start` of the (S, B) `batch` on, every order of `live`
+    (column c is live[c]; none has a k-node component) adds its next link
+    to the union-find forest `parent`/`size` of all the orders' nodes;
+    an order that makes a k-node component at row j gets added = j + 1.
 
-    Both roots of a link are found by pointer chasing, and union by size
-    keeps every tree at most log2(n) deep.  `ends` is the (2, L) array.
-    Every gather is a `take` from a 1-D array (or along the link axis of
-    `ends`): at 4000 live orders `ends[:, batch[j, live]]` takes 49 us,
-    the `take` 12 us.  `live` and its node offsets stay int32.
+    Roots are found by pointer chasing; union by size keeps every tree
+    at most log2(n) deep.  `ends` is (2, L + 1), link L a self-loop.
+    Every gather is a `take` (at 4000 orders 12 us, against 49 us for
+    `ends[:, batch[j, live]]`), and `live` and its offsets stay int32.
     """
     L = batch.shape[0]
-    base = live * n
+    col, base = np.arange(live.size), live * n
     for j in range(start, L):
-        x = np.take(ends, batch[j].take(live), axis=1) + base
+        x = np.take(ends, batch[j].take(col), axis=1) + base
         while True:
             up = parent.take(x)
             if np.array_equal(up, x):
@@ -520,7 +526,7 @@ def _add_in_lockstep(ends, n: int, k: int, batch: np.ndarray, start: int,
         done = join[sa >= k]
         if done.size:
             added[live[done]] = j + 1
-            live, base = np.delete(live, done), np.delete(base, done)
+            live, col, base = np.delete(live, done), np.delete(col, done), np.delete(base, done)
             if not live.size:
                 return
 
@@ -587,17 +593,16 @@ def _forest_wrong_mass(topology: Topology, k: int, q: np.ndarray) -> float:
     """P{every component has fewer than k nodes} for a forest whose link
     j is down with probability q[j], independently.
 
-    One BFS walks every tree from its least node: it starts at a virtual
-    node n listing those roots in ascending order, and its first level,
-    the roots, is dropped.  Each tree is folded bottom-up (Gertsbakh &
-    Shpungin 2010).  Node x carries the distribution of the size of its
-    open component, the part of its subtree still joined to x, given
-    that every component its subtree has closed off is below k; sizes
-    from k up are dropped.  Child c joins its parent x through link e:
-    when e is up the two sizes add (a convolution cut at k), when e is
-    down c's component closes, with probability c.sum() of being below
-    k.  The wrong mass is the product over the trees, in root order, of
-    the root sums, with no 1 - p cancellation.
+    Each tree of the BFS forest of `_spanning_forest` (the forest
+    itself) is folded bottom-up (Gertsbakh & Shpungin 2010).  Node x
+    carries the distribution of the size of its open component, the
+    part of its subtree still joined to x, given that every component
+    its subtree has closed off is below k; sizes from k up are dropped.
+    Child c joins its parent x through link e: when e is up the two
+    sizes add (a convolution cut at k), when e is down c's component
+    closes, with probability c.sum() of being below k.  The wrong mass
+    is the product over the trees, in root order, of the root sums,
+    with no 1 - p cancellation.
 
     The mean least repair time t of a wrong state follows from wrong
     masses, on any graph: a state needs more than T_j to repair exactly
@@ -605,28 +610,41 @@ def _forest_wrong_mass(topology: Topology, k: int, q: np.ndarray) -> float:
     t = T_1 + sum_{j<m} (T_{j+1} - T_j) W_j / W_0 over the class MTTRs
     T_1 < ... < T_m, W_j the wrong mass with q = 0 where MTTR <= T_j.
     """
-    n = topology.n_nodes
-    indptr, indices = topology.csr()
-    label = _component_roots(topology.ends, n, np.ones((1, topology.n_links), dtype=bool))
-    roots = (label == np.arange(n)).nonzero()[0]
-    levels = _bfs_levels(np.append(indptr, indptr[-1] + roots.size),
-                         np.concatenate((indices, roots)), [n])
-    parent = np.empty(n, dtype=np.int64)  # a root's parent is the virtual node n
-    for nodes, parents, _ in levels:
-        parent[nodes] = parents
-    # Every link joins a node to its BFS parent; q_up[x] is x's link's q.
-    u, v = topology.ends.T
-    q_up = np.empty(n)
-    q_up[np.where(parent[u] == v, u, v)] = q
-    q_up = q_up.tolist()
-    dist = [np.array([0.0, 1.0])[:k] for _ in range(n)]  # P{open size = s}, s < k
-    for nodes, parents, _ in reversed(levels[1:]):
-        for c, x in zip(nodes.tolist(), parents.tolist()):
-            a, b, qe = dist[x], dist[c], q_up[c]
+    roots, levels, _ = _spanning_forest(topology)
+    q = q.tolist()
+    dist = [np.array([0.0, 1.0])[:k] for _ in range(topology.n_nodes)]  # P{open size = s}, s < k
+    for nodes, parents, links in reversed(levels):
+        for c, x, e in zip(nodes.tolist(), parents.tolist(), links.tolist()):
+            a, b, qe = dist[x], dist[c], q[e]
             merged = np.convolve(a, b)[:k] * (1.0 - qe)
             merged[:len(a)] += a * (qe * b.sum())
             dist[x] = merged
     return math.prod(float(dist[root].sum()) for root in roots.tolist())
+
+
+def _spanning_forest(topology: Topology):
+    """(roots, levels, rest) of the BFS forest spanning each component from
+    its least node, kept on the topology: levels[j] holds the nodes at
+    depth j + 1 in queue order, their parents and links, and `rest` the
+    other links, int32, in one fixed random arrangement."""
+    def walk():
+        n, L = topology.n_nodes, topology.n_links
+        indptr, indices = topology.csr()
+        label = _component_roots(topology.ends, n, np.ones((1, L), dtype=bool))
+        roots = (label == np.arange(n)).nonzero()[0]
+        levels = _bfs_levels(np.append(indptr, indptr[-1] + roots.size),
+                             np.concatenate((indices, roots)), [n])[1:]
+        parent = np.full(n, n)
+        for nodes, parents, _ in levels:
+            parent[nodes] = parents
+        u, v = topology.ends.T
+        child = np.where(parent[u] == v, u, v)
+        tree = parent[child] == u + v - child
+        up = np.empty(n, dtype=np.int64)
+        up[child[tree]] = tree.nonzero()[0]
+        rest = np.random.default_rng(0).permutation(np.flatnonzero(~tree).astype(np.int32))
+        return roots, [(nodes, parents, up[nodes]) for nodes, parents, _ in levels], rest
+    return topology.memo("forest", walk)
 
 
 def _down_probs(topology: Topology) -> np.ndarray:

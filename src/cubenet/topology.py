@@ -410,6 +410,13 @@ def _check_run_length(name: str, value: int) -> None:
         raise ResourceLimitError(f"{name}={value} exceeds the guard of {MAX_RUN_LENGTH}")
 
 
+def _check_ints(**values) -> None:
+    """SpecError naming the first argument that is not a Python int."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise SpecError(f"{name} must be an int, got {type(value).__name__} {value!r}")
+
+
 def _check_dim(dim: int) -> None:
     if dim < 0:
         raise SpecError("dimension must be non-negative")
@@ -419,6 +426,7 @@ def _check_dim(dim: int) -> None:
 
 def build_complete_hypercube(dim: int) -> Topology:
     """dim-dimensional hypercube: 2^dim nodes, links at Hamming distance 1."""
+    _check_ints(dim=dim)
     _check_dim(dim)
     return _flat_topology("complete-hypercube", np.arange(2**dim), _hypercube_edges(dim))
 
@@ -427,6 +435,7 @@ def build_incomplete_hypercube(n: int) -> Topology:
     """Katseff's incomplete hypercube I(n): Q_d, d = ceil(log2 n), induced
     on nodes 0..n-1.  It is connected, as each node x > 0 links to x with
     its highest bit cleared."""
+    _check_ints(n=n)
     if n < 1:
         raise SpecError("incomplete hypercube needs at least one node")
     dim = (n - 1).bit_length()
@@ -576,6 +585,7 @@ def build_rooted_tree(n: int, degree: int = 3) -> Topology:
     c >= 2 hangs below (c - 2) // (degree - 1), and nodes 1..degree
     below the root.
     """
+    _check_ints(n=n, degree=degree)
     if n < 1:
         raise SpecError("need at least one node")
     if degree < 2:
@@ -588,6 +598,7 @@ def build_rooted_tree(n: int, degree: int = 3) -> Topology:
 
 def build_ring_lattice(n: int, degree: int) -> Topology:
     """Ring lattice: node i linked to i +- 1 .. i +- degree/2 (mod n)."""
+    _check_ints(n=n, degree=degree)
     if degree % 2 != 0:
         raise SpecError("ring lattice degree must be even")
     if not 2 <= degree < n:
@@ -602,6 +613,7 @@ def build_ring_lattice(n: int, degree: int) -> Topology:
 
 def build_star(n: int) -> Topology:
     """Star with node 0 as hub."""
+    _check_ints(n=n)
     if n < 2:
         raise SpecError("star needs at least 2 nodes")
     _check_size("star", n, n - 1)
@@ -632,8 +644,8 @@ def _component_roots(ends: np.ndarray, n: int, present: np.ndarray) -> np.ndarra
 
 def _join_roots(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """`label` after adding the edges a[e]-b[e] to the graph it labels:
-    every label is the least node of its component, before and after.
-    The array passed in may be overwritten.
+    every label is a root of its component before and after, and the
+    least node after if it was before.  The array may be overwritten.
 
     Each round hooks the larger root of every edge joining two roots to
     the smaller one, then pointer-jumps until every label is a root

@@ -517,8 +517,9 @@ class TestForestDP:
     @pytest.mark.parametrize("pairs", [[], [(2 * j, 2 * j + 1) for j in range(10000)]],
                              ids=["isolated-nodes", "disjoint-links"])
     def test_wide_forests(self, pairs, monkeypatch):
-        """20 000 isolated nodes, and 10 000 disjoint links, in one BFS:
-        equal to the tree-by-tree fold at k = 1, 2, 3 and N/2 + 1."""
+        """20 000 isolated nodes, and 10 000 disjoint links, in one BFS
+        kept on the topology: equal to the tree-by-tree fold at k = 1, 2,
+        3 and N/2 + 1."""
         label = np.random.default_rng(3).permutation(20000)
         t = custom_topology(20000, [(label[a], label[b]) for a, b in pairs],
                             classes={0: FOREST_CLASSES[1]})
@@ -526,16 +527,20 @@ class TestForestDP:
         calls = _count_bfs(monkeypatch)
         for k in (1, 2, 3, 10001):
             assert reliability._forest_wrong_mass(t, k, q) == per_tree_wrong_mass(t, k, q)
-        assert len(calls) == 4
+        assert len(calls) == 1
 
     def test_one_bfs_per_forest(self, monkeypatch):
-        """One `_bfs_levels` call walks every tree, whether called
-        directly or through `partition_tolerance`."""
+        """One `_bfs_levels` call walks every tree, and the topology keeps
+        the walk: `partition_tolerance` after a direct call walks nothing
+        more, and a newly built copy walks its own."""
         calls = _count_bfs(monkeypatch)
         t = random_forest(np.random.default_rng(11), 40, 9, 1)
         reliability._forest_wrong_mass(t, 5, reliability._down_probs(t))
         assert len(calls) == 1
         assert partition_tolerance(t, k=5).method == "exact-tree"
+        assert len(calls) == 1
+        fresh = random_forest(np.random.default_rng(11), 40, 9, 1)
+        assert partition_tolerance(fresh, k=5).method == "exact-tree"
         assert len(calls) == 2
 
     def test_star22_no_cancellation(self):
@@ -1377,27 +1382,40 @@ class TestMulticlassSampler:
             (narrow.per_state, narrow.p, narrow.stderr, narrow.t)
 
 
-def critical_counts_oracle(topology, k, budget, seed):
-    """One union-find pass per link order, stopping at the first k-component;
-    each order is its own `rng.permutation(L)` draw from the seed's stream."""
+def _first_k_component(uf, ends, links, k):
+    """1-based position in `links` of the link whose join first gives the
+    union-find `uf` a k-node component; None if none does."""
+    for pos, j in enumerate(links, start=1):
+        u, v = ends[j]
+        uf.union(u, v)
+        if uf.size[uf.find(u)] >= k:
+            return pos
+    return None
+
+
+def critical_counts_oracle(topology, k, budget, seed, cap):
+    """min(c*, cap + 1) of each order, one pure-Python union-find per
+    order: its tail comes from `_failed_tails`, batch by batch as
+    `_critical_counts` draws them; the graph less the tail joins as a
+    set, and then the tail's links, last first, until a k-node component."""
     L, n = topology.n_links, topology.n_nodes
+    cap = min(cap, L)
     ends = topology.ends.tolist()
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    out = np.empty(budget, dtype=np.int64)
-    for b in range(budget):
-        order = rng.permutation(L)
-        added = 0
-        if k > 1:
+    step = max(1, reliability.ORDER_SLOTS // max(n, L))
+    out = []
+    for lo in range(0, budget, step):
+        for tail in reliability._failed_tails(seed, lo, min(step, budget - lo), L, cap).T.tolist():
             uf = UnionFind(n)
-            for added, idx in enumerate(order.tolist(), start=1):
-                u, v = ends[idx]
-                uf.union(u, v)
-                if uf.size[uf.find(u)] >= k:
-                    break
-            else:
-                added = L + 1
-        out[b] = L + 1 - added
-    return out
+            failed = set(tail)
+            for j in range(L):
+                if j not in failed:
+                    uf.union(*ends[j])
+            if uf.max_component_size() >= k:
+                out.append(cap + 1)
+                continue
+            pos = _first_k_component(uf, ends, tail[::-1], k)
+            out.append(0 if pos is None else cap + 1 - pos)
+    return np.array(out, dtype=np.int64)
 
 
 def _isolated_cycle64():
@@ -1413,17 +1431,28 @@ def _complete_graph(n):
 
 def _assert_capped_counts(topo, k, budget, seed):
     """`_critical_counts` at caps 0, 1, c_lb, L - k + 1 and L equals the
-    oracle's counts capped at cap + 1."""
-    want = critical_counts_oracle(topo, k, budget, seed)
+    oracle's counts at that cap; returns those at cap L."""
     L = topo.n_links
     for cap in (0, 1, _cut_lower_bound(topo, k), L - k + 1, L):
         got = _critical_counts(topo, k, budget, seed, cap)
-        assert np.array_equal(got, np.minimum(want, cap + 1)), cap
-    return want
+        assert np.array_equal(got, critical_counts_oracle(topo, k, budget, seed, cap)), cap
+    return got
 
 
 def _batch_orders(topo, budget):
-    return min(budget, ORDER_SLOTS // max(topo.n_nodes, topo.n_links))
+    return min(budget, reliability.ORDER_SLOTS // max(topo.n_nodes, topo.n_links))
+
+
+def _cycle_wrong_share(n, i, k):
+    """P{wrong | i} on the n-cycle: the share of i-subsets of its links
+    whose gaps (arcs of nodes) are all below k, n * (compositions of n
+    into i parts of at most k - 1) / i of the C(n, i)."""
+    ways = [1] + [0] * n  # compositions of each total into parts 1..k-1
+    for _ in range(i):
+        ways = [sum(ways[s - p] for p in range(1, min(k - 1, s) + 1)) for s in range(n + 1)]
+    subsets, rest = divmod(n * ways[n], i)
+    assert rest == 0
+    return subsets / math.comb(n, i)
 
 
 class TestCriticalCounts:
@@ -1440,23 +1469,34 @@ class TestCriticalCounts:
         assert _batch_orders(topo, 400) >= topo.n_links
         _assert_capped_counts(topo, k, 400, (7, 3))
 
-    def test_across_batches(self):
-        """A budget over two lockstep batches reads the orders in sequence."""
+    def test_across_batches(self, monkeypatch):
+        """A budget over three batches draws each batch's tails from its
+        own stream, keyed by its first order."""
         t = _isolated_cycle64()
         rows = ORDER_SLOTS // max(t.n_nodes, t.n_links)
         budget = 2 * rows + 5
         assert 1 < rows < budget // 2 and rows < t.n_links
+        firsts = []
+        tails = reliability._failed_tails
+
+        def spy(seed, lo, B, L, cap):
+            firsts.append((lo, B))
+            return tails(seed, lo, B, L, cap)
+
+        monkeypatch.setattr(reliability, "_failed_tails", spy)
         got = _assert_capped_counts(t, 20, budget, 11)
         assert len(set(got.tolist())) > 1
+        assert firsts[:3] == [(0, rows), (rows, rows), (2 * rows, 5)]
 
     @pytest.mark.parametrize("topo, budget", [(build_ring_lattice(768, 4), 50),
                                               (_complete_graph(24), 100)],
                              ids=["ring768-4", "K24"])
     @pytest.mark.parametrize("quorum", ["default", "all"])
     def test_narrow_batches(self, topo, budget, quorum):
-        """Fewer orders than links: the prefixes are folded by the kernel."""
+        """Fewer orders than links off the BFS forest: the kernel folds
+        those links."""
         k = default_quorum(topo.n_nodes) if quorum == "default" else topo.n_nodes
-        assert _batch_orders(topo, budget) < topo.n_links
+        assert _batch_orders(topo, budget) < reliability._spanning_forest(topo)[2].size
         _assert_capped_counts(topo, k, budget, (7, 3))
 
     @pytest.mark.parametrize("rows", [7, 1])
@@ -1467,38 +1507,78 @@ class TestCriticalCounts:
         (_isolated_cycle64(), 2 * (ORDER_SLOTS // (64 + 2**14)) + 5, 20),
     ], ids=["ring64-6", "ring768-4", "K24", "cycle64-isolated"])
     def test_chunked_draws(self, topo, budget, k, rows, monkeypatch):
-        """Drawing a batch's orders a few columns at a time reads the stream
-        as one `rng.permutation(L)` per order: 7 divides none of the wide
-        batch of 400, the narrow batches of 50 and 100, or the last of the
-        isolated cycle's three batches (5 orders)."""
-        monkeypatch.setattr(reliability, "_chunk_rows", lambda n_nodes, n_links: rows)
+        """A budget drawn `rows` orders at a time, each batch on its own
+        stream, gives the oracle's counts: 7 divides none of the budgets,
+        so the last batch is short.  The batches are narrow but for the
+        isolated cycle's, whose one link off the forest is stepped."""
+        monkeypatch.setattr(reliability, "ORDER_SLOTS", rows * max(topo.n_nodes, topo.n_links))
+        assert _batch_orders(topo, budget) == rows
         _assert_capped_counts(topo, k, budget, (7, 3))
+
+    @pytest.mark.parametrize("L, B", [(12, 40), (192, 4000), (64, 63)])
+    def test_failed_tails(self, L, B):
+        """Each tail lists distinct links, and a larger cap extends every
+        tail, in a batch of any first order; at cap L a tail is a whole
+        order.  Batches of other first orders read other streams."""
+        full = {}
+        for lo in (0, B):
+            full[lo] = reliability._failed_tails((7, 3), lo, B, L, L)
+            assert full[lo].dtype == np.int32 and full[lo].shape == (L, B)
+            assert np.array_equal(np.sort(full[lo], axis=0), np.tile(np.arange(L)[:, None], B))
+            for cap in (0, 1, 5):
+                tails = reliability._failed_tails((7, 3), lo, B, L, cap)
+                assert np.array_equal(tails, full[lo][:cap]), (lo, cap)
+        assert not np.array_equal(full[0], full[B])
+
+    def test_last_links_uniform(self):
+        """The last link, and the last two as an ordered pair, are uniform
+        within 4 sigma over 13 200 orders of 12 links."""
+        B, L = 13200, 12
+        last, second = reliability._failed_tails(2, 0, B, L, 2)
+        for cells, counts in ((L, np.bincount(last, minlength=L)),
+                              (L * (L - 1), np.bincount(last * L + second, minlength=L * L))):
+            want = B / cells
+            counts = counts[counts > 0]
+            assert counts.size == cells
+            assert np.abs(counts - want).max() <= 4 * math.sqrt(want * (1 - 1 / cells))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cycle64_composition_counts(self, seed):
+        """On the 64-cycle at k = 33, the share of orders with c* <= i
+        lies within 4 sigma of the exact composition count, for i = 4, 8
+        and 12."""
+        t, budget = build_ring_lattice(64, 2), 4000
+        got = _critical_counts(t, 33, budget, seed, 12)
+        for i in (4, 8, 12):
+            p = _cycle_wrong_share(64, i, 33)
+            share = np.count_nonzero(got <= i) / budget
+            assert abs(share - p) <= 4 * math.sqrt(p * (1 - p) / budget), (i, share, p)
 
     def test_batch_stays_int32(self, monkeypatch):
         """Table 3's ring(64,6) at budget 4000 hands `_links_added` one
-        int32 (192, 4000) batch, 3 MB.  The orders are drawn at pointer
-        width, where the shuffle is fastest, but only a chunk at a time:
-        a whole batch drawn at int64 is 6 MB and raised the peak RSS of a
-        `tables 3 --reliability` run by about 3 MB."""
+        int32 (18, 4000) block of tails, 288 KB, that owns its data: a
+        view would keep the (192, 4000) draw scratch alive through the
+        evolution."""
         batches = []
         links_added = reliability._links_added
 
-        def spy(ends, n, k, batch, cap):
-            batches.append((batch.dtype, batch.shape))
-            return links_added(ends, n, k, batch, cap)
+        def spy(topology, k, tails):
+            batches.append((tails.dtype, tails.shape, tails.base is None))
+            return links_added(topology, k, tails)
 
         monkeypatch.setattr(reliability, "_links_added", spy)
         partition_tolerance(build_ring_lattice(64, 6), budget=4000)
-        assert batches == [(np.dtype(np.int32), (192, 4000))]
+        assert batches == [(np.dtype(np.int32), (18, 4000), True)]
 
     @pytest.mark.parametrize(
         "topo", [build_ring_lattice(16, 4), build_complete_hypercube(4), build_rooted_tree(16, 3)],
         ids=["ring16-4", "Q4", "tree16-3"],
     )
     def test_lockstep_union_find(self, topo):
-        """With k = n every order of a wide batch runs to the link that
-        spans the graph.  Each root's size is then the number of nodes that
-        chase to it, and `added` matches the oracle's orders."""
+        """With k = n every order of a wide batch of whole link orders runs
+        to the link that spans the graph.  Each root's size is then the
+        number of nodes that chase to it, and `added` is where one
+        union-find per order first spans the graph."""
         L, n, B = topo.n_links, topo.n_nodes, 40
         rng = np.random.default_rng(np.random.SeedSequence(3))
         batch = np.stack([rng.permutation(L) for _ in range(B)], axis=1).astype(np.int32)
@@ -1512,34 +1592,56 @@ class TestCriticalCounts:
             roots = parent[roots]
         is_root = parent == np.arange(B * n)
         assert np.array_equal(size[is_root], np.bincount(roots, minlength=B * n)[is_root])
-        assert np.array_equal(L + 1 - added, critical_counts_oracle(topo, n, B, 3))
+        ends = topo.ends.tolist()
+        assert added.tolist() == [_first_k_component(UnionFind(n), ends, order, n)
+                                  for order in batch.T.tolist()]
 
     def test_ring768_work(self, monkeypatch):
-        """ring(768,4) at budget 50: the sampled states end at 52 and k = 385,
-        so every order is done within its first 1484 links.  The kernel
-        folds them in blocks ending at 384, 768 and 1484 links, and the
-        per-step loop runs no step."""
+        """ring(768,4) at budget 50: the sampled states end at 52 and k = 385.
+        Its BFS tree leaves every order short of k; the kernel then folds
+        the other 769 links in their shared arrangement, each order's
+        failed ones as self-loops, in blocks ending at 384 and 768 links, and every order is
+        done before its tail: the per-step loop runs no step."""
         t = build_ring_lattice(768, 4)
-        caps, blocks = [], []
-        counts, join_roots = reliability._critical_counts, reliability._join_roots
+        n = t.n_nodes
+        rest = reliability._spanning_forest(t)[2]
+        assert rest.size == t.n_links - (n - 1)
+        place = np.full(t.n_links, -1)
+        place[rest] = np.arange(rest.size)
+        link_of = {pair: j for j, pair in enumerate(map(tuple, t.ends.tolist()))}
+        caps, tails, blocks = [], [], []
+        counts, links_added = reliability._critical_counts, reliability._links_added
+        join_roots = reliability._join_roots
 
         def capped(topo, k, budget, seed, cap):
             caps.append((k, cap))
             return counts(topo, k, budget, seed, cap)
 
+        def drawn(topology, k, block):
+            tails.append(block)
+            return links_added(topology, k, block)
+
         def folding(label, a, b):
-            blocks.append(a.size // np.unique(a // t.n_nodes).size)
+            real = a != b  # an order's failed link comes as a self-loop
+            order, u, v = a[real] // n, a[real] % n, b[real] % n
+            links = np.array([link_of[min(x, y), max(x, y)]
+                              for x, y in zip(u.tolist(), v.tolist())])
+            assert not np.isin(links + t.n_links * order,
+                               tails[0] + t.n_links * np.arange(50)).any()
+            blocks.append((np.unique(order).size, place[links].min(), place[links].max()))
             return join_roots(label, a, b)
 
         def refuse(*args):
             raise AssertionError("per-step loop ran")
 
         monkeypatch.setattr(reliability, "_critical_counts", capped)
+        monkeypatch.setattr(reliability, "_links_added", drawn)
         monkeypatch.setattr(reliability, "_join_roots", folding)
         monkeypatch.setattr(reliability, "_add_in_lockstep", refuse)
         partition_tolerance(t, budget=50, seed=1)
-        assert caps == [(385, 52)]
-        assert np.cumsum(blocks).tolist() == [384, 768, 1484]
+        assert caps == [(385, 52)] and len(tails) == 1
+        assert [b[0] for b in blocks] == [50, 2]
+        assert blocks[0][1] >= 0 and blocks[0][2] < 384 <= blocks[1][1] and blocks[1][2] < 768
 
     def test_no_k_component(self):
         assert _critical_counts(_two_links(), 3, 50, 0, 2).tolist() == [0] * 50
@@ -1550,7 +1652,7 @@ class TestCriticalCounts:
         t = build_ring_lattice(16, 4)
         got = _critical_counts(t, 1, 50, 0, t.n_links)
         assert got.tolist() == [t.n_links + 1] * 50
-        assert np.array_equal(got, critical_counts_oracle(t, 1, 50, 0))
+        assert np.array_equal(got, critical_counts_oracle(t, 1, 50, 0, t.n_links))
         assert _critical_counts(t, 1, 50, 0, 5).tolist() == [6] * 50
 
     @pytest.mark.parametrize("topo, budget, enum_cap", [

@@ -335,6 +335,26 @@ class TestRejects:
         with pytest.raises(error, match=message):
             make()
 
+    @pytest.mark.parametrize("build, args, name, given", [
+        (build_complete_hypercube, (3.0,), "dim", "float 3.0"),
+        (build_complete_hypercube, (np.int64(3),), "dim", "int64"),
+        (build_ring_lattice, (16.0, 4), "n", "float 16.0"),
+        (build_ring_lattice, (16, 4.0), "degree", "float 4.0"),
+        (build_rooted_tree, (16.0, 3), "n", "float 16.0"),
+        (build_rooted_tree, (16, np.int32(3)), "degree", "int32"),
+        (build_star, (5.0,), "n", "float 5.0"),
+        (build_incomplete_hypercube, (True,), "n", "bool True"),
+        (build_incomplete_hypercube, (np.int64(15),), "n", "int64"),
+        (build_incomplete_hypercube, (15.0,), "n", "float 15.0"),
+    ], ids=["cube-float", "cube-numpy", "ring-float-n", "ring-float-degree", "tree-float-n",
+            "tree-numpy-degree", "star-float", "incomplete-bool", "incomplete-numpy",
+            "incomplete-float"])
+    def test_flat_builders_take_python_ints(self, build, args, name, given):
+        """A size that is not a Python int is refused, naming the argument,
+        as a class id is: a float, a bool or a numpy integer."""
+        with pytest.raises(SpecError, match=f"{name} must be an int, got {given}"):
+            build(*args)
+
 
 class TestTable3Census:
     @pytest.mark.parametrize(
