@@ -138,12 +138,17 @@ def write_manifest(out_path: str, command: str, params: dict, seed, wall_clock_s
         fh.write("\n")
 
 
-def _write_rows(out, header: list[str], rows: list[list]) -> None:
+def _csv(rows) -> str:
+    """RFC-4180 text of `rows`, one "\n"-terminated line each."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue()
+
+
+def _write_text(out, text: str) -> None:
     to_file = out not in (None, "-")
     with open(out, "w", newline="", encoding="utf-8") if to_file else nullcontext(sys.stdout) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(text)
 
 
 def _fmt(x) -> str:
@@ -284,7 +289,7 @@ def cmd_tables(args):
         if args.reliability:
             header += ["p", "neg_lg_1mp", "avg_min_repair_h", "method_tag"]
         rows = table3_rows(with_reliability=args.reliability, budget=args.budget, seed=args.seed)
-    return header, rows, {"reliability": args.reliability, "budget": args.budget}
+    return _csv([header, *rows]), {"reliability": args.reliability, "budget": args.budget}
 
 
 def cmd_analyze(args):
@@ -300,32 +305,24 @@ def cmd_analyze(args):
         "topology_id", "N", "L", "k", "lambda", "mu", "i",
         "pi_i", "p_wrong_i", "stderr", "method",
     ]
-    topo_id = topo.kind
     cid = _single_class_id(topo)
     if cid is not None:
         lam, mu = topo.classes[cid].lam, topo.classes[cid].mu
     else:
         lam = mu = float("nan")
-    rows = [
-        [
-            topo_id, topo.n_nodes, topo.n_links, report.k, _fmt(lam), _fmt(mu),
-            e.i, _fmt(e.pi_i), _fmt(e.p_wrong), _fmt(e.stderr), e.method,
-        ]
-        for e in report.per_state
-    ]
-    rows.append(
-        [
-            topo_id, topo.n_nodes, topo.n_links, report.k, _fmt(lam), _fmt(mu),
-            "summary", _fmt(report.p), _fmt(report.t) if report.t is not None else "",
-            _fmt(report.stderr), report.method,
-        ]
-    )
+    # The leading cells repeat on every row: csv.writer quotes them once.
+    prefix = _csv([[topo.kind, topo.n_nodes, topo.n_links, report.k, _fmt(lam), _fmt(mu)]])[:-1]
+    t = _fmt(report.t) if report.t is not None else ""
+    text = _csv([header]) + "".join(
+        [f"{prefix},{e.i},{float(e.pi_i)!r},{float(e.p_wrong)!r},{float(e.stderr)!r},{e.method}\n"
+         for e in report.per_state]
+        + [f"{prefix},summary,{_fmt(report.p)},{t},{_fmt(report.stderr)},{report.method}\n"])
     if args.action == "repair":
         t_str = "none" if report.t is None else f"{report.t:.6g}"
         print(f"p={report.p:.12g} avg_min_repair_h={t_str}", file=sys.stderr)
     params = {"topology": args.topology, "k": args.k, "budget": args.budget,
               "enum_cap": args.enum_cap}
-    return header, rows, params
+    return text, params
 
 
 def cmd_gossip(args):
@@ -347,7 +344,7 @@ def cmd_gossip(args):
         rows = [[r.label, r.n_nodes, _fmt(r.mean_total)] for r in rows_out]
         params = {"sizes": sizes}
     params.update({"cycles": args.cycles, "fanout": args.fanout, "delay": args.delay})
-    return header, rows, params
+    return _csv([header, *rows]), params
 
 
 def cmd_consensus(args):
@@ -388,7 +385,7 @@ def cmd_consensus(args):
         {"rounds": args.rounds, "leader_policy": args.leader_policy,
          "bandwidth": args.bandwidth, "latency": args.latency, "tx_rate": args.tx_rate}
     )
-    return header, rows, params
+    return _csv([header, *rows]), params
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -464,8 +461,8 @@ def main(argv=None) -> int:
         if args.command == "topo":
             return cmd_topo(args)
         start = time.perf_counter()
-        header, rows, params = args.func(args)
-        _write_rows(args.out, header, rows)
+        text, params = args.func(args)
+        _write_text(args.out, text)
         if args.out not in (None, "-"):
             what = args.table if args.command == "tables" else args.action
             write_manifest(args.out, f"{args.command} {what}", params, args.seed,

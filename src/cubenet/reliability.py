@@ -13,7 +13,10 @@ over many failed-link sets of one graph go through one batched numpy
 connectivity kernel; random link orders evolve in lockstep batches.
 Critical counts are capped at the largest sampled state i_max, which
 leaves every estimate unchanged, so only each order's last i_max links
-are drawn; the rest join first, a spanning BFS forest a level a step.
+are drawn; the rest join first, a spanning BFS forest (walked once per
+topology by one FIFO queue) a level a step.  Exact states enumerate
+their failed-link sets through the same forest kernel, all of a
+graph's states in one pass.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ import numpy as np
 
 from .errors import NumericError, SpecError
 from .topology import KERNEL_SLOTS, RecursionSpec, Topology, build_complete_hypercube
-from .topology import _bfs_levels, _check_run_length, _chunk_rows, _component_roots, _join_roots
+from .topology import _check_run_length, _chunk_rows, _component_roots, _join_roots
 from .topology import Orbits, _max_comp_rows, _translation_orbits
 from .unionfind import UnionFind  # noqa: F401  unused; perfbench/tracer.py patches this name
 
@@ -87,21 +90,49 @@ def _log_binom_pmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
 
 
 def binom_pmf_vector(n: int, p: float) -> np.ndarray:
-    """Stable Binomial(n, p) pmf over 0..n; tiny masses flushed to 0."""
-    if n == 0:
-        return np.array([1.0])
-    if p <= 0.0:
-        out = np.zeros(n + 1)
+    """Stable Binomial(n, p) pmf over 0..n; masses below UNDERFLOW_FLOOR
+    flushed to 0.
+
+    The log pmf is evaluated only on the window `_pmf_window` around the
+    mode; every k outside it would be flushed.  On a 2-core Xeon, against
+    all n + 1 states: n = 1536 0.52 -> 0.13 ms, n = 5 242 880 2.2 s ->
+    6 ms.
+    """
+    out = np.zeros(n + 1)
+    if p <= 0.0 or n == 0:
         out[0] = 1.0
         return out
     if p >= 1.0:
-        out = np.zeros(n + 1)
         out[n] = 1.0
         return out
-    logpmf = _log_binom_pmf(np.arange(n + 1, dtype=float), n, p)
-    out = np.exp(logpmf)
-    out[out < UNDERFLOW_FLOOR] = 0.0
+    lo, hi = _pmf_window(n, p)
+    part = np.exp(_log_binom_pmf(np.arange(lo, hi + 1, dtype=float), n, p))
+    part[part < UNDERFLOW_FLOOR] = 0.0
+    out[lo:hi + 1] = part
     return out
+
+
+def _pmf_window(n: int, p: float) -> tuple[int, int]:
+    """[lo, hi] holding every k whose Binomial(n, p) log pmf reaches one
+    nat below log(UNDERFLOW_FLOOR), for 0 < p < 1.  The pmf rises up to
+    its mode floor((n + 1) p) and falls after it, so each end is a
+    bisection of scalar log pmfs; the nat is far above their rounding."""
+    edge = math.log(UNDERFLOW_FLOOR) - 1.0 - math.lgamma(n + 1)
+
+    def inside(k: int) -> bool:
+        return (k * math.log(p) + (n - k) * math.log1p(-p)
+                - math.lgamma(k + 1) - math.lgamma(n - k + 1)) >= edge
+
+    mode = min(int((n + 1) * p), n)
+    lo, a = 0, mode  # the least k <= mode inside
+    while lo < a:
+        m = (lo + a) // 2
+        lo, a = (lo, m) if inside(m) else (m + 1, a)
+    b, hi = mode, n  # the largest k >= mode inside
+    while b < hi:
+        m = (b + hi + 1) // 2
+        b, hi = (m, hi) if inside(m) else (b, m - 1)
+    return lo, hi
 
 
 def _check_enum_cap(enum_cap: int) -> None:
@@ -141,7 +172,7 @@ def _cut_lower_bound(topology: Topology, k: int) -> int:
     topology.
     """
     n, ends = topology.n_nodes, topology.ends
-    degree = np.bincount(ends.ravel(), minlength=n)
+    degree = topology.degrees()
     delta = int(degree.min())
     half = (n - k + 1) / 2
     orbits = _translation_orbits(topology)
@@ -302,10 +333,11 @@ def _repair_times(topology: Topology, k: int, mttr_of: np.ndarray, failed: np.nd
     raise NumericError("repairing all failed links did not restore a good partition")
 
 
-def _exact_state(
-    topology: Topology, i: int, k: int, c_lb: int, enum_cap: int, pi_i: float
-) -> StateEstimate | None:
-    """Exact P{wrong | i} for 1 <= i <= L, or None when C(L, i) > enum_cap.
+def _exact_states(
+    topology: Topology, k: int, states: list[tuple[int, float]], c_lb: int, enum_cap: int
+) -> list[StateEstimate | None]:
+    """Exact P{wrong | i} of each (i, pi_i) of `states`, 1 <= i <= L, or
+    None for a state whose C(L, i) > enum_cap.
 
     `c_lb` is a certified lower bound on the failed links of any wrong
     state (0 when unknown): every state below it is an exact zero.  On a
@@ -314,42 +346,92 @@ def _exact_state(
     orbit, so i * #wrong = sum over orbits O of |O| * W(e_O): when
     #orbits * i < L, the #orbits * C(L-1, i-1) subsets holding some
     e_O are fewer than the C(L, i) that are otherwise all enumerated.
+    The subsets of every state are counted in one pass (`_wrong_counts`).
     """
-    if i < c_lb:
-        return StateEstimate(i, pi_i, 0.0, 0.0, 0, "exact")
     L = topology.n_links
-    n_subsets = math.comb(L, i)
-    if n_subsets > enum_cap:
-        return None
     orbits = _translation_orbits(topology)
-    if orbits is None or len(orbits.first) * i >= L:
-        wrong = _wrong_subsets(topology, k, [], range(L), i)
-    else:
-        total = sum(size * _wrong_subsets(topology, k, [e], [*range(e), *range(e + 1, L)], i - 1)
-                    for e, size in zip(orbits.first.tolist(), orbits.size.tolist()))
-        wrong, rest = divmod(total, i)
+    est: list[StateEstimate | None] = []
+    groups, owner, divisor = [], [], {}  # owner: each group's state and weight
+    for j, (i, pi_i) in enumerate(states):
+        est.append(StateEstimate(i, pi_i, 0.0, 0.0, 0, "exact") if i < c_lb else None)
+        if i < c_lb or math.comb(L, i) > enum_cap:
+            continue
+        if orbits is None or len(orbits.first) * i >= L:
+            groups.append((L, range(L), i))
+            owner.append((j, 1))
+            divisor[j] = 1
+        else:
+            for e, size in zip(orbits.first.tolist(), orbits.size.tolist()):
+                groups.append((e, [*range(e), *range(e + 1, L)], i - 1))
+                owner.append((j, size))
+            divisor[j] = i
+    total = [0] * len(states)
+    for (j, weight), wrong in zip(owner, _wrong_counts(topology, k, groups)):
+        total[j] += weight * wrong
+    for j, div in divisor.items():
+        i, pi_i = states[j]
+        wrong, rest = divmod(total[j], div)
         if rest:
-            raise NumericError(f"orbit sum {total} of wrong {i}-subsets not divisible by {i}")
-    return StateEstimate(i, pi_i, wrong / n_subsets, 0.0, n_subsets, "exact")
+            raise NumericError(f"orbit sum {total[j]} of wrong {i}-subsets not divisible by {i}")
+        n_subsets = math.comb(L, i)
+        est[j] = StateEstimate(i, pi_i, wrong / n_subsets, 0.0, n_subsets, "exact")
+    return est
 
 
-def _wrong_subsets(topology: Topology, k: int, fixed: list[int], pool, r: int) -> int:
-    """Number of wrong failure sets that are the links `fixed` plus an
-    r-subset of the links `pool` (r = 0 gives the one empty subset)."""
+def _wrong_counts(topology: Topology, k: int, groups: list) -> list[int]:
+    """Number of wrong failure sets of each (e, pool, r) of `groups`: link
+    e (the self-loop link L for none) plus an r-subset of the links `pool`.
+
+    The sets of all groups, in order, go through `_wrong_sets` in batches
+    of at most ORDER_SLOTS link (and node) slots.
+    """
+    if not groups:
+        return []
     L, n = topology.n_links, topology.n_nodes
-    n_rows = math.comb(len(pool), r)
-    combos = itertools.combinations(pool, r)
-    step = _chunk_rows(n, L)
-    wrong = 0
-    for lo in range(0, n_rows, step):
-        rows = min(step, n_rows - lo)
-        chunk = itertools.chain.from_iterable(itertools.islice(combos, rows))
-        idx = np.fromiter(chunk, dtype=np.intp, count=rows * r).reshape(rows, r)
-        failed = np.zeros((rows, L), dtype=bool)
-        failed[:, fixed] = True
-        np.put_along_axis(failed, idx, True, axis=1)
-        wrong += int(np.count_nonzero(_max_comp_rows(topology.ends, n, ~failed) < k))
-    return wrong
+    bounds = np.cumsum([math.comb(len(pool), r) for _, pool, r in groups])
+    wrong = np.zeros(len(groups), dtype=np.int64)
+    lo = 0
+    # a block no longer than all the sets: 3003 rows on Q3, not 87 381
+    step = min(int(bounds[-1]), max(1, ORDER_SLOTS // max(n, L)))
+    for sets in _set_blocks(groups, step):
+        hit = np.flatnonzero(_wrong_sets(topology, k, sets.T)) + lo
+        wrong += np.bincount(np.searchsorted(bounds, hit, "right"), minlength=len(groups))
+        lo += len(sets)
+    return wrong.tolist()
+
+
+def _set_blocks(groups: list, step: int):
+    """The sets of the (e, pool, r) `groups`, in order, as (B, width)
+    int32 blocks of at most `step` rows: a row lists an r-subset of
+    `pool`, then repeats e to the end."""
+    width = max(r for _, _, r in groups) + 1
+    block, held = np.empty((step, width), dtype=np.int32), 0
+    for e, pool, r in groups:
+        combos, left = itertools.combinations(pool, r), math.comb(len(pool), r)
+        while left:
+            take = min(left, step - held)
+            rows = block[held:held + take]
+            chunk = itertools.chain.from_iterable(itertools.islice(combos, take))
+            rows[:, :r] = np.fromiter(chunk, dtype=np.int32, count=take * r).reshape(take, r)
+            rows[:, r:] = e
+            held, left = held + take, left - take
+            if held == step:
+                yield block
+                block, held = np.empty_like(block), 0
+    if held:
+        yield block[:held]
+
+
+def _wrong_sets(topology: Topology, k: int, sets: np.ndarray) -> np.ndarray:
+    """Whether G less the links of each column of the (r, B) `sets` has
+    no k-node component (a column may repeat a link; link L is a
+    self-loop): the BFS forest joins first (`_forest_labels`), then the
+    other links (`_rows_added`), each column's failed ones as self-loops."""
+    L = topology.n_links
+    rest = _spanning_forest(topology)[2]
+    failed, label, size, live = _forest_labels(topology, k, sets)
+    batch = np.where(failed[rest][:, live], L, rest[:, None])
+    return _rows_added(topology, k, batch, rest.size, label, size, live) > rest.size
 
 
 def _estimate_states(
@@ -359,8 +441,12 @@ def _estimate_states(
     and the variance of their sum of pi_i * P{wrong | i}.
 
     A state is exact below the cut bound c_lb or when its C(L, i)
-    subsets fit `enum_cap`; every other state reads the same `budget`
-    random link orders.  Those orders are read only through 1[c* <= i]
+    subsets fit `enum_cap`; the subsets of all such states go through
+    the forest kernel of the orders in one pass (`_exact_states`): the
+    64-cycle's i = 2 and 3 at enum cap 10**5 take 2.1 ms on a 2-core
+    Xeon, where one (rows, L) mask kernel call a state took 7.6 ms, and
+    Table 3's Q3 2.4 -> 1.7 ms.  Every other state reads the same
+    `budget` random link orders.  Those orders are read only through 1[c* <= i]
     and the sum of pi_i over sampled i >= c*, for sampled i up to the
     largest, i_max, so their critical counts are capped at i_max + 1:
     every row and the variance are the same as with the full counts,
@@ -369,8 +455,7 @@ def _estimate_states(
     budget 4000) or Q4 (i_max = 10), or on ring(768,4) at budget 50,
     while 3993 of the 64-cycle's 4000 do (i_max = 12; `_links_added`).
     """
-    c_lb = _cut_lower_bound(topology, k)
-    est = [_exact_state(topology, i, k, c_lb, enum_cap, pi_i) for i, pi_i in states]
+    est = _exact_states(topology, k, states, _cut_lower_bound(topology, k), enum_cap)
     sampled = [j for j, e in enumerate(est) if e is None]
     if not sampled:
         return est, 0.0
@@ -442,33 +527,42 @@ def _links_added(topology: Topology, k: int, tails: np.ndarray) -> np.ndarray:
     adds the links off column b of the (cap, B) `tails` in any order,
     then that column's, from its last row up.
 
-    Node x of order b is b*n + x.  The BFS forest of `_spanning_forest`
-    joins first, one level per vectorized step (a node takes its
-    parent's root unless its link failed).  The other R links follow in
-    one shared arrangement, each order's failed ones as self-loops: a
-    batch of at least R orders steps through them (`_add_in_lockstep`),
-    a narrower one folds them with `_join_roots` in blocks ending at
-    (k - 1) * 2**j links.  An order leaves once it has a k-node
-    component; the rest step through their tails.  On a 2-core Xeon,
-    against full orders: ring(64,6) at 4000 orders, cap 18, 25 -> 6 ms;
-    Q4, cap 10, 3.7 -> 2.7 ms; the 64-cycle, cap 12, 14 -> 5.5 ms; at 50
-    orders, cap 385, Q12 57 -> 10 ms and ring(4096,12) 77 -> 28 ms."""
-    L, n = topology.n_links, topology.n_nodes
-    cap, B = tails.shape
-    levels, rest = _spanning_forest(topology)[1:]
-    failed = np.zeros((L, B), dtype=bool)
-    failed[tails, np.arange(B)] = True
-    label = np.arange(0, B * n, n, dtype=np.int32) + np.arange(n, dtype=np.int32)[:, None]
-    for nodes, parents, links in levels:  # label[x, b]: the root of node x of order b
-        label[nodes] = np.where(failed[links], label[nodes], label[parents])
-    label = label.T.ravel()
-    size = _component_sizes(label, n)
-    live = np.flatnonzero(size.reshape(B, n).max(1) < k).astype(np.int32)
+    The BFS forest of `_spanning_forest` joins first (`_forest_labels`,
+    the half that exact states share).  The other R links follow in one
+    shared arrangement, each order's failed ones as self-loops, then the
+    tail (`_rows_added`): an order leaves once it has a k-node
+    component.  On a 2-core Xeon, against full orders: ring(64,6) at
+    4000 orders, cap 18, 25 -> 6 ms; Q4, cap 10, 3.7 -> 2.7 ms; the
+    64-cycle, cap 12, 14 -> 5.5 ms; at 50 orders, cap 385, Q12 57 -> 10
+    ms and ring(4096,12) 77 -> 28 ms."""
+    L, cap = topology.n_links, tails.shape[0]
+    rest = _spanning_forest(topology)[2]
     R = rest.size  # batch row j is link L - R - cap + j + 1 of each order
+    failed, label, size, live = _forest_labels(topology, k, tails)
     batch = np.concatenate((np.where(failed[rest][:, live], L, rest[:, None]), tails[::-1, live]))
     del failed
-    ends = np.pad(topology.ends.T, ((0, 0), (0, 1)))
-    prefix, hi = (R if B < R else 0), 0
+    added = _rows_added(topology, k, batch, R, label, size, live)
+    return np.maximum(added + (L - R - cap), L - cap, out=added)
+
+
+def _rows_added(topology: Topology, k: int, batch: np.ndarray, fold: int,
+                label: np.ndarray, size: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Rows of the (S, |live|) `batch` (link L a self-loop) that each of
+    the B columns adds to the forest `label`/`size` of `_forest_labels`,
+    up to the one that makes a k-node component: S + 1 if none does,
+    and at most `fold` for a column that makes one within the first
+    `fold` rows, which may join in any order (or in the forest).
+
+    Column c of `batch` is column live[c].  At least `fold` columns step
+    through the rows together (`_add_in_lockstep`); fewer fold the
+    first `fold` rows with `_join_roots` in blocks ending at (k - 1) *
+    2**j rows, dropping the columns that reach k, then step.
+    """
+    n = topology.n_nodes
+    B = label.size // n
+    ends = np.zeros((2, topology.n_links + 1), dtype=np.int32)
+    ends[:, :-1] = topology.ends.T
+    prefix, hi = (fold if B < fold else 0), 0
     while hi < prefix and live.size:
         lo, hi = hi, min(max(2 * hi, k - 1), prefix)
         a, b = ends[:, batch[lo:hi]] + live * n
@@ -477,10 +571,33 @@ def _links_added(topology: Topology, k: int, tails: np.ndarray) -> np.ndarray:
         short = size.reshape(B, n)[live].max(1) < k
         live, batch = live[short], batch[:, short]
     added = np.full(B, prefix, dtype=np.int64)
-    added[live] = R + cap + 1
+    added[live] = len(batch) + 1
     if live.size:
         _add_in_lockstep(ends, n, k, batch, prefix, label, size, live, added)
-    return np.maximum(added + (L - R - cap), L - cap, out=added)
+    return added
+
+
+def _forest_labels(topology: Topology, k: int, sets: np.ndarray):
+    """(failed, label, size, live) once the BFS forest of `_spanning_forest`
+    joins, less the links of each column b of the (r, B) `sets` (link L
+    is a self-loop): failed[j, b] marks link j, of L + 1; node x of column
+    b is b*n + x, label[b*n + x] its root and size the node count at
+    each root; `live` lists the int32 columns with no k-node component.
+
+    One vectorized step a level: a node takes its parent's root unless
+    its link failed.
+    """
+    L, n = topology.n_links, topology.n_nodes
+    B = sets.shape[1]
+    failed = np.zeros((L + 1, B), dtype=bool)
+    failed[sets, np.arange(B)] = True
+    label = np.arange(0, B * n, n, dtype=np.int32) + np.arange(n, dtype=np.int32)[:, None]
+    for nodes, parents, links in _spanning_forest(topology)[1]:
+        label[nodes] = np.where(failed[links], label[nodes], label[parents])
+    label = label.T.ravel()
+    size = _component_sizes(label, n)
+    live = np.flatnonzero(size.reshape(B, n).max(1) < k).astype(np.int32)
+    return failed, label, size, live
 
 
 def _component_sizes(label: np.ndarray, n: int) -> np.ndarray:
@@ -558,7 +675,7 @@ def partition_tolerance(
     _check_enum_cap(enum_cap)
     _check_run_length("budget", budget)
     L, N = topology.n_links, topology.n_nodes
-    sizes = np.bincount(_component_roots(topology.ends, N, np.ones((1, L), dtype=bool)))
+    sizes = np.bincount(_intact_labels(topology))
     if sizes.max() < k:
         raise NumericError("repairing all failed links did not restore a good partition")
 
@@ -626,25 +743,71 @@ def _spanning_forest(topology: Topology):
     """(roots, levels, rest) of the BFS forest spanning each component from
     its least node, kept on the topology: levels[j] holds the nodes at
     depth j + 1 in queue order, their parents and links, and `rest` the
-    other links, int32, in one fixed random arrangement."""
-    def walk():
-        n, L = topology.n_nodes, topology.n_links
-        indptr, indices = topology.csr()
-        label = _component_roots(topology.ends, n, np.ones((1, L), dtype=bool))
-        roots = (label == np.arange(n)).nonzero()[0]
-        levels = _bfs_levels(np.append(indptr, indptr[-1] + roots.size),
-                             np.concatenate((indices, roots)), [n])[1:]
+    other links, int32, in one fixed random arrangement.
+
+    One FIFO queue, seeded with the roots in order, walks every tree
+    (`_bfs_queue`), in the queue order of a vectorized step per level
+    from a virtual node listing the roots.  On a 2-core Xeon, labelling
+    included, against that step: ring(768,4) 5.1 -> 0.63 ms (192
+    levels), the 64-cycle 0.72 -> 0.12 ms, ring(4096,12) 8.2 -> 4.8 ms;
+    Q12, 13 wide levels, goes 2.2 -> 4.6 ms.
+    """
+    def build():
+        n = topology.n_nodes
+        roots = (_intact_labels(topology) == np.arange(n)).nonzero()[0]
+        nodes, parents, bounds = _bfs_queue(*topology.csr(), roots)
         parent = np.full(n, n)
-        for nodes, parents, _ in levels:
-            parent[nodes] = parents
+        parent[nodes] = parents
         u, v = topology.ends.T
         child = np.where(parent[u] == v, u, v)
         tree = parent[child] == u + v - child
         up = np.empty(n, dtype=np.int64)
         up[child[tree]] = tree.nonzero()[0]
+        links = up[nodes]
+        levels = [(nodes[a:b], parents[a:b], links[a:b]) for a, b in zip(bounds, bounds[1:])]
         rest = np.random.default_rng(0).permutation(np.flatnonzero(~tree).astype(np.int32))
-        return roots, [(nodes, parents, up[nodes]) for nodes, parents, _ in levels], rest
-    return topology.memo("forest", walk)
+        return roots, levels, rest
+    return topology.memo("forest", build)
+
+
+def _bfs_queue(indptr: np.ndarray, indices: np.ndarray, roots: np.ndarray):
+    """(nodes, parents, bounds) of one FIFO BFS over the sorted adjacency
+    `indptr`/`indices`, its queue seeded with `roots`: every other node
+    it reaches in queue order, as int64, the node that first listed
+    each, and depth d + 1 as nodes[bounds[d]:bounds[d + 1]].
+
+    One Python pass; the CSR is read through memoryviews, whose items
+    are Python ints, not copied into lists (21 M ints at the builder's
+    cap).
+    """
+    ptr, adj = memoryview(indptr), memoryview(indices)
+    seen = bytearray(len(ptr) - 1)
+    queue = roots.tolist()
+    for x in queue:
+        seen[x] = 1
+    parents, ends = [], [len(queue)]  # ends[d]: queue length through depth d
+    for j, x in enumerate(queue):
+        if j == ends[-1]:  # depth d + 1 starts, so all of it is queued
+            ends.append(len(queue))
+        for y in adj[ptr[x]:ptr[x + 1]]:
+            if not seen[y]:
+                seen[y] = 1
+                queue.append(y)
+                parents.append(x)
+    r = len(roots)
+    return (np.array(queue[r:], dtype=np.int64), np.array(parents, dtype=np.int64),
+            [e - r for e in ends])
+
+
+def _intact_labels(topology: Topology) -> np.ndarray:
+    """Component root (least node) of every node of the intact graph,
+    kept on the topology."""
+    def label():
+        roots = _component_roots(topology.ends, topology.n_nodes,
+                                 np.ones((1, topology.n_links), dtype=bool))
+        roots.flags.writeable = False
+        return roots
+    return topology.memo("components", label)
 
 
 def _down_probs(topology: Topology) -> np.ndarray:

@@ -290,7 +290,8 @@ class Topology:
         return self.memo("csr", build)
 
     def degrees(self) -> np.ndarray:
-        return np.diff(self.csr()[0])
+        """Links at each node, counted without sorting the CSR."""
+        return np.bincount(self.ends.ravel(), minlength=self.n_nodes)
 
     def class_census(self) -> dict[int, int]:
         census = {cid: 0 for cid in sorted(self.classes)}

@@ -1,11 +1,23 @@
 import csv
+import dataclasses
+import io
 import json
+import math
 import time
 
 import numpy as np
 import pytest
 
-from cubenet import Topology, build_ring_lattice, build_star, cli
+from cubenet import (
+    RecursionSpec,
+    Topology,
+    build_complete_hypercube,
+    build_recursive,
+    build_ring_lattice,
+    build_star,
+    cli,
+    partition_tolerance,
+)
 from cubenet.cli import main
 from cubenet.errors import SpecError
 from custom_graph import custom_topology
@@ -217,6 +229,33 @@ class TestAnalyze:
         assert summary[6] == "summary" and summary[10] == "exact-tree"
         assert (summary[8], summary[9]) == ("24.0", "0.0")
         assert abs(float(summary[7]) - 0.996808113966) < 1e-12
+
+    @pytest.mark.parametrize("graph, budget", [
+        (build_ring_lattice(64, 2), 200),  # exact, sampled and skipped rows, t set
+        (build_complete_hypercube(6), 200),  # exact and skipped rows: t is empty
+        (build_recursive(RecursionSpec.symmetric(2, 2)), 100),  # two classes: lambda is nan
+    ], ids=["cycle64", "Q6", "2-2"])
+    def test_rows_are_what_csv_writer_writes(self, tmp_path, graph, budget):
+        """A `kind` holding a comma, a quote and a newline is quoted as
+        csv.writer quotes it, and every state row and the summary are the
+        bytes csv.writer writes for the report's cells."""
+        doc = dataclasses.replace(graph, kind='ring, "odd"\nkind')
+        path, out = tmp_path / "t.json", tmp_path / "a.csv"
+        path.write_text(doc.to_json())
+        assert run_cli(["analyze", "partition", "--topology", str(path), "--budget",
+                        str(budget), "--enum-cap", "2100", "--seed", "4", "--out", str(out)]) == 0
+        report = partition_tolerance(doc, budget=budget, seed=4, enum_cap=2100)
+        (cls, *more) = doc.classes.values()
+        lam, mu = (math.nan, math.nan) if more else (cls.lam, cls.mu)
+        head = [doc.kind, doc.n_nodes, doc.n_links, report.k, repr(lam), repr(mu)]
+        rows = [head + [e.i, *(repr(float(x)) for x in (e.pi_i, e.p_wrong, e.stderr)), e.method]
+                for e in report.per_state]
+        t = "" if report.t is None else repr(report.t)
+        rows.append(head + ["summary", repr(report.p), t, repr(report.stderr), report.method])
+        want = io.StringIO()
+        csv.writer(want, lineterminator="\n").writerows([read_csv(out)[0], *rows])
+        assert out.read_bytes() == want.getvalue().encode()
+        assert out.read_text().count('\n"ring, ""odd""\nkind",') == len(rows)
 
     def test_repair_prints_summary(self, tmp_path, cube_topology, capsys):
         out = tmp_path / "repair.csv"

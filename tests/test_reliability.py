@@ -43,7 +43,7 @@ from cubenet.reliability import (
     _critical_counts,
     _cut_lower_bound,
     _edge_connectivity,
-    _exact_state,
+    _exact_states,
     _max_comp_rows,
     _max_flow,
     _repair_times,
@@ -51,6 +51,7 @@ from cubenet.reliability import (
     default_quorum,
 )
 from cubenet.topology import DomainGraph, Orbits, _translation_orbits, max_component_size
+from cubenet.topology import _bfs_levels, _component_roots
 from cubenet.unionfind import UnionFind
 from bruteforce_oracle import exact_partition_tolerance_bruteforce
 from custom_graph import custom_topology
@@ -83,6 +84,21 @@ def transition_prob(i: int, j: int, L: int, lam: float, mu: float) -> float:
 class TestCountChain:
     def test_pmf_of_certain_failure(self):
         assert binom_pmf_vector(5, 1.0).tolist() == [0.0] * 5 + [1.0]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1536, 100_000, 5_242_880])
+    def test_windowed_pmf_equals_full(self, n):
+        """Evaluated on the window around the mode, the pmf is
+        bit-identical to the log pmf of every state, flushed below
+        UNDERFLOW_FLOOR: q near 0 (1e-300 puts n = 1's state 1 at the
+        floor) and near 1, and n = 5 242 880 (6 ms against 2.2 s on a
+        2-core Xeon)."""
+        qs = [Q5000] if n == 5_242_880 else [1e-320, 1e-300, 1e-12, Q5000, 0.3, 0.5,
+                                             1 - 1e-9, 1 - 2**-53]
+        for q in qs:
+            want = np.exp(reliability._log_binom_pmf(np.arange(n + 1, dtype=float), n, q))
+            want[want < reliability.UNDERFLOW_FLOOR] = 0.0
+            got = binom_pmf_vector(n, q)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, q)
 
     def test_rates_from_class(self):
         c = LinkClass.standard(5000)
@@ -430,16 +446,58 @@ def random_forest(rng, n_links, n_trees, n_classes, relabel=True):
 
 
 def _count_bfs(monkeypatch):
-    """The sources of every `_bfs_levels` call that reliability makes."""
+    """The roots of every `_bfs_queue` walk that reliability makes."""
     calls = []
-    bfs = reliability._bfs_levels
+    bfs = reliability._bfs_queue
 
-    def counting(indptr, indices, sources):
-        calls.append(sources)
-        return bfs(indptr, indices, sources)
+    def counting(indptr, indices, roots):
+        calls.append(roots)
+        return bfs(indptr, indices, roots)
 
-    monkeypatch.setattr(reliability, "_bfs_levels", counting)
+    monkeypatch.setattr(reliability, "_bfs_queue", counting)
     return calls
+
+
+def bfs_levels_forest(topology):
+    """`_spanning_forest` as the vectorized BFS built it: `_bfs_levels`
+    from a virtual node listing every component's least node, one numpy
+    step a level."""
+    n, L = topology.n_nodes, topology.n_links
+    indptr, indices = topology.csr()
+    label = _component_roots(topology.ends, n, np.ones((1, L), dtype=bool))
+    roots = (label == np.arange(n)).nonzero()[0]
+    levels = _bfs_levels(np.append(indptr, indptr[-1] + roots.size),
+                         np.concatenate((indices, roots)), [n])[1:]
+    parent = np.full(n, n)
+    for nodes, parents, _ in levels:
+        parent[nodes] = parents
+    u, v = topology.ends.T
+    child = np.where(parent[u] == v, u, v)
+    tree = parent[child] == u + v - child
+    up = np.empty(n, dtype=np.int64)
+    up[child[tree]] = tree.nonzero()[0]
+    rest = np.random.default_rng(0).permutation(np.flatnonzero(~tree).astype(np.int32))
+    return roots, [(nodes, parents, up[nodes]) for nodes, parents, _ in levels], rest
+
+
+def _random_relabelled_graph():
+    """40 random links among 30 of 50 nodes, relabelled: several
+    components, some of them isolated nodes."""
+    rng = np.random.default_rng(21)
+    pairs = {tuple(sorted(p)) for p in rng.integers(0, 30, (40, 2)).tolist() if p[0] != p[1]}
+    label = rng.permutation(50)
+    return custom_topology(50, [(label[a], label[b]) for a, b in rng.permutation(sorted(pairs))])
+
+
+FOREST_GRAPHS = {
+    "tree": lambda: build_rooted_tree(64, 6),
+    "ring": lambda: build_ring_lattice(768, 4),
+    "cube": lambda: build_complete_hypercube(6),
+    "isolated-nodes": lambda: custom_topology(20000, []),
+    "disjoint-links": lambda: custom_topology(
+        20000, np.random.default_rng(3).permutation(20000).reshape(-1, 2)),
+    "relabelled": _random_relabelled_graph,
+}
 
 
 def per_tree_wrong_mass(topology, k, q):
@@ -517,9 +575,9 @@ class TestForestDP:
     @pytest.mark.parametrize("pairs", [[], [(2 * j, 2 * j + 1) for j in range(10000)]],
                              ids=["isolated-nodes", "disjoint-links"])
     def test_wide_forests(self, pairs, monkeypatch):
-        """20 000 isolated nodes, and 10 000 disjoint links, in one BFS
-        kept on the topology: equal to the tree-by-tree fold at k = 1, 2,
-        3 and N/2 + 1."""
+        """20 000 isolated nodes, and 10 000 disjoint links, in one queue
+        walk kept on the topology: equal to the tree-by-tree fold at k =
+        1, 2, 3 and N/2 + 1."""
         label = np.random.default_rng(3).permutation(20000)
         t = custom_topology(20000, [(label[a], label[b]) for a, b in pairs],
                             classes={0: FOREST_CLASSES[1]})
@@ -530,7 +588,7 @@ class TestForestDP:
         assert len(calls) == 1
 
     def test_one_bfs_per_forest(self, monkeypatch):
-        """One `_bfs_levels` call walks every tree, and the topology keeps
+        """One `_bfs_queue` walk covers every tree, and the topology keeps
         the walk: `partition_tolerance` after a direct call walks nothing
         more, and a newly built copy walks its own."""
         calls = _count_bfs(monkeypatch)
@@ -542,6 +600,37 @@ class TestForestDP:
         fresh = random_forest(np.random.default_rng(11), 40, 9, 1)
         assert partition_tolerance(fresh, k=5).method == "exact-tree"
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("name", list(FOREST_GRAPHS))
+    def test_queue_walk_equals_level_steps(self, name):
+        """The queue-walked forest has the roots, the levels (nodes,
+        parents and links, level by level, with their dtypes) and the
+        `rest` of the vectorized level-by-level BFS."""
+        t = FOREST_GRAPHS[name]()
+        roots, levels, rest = reliability._spanning_forest(t)
+        want_roots, want_levels, want_rest = bfs_levels_forest(t)
+        assert np.array_equal(roots, want_roots) and np.array_equal(rest, want_rest)
+        assert len(levels) == len(want_levels)
+        for got, want in zip(levels, want_levels):
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_one_intact_labelling_per_topology(self, monkeypatch):
+        """`partition_tolerance` and the forest walk share one labelling
+        of the intact graph, kept on the topology, across repeated calls."""
+        calls = []
+        roots = reliability._component_roots
+
+        def counting(ends, n, present):
+            calls.append(present.shape)
+            return roots(ends, n, present)
+
+        monkeypatch.setattr(reliability, "_component_roots", counting)
+        graphs = [build_ring_lattice(64, 2), build_rooted_tree(64, 6), build_complete_hypercube(3)]
+        for t in graphs:
+            for seed in (1, 2):
+                partition_tolerance(t, budget=200, seed=seed)
+        assert calls == [(1, t.n_links) for t in graphs]
 
     def test_star22_no_cancellation(self):
         """At k = 2 a 22-leaf star is wrong only when every link is down:
@@ -689,7 +778,7 @@ class TestConnectivityKernel:
         ids=["tree-2", "tree-3", "Q4-4", "cycle-2", "cycle-3"],
     )
     def test_exact_wrong_counts(self, topo, i, wrong, subsets):
-        est = _exact_state(topo, i, default_quorum(topo.n_nodes), 0, 10**6, float("nan"))
+        (est,) = _exact_states(topo, default_quorum(topo.n_nodes), [(i, math.nan)], 0, 10**6)
         assert (est.n_samples, est.p_wrong) == (subsets, wrong / subsets)
 
     @pytest.mark.parametrize("three_classes,k", [(False, 2), (False, 3), (True, 11)])
@@ -919,7 +1008,7 @@ class TestCutLowerBound:
         def refuse(*args):
             raise AssertionError("refused")
 
-        for name in ("_bfs_levels", "_algebraic_connectivity_lb", "_edge_connectivity"):
+        for name in ("_bfs_queue", "_algebraic_connectivity_lb", "_edge_connectivity"):
             monkeypatch.setattr(reliability, name, refuse)
         for t, c_lb in [(build_complete_hypercube(12), 2048), (build_complete_hypercube(14), 8192),
                         (build_ring_lattice(4096, 12), 12), (build_ring_lattice(768, 4), 4),
@@ -1180,29 +1269,58 @@ class TestTranslationSymmetry:
         states = [i for i in range(1, t.n_links + 1) if math.comb(t.n_links, i) <= 10**5]
         assert any(n_orbits * i < t.n_links for i in states)
         for k in (3, default_quorum(t.n_nodes)):
-            by_orbit = [_exact_state(t, i, k, 0, 10**5, math.nan) for i in states]
+            by_orbit = _exact_states(t, k, [(i, math.nan) for i in states], 0, 10**5)
             with monkeypatch.context() as m:
                 m.setattr(reliability, "_translation_orbits", lambda topology: None)
-                full = [_exact_state(t, i, k, 0, 10**5, math.nan) for i in states]
+                full = _exact_states(t, k, [(i, math.nan) for i in states], 0, 10**5)
             assert [(e.p_wrong, e.n_samples) for e in by_orbit] == \
                 [(e.p_wrong, e.n_samples) for e in full]
 
     def test_cycle64_kernel_rows(self, monkeypatch):
         """The 64-cycle at enum cap 10**5 enumerates i = 2 and 3 (i = 1 lies
-        below c_lb = 2) through one orbit: 63 + 1953 rows, not 43 680."""
-        rows = []
-        kernel = reliability._max_comp_rows
+        below c_lb = 2) through one orbit: 63 + 1953 sets, not 43 680, in
+        one batch of the forest kernel and none through `_max_comp_rows`."""
+        batches = []
+        kernel = reliability._wrong_sets
 
-        def counting(ends, n, present):
-            rows.append(len(present))
-            return kernel(ends, n, present)
+        def counting(topology, k, sets):
+            batches.append(sets.shape)
+            return kernel(topology, k, sets)
 
-        monkeypatch.setattr(reliability, "_max_comp_rows", counting)
+        monkeypatch.setattr(reliability, "_wrong_sets", counting)
+        monkeypatch.setattr(reliability, "_max_comp_rows", None)
         report = partition_tolerance(build_ring_lattice(64, 2), budget=4000, seed=1,
                                      enum_cap=10**5)
         exact = [e for e in report.per_state if e.method == "exact" and e.n_samples]
         assert [(e.i, e.n_samples) for e in exact] == [(2, 2016), (3, 41664)]
-        assert sum(rows) == 2016
+        assert batches == [(3, 63 + 1953)]
+
+    @pytest.mark.parametrize("orbits", [True, False], ids=["orbits", "no-orbits"])
+    @pytest.mark.parametrize("slots", [ORDER_SLOTS, 40 * 24], ids=["one-batch", "many-batches"])
+    @pytest.mark.parametrize("build", [
+        lambda: build_complete_hypercube(3),
+        lambda: build_ring_lattice(12, 4),
+        lambda: _drop_link(build_ring_lattice(10, 4), 3),
+        lambda: custom_topology(24, [(x, (x + 1) % 16) for x in range(16)]),
+    ], ids=["Q3", "ring12-4", "ring10-4-less-one", "cycle16-isolated"])
+    def test_batched_counts_equal_brute_force(self, build, slots, orbits, monkeypatch):
+        """Every state's count, all states in one pass (split into batches
+        of `slots` slots, or not), equals the wrong i-subsets counted one
+        (rows, L) mask at a time through `_max_comp_rows`, at two quorums."""
+        t = build()
+        L, n = t.n_links, t.n_nodes
+        monkeypatch.setattr(reliability, "ORDER_SLOTS", slots)
+        if not orbits:
+            monkeypatch.setattr(reliability, "_translation_orbits", lambda topology: None)
+        states = [i for i in range(1, L + 1) if math.comb(L, i) <= 3000]
+        for k in (3, default_quorum(n)):
+            got = _exact_states(t, k, [(i, math.nan) for i in states], 0, 3000)
+            for e, i in zip(got, states):
+                present = np.ones((math.comb(L, i), L), dtype=bool)
+                for row, combo in zip(present, itertools.combinations(range(L), i)):
+                    row[list(combo)] = False
+                wrong = int(np.count_nonzero(_max_comp_rows(t.ends, n, present) < k))
+                assert (e.i, e.n_samples, e.p_wrong) == (i, len(present), wrong / len(present))
 
     def test_orbit_sum_not_divisible(self, monkeypatch):
         """A false orbit (link 0 of a 5-node path standing for 3 links)
@@ -1211,7 +1329,7 @@ class TestTranslationSymmetry:
         false = Orbits(False, np.array([0]), np.array([3]), np.zeros(4, dtype=np.int64))
         monkeypatch.setattr(reliability, "_translation_orbits", lambda topology: false)
         with pytest.raises(NumericError, match="not divisible"):
-            _exact_state(t, 2, 3, 0, 100, math.nan)
+            _exact_states(t, 3, [(2, math.nan)], 0, 100)
 
 
 def _two_class_cycle():

@@ -947,6 +947,25 @@ class TestArrays:
             assert indices[indptr[u]:indptr[u + 1]].tolist() == want
         assert t.degrees().tolist() == [4] * 9
 
+    @pytest.mark.parametrize("build", [
+        lambda: build_complete_hypercube(5),
+        lambda: build_incomplete_hypercube(13),
+        lambda: build_recursive(RecursionSpec.symmetric(2, 3)),
+        lambda: build_recursive(RecursionSpec.semi((4, 3, 2))),
+        lambda: build_rooted_tree(40, 3),
+        lambda: build_ring_lattice(30, 6),
+        lambda: build_star(9),
+        lambda: custom_topology(12, [(7, 2), (2, 9), (9, 7), (0, 11)]),  # isolated nodes
+        lambda: custom_topology(5, []),
+    ], ids=["hypercube", "incomplete", "symmetric", "semi", "tree", "ring", "star",
+            "isolated-nodes", "no-links"])
+    def test_degrees_equal_csr_counts(self, build):
+        """Counted from the link ends, the degrees equal the CSR's row
+        lengths, dtype included."""
+        t = build()
+        want = np.diff(t.csr()[0])
+        assert t.degrees().dtype == want.dtype and np.array_equal(t.degrees(), want)
+
     @pytest.mark.parametrize(
         "ends,classes,message",
         [
