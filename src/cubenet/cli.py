@@ -178,7 +178,7 @@ def cmd_topo(args) -> int:
     degrees = topo.degrees()
     print(
         f"N={topo.n_nodes} L={topo.n_links} "
-        f"degree={min(degrees)}..{max(degrees)} census={census_str}"
+        f"degree={degrees.min()}..{degrees.max()} census={census_str}"
     )
     return 0
 

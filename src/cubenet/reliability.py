@@ -8,15 +8,14 @@ masses), hybrid exact/sampled estimation for other graphs (sampled
 states share one batch of random link orders), the minimum-repair
 strategy (repair every failed link up to a threshold, 0 or a class
 MTTR, whose search also decides which failure sets are wrong), and
-the hierarchical aggregation as a sum over recursion levels.  Queries
-over many failed-link sets of one graph go through one batched numpy
-connectivity kernel; random link orders evolve in lockstep batches.
-Critical counts are capped at the largest sampled state i_max, which
-leaves every estimate unchanged, so only each order's last i_max links
-are drawn; the rest join first, a spanning BFS forest (walked once per
-topology by one FIFO queue) a level a step.  Exact states enumerate
-their failed-link sets through the same forest kernel, all of a
-graph's states in one pass.
+the hierarchical aggregation as a sum over recursion levels.  Random
+link orders evolve in lockstep batches.  Critical counts are capped at
+the largest sampled state i_max, which leaves every estimate unchanged,
+so only each order's last i_max links are drawn; the rest join first, a
+spanning BFS forest (walked once per topology by one FIFO queue) a level
+a step.  Every set of failed links, enumerated for an exact state or
+sampled and searched for its repair threshold, goes through the same
+forest kernel (`_wrong_sets`), in batches.
 """
 from __future__ import annotations
 
@@ -27,9 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericError, SpecError
-from .topology import KERNEL_SLOTS, RecursionSpec, Topology, build_complete_hypercube
-from .topology import _check_run_length, _chunk_rows, _component_roots, _join_roots
-from .topology import Orbits, _max_comp_rows, _translation_orbits
+from .topology import RecursionSpec, Topology, build_complete_hypercube
+from .topology import Orbits, _check_run_length, _intact_labels, _join_roots, _translation_orbits
 from .unionfind import UnionFind  # noqa: F401  unused; perfbench/tracer.py patches this name
 
 ENUM_CAP_DEFAULT = 2_000_000
@@ -37,6 +35,7 @@ TAIL_EPS = 1e-12  # single-class states with pi_i below this are skipped
 UNDERFLOW_FLOOR = 1e-300
 DENSE_MAX_NODES = 2048  # no cut bound above this many nodes without translation orbits
 ORDER_SLOTS = 2**20  # order (and node) slots per lockstep batch: 4 MB per int32 array
+KERNEL_SLOTS = 2**15  # link (and node) slots per placement chunk or component count: a few MB
 
 
 def default_quorum(n_nodes: int) -> int:
@@ -309,25 +308,34 @@ def _max_flow(s: int, t: int, arcs, head, cap: int) -> int:
     return cap
 
 
-def _repair_times(topology: Topology, k: int, mttr_of: np.ndarray, failed: np.ndarray):
-    """Least repair time of each row of a (B, L) failed-link mask, link j
-    taking mttr_of[j] hours; 0.0 for a row that needs no repair.
+def _repair_times(topology: Topology, k: int, mttr_of: np.ndarray, sets: np.ndarray):
+    """Least repair time of each column of the (r, B) failed-link `sets`
+    (link L pads a column, as often as it needs), link j taking
+    mttr_of[j] hours; 0.0 for a column that needs no repair.
 
     The plan repairs every failed link whose MTTR is at most a threshold
-    T.  Each row gets the least T of 0 and the class MTTRs T_1 < ... < T_m
-    that restores a component of k nodes; every MTTR is positive, so T = 0
-    repairs nothing and decides which rows are wrong.  A T between two of
-    a row's failed-link MTTRs leaves the same links failed as the lower
-    one.  Raises `NumericError` if a row is wrong with every link repaired.
+    T.  Each column gets the least T of 0 and the class MTTRs T_1 < ...
+    < T_m that restores a component of k nodes; every MTTR is positive,
+    so T = 0 repairs nothing and decides which columns are wrong.  A T
+    between two of a column's failed-link MTTRs leaves the same links
+    failed as the lower one.  Each threshold asks `_wrong_sets` once
+    about the columns still unrepaired, their links of MTTR <= T masked
+    to L, in batches of at most ORDER_SLOTS link (and node) slots.
+    Raises `NumericError` if a column is wrong with every link repaired.
     """
-    times = np.empty(len(failed))
-    if not len(failed):
+    L = topology.n_links
+    times = np.empty(sets.shape[1])
+    if not times.size:
         return times
-    todo = np.arange(len(failed))
+    mttr = np.append(mttr_of, 0.0)  # the pad is never failed
+    step = max(1, ORDER_SLOTS // max(topology.n_nodes, L))
+    todo = np.arange(times.size)
     for T in [0.0, *np.unique(mttr_of).tolist()]:
-        ok = _max_comp_rows(topology.ends, topology.n_nodes, ~(failed[todo] & (mttr_of > T))) >= k
+        sets = np.where(mttr[sets] > T, sets, L)  # thresholds ascend: masks accumulate
+        ok = ~np.concatenate([_wrong_sets(topology, k, sets[:, lo:lo + step])
+                              for lo in range(0, todo.size, step)])
         times[todo[ok]] = T
-        todo = todo[~ok]
+        todo, sets = todo[~ok], sets[:, ~ok]
         if not todo.size:
             return times
     raise NumericError("repairing all failed links did not restore a good partition")
@@ -444,7 +452,7 @@ def _estimate_states(
     subsets fit `enum_cap`; the subsets of all such states go through
     the forest kernel of the orders in one pass (`_exact_states`): the
     64-cycle's i = 2 and 3 at enum cap 10**5 take 2.1 ms on a 2-core
-    Xeon, where one (rows, L) mask kernel call a state took 7.6 ms, and
+    Xeon, where one (rows, L) mask search a state took 7.6 ms, and
     Table 3's Q3 2.4 -> 1.7 ms.  Every other state reads the same
     `budget` random link orders.  Those orders are read only through 1[c* <= i]
     and the sum of pi_i over sampled i >= c*, for sampled i up to the
@@ -694,10 +702,10 @@ def partition_tolerance(
         cls = topology.classes[cid]
         pi = binom_pmf_vector(L, cls.steady_down_prob).tolist()
         kept = [(i, pi[i]) for i in range(1, L + 1) if pi[i] >= TAIL_EPS]
-        skipped = [StateEstimate(i, pi[i], 0.0, 0.0, 0, "skipped") for i in range(1, L + 1)
-                   if pi[i] < TAIL_EPS]
         estimated, var = _estimate_states(topology, k, kept, budget, seed, enum_cap)
-        per_state = sorted(estimated + skipped, key=lambda e: e.i)
+        ahead = iter(estimated)  # in ascending i, as `kept`
+        per_state = [next(ahead) if pi[i] >= TAIL_EPS else
+                     StateEstimate(i, pi[i], 0.0, 0.0, 0, "skipped") for i in range(1, L + 1)]
         wrong_mass = sum(e.pi_i * e.p_wrong for e in estimated)
         t = cls.mttr_h if wrong_mass > 0 else None
         methods = {e.method for e in estimated}
@@ -799,20 +807,14 @@ def _bfs_queue(indptr: np.ndarray, indices: np.ndarray, roots: np.ndarray):
             [e - r for e in ends])
 
 
-def _intact_labels(topology: Topology) -> np.ndarray:
-    """Component root (least node) of every node of the intact graph,
-    kept on the topology."""
-    def label():
-        roots = _component_roots(topology.ends, topology.n_nodes,
-                                 np.ones((1, topology.n_links), dtype=bool))
-        roots.flags.writeable = False
-        return roots
-    return topology.memo("components", label)
-
-
 def _down_probs(topology: Topology) -> np.ndarray:
     """Steady-state down probability lambda/(lambda+mu) of each link."""
     return _class_values(topology, lambda c: c.steady_down_prob)
+
+
+def _chunk_rows(n_nodes: int, n_links: int) -> int:
+    """Rows per placement chunk: at most KERNEL_SLOTS link slots and node slots."""
+    return max(1, KERNEL_SLOTS // max(n_nodes, n_links))
 
 
 def _sample_link_states(topology: Topology, k: int, budget: int, seed: int):
@@ -824,8 +826,11 @@ def _sample_link_states(topology: Topology, k: int, budget: int, seed: int):
     uniforms and counts fit KERNEL_SLOTS.  Rows below c_lb failures are
     good; a `_chunk_rows` chunk with one at or above draws keys from the
     stream (seed, 1, its first row), and such a row fails the n_c
-    least-key links of each class, a uniform subset, for `_repair_times`.
-    So c_lb changes no draw, and a more reliable class fails a subset.
+    least-key links of each class, a uniform subset, as one column of a
+    failed-link set.  So c_lb changes no draw, and a more reliable class
+    fails a subset.  All such rows of a block go through one
+    `_repair_times` search, one forest-kernel batch a threshold, not one
+    a chunk.
     """
     if budget < 1:
         raise SpecError(f"a graph with several link classes is sampled but the budget is {budget}")
@@ -846,18 +851,23 @@ def _sample_link_states(topology: Topology, k: int, budget: int, seed: int):
                   for cdf, x in zip(cdfs, rng.random((min(block, budget - start), len(cdfs))).T)]
         n_failed = sum(counts)
         n_of += np.bincount(n_failed, minlength=L + 1)
-        for lo in np.unique(np.flatnonzero(n_failed >= c_lb) // step * step).tolist():
-            rows = lo + np.flatnonzero(n_failed[lo:lo + step] >= c_lb)
+        hot = np.flatnonzero(n_failed >= c_lb)
+        if not hot.size:
+            continue
+        widths = np.cumsum([0] + [int(n_c[hot].max()) for n_c in counts]).tolist()
+        sets = np.full((hot.size, widths[-1]), L, dtype=np.int32)  # row j is hot[j]'s failures
+        for lo in np.unique(hot // step * step).tolist():
+            i, j = np.searchsorted(hot, (lo, lo + step)).tolist()
+            rows = hot[i:j]
             place = np.random.default_rng(np.random.SeedSequence((seed, 1, start + lo)))
-            down = np.empty((rows.size, L), dtype=bool)
-            for links, n_c in zip(members, counts):
+            for links, n_c, a, b in zip(members, counts, widths, widths[1:]):
                 keys = place.random((min(step, n_failed.size - lo), links.size))[rows - lo]
-                edge = np.append(np.sort(keys, axis=1), np.ones((rows.size, 1)), axis=1)
-                down[:, links] = keys < np.take_along_axis(edge, n_c[rows, None], axis=1)
-            times = _repair_times(topology, k, mttr_of, down)
-            wrong_of += np.bincount(n_failed[rows[times > 0]], minlength=L + 1)
-            for t in times.tolist():  # a good row adds its 0.0: the sum is unchanged
-                t_sum_total += t
+                least = links[np.argsort(keys, axis=1)[:, :b - a]]
+                sets[i:j, a:b] = np.where(np.arange(b - a) < n_c[rows, None], least, L)
+        times = _repair_times(topology, k, mttr_of, sets.T)
+        wrong_of += np.bincount(n_failed[hot[times > 0]], minlength=L + 1)
+        for t in times.tolist():  # a good row adds its 0.0: the sum is unchanged
+            t_sum_total += t
     wrong_total = int(wrong_of.sum())
     p_wrong = wrong_total / budget
     per_state = []

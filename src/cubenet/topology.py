@@ -34,7 +34,6 @@ DEFAULT_LEVEL_DISTANCES = (5000.0, 3000.0, 420.0)
 MAX_HYPERCUBE_DIM = 20
 MAX_RECURSIVE_NODES = 2**20
 MAX_RUN_LENGTH = 2**24  # cycles, rounds or sampled link orders: 128 MB per int64 array
-KERNEL_SLOTS = 2**15  # link slots per connectivity-kernel batch: a few MB of arrays at any B
 
 
 @dataclass(frozen=True)
@@ -300,7 +299,7 @@ class Topology:
         return census
 
     def is_connected(self) -> bool:
-        return max_component_size(self, set()) == self.n_nodes
+        return not _intact_labels(self).any()
 
     # -- serialization --------------------------------------------------
 
@@ -625,22 +624,14 @@ def build_star(n: int) -> Topology:
 # -- connectivity ---------------------------------------------------------
 
 
-def _chunk_rows(n_nodes: int, n_links: int) -> int:
-    """Rows per kernel batch: at most KERNEL_SLOTS link slots and node slots."""
-    return max(1, KERNEL_SLOTS // max(n_nodes, n_links))
-
-
-def _component_roots(ends: np.ndarray, n: int, present: np.ndarray) -> np.ndarray:
-    """Component root of every node of every row of a (B, L) present-link
-    mask, as one (B * n,) array: node x of row b is b*n + x, and its root
-    is the least node of its component.
-
-    An absent link is a self-loop.
-    """
-    base = np.arange(0, len(present) * n, n)[:, None]
-    a = base + ends[:, 0]
-    a, b = a.ravel(), np.where(present, base + ends[:, 1], a).ravel()
-    return _join_roots(np.arange(len(present) * n), a, b)
+def _intact_labels(topology: Topology) -> np.ndarray:
+    """Component root (least node) of every node of the intact graph,
+    kept on the topology."""
+    def label():
+        roots = _join_roots(np.arange(topology.n_nodes), *topology.ends.T)
+        roots.flags.writeable = False
+        return roots
+    return topology.memo("components", label)
 
 
 def _join_roots(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -664,25 +655,6 @@ def _join_roots(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 break
             label = jumped
     return label
-
-
-def _max_comp_rows(ends: np.ndarray, n: int, present: np.ndarray) -> np.ndarray:
-    """Largest component size for each row of a (B, L) present-link mask;
-    rows go through in batches of `_chunk_rows` rows."""
-    B = present.shape[0]
-    out = np.empty(B, dtype=np.int64)
-    step = _chunk_rows(n, present.shape[1])
-    for lo in range(0, B, step):
-        label = _component_roots(ends, n, present[lo:lo + step])
-        out[lo:lo + step] = np.bincount(label, minlength=len(label)).reshape(-1, n).max(1)
-    return out
-
-
-def max_component_size(topology: Topology, failed_link_indices: set[int]) -> int:
-    """Largest component size with the given link indices failed (fast path)."""
-    present = np.ones((1, topology.n_links), dtype=bool)
-    present[0, list(failed_link_indices)] = False
-    return int(_max_comp_rows(topology.ends, topology.n_nodes, present)[0])
 
 
 # one BFS level: (nodes in queue order, their parents, their child ranks)

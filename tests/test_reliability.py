@@ -44,16 +44,15 @@ from cubenet.reliability import (
     _cut_lower_bound,
     _edge_connectivity,
     _exact_states,
-    _max_comp_rows,
     _max_flow,
     _repair_times,
     binom_pmf_vector,
     default_quorum,
 )
-from cubenet.topology import DomainGraph, Orbits, _translation_orbits, max_component_size
-from cubenet.topology import _bfs_levels, _component_roots
+from cubenet.topology import DomainGraph, Orbits, _bfs_levels, _translation_orbits
 from cubenet.unionfind import UnionFind
-from bruteforce_oracle import exact_partition_tolerance_bruteforce
+from bruteforce_oracle import _component_roots, exact_partition_tolerance_bruteforce
+from bruteforce_oracle import max_component_sizes, repair_times
 from custom_graph import custom_topology
 from markov_oracle import CountChain, binomial_stationary, stationary, transition_matrix
 
@@ -199,9 +198,22 @@ class TestConditionalWrongProb:
 
 
 def min_repair_time(topology, failed: list[int], k: int) -> float:
-    """`_repair_times` of the one failure set that fails the links `failed`."""
-    row = np.isin(np.arange(topology.n_links), failed)[None]
-    return float(_repair_times(topology, k, _class_values(topology, lambda c: c.mttr_h), row)[0])
+    """`_repair_times` of the one failure set that fails the links `failed`,
+    as a column padded with link L twice."""
+    L = topology.n_links
+    column = np.array([*failed, L, L], dtype=np.int32)[:, None]
+    return float(_repair_times(topology, k, _class_values(topology, lambda c: c.mttr_h), column)[0])
+
+
+def failed_sets(failed: np.ndarray) -> np.ndarray:
+    """The (r, B) failed-link sets of the rows of a (B, L) failed-link
+    mask: each column lists its row's links, then link L to the end, at
+    least once."""
+    L = failed.shape[1]
+    sets = np.full((len(failed), int(failed.sum(1).max(initial=0)) + 1), L, dtype=np.int32)
+    for column, row in zip(sets, failed):
+        column[:np.count_nonzero(row)] = np.flatnonzero(row)
+    return sets.T
 
 
 class TestRepairTime:
@@ -616,21 +628,25 @@ class TestForestDP:
                 assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_one_intact_labelling_per_topology(self, monkeypatch):
-        """`partition_tolerance` and the forest walk share one labelling
-        of the intact graph, kept on the topology, across repeated calls."""
+        """`build_recursive`'s connectivity check, `partition_tolerance`
+        and the forest walk share one labelling of the intact graph, kept
+        on the topology, across repeated calls."""
         calls = []
-        roots = reliability._component_roots
+        join = cubenet.topology._join_roots
 
-        def counting(ends, n, present):
-            calls.append(present.shape)
-            return roots(ends, n, present)
+        def counting(label, a, b):
+            calls.append(label.size)
+            return join(label, a, b)
 
-        monkeypatch.setattr(reliability, "_component_roots", counting)
-        graphs = [build_ring_lattice(64, 2), build_rooted_tree(64, 6), build_complete_hypercube(3)]
+        monkeypatch.setattr(cubenet.topology, "_join_roots", counting)
+        # the recursive graph is labelled as it is built, before the others
+        graphs = [build_recursive(RecursionSpec.symmetric(2, 2)), build_ring_lattice(64, 2),
+                  build_rooted_tree(64, 6), build_complete_hypercube(3)]
         for t in graphs:
             for seed in (1, 2):
                 partition_tolerance(t, budget=200, seed=seed)
-        assert calls == [(1, t.n_links) for t in graphs]
+            assert t.is_connected()
+        assert calls == [t.n_nodes for t in graphs]
 
     def test_star22_no_cancellation(self):
         """At k = 2 a 22-leaf star is wrong only when every link is down:
@@ -687,7 +703,8 @@ class TestForestDP:
             rng = np.random.default_rng((seed, n_trees, n_classes))
             t = random_forest(rng, int(rng.integers(1, 15)), n_trees, n_classes)
             n, mttrs = t.n_nodes, _class_values(t, lambda c: c.mttr_h)
-            ks = sorted({2, 3, n // 2 + 1} & set(range(1, max_component_size(t, set()) + 1)))
+            largest = int(max_component_sizes(t, np.ones((1, t.n_links), dtype=bool))[0])
+            ks = sorted({2, 3, n // 2 + 1} & set(range(1, largest + 1)))
             for k, want in zip(ks, wrong_mass_oracle(t, ks)):
                 report = partition_tolerance(t, k=k)
                 wrong = reliability._forest_wrong_mass(t, k, reliability._down_probs(t))
@@ -748,13 +765,14 @@ class TestConnectivityKernel:
         seed=st.integers(0, 2**32 - 1),
     )
     @example(n_core=1, n_pairs=0, n_isolated=4000, rows=37, keep=0.5, seed=0)  # no links
-    @example(n_core=40, n_pairs=60, n_isolated=4000, rows=40, keep=0.6, seed=1)  # many batches
+    @example(n_core=40, n_pairs=60, n_isolated=4000, rows=40, keep=0.6, seed=1)  # many chunks
     @example(n_core=40, n_pairs=60, n_isolated=3, rows=8, keep=0.7, seed=12)  # needs full jumps
     def test_matches_scalar_path(self, n_core, n_pairs, n_isolated, rows, keep, seed):
-        """Row by row equal to `max_component_size` on random graphs whose
-        isolated nodes are spread among the others, across batch edges
-        (4000 isolated nodes make a batch at most 16 rows) and all-failed
-        rows."""
+        """`_wrong_sets` agrees set by set with the oracle's mask search,
+        at every quorum from 1 to one past the largest component, on
+        random graphs whose isolated nodes are spread among the others,
+        across `_component_sizes`' chunk edges (4000 isolated nodes make a
+        chunk of 8 sets), with all-failed sets and padded columns."""
         rng = np.random.default_rng(seed)
         n = n_core + n_isolated
         label = rng.permutation(n)
@@ -762,9 +780,11 @@ class TestConnectivityKernel:
         t = custom_topology(n, [(label[a], label[b]) for a, b in sorted(pairs) if a != b])
         present = rng.random((rows, t.n_links)) < keep
         present[0] = False
-        got = _max_comp_rows(t.ends, n, present)
-        want = [max_component_size(t, set(np.flatnonzero(~row).tolist())) for row in present]
-        assert got.tolist() == want
+        sizes = max_component_sizes(t, present)
+        sets = failed_sets(~present)
+        for k in range(1, min(int(sizes.max()) + 1, n) + 1):
+            got = reliability._wrong_sets(t, k, sets)
+            assert got.tolist() == (sizes < k).tolist(), k
 
     @pytest.mark.parametrize(
         "topo,i,wrong,subsets",
@@ -783,30 +803,33 @@ class TestConnectivityKernel:
 
     @pytest.mark.parametrize("three_classes,k", [(False, 2), (False, 3), (True, 11)])
     def test_batched_repair_matches_min_repair_time(self, three_classes, k):
-        """The batched threshold search gives every row, good or wrong,
-        the time `min_repair_time` gives it alone, 0.0 exactly for the
-        good ones: all failure sets of the two-class path, random ones of
-        a three-class 14-node ring."""
+        """The batched threshold search gives every set, good or wrong,
+        the time `min_repair_time` gives it alone and the oracle's mask
+        search gives it, 0.0 exactly for the good ones: all failure sets
+        of the two-class path, random ones of a three-class 14-node ring,
+        each column padded with link L."""
         if three_classes:
             t = _three_class_ring()
             failed = np.random.default_rng(1).random((300, t.n_links)) < 0.4
         else:
             t = _mixed_path()
             failed = np.array([[a, b] for a in (False, True) for b in (False, True)])
-        good = [max_component_size(t, set(np.flatnonzero(row))) >= k for row in failed]
+        good = (max_component_sizes(t, ~failed) >= k).tolist()
         assert any(good) and not all(good)
-        times = _repair_times(t, k, _class_values(t, lambda c: c.mttr_h), failed).tolist()
+        times = _repair_times(t, k, _class_values(t, lambda c: c.mttr_h), failed_sets(failed))
+        times = times.tolist()
         assert [x == 0.0 for x in times] == good
+        assert times == repair_times(t, k, failed).tolist()
         assert len(set(times) - {0.0}) == {2: 1, 3: 2, 11: 3}[k]  # every class MTTR is some row's
         assert times == [min_repair_time(t, np.flatnonzero(row).tolist(), k=k) for row in failed]
 
     def test_repair_of_no_rows(self, monkeypatch):
-        """A mask with no rows gives no times and makes no kernel call."""
+        """No sets give no times and make no kernel call."""
         t = _three_class_ring()
         mttr_of = _class_values(t, lambda c: c.mttr_h)
         calls = []
-        monkeypatch.setattr(reliability, "_max_comp_rows", lambda *args: calls.append(args))
-        times = _repair_times(t, 11, mttr_of, np.zeros((0, t.n_links), dtype=bool))
+        monkeypatch.setattr(reliability, "_wrong_sets", lambda *args: calls.append(args))
+        times = _repair_times(t, 11, mttr_of, np.zeros((3, 0), dtype=np.int32))
         assert times.shape == (0,) and calls == []
 
 
@@ -1279,7 +1302,7 @@ class TestTranslationSymmetry:
     def test_cycle64_kernel_rows(self, monkeypatch):
         """The 64-cycle at enum cap 10**5 enumerates i = 2 and 3 (i = 1 lies
         below c_lb = 2) through one orbit: 63 + 1953 sets, not 43 680, in
-        one batch of the forest kernel and none through `_max_comp_rows`."""
+        one batch of the forest kernel."""
         batches = []
         kernel = reliability._wrong_sets
 
@@ -1288,7 +1311,6 @@ class TestTranslationSymmetry:
             return kernel(topology, k, sets)
 
         monkeypatch.setattr(reliability, "_wrong_sets", counting)
-        monkeypatch.setattr(reliability, "_max_comp_rows", None)
         report = partition_tolerance(build_ring_lattice(64, 2), budget=4000, seed=1,
                                      enum_cap=10**5)
         exact = [e for e in report.per_state if e.method == "exact" and e.n_samples]
@@ -1306,7 +1328,8 @@ class TestTranslationSymmetry:
     def test_batched_counts_equal_brute_force(self, build, slots, orbits, monkeypatch):
         """Every state's count, all states in one pass (split into batches
         of `slots` slots, or not), equals the wrong i-subsets counted one
-        (rows, L) mask at a time through `_max_comp_rows`, at two quorums."""
+        (rows, L) mask at a time through the oracle's mask search, at two
+        quorums."""
         t = build()
         L, n = t.n_links, t.n_nodes
         monkeypatch.setattr(reliability, "ORDER_SLOTS", slots)
@@ -1319,7 +1342,7 @@ class TestTranslationSymmetry:
                 present = np.ones((math.comb(L, i), L), dtype=bool)
                 for row, combo in zip(present, itertools.combinations(range(L), i)):
                     row[list(combo)] = False
-                wrong = int(np.count_nonzero(_max_comp_rows(t.ends, n, present) < k))
+                wrong = int(np.count_nonzero(max_component_sizes(t, present) < k))
                 assert (e.i, e.n_samples, e.p_wrong) == (i, len(present), wrong / len(present))
 
     def test_orbit_sum_not_divisible(self, monkeypatch):
@@ -1383,13 +1406,13 @@ class TestCutBoundWork:
         """4-4 at budget 10000: no sampled state reaches c_lb = 128 failed
         links, so the connectivity kernel is never called."""
         rows = []
-        kernel = reliability._max_comp_rows
+        kernel = reliability._wrong_sets
 
-        def counting(ends, n, present):
-            rows.append(len(present))
-            return kernel(ends, n, present)
+        def counting(topology, k, sets):
+            rows.append(sets.shape[1])
+            return kernel(topology, k, sets)
 
-        monkeypatch.setattr(reliability, "_max_comp_rows", counting)
+        monkeypatch.setattr(reliability, "_wrong_sets", counting)
         report = partition_tolerance(build_recursive(RecursionSpec.symmetric(4, 2)),
                                      budget=10000, seed=1)
         assert sum(e.n_samples for e in report.per_state) == 10000
@@ -1424,6 +1447,15 @@ def _alternating_ring():
     return dataclasses.replace(t, class_id=np.arange(t.n_links) % 2, classes=classes)
 
 
+def _hot_4_4():
+    """4-4 with every MTBF three times its MTTR (links down a quarter of
+    the time): every row fails about 256 links, above c_lb = 128, and
+    reaches the repair search."""
+    t = build_recursive(RecursionSpec.symmetric(4, 2))
+    return dataclasses.replace(t, classes={c: dataclasses.replace(cls, mtbf_h=3 * cls.mttr_h)
+                                           for c, cls in t.classes.items()})
+
+
 class TestMulticlassSampler:
     @pytest.mark.parametrize("build", [_two_class_cycle, _hot_three_class_ring],
                              ids=["cycle8-two-class", "ring14-hot"])
@@ -1451,6 +1483,61 @@ class TestMulticlassSampler:
                                       n, "sampled")
             for i, n, w in rows
         ]
+
+    @pytest.mark.parametrize("build,budget,summary,rows", [
+        (_alternating_ring, 400, (0.975, 0.007806247497997998, 2.0, 33), [
+            (75, 1, 0), (76, 1, 0), (77, 2, 0), (79, 5, 0), (80, 3, 0), (81, 6, 0), (82, 6, 0),
+            (83, 4, 0), (84, 11, 0), (85, 11, 0), (86, 7, 0), (87, 7, 0), (88, 19, 0),
+            (89, 17, 0), (90, 19, 0), (91, 26, 0), (92, 19, 0), (93, 23, 0), (94, 22, 0),
+            (95, 32, 0), (96, 22, 0), (97, 21, 0), (98, 14, 0), (99, 18, 2), (100, 20, 2),
+            (101, 9, 0), (102, 14, 0), (103, 6, 0), (104, 10, 0), (105, 5, 1), (106, 11, 0),
+            (107, 1, 1), (108, 2, 0), (109, 2, 1), (110, 2, 1), (112, 1, 1), (115, 1, 1)]),
+        (_hot_4_4, 2000, (1.0, 0.0, None, 129), [(i, n, 0) for i, n in zip(
+            [208, 212, *range(216, 299), 305],
+            [1, 1, 1, 1, 1, 4, 5, 1, 7, 3, 5, 4, 6, 9, 7, 8, 12, 9, 15, 17, 16, 16, 12, 21, 25,
+             33, 25, 29, 35, 42, 40, 42, 41, 56, 54, 41, 59, 59, 61, 49, 56, 45, 67, 49, 61, 65,
+             50, 51, 67, 45, 52, 37, 40, 31, 34, 39, 36, 34, 31, 23, 22, 23, 22, 17, 18, 21, 14,
+             14, 11, 7, 3, 7, 6, 4, 4, 2, 5, 3, 2, 1, 2, 1, 2, 1, 1, 1])]),
+    ], ids=["ring64-alternating", "4-4-hot"])
+    def test_hot_report_pinned(self, build, budget, summary, rows):
+        """The report at seed 1, every per-state row included: pins the
+        failure counts, the links placed in each chunk and the repair
+        search's verdicts, on a graph whose rows all reach c_lb."""
+        report = partition_tolerance(build(), budget=budget, seed=1)
+        assert (report.p, report.stderr, report.t, report.k, report.method) == \
+            (*summary, "sampled")
+        assert report.per_state == [
+            reliability.StateEstimate(i, n / budget, w / n, math.sqrt(w / n * (1 - w / n) / n),
+                                      n, "sampled")
+            for i, n, w in rows
+        ]
+
+    def test_one_repair_search_per_block(self, monkeypatch):
+        """All hot rows of a count block go through one `_repair_times`
+        search, which asks the forest kernel once per threshold it
+        reaches, first about every row: the hot ring's 20 000 rows are 5
+        blocks of 4096 or fewer (2 chunks of 2048 each)."""
+        t = _hot_three_class_ring()
+        searches, batches = [], []
+        search, kernel = reliability._repair_times, reliability._wrong_sets
+
+        def counting_search(topology, k, mttr_of, sets):
+            searches.append(sets.shape[1])
+            batches.append([])
+            return search(topology, k, mttr_of, sets)
+
+        def counting_kernel(topology, k, sets):
+            batches[-1].append(sets.shape[1])
+            return kernel(topology, k, sets)
+
+        monkeypatch.setattr(reliability, "_repair_times", counting_search)
+        monkeypatch.setattr(reliability, "_wrong_sets", counting_kernel)
+        report = partition_tolerance(t, budget=20000, seed=1)
+        c_lb = _cut_lower_bound(t, report.k)
+        assert sum(searches) == sum(e.n_samples for e in report.per_state if e.i >= c_lb)
+        assert len(searches) == 5 and all(1 <= len(b) <= 4 for b in batches)
+        assert [b[0] for b in batches] == searches
+        assert all(b == sorted(b, reverse=True) for b in batches)
 
     @pytest.mark.parametrize("build", [_alternating_ring, _hot_three_class_ring],
                              ids=["ring64-alternating", "ring14-hot"])
@@ -1491,9 +1578,12 @@ class TestMulticlassSampler:
     def test_report_unchanged_by_count_block(self, monkeypatch, build):
         """The count uniforms read the stream in row order and each chunk
         places from its own stream, so a block of one chunk of rows (here
-        5 or 10 blocks, not 3 or 5) gives the same report."""
+        5 or 10 blocks, not 3 or 5) gives the same report.  The chunk is
+        held while KERNEL_SLOTS shrinks the block."""
         t = build()
         wide = partition_tolerance(t, budget=20000, seed=3)
+        step = reliability._chunk_rows(t.n_nodes, t.n_links)
+        monkeypatch.setattr(reliability, "_chunk_rows", lambda n_nodes, n_links: step)
         monkeypatch.setattr(reliability, "KERNEL_SLOTS", 1)
         narrow = partition_tolerance(t, budget=20000, seed=3)
         assert (wide.per_state, wide.p, wide.stderr, wide.t) == \
@@ -1819,7 +1909,7 @@ def test_analysis_runs_without_networkx():
         "mixed = build_recursive(spec)\n"
         "partition_tolerance(mixed, budget=50, seed=0)\n"
         "reliability._repair_times(mixed, 9, reliability._class_values(mixed, lambda c: c.mttr_h),\n"
-        "                          np.ones((1, mixed.n_links), dtype=bool))\n"
+        "                          np.arange(mixed.n_links)[:, None])\n"
         "analyze_hierarchical(spec, budget=50, seed=0)\n"
         "run_gossip(mixed, GossipConfig(cycles=3, seed=0))\n"
         "run_consensus(mixed, ConsensusConfig(rounds=3, seed=0))\n"

@@ -24,7 +24,8 @@ from cubenet import (
 )
 from cubenet import cli, topology
 from cubenet.errors import ConstructionError, ResourceLimitError, SpecError
-from cubenet.topology import _component_roots, _gray_hypercube_edges
+from cubenet.topology import _gray_hypercube_edges
+from bruteforce_oracle import _component_roots
 from custom_graph import custom_topology
 
 
@@ -371,7 +372,7 @@ class TestTable3Census:
 
 
 def _roots(t: Topology, failed) -> list[int]:
-    """`_component_roots` of t with the link indices `failed` absent."""
+    """The oracle's `_component_roots` of t with the link indices `failed` absent."""
     present = np.ones((1, t.n_links), dtype=bool)
     present[0, list(failed)] = False
     return _component_roots(t.ends, t.n_nodes, present).tolist()
