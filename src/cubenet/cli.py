@@ -115,11 +115,11 @@ def recursion_spec_from_dict(spec: dict) -> RecursionSpec:
     dims = _parse_list(spec["dims"], lambda d: _spec_number(d, "dims"))
     distances = (_parse_list(spec["classes"], lambda d: _spec_number(d, "classes", float))
                  if "classes" in spec else None)
-    if mode in ("symmetric", "sym", "completely-symmetric"):
+    if mode == "symmetric":
         if len(set(dims)) != 1:
             raise SpecError("symmetric mode needs one repeated dimension")
         return RecursionSpec.symmetric(dims[0], len(dims), distances)
-    if mode in ("semi", "semi-symmetric"):
+    if mode == "semi":
         return RecursionSpec.semi(dims, distances)
     raise SpecError(f"unsupported recursion mode {mode!r} in spec files")
 

@@ -14,8 +14,9 @@ the largest sampled state i_max, which leaves every estimate unchanged,
 so only each order's last i_max links are drawn; the rest join first, a
 spanning BFS forest (walked once per topology by one FIFO queue) a level
 a step.  Every set of failed links, enumerated for an exact state or
-sampled and searched for its repair threshold, goes through the same
-forest kernel (`_wrong_sets`), in batches.
+sampled and searched for its repair threshold, takes the orders' pass
+(`_evolve`), in batches, without their tail walk.  Every quorum, k = 1
+included, takes that one pass.
 """
 from __future__ import annotations
 
@@ -433,13 +434,8 @@ def _set_blocks(groups: list, step: int):
 def _wrong_sets(topology: Topology, k: int, sets: np.ndarray) -> np.ndarray:
     """Whether G less the links of each column of the (r, B) `sets` has
     no k-node component (a column may repeat a link; link L is a
-    self-loop): the BFS forest joins first (`_forest_labels`), then the
-    other links (`_rows_added`), each column's failed ones as self-loops."""
-    L = topology.n_links
-    rest = _spanning_forest(topology)[2]
-    failed, label, size, live = _forest_labels(topology, k, sets)
-    batch = np.where(failed[rest][:, live], L, rest[:, None])
-    return _rows_added(topology, k, batch, rest.size, label, size, live) > rest.size
+    self-loop): no batch row of `_evolve` makes one."""
+    return _evolve(topology, k, sets, False) > _spanning_forest(topology)[2].size
 
 
 def _estimate_states(
@@ -449,8 +445,8 @@ def _estimate_states(
     and the variance of their sum of pi_i * P{wrong | i}.
 
     A state is exact below the cut bound c_lb or when its C(L, i)
-    subsets fit `enum_cap`; the subsets of all such states go through
-    the forest kernel of the orders in one pass (`_exact_states`): the
+    subsets fit `enum_cap`; the subsets of all such states take the
+    orders' forest-kernel pass (`_evolve`) in one go (`_exact_states`): the
     64-cycle's i = 2 and 3 at enum cap 10**5 take 2.1 ms on a 2-core
     Xeon, where one (rows, L) mask search a state took 7.6 ms, and
     Table 3's Q3 2.4 -> 1.7 ms.  Every other state reads the same
@@ -461,7 +457,9 @@ def _estimate_states(
     and only each order's last i_max links are drawn.  At seed 1 no
     order steps through that tail on Table 3's ring(64,6) (i_max = 18,
     budget 4000) or Q4 (i_max = 10), or on ring(768,4) at budget 50,
-    while 3993 of the 64-cycle's 4000 do (i_max = 12; `_links_added`).
+    while 3993 of the 64-cycle's 4000 do (i_max = 12; `_evolve`).  At
+    k = 1 the forest of every order already holds a k-node component, so
+    every count is i_max + 1 and every sampled state reads 0.
     """
     est = _exact_states(topology, k, states, _cut_lower_bound(topology, k), enum_cap)
     sampled = [j for j, e in enumerate(est) if e is None]
@@ -491,26 +489,30 @@ def _critical_counts(topology: Topology, k: int, budget: int, seed, cap: int) ->
 
     One order is one graph-evolution pass (Elperin, Gertsbakh &
     Lomonosov 1991): links join an empty union-find in order until some
-    component reaches k nodes, after `added` links.  Failing the last i
-    links of the order leaves a wrong partition exactly when
-    i >= c* = L - added + 1 (c* = 0 when the intact graph has no such
-    component, L + 1 when k = 1).  The last i links of a uniform order
-    form a uniform i-subset, so 1[c* <= i] is one draw of P{wrong | i}
-    for every i at once.  A caller that reads 1[c* <= i] only for
-    i <= cap learns nothing from c* above cap + 1, which depends only on
-    the order's last cap links, in order, and the set of the others: only
+    component reaches k nodes, after `added` links (0 when k = 1).
+    Failing the last i links of the order leaves a wrong partition
+    exactly when i >= c* = L - added + 1 (c* = 0 when the intact graph
+    has no such component).  The last i links of a uniform order form a
+    uniform i-subset, so 1[c* <= i] is one draw of P{wrong | i} for
+    every i at once.  A caller that reads 1[c* <= i] only for i <= cap
+    learns nothing from c* above cap + 1, which depends only on the
+    order's last cap links, in order, and the set of the others: only
     that tail is drawn (`_failed_tails`), in batches of at most
-    ORDER_SLOTS order (and node) slots (see `_links_added`).
+    ORDER_SLOTS order (and node) slots.  The other links join first and
+    the tail walks from its last row up (`_evolve`), so batch row j > R
+    is link L - R - cap + j of the order, and min(c*, cap + 1) =
+    min(R + cap + 1 - j, cap + 1): 0 when no row makes a k-node
+    component, cap + 1 when row j <= R or the forest does.
     """
     L, n = topology.n_links, topology.n_nodes
     cap = min(cap, L)
-    if k == 1:
-        return np.full(budget, cap + 1, dtype=np.int64)
+    R = _spanning_forest(topology)[2].size
     out = np.empty(budget, dtype=np.int64)
     step = max(1, ORDER_SLOTS // max(n, L))
     for lo in range(0, budget, step):
         tails = _failed_tails(seed, lo, min(step, budget - lo), L, cap)
-        out[lo:lo + tails.shape[1]] = L + 1 - _links_added(topology, k, tails)
+        row = _evolve(topology, k, tails, True)
+        out[lo:lo + tails.shape[1]] = np.minimum(R + cap + 1 - row, cap + 1)
     return out
 
 
@@ -529,48 +531,44 @@ def _failed_tails(seed, lo: int, B: int, L: int, cap: int) -> np.ndarray:
     return perm[::-1][:cap].copy()
 
 
-def _links_added(topology: Topology, k: int, tails: np.ndarray) -> np.ndarray:
-    """Links each order adds to an empty graph, up to the one that makes
-    a k-node component (L + 1 if none does), raised to L - cap: order b
-    adds the links off column b of the (cap, B) `tails` in any order,
-    then that column's, from its last row up.
+def _evolve(topology: Topology, k: int, sets: np.ndarray, walk: bool) -> np.ndarray:
+    """Batch row at which each column of the (r, B) failed-link `sets`
+    (link L a self-loop, as often as a column needs) makes a k-node
+    component: at most R when the forest or the first R rows make one,
+    R + r + 1 (R + 1 without `walk`) when no row does.
 
-    The BFS forest of `_spanning_forest` joins first (`_forest_labels`,
-    the half that exact states share).  The other R links follow in one
-    shared arrangement, each order's failed ones as self-loops, then the
-    tail (`_rows_added`): an order leaves once it has a k-node
-    component.  On a 2-core Xeon, against full orders: ring(64,6) at
-    4000 orders, cap 18, 25 -> 6 ms; Q4, cap 10, 3.7 -> 2.7 ms; the
-    64-cycle, cap 12, 14 -> 5.5 ms; at 50 orders, cap 385, Q12 57 -> 10
-    ms and ring(4096,12) 77 -> 28 ms."""
-    L, cap = topology.n_links, tails.shape[0]
-    rest = _spanning_forest(topology)[2]
-    R = rest.size  # batch row j is link L - R - cap + j + 1 of each order
-    failed, label, size, live = _forest_labels(topology, k, tails)
-    batch = np.concatenate((np.where(failed[rest][:, live], L, rest[:, None]), tails[::-1, live]))
-    del failed
-    added = _rows_added(topology, k, batch, R, label, size, live)
-    return np.maximum(added + (L - R - cap), L - cap, out=added)
-
-
-def _rows_added(topology: Topology, k: int, batch: np.ndarray, fold: int,
-                label: np.ndarray, size: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """Rows of the (S, |live|) `batch` (link L a self-loop) that each of
-    the B columns adds to the forest `label`/`size` of `_forest_labels`,
-    up to the one that makes a k-node component: S + 1 if none does,
-    and at most `fold` for a column that makes one within the first
-    `fold` rows, which may join in any order (or in the forest).
-
-    Column c of `batch` is column live[c].  At least `fold` columns step
-    through the rows together (`_add_in_lockstep`); fewer fold the
-    first `fold` rows with `_join_roots` in blocks ending at (k - 1) *
-    2**j rows, dropping the columns that reach k, then step.
+    The BFS forest of `_spanning_forest` joins first, less the column's
+    links, one vectorized step a level: a node takes its parent's root
+    unless its link failed.  The batch is the R links off the forest in
+    their shared arrangement, the column's failed ones as self-loops,
+    then, when `walk`, the column's own links from its last row up (an
+    order's failed tail, `_critical_counts`).  Only columns still short
+    of k join the batch.  At least R of them step through the rows
+    together (`_add_in_lockstep`); fewer fold the first R rows with
+    `_join_roots` in blocks ending at (k - 1) * 2**j rows, dropping the
+    columns that reach k, then step.  On a 2-core Xeon, against full
+    orders: ring(64,6) at 4000 orders, cap 18, 25 -> 6 ms; Q4, cap 10,
+    3.7 -> 2.7 ms; the 64-cycle, cap 12, 14 -> 5.5 ms; at 50 orders,
+    cap 385, Q12 57 -> 10 ms and ring(4096,12) 77 -> 28 ms.
     """
-    n = topology.n_nodes
-    B = label.size // n
-    ends = np.zeros((2, topology.n_links + 1), dtype=np.int32)
+    L, n = topology.n_links, topology.n_nodes
+    _, levels, rest = _spanning_forest(topology)
+    R, B = rest.size, sets.shape[1]
+    failed = np.zeros((L + 1, B), dtype=bool)
+    failed[sets, np.arange(B)] = True
+    label = np.arange(0, B * n, n, dtype=np.int32) + np.arange(n, dtype=np.int32)[:, None]
+    for nodes, parents, links in levels:
+        label[nodes] = np.where(failed[links], label[nodes], label[parents])
+    label = label.T.ravel()
+    size = _component_sizes(label, n)
+    live = np.flatnonzero(size.reshape(B, n).max(1) < k).astype(np.int32)
+    batch = np.where(failed[rest][:, live], L, rest[:, None])
+    del failed
+    if walk:
+        batch = np.concatenate((batch, sets[::-1, live]))
+    ends = np.zeros((2, L + 1), dtype=np.int32)
     ends[:, :-1] = topology.ends.T
-    prefix, hi = (fold if B < fold else 0), 0
+    prefix, hi = (R if B < R else 0), 0
     while hi < prefix and live.size:
         lo, hi = hi, min(max(2 * hi, k - 1), prefix)
         a, b = ends[:, batch[lo:hi]] + live * n
@@ -583,29 +581,6 @@ def _rows_added(topology: Topology, k: int, batch: np.ndarray, fold: int,
     if live.size:
         _add_in_lockstep(ends, n, k, batch, prefix, label, size, live, added)
     return added
-
-
-def _forest_labels(topology: Topology, k: int, sets: np.ndarray):
-    """(failed, label, size, live) once the BFS forest of `_spanning_forest`
-    joins, less the links of each column b of the (r, B) `sets` (link L
-    is a self-loop): failed[j, b] marks link j, of L + 1; node x of column
-    b is b*n + x, label[b*n + x] its root and size the node count at
-    each root; `live` lists the int32 columns with no k-node component.
-
-    One vectorized step a level: a node takes its parent's root unless
-    its link failed.
-    """
-    L, n = topology.n_links, topology.n_nodes
-    B = sets.shape[1]
-    failed = np.zeros((L + 1, B), dtype=bool)
-    failed[sets, np.arange(B)] = True
-    label = np.arange(0, B * n, n, dtype=np.int32) + np.arange(n, dtype=np.int32)[:, None]
-    for nodes, parents, links in _spanning_forest(topology)[1]:
-        label[nodes] = np.where(failed[links], label[nodes], label[parents])
-    label = label.T.ravel()
-    size = _component_sizes(label, n)
-    live = np.flatnonzero(size.reshape(B, n).max(1) < k).astype(np.int32)
-    return failed, label, size, live
 
 
 def _component_sizes(label: np.ndarray, n: int) -> np.ndarray:

@@ -1,9 +1,11 @@
 """The package ships what it runs: every public module-level function in
 `src/cubenet/` is exported from `cubenet/__init__.py` or called from
-somewhere else in the package, and every private one is called from
-somewhere else in the package.  A function only the tests call belongs
-in `tests/`."""
+somewhere else in the package, every private one is called from
+somewhere else in the package, and every module-level constant is read
+somewhere in the package.  A function only the tests call belongs in
+`tests/`."""
 import ast
+import re
 from pathlib import Path
 
 import cubenet
@@ -32,12 +34,16 @@ def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return names
 
 
+def _trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def _unused(private: bool) -> list[str]:
     """Module-level functions (private or public ones) that no other code
     of the package references and, for a public one, that
     `cubenet/__init__.py` does not export."""
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _trees()
     exported = {alias.asname or alias.name for node in ast.walk(trees["__init__.py"])
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     unused = []
@@ -56,3 +62,17 @@ def test_every_public_function_is_exported_or_used():
 def test_every_private_function_is_used():
     """A kernel only the tests call cannot linger in the package."""
     assert _unused(private=True) == []
+
+
+def test_every_constant_is_read():
+    """A module-level constant (an UPPER or _UPPER name) cannot outlive
+    its last reader, such as a batch size whose kernel left."""
+    trees = _trees()
+    read = set().union(*map(_references, trees.values()))
+    unread = [f"{module}:{node.lineno} {target.id}"
+              for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+              if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)
+              and target.id not in read]
+    assert unread == []

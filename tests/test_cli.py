@@ -374,6 +374,7 @@ class TestExitCodes:
         ("kind=torus\nn=8\n", "unknown topology kind 'torus'"),
         ("mode=symmetric\ndims=2,3\n", "symmetric mode needs one repeated dimension"),
         ("mode=asymmetric\ndims=2,2\n", "unsupported recursion mode 'asymmetric'"),
+        ("mode=sym\ndims=2,2\n", "unsupported recursion mode 'sym'"),
         ("kind=ring\nn=8\ndegree=2.5\n", "spec degree must be an integer, got '2.5'"),
         ('{"kind": "ring", "n": 8, "degree": 2.5}', "spec degree must be an integer, got 2.5"),
         ('{"kind": "tree", "n": 7.9}', "spec n must be an integer, got 7.9"),
@@ -386,9 +387,9 @@ class TestExitCodes:
         ('{"kind": "recursive", "dims": [2, 2], "classes": [[1], 3000]}',
          "spec classes must be a number, got [1]"),
         ('{"kind": "ring", "degree": 2}', "ring spec has no key 'n'"),
-    ], ids=["no-equals", "no-kind", "unknown-kind", "unequal-dims", "asymmetric", "float-string",
-            "float-degree", "float-n", "float-dims", "bool-dim", "null-class", "object-class",
-            "list-class", "ring-no-n"])
+    ], ids=["no-equals", "no-kind", "unknown-kind", "unequal-dims", "asymmetric", "sym",
+            "float-string", "float-degree", "float-n", "float-dims", "bool-dim", "null-class",
+            "object-class", "list-class", "ring-no-n"])
     def test_bad_key_value_spec(self, tmp_path, capsys, text, message):
         spec = tmp_path / "bad.spec"
         spec.write_text(text)

@@ -1763,18 +1763,19 @@ class TestCriticalCounts:
             assert abs(share - p) <= 4 * math.sqrt(p * (1 - p) / budget), (i, share, p)
 
     def test_batch_stays_int32(self, monkeypatch):
-        """Table 3's ring(64,6) at budget 4000 hands `_links_added` one
-        int32 (18, 4000) block of tails, 288 KB, that owns its data: a
+        """Table 3's ring(64,6) at budget 4000 hands `_evolve` one int32
+        (18, 4000) block of tails to walk, 288 KB, that owns its data: a
         view would keep the (192, 4000) draw scratch alive through the
         evolution."""
         batches = []
-        links_added = reliability._links_added
+        evolve = reliability._evolve
 
-        def spy(topology, k, tails):
-            batches.append((tails.dtype, tails.shape, tails.base is None))
-            return links_added(topology, k, tails)
+        def spy(topology, k, sets, walk):
+            if walk:
+                batches.append((sets.dtype, sets.shape, sets.base is None))
+            return evolve(topology, k, sets, walk)
 
-        monkeypatch.setattr(reliability, "_links_added", spy)
+        monkeypatch.setattr(reliability, "_evolve", spy)
         partition_tolerance(build_ring_lattice(64, 6), budget=4000)
         assert batches == [(np.dtype(np.int32), (18, 4000), True)]
 
@@ -1818,16 +1819,17 @@ class TestCriticalCounts:
         place[rest] = np.arange(rest.size)
         link_of = {pair: j for j, pair in enumerate(map(tuple, t.ends.tolist()))}
         caps, tails, blocks = [], [], []
-        counts, links_added = reliability._critical_counts, reliability._links_added
+        counts, evolve = reliability._critical_counts, reliability._evolve
         join_roots = reliability._join_roots
 
         def capped(topo, k, budget, seed, cap):
             caps.append((k, cap))
             return counts(topo, k, budget, seed, cap)
 
-        def drawn(topology, k, block):
-            tails.append(block)
-            return links_added(topology, k, block)
+        def drawn(topology, k, sets, walk):
+            if walk:
+                tails.append(sets)
+            return evolve(topology, k, sets, walk)
 
         def folding(label, a, b):
             real = a != b  # an order's failed link comes as a self-loop
@@ -1843,7 +1845,7 @@ class TestCriticalCounts:
             raise AssertionError("per-step loop ran")
 
         monkeypatch.setattr(reliability, "_critical_counts", capped)
-        monkeypatch.setattr(reliability, "_links_added", drawn)
+        monkeypatch.setattr(reliability, "_evolve", drawn)
         monkeypatch.setattr(reliability, "_join_roots", folding)
         monkeypatch.setattr(reliability, "_add_in_lockstep", refuse)
         partition_tolerance(t, budget=50, seed=1)

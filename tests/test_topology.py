@@ -760,14 +760,18 @@ class TestSizeGuard:
             (lambda: RecursionSpec.symmetric(21, 1), "dim=21 exceeds the guard of 20"),
             (lambda: RecursionSpec.asymmetric(({(): DomainGraph(2**20 + 1, ())},)),
              "1048577 nodes"),
+            (lambda: RecursionSpec(({(): DomainGraph(2**20 + 1, ())}, {}),
+                                   (LinkClass.standard(5000),) * 2), "1048577 nodes"),
             (lambda: RecursionSpec.asymmetric(
                 (11, {(a,): DomainGraph(2**10, ()) for a in range(2**11)})), "nodes"),
         ],
-        ids=["7-7-7", "21", "one-domain", "11-then-explicit"],
+        ids=["7-7-7", "21", "one-domain", "big-then-explicit", "11-then-explicit"],
     )
     def test_too_many_nodes(self, no_expansion, make, message):
         """Case `21`, a dimension over the hypercube guard, is refused by
-        the spec itself, before the build counts anything."""
+        the spec itself, before the build counts anything.  Case
+        `big-then-explicit` stops at the count of its first level: the
+        explicit level below it rules out the integer shortcut."""
         with pytest.raises(ResourceLimitError, match=message):
             build_recursive(make())
 
